@@ -76,7 +76,7 @@ def main(argv=None) -> int:
 
     if args.verb == "simulate" or args.verb == "resume":
         print(f"status = {summary['status']}  t_final = {summary['t_final']:.6g}  "
-              f"series = {summary['series']}")
+              f"dropped_u = {summary['dropped_u']:.3e}  series = {summary['series']}")
     elif args.verb == "sweep-mass":
         for row in summary["rows"]:
             print(f"mass = {row['mass']:.6g}  status = {row['status']}")

@@ -21,8 +21,11 @@ from .spectral import (
     GridSpec,
     SpectralField,
     derivative,
+    fill,
+    halve,
     hermitize,
-    linf_norm,
+    irfft_x,
+    rfft_x,
     sobolev_norm,
     values_of,
 )
@@ -85,16 +88,14 @@ def residual_omega2(state_before, state_after, params) -> float:
 
     # u . grad u1 and u . grad u3, pseudo-spectral at the midpoint
     dmask = grid.dealias_mask() if params.dealias else 1.0
-    spatial = tuple(range(-3, 0))
-    u_phys = np.fft.ifftn(u_mid.coeffs * dmask, axes=spatial).real * grid.size
+    u_phys = irfft_x(halve(u_mid.coeffs * dmask, grid), grid)
     adv = []
     for comp in (0, 2):
         acc = np.zeros(grid.shape)
         for j in range(3):
-            dj = np.fft.ifftn((1j * mesh[j] * u_mid.coeffs[comp]) * dmask,
-                              axes=spatial).real * grid.size
+            dj = irfft_x(halve((1j * mesh[j] * u_mid.coeffs[comp]) * dmask, grid), grid)
             acc += u_phys[j] * dj
-        adv.append(np.fft.fftn(acc, axes=spatial) / grid.size * dmask)
+        adv.append(fill(rfft_x(acc, grid), grid) * dmask)
     adv_u1, adv_u3 = adv
 
     rhs = (
@@ -139,14 +140,14 @@ def compute_kappa_rho(U2: SpectralField, A: float) -> KappaRho:
     if float(np.min(vy)) < 0.5:
         raise ContractViolation("dy(V) dropped below 1/2; quasi-linear frame invalid")
     kv = vz / vy
-    kappa = SpectralField(U2.grid, np.fft.fftn(kv) / U2.grid.size)
+    kappa = SpectralField(U2.grid, fill(rfft_x(kv, U2.grid), U2.grid))
     dyk = values_of(derivative(kappa, 0))
     dzk = values_of(derivative(kappa, 1))
     denom = 1.0 + kv ** 2
     r1 = (dyk + kv * dzk) / (vy * denom)
     r2 = (dzk - kv * dyk) / denom
-    rho1 = SpectralField(U2.grid, np.fft.fftn(r1) / U2.grid.size)
-    rho2 = SpectralField(U2.grid, np.fft.fftn(r2) / U2.grid.size)
+    rho_hat = fill(rfft_x(np.stack([r1, r2]), U2.grid), U2.grid)
+    rho1, rho2 = SpectralField(U2.grid, rho_hat[0]), SpectralField(U2.grid, rho_hat[1])
     return KappaRho(kappa=kappa, rho1=rho1, rho2=rho2, kappa_values=kv,
                     dy_kappa=dyk, dz_kappa=dzk, vy_values=vy, vz_values=vz,
                     rho1_values=r1, rho2_values=r2)
@@ -159,9 +160,8 @@ def kappa_identity_residual(kr: KappaRho, u3: SpectralField, k_mesh=None) -> flo
     """
     grid = u3.grid
     mesh = grid.k_mesh() if k_mesh is None else list(k_mesh)
-    spatial = tuple(range(-grid.dim, 0))
-    dy = np.fft.ifftn(1j * mesh[grid.dim - 2] * u3.coeffs, axes=spatial).real * grid.size
-    dz = np.fft.ifftn(1j * mesh[grid.dim - 1] * u3.coeffs, axes=spatial).real * grid.size
+    dy, dz = irfft_x(halve(np.stack([1j * mesh[grid.dim - 2] * u3.coeffs,
+                                     1j * mesh[grid.dim - 1] * u3.coeffs]), grid), grid)
     lhs = kr.dy_kappa * dy + kr.dz_kappa * dz
     rhs = (kr.rho1_values * (kr.vy_values * dy + kr.vz_values * dz)
            + kr.rho2_values * (dz - kr.kappa_values * dy))
@@ -226,9 +226,8 @@ class DecompositionTracker:
         u2v, u3v = ev.u_zero_vals[1], ev.u_zero_vals[2]
 
         def advect(Xc):
-            xv = np.fft.ifftn(Xc * mask).real * cross.size
-            fy = np.fft.fftn(u2v * xv) / cross.size
-            fz = np.fft.fftn(u3v * xv) / cross.size
+            xv = irfft_x(halve(Xc * mask, cross), cross)
+            fy, fz = fill(rfft_x(np.stack([u2v * xv, u3v * xv]), cross), cross)
             return (1j * mesh[0] * fy + 1j * mesh[1] * fz) * mask
 
         neq = (1j * mesh[0] * ev.q_neq_hat[0] + 1j * mesh[1] * ev.q_neq_hat[1]) * mask
@@ -270,11 +269,10 @@ class DecompositionTracker:
         u2_0 = split_x(u.component(1))[0]
         u3_0 = split_x(u.component(2))[0]
         n_0 = split_x(state.n)[0]
-        u2v = np.fft.ifftn(u2_0.coeffs * mask).real * cross.size
-        u3v = np.fft.ifftn(u3_0.coeffs * mask).real * cross.size
-        b2v = np.fft.ifftn(self.B2.coeffs * mask).real * cross.size
-        adv = (1j * mesh[0] * (np.fft.fftn(u2v * b2v) / cross.size)
-               + 1j * mesh[1] * (np.fft.fftn(u3v * b2v) / cross.size)) * mask
+        u2v, u3v, b2v = irfft_x(halve(np.stack([u2_0.coeffs, u3_0.coeffs, self.B2.coeffs])
+                                      * mask, cross), cross)
+        fy, fz = fill(rfft_x(np.stack([u2v * b2v, u3v * b2v]), cross), cross)
+        adv = (1j * mesh[0] * fy + 1j * mesh[1] * fz) * mask
         k2 = cross.k_squared()
         out = (-k2 * self.B2.coeffs) / A - u2_0.coeffs - adv / A
         out[(0,) * cross.dim] += n_0.coeffs[(0,) * cross.dim].real / A
@@ -384,15 +382,16 @@ def _observe_field(ledger: EnergyLedger, name: str, weight: float, t: float,
     ledger.norm_track(name, weight).observe(t, *_norm_pieces(coeffs, grid, mesh))
 
 
-def ledger_update(ledger: EnergyLedger, state, params, tracker=None):
-    """Advance every accumulator with the current sample."""
+def ledger_update(ledger: EnergyLedger, state, params, tracker, n_vals: np.ndarray):
+    """Advance every accumulator with the current sample; n_vals are the
+    collocation values of state.n."""
     t = state.t
     grid = params.grid
     n = state.n
     mesh = effective_k_mesh(grid, state.frame.drift) if params.enable_shear \
         else grid.k_mesh()
 
-    ledger.scalar_track("n_linf").observe(t, linf_norm(n))
+    ledger.scalar_track("n_linf").observe(t, float(np.max(np.abs(n_vals))))
 
     n_neq = split_x(n)[1] if grid.dim == 3 else n
     dxx_n = (1j * np.asarray(mesh[0])) ** 2 * n_neq.coeffs
@@ -449,15 +448,13 @@ def ledger_update(ledger: EnergyLedger, state, params, tracker=None):
             kappa_vals = kr.kappa_values
         except ContractViolation:
             kappa_vals = 0.0
-    spatial = tuple(range(-3, 0))
-
     def good_derivative(comp_coeffs):
         dz = 1j * np.broadcast_to(mesh[2], grid.shape) * comp_coeffs
         dy = 1j * np.broadcast_to(mesh[1], grid.shape) * comp_coeffs
         if np.isscalar(kappa_vals) and kappa_vals == 0.0:
             return dz
-        dy_phys = np.fft.ifftn(dy, axes=spatial).real * grid.size
-        prod = np.fft.fftn(kappa_vals[None, :, :] * dy_phys, axes=spatial) / grid.size
+        dy_phys = irfft_x(halve(dy, grid), grid)
+        prod = fill(rfft_x(kappa_vals[None, :, :] * dy_phys, grid), grid)
         if params.dealias:
             prod = prod * grid.dealias_mask()
         return dz - prod
@@ -471,8 +468,8 @@ def ledger_update(ledger: EnergyLedger, state, params, tracker=None):
     if np.isscalar(kappa_vals) and kappa_vals == 0.0:
         w_coeffs = u_neq.coeffs[1]
     else:
-        u3_phys = np.fft.ifftn(u_neq.coeffs[2], axes=spatial).real * grid.size
-        prod = np.fft.fftn(kappa_vals[None, :, :] * u3_phys, axes=spatial) / grid.size
+        u3_phys = irfft_x(halve(u_neq.coeffs[2], grid), grid)
+        prod = fill(rfft_x(kappa_vals[None, :, :] * u3_phys, grid), grid)
         if params.dealias:
             prod = prod * grid.dealias_mask()
         w_coeffs = u_neq.coeffs[1] + prod

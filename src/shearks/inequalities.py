@@ -107,15 +107,15 @@ def check_poincare(samples: list[SpectralField]) -> dict:
 # ---------------------------------------------------------------------------
 # free energy
 
-def free_energy(n0: SpectralField) -> float:
+def free_energy(n0: SpectralField, vals: np.ndarray | None = None) -> float:
     """2D Lyapunov functional: integral of n log n - (n - mean n) c / 2.
 
     The chemoattractant is the mean-zero solution of lap c = -(n - mean n).
-    Positive densities only.
+    Positive densities only; vals, when given, are the values of n0.
     """
     if n0.grid.dim != 2 or n0.components != 1:
         raise ContractViolation("free energy is defined for scalar 2D densities")
-    vals = values_of(n0)
+    vals = values_of(n0) if vals is None else vals
     if np.min(vals) <= 0.0:
         raise ContractViolation("free energy needs a strictly positive density")
     nbar = float(n0.coeffs[0, 0].real)

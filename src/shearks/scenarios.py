@@ -53,6 +53,7 @@ def run_simulate(cfg: RunConfig, init: State | None = None,
         "reason": result.monitor.reason,
         "n_linf_max": result.monitor.linf_max,
         "dropped_energy": result.dropped_energy,
+        "dropped_u": result.dropped_u,
         "rows": len(result.rows),
         "series": str(out / series_name),
         "result": result,

@@ -34,13 +34,16 @@ from .spectral import (
     GridSpec,
     SpectralField,
     divergence,
+    fill,
+    halve,
     hermitize,
+    irfft_x,
     l2_norm,
+    leray_coeffs,
     leray_project,
-    linf_norm,
-    min_value,
-    solve_chemo,
+    rfft_x,
     spectral_energy,
+    values_of,
 )
 
 SERIES_COLUMNS = (
@@ -212,135 +215,89 @@ class StageEval:
     q_neq_hat: list[np.ndarray] | None = None
 
 
-def _masked(F: SpectralField, params: Params) -> np.ndarray:
-    if params.dealias:
-        return F.coeffs * F.grid.dealias_mask()
-    return F.coeffs
-
-
-def _phys(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(coeffs, axes=tuple(range(-grid.dim, 0))).real * grid.size
-
-
-def _spec(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    return np.fft.fftn(values, axes=tuple(range(-grid.dim, 0))) / grid.size
-
-
-def rhs_density(n: SpectralField, u: SpectralField | None, c: SpectralField | None,
-                A: float, k_mesh=None, mask: bool = True) -> SpectralField:
-    """Explicit density tendency -(1/A) div(n u + n grad c), dealiased.
-
-    The divergence form conserves mass to round-off; shear advection and
-    diffusion are handled by the propagator, not here.
+def tendency(n: SpectralField, u: SpectralField | None, A: float, k_mesh=None,
+             dealias: bool = True, chemotaxis: bool = True, tilt: bool = False,
+             need_aux: bool = False) -> StageEval:
+    """Explicit tendencies, the one assembly behind every caller:
+    rhs_n = -(1/A) div(n u + n grad c) and rhs_u = P[-u2 e1 + (n/A) e1 -
+    (1/A) div(u x u)], plus grad lap^-1 dx u2 (pressure response to the
+    tilting frame) when tilt is set.  Products are dealiased, forcing terms
+    raw; rhs_n conserves mass to round-off and rhs_u is divergence-free for
+    the given wavevectors.  Work runs on the k1 >= 0 half spectrum; with no
+    velocity and no chemotaxis rhs_n is exactly zero and nothing is transformed.
     """
     grid = n.grid
-    mesh = grid.k_mesh() if k_mesh is None else list(k_mesh)
-    dmask = grid.dealias_mask() if mask else 1.0
-    n_phys = _phys(grid, n.coeffs * dmask)
-    flux = np.zeros((grid.dim, *grid.shape))
-    if u is not None:
-        flux += _phys(grid, u.coeffs * dmask)
-    if c is not None:
-        for a in range(grid.dim):
-            flux[a] += _phys(grid, (1j * mesh[a] * c.coeffs) * dmask)
-    flux *= n_phys
-    out = np.zeros(grid.shape, dtype=np.complex128)
-    flux_hat = _spec(grid, flux)
-    for a in range(grid.dim):
-        out += 1j * mesh[a] * flux_hat[a]
-    return SpectralField(grid, (-1.0 / A) * out * dmask)
-
-
-def rhs_velocity(n: SpectralField, u: SpectralField, A: float,
-                 k_mesh=None, mask: bool = True,
-                 uu_hat: np.ndarray | None = None) -> SpectralField:
-    """Explicit velocity tendency P[-u2 e1 + (n/A) e1 - (1/A) div(u x u)].
-
-    Output is divergence-free (Leray-projected with the supplied wavevectors);
-    the k = 0 component passes through, so the mean of u1 grows at mean(n)/A
-    minus the mean of u2.
-    """
-    grid = u.grid
-    mesh = grid.k_mesh() if k_mesh is None else list(k_mesh)
-    dmask = grid.dealias_mask() if mask else 1.0
-    if uu_hat is None:
-        u_phys = _phys(grid, u.coeffs * dmask)
-        prods = np.einsum("i...,j...->ij...", u_phys, u_phys)
-        uu_hat = _spec(grid, prods)
-    rhs = np.zeros_like(u.coeffs)
-    for i in range(grid.dim):
-        acc = np.zeros(grid.shape, dtype=np.complex128)
-        for j in range(grid.dim):
-            acc += 1j * mesh[j] * uu_hat[j, i]
-        rhs[i] = (-1.0 / A) * acc * dmask
-    rhs[0] += n.coeffs / A - u.coeffs[1]
-    return leray_project(SpectralField(grid, rhs), k_mesh=mesh)
-
-
-def _tilt_compensation(u: SpectralField, mesh) -> np.ndarray:
-    """grad lap^-1 dx u2: pressure response to the tilting frame."""
-    k2 = np.zeros(u.grid.shape)
-    for comp in mesh:
-        k2 = k2 + np.broadcast_to(comp ** 2, u.grid.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        base = np.where(k2 > 0, (1j * mesh[0]) * u.coeffs[1] / np.where(k2 > 0, -k2, 1.0), 0.0)
-    return np.stack([np.broadcast_to(1j * mesh[a], u.grid.shape) * base
-                     for a in range(u.grid.dim)])
-
-
-def _evaluate(n: SpectralField, u: SpectralField | None, params: Params,
-              drift: float, need_aux: bool) -> StageEval:
-    grid = params.grid
-    mesh = effective_k_mesh(grid, drift) if params.enable_shear else grid.k_mesh()
-    dmask = grid.dealias_mask() if params.dealias else 1.0
-    A = params.A
-
-    c = solve_chemo(n, k_mesh=mesh) if params.enable_chemotaxis else None
-
-    max_u = 0.0
-    max_chemo = 0.0
+    if u is None and not chemotaxis:
+        return StageEval(rhs_n=np.zeros(grid.shape, dtype=np.complex128), rhs_u=None,
+                         max_u=0.0, max_chemo=0.0)
+    mesh = [halve(m, grid) for m in (grid.k_mesh() if k_mesh is None else k_mesh)]
+    k2 = sum(m ** 2 for m in mesh)
+    dmask = halve(grid.dealias_mask(), grid) if dealias else 1.0
+    n_h = halve(n.coeffs, grid)
+    n_phys = irfft_x(n_h * dmask, grid)
+    max_u = max_chemo = 0.0
     rhs_u = None
-    uu_hat = None
     if u is not None:
-        u_phys = _phys(grid, u.coeffs * dmask)
+        u_h = halve(u.coeffs, grid)
+        u_phys = irfft_x(u_h * dmask, grid)
         max_u = float(np.max(np.abs(u_phys)))
-        prods = np.einsum("i...,j...->ij...", u_phys, u_phys)
-        uu_hat = _spec(grid, prods)
-        rhs_u = rhs_velocity(n, u, A, k_mesh=mesh, mask=params.dealias, uu_hat=uu_hat).coeffs
-        if params.enable_shear:
-            rhs_u = rhs_u + _tilt_compensation(u, mesh)
-
-    n_phys = _phys(grid, n.coeffs * dmask)
-    flux = np.zeros((grid.dim, *grid.shape))
-    if u is not None:
-        flux += _phys(grid, u.coeffs * dmask)
-    if c is not None:
-        grad_c = np.stack([_phys(grid, (1j * mesh[a] * c.coeffs) * dmask)
-                           for a in range(grid.dim)])
+        pairs = [(i, j) for i in range(grid.dim) for j in range(i, grid.dim)]
+        slot = {p: s for s, (i, j) in enumerate(pairs) for p in ((i, j), (j, i))}
+        uu = rfft_x(np.stack([u_phys[i] * u_phys[j] for i, j in pairs]), grid)
+        rhs = np.stack([(-1.0 / A) * sum(1j * mesh[j] * uu[slot[j, i]] for j in range(grid.dim))
+                        * dmask for i in range(grid.dim)])
+        rhs[0] += n_h / A - u_h[1]
+        rhs_u = leray_coeffs(rhs, mesh)
+        if tilt:
+            base = np.where(k2 > 0, (1j * mesh[0]) * u_h[1] / np.where(k2 > 0, -k2, 1.0), 0.0)
+            rhs_u += np.stack([1j * mesh[a] * base for a in range(grid.dim)])
+    if chemotaxis:
+        c_h = np.where(k2 > 0.0, n_h / np.where(k2 > 0.0, k2, 1.0), 0.0)  # lap c = -(n - mean n)
+        grad_c = irfft_x(np.stack([(1j * mesh[a] * c_h) * dmask for a in range(grid.dim)]), grid)
         max_chemo = float(np.max(np.abs(grad_c)))
-        flux += grad_c
-    flux *= n_phys
-    flux_hat = _spec(grid, flux)
-    rhs_n = np.zeros(grid.shape, dtype=np.complex128)
-    for a in range(grid.dim):
-        rhs_n += 1j * mesh[a] * flux_hat[a]
-    rhs_n *= (-1.0 / A) * (dmask if params.dealias else 1.0)
+        flux = grad_c if u is None else u_phys + grad_c
+    else:
+        flux = u_phys
+    flux_hat = rfft_x(flux * n_phys, grid)
+    rhs_n = (-1.0 / A) * sum(1j * mesh[a] * flux_hat[a] for a in range(grid.dim)) * dmask
 
     aux = {}
     if need_aux and u is not None:
         cross = grid.cross_section()
-        cmask = cross.dealias_mask() if params.dealias else 1.0
-        n_zero = split_x(n)[0]
-        u_zero = [split_x(u.component(i))[0] for i in range(grid.dim)]
-        u_zero_vals = [np.fft.ifftn(u.coeffs[i][0] * cmask).real * cross.size
-                       for i in range(grid.dim)]
-        q_neq_hat = []
-        for j in (1, 2):
-            zero_prod = np.fft.fftn(u_zero_vals[j] * u_zero_vals[0]) / cross.size
-            q_neq_hat.append(uu_hat[j, 0][0] - zero_prod)
-        aux = {"n_zero": n_zero, "u_zero": u_zero,
+        cmask = halve(cross.dealias_mask(), cross) if dealias else 1.0
+        u_zero_vals = list(irfft_x(halve(u.coeffs[:, 0], cross) * cmask, cross))
+        # the k1 = 0 plane of a half spectrum is complete
+        q_neq_hat = [uu[slot[j, 0]][0] - fill(rfft_x(u_zero_vals[j] * u_zero_vals[0], cross), cross)
+                     for j in (1, 2)]
+        aux = {"n_zero": split_x(n)[0],
+               "u_zero": [split_x(u.component(i))[0] for i in range(grid.dim)],
                "u_zero_vals": u_zero_vals, "q_neq_hat": q_neq_hat}
-    return StageEval(rhs_n=rhs_n, rhs_u=rhs_u, max_u=max_u, max_chemo=max_chemo, **aux)
+    return StageEval(rhs_n=fill(rhs_n, grid), rhs_u=None if rhs_u is None else fill(rhs_u, grid),
+                     max_u=max_u, max_chemo=max_chemo, **aux)
+
+
+def rhs_density(n: SpectralField, u: SpectralField | None, A: float, chemotaxis: bool = True,
+                k_mesh=None, mask: bool = True) -> SpectralField:
+    """Density tendency of ``tendency``; shear advection and diffusion are
+    handled by the propagator, not here."""
+    return SpectralField(n.grid, tendency(n, u, A, k_mesh, mask, chemotaxis).rhs_n)
+
+
+def rhs_velocity(n: SpectralField, u: SpectralField, A: float,
+                 k_mesh=None, mask: bool = True) -> SpectralField:
+    """Velocity tendency of ``tendency`` without the tilt term.
+
+    The k = 0 component passes the projection, so the mean of u1 grows at
+    mean(n)/A minus the mean of u2.
+    """
+    return SpectralField(u.grid, tendency(n, u, A, k_mesh, mask, chemotaxis=False).rhs_u)
+
+
+def _evaluate(n: SpectralField, u: SpectralField | None, params: Params,
+              drift: float, need_aux: bool) -> StageEval:
+    mesh = effective_k_mesh(params.grid, drift) if params.enable_shear else None
+    return tendency(n, u, params.A, mesh, params.dealias, params.enable_chemotaxis,
+                    tilt=params.enable_shear, need_aux=need_aux)
 
 
 def choose_dt(params: Params, ev: StageEval, t_remaining: float) -> float:
@@ -473,6 +430,7 @@ class RunResult:
     ledger: "diagnostics.EnergyLedger | None" = None
     tracker: "diagnostics.DecompositionTracker | None" = None
     dropped_energy: float = 0.0
+    dropped_u: float = 0.0          # velocity energy dropped at remaps (absolute)
 
     @property
     def series(self) -> dict:
@@ -485,14 +443,15 @@ def _mass(n: SpectralField) -> float:
 
 
 def _row(state: State, params: Params, dt: float, status: str,
-         dropped_frac: float, ledger) -> dict:
+         dropped_frac: float, ledger, n_vals: np.ndarray) -> dict:
+    """One series row; n_vals are the collocation values of state.n."""
     n, u = state.n, state.u
     mesh = state.k_mesh(params)
     row = {
         "t": state.t,
         "mass": _mass(n),
-        "n_min": min_value(n),
-        "n_linf": linf_norm(n),
+        "n_min": float(np.min(n_vals)),
+        "n_linf": float(np.max(np.abs(n_vals))),
         "n_l2": l2_norm(n),
         "u_l2": l2_norm(u) if u is not None else 0.0,
         "div_l2": l2_norm(divergence(u, k_mesh=mesh)) if u is not None else 0.0,
@@ -504,7 +463,8 @@ def _row(state: State, params: Params, dt: float, status: str,
     for key in ("E11", "E12", "E21", "E22", "E3", "E4", "E51", "E52"):
         row[key] = energies.get(key, 0.0)
     n0 = split_x(n)[0] if params.grid.dim == 3 else n
-    row["free_energy"] = free_energy(n0) if min_value(n0) > 0.0 else float("nan")
+    n0_vals = values_of(n0) if params.grid.dim == 3 else n_vals
+    row["free_energy"] = free_energy(n0, n0_vals) if np.min(n0_vals) > 0.0 else float("nan")
     return row
 
 
@@ -521,7 +481,8 @@ def run(params: Params, init: State, on_sample=None) -> RunResult:
         growth_confirm=params.growth_confirm,
         enabled=params.monitor_tail,
     )
-    monitor.start(state.t, linf_norm(state.n))
+    n_vals = values_of(state.n)
+    monitor.start(state.t, float(np.max(np.abs(n_vals))))
     mass0 = _mass(state.n)
     fluct0 = spectral_energy(state.n) - state.n.grid.volume * (mass0 / state.n.grid.volume) ** 2
     fluct0 = max(fluct0, 1e-300)
@@ -535,20 +496,21 @@ def run(params: Params, init: State, on_sample=None) -> RunResult:
         tracker = diagnostics.DecompositionTracker.start(params, state)
 
     dropped_total = 0.0
+    dropped_u = 0.0
     rows: list[dict] = []
     t_prev_sample = state.t
     last_dt = 0.0
 
-    def emit(dt):
+    def emit(dt, n_vals):
         if ledger is not None:
-            diagnostics.ledger_update(ledger, state, params, tracker)
-        row = _row(state, params, dt, monitor.status, dropped_total / fluct0, ledger)
+            diagnostics.ledger_update(ledger, state, params, tracker, n_vals)
+        row = _row(state, params, dt, monitor.status, dropped_total / fluct0, ledger, n_vals)
         rows.append(row)
         if on_sample is not None:
             on_sample(state, row)
         return row
 
-    emit(0.0)
+    emit(0.0, n_vals)
     next_sample = state.t + params.output_every
     eps = 1e-9 * params.output_every
 
@@ -561,6 +523,7 @@ def run(params: Params, init: State, on_sample=None) -> RunResult:
             break
         last_dt = info.dt
         dropped_total += info.dropped_n
+        dropped_u += info.dropped_u
         if not np.all(np.isfinite(state.n.coeffs.view(float))):
             monitor.abort(state.t, "non-finite density coefficients")
             break
@@ -568,12 +531,13 @@ def run(params: Params, init: State, on_sample=None) -> RunResult:
             monitor.abort(state.t, f"dropped energy fraction {dropped_total / fluct0:.2e}")
             break
         if state.t >= target - eps:
+            n_vals = values_of(state.n)
             if params.enable_chemotaxis:
                 pos_floor = math.inf if not params.monitor_positivity else \
                     params.positivity_tol * max(monitor.linf_max, monitor.linf0)
                 monitor.observe(
                     t=state.t, t_prev=t_prev_sample,
-                    linf=linf_norm(state.n), n_min=min_value(state.n),
+                    linf=float(np.max(np.abs(n_vals))), n_min=float(np.min(n_vals)),
                     tail_ratio=tail_ratio(state.n, params, state.frame.drift),
                     pos_floor=pos_floor,
                 )
@@ -581,7 +545,7 @@ def run(params: Params, init: State, on_sample=None) -> RunResult:
             if abs(_mass(state.n) - mass0) > 1e-8 * max(abs(mass0), 1.0):
                 monitor.abort(state.t, "mass conservation violated")
             t_prev_sample = state.t
-            emit(last_dt)
+            emit(last_dt, n_vals)
             next_sample += params.output_every
 
     if monitor.status == STATUS_RUNNING and state.t >= params.t_end - eps:
@@ -590,7 +554,7 @@ def run(params: Params, init: State, on_sample=None) -> RunResult:
         rows[-1]["status"] = monitor.status
     return RunResult(status=monitor.status, rows=rows, final_state=state, params=params,
                      monitor=monitor, ledger=ledger, tracker=tracker,
-                     dropped_energy=dropped_total / fluct0)
+                     dropped_energy=dropped_total / fluct0, dropped_u=dropped_u)
 
 
 def min_principle_check(rows: list, nbar: float, A: float,

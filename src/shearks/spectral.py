@@ -4,7 +4,10 @@ Fields are stored as full complex spectra (no half-spectrum packing) with the
 normalization f = sum_k fhat(k) e^{i k.x}, i.e. the forward transform divides
 by the number of grid points so that fhat(k) = |T|^-d * integral f e^{-i k.x}.
 Real fields are kept Hermitian-symmetric; products are formed in physical
-space with 2/3-rule dealiasing (cutoff floor(n/3) per axis).
+space with 2/3-rule dealiasing (cutoff floor(n/3) per axis).  Products go
+through real transforms halved along the streamwise axis x: they read and
+write only the k1 >= 0 half of a spectrum, and ``fill`` restores the
+conjugate k1 < 0 half where a full spectrum is stored.
 """
 
 from __future__ import annotations
@@ -230,6 +233,36 @@ def inverse_transform(F: SpectralField) -> RealField:
     return RealField(F.grid, values)
 
 
+def halve(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The k1 >= 0 half of a full spectrum (a view); leading axes are kept."""
+    lead = (slice(None),) * (coeffs.ndim - grid.dim)
+    return coeffs[lead + (slice(0, grid.shape[0] // 2 + 1),)]
+
+
+def _x_last(grid: GridSpec, ndim: int) -> tuple[int, ...]:
+    """Spatial axes with x last: numpy's real FFTs halve their last axis."""
+    lead = ndim - grid.dim
+    return tuple(range(lead + 1, ndim)) + (lead,)
+
+
+def irfft_x(half: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Collocation values of the real field whose k1 >= 0 half is given."""
+    shape = grid.shape[1:] + grid.shape[:1]
+    return np.fft.irfftn(half, s=shape, axes=_x_last(grid, half.ndim), norm="forward")
+
+
+def rfft_x(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """k1 >= 0 half of the spectrum of real collocation values."""
+    return np.fft.rfftn(values, axes=_x_last(grid, values.ndim), norm="forward")
+
+
+def fill(half: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Full spectrum from its k1 >= 0 half via coeff(-k) = conj(coeff(k))."""
+    lead = half.ndim - grid.dim
+    mirror = half[(slice(None),) * lead + (slice(grid.shape[0] // 2 - 1, 0, -1),)]
+    return np.concatenate([half, conj_reverse(mirror, grid.dim - 1)], axis=lead)
+
+
 def values_of(F: SpectralField) -> np.ndarray:
     return inverse_transform(F).values
 
@@ -307,17 +340,19 @@ def leray_project(u: SpectralField, k_mesh=None) -> SpectralField:
     """Orthogonal projection onto divergence-free fields; k = 0 unchanged."""
     if u.components != u.grid.dim:
         raise ContractViolation("leray_project expects a dim-component vector field")
-    mesh = _mesh(u, k_mesh)
+    return SpectralField(u.grid, leray_coeffs(u.coeffs, _mesh(u, k_mesh)))
+
+
+def leray_coeffs(coeffs: np.ndarray, mesh) -> np.ndarray:
+    """leray_project on a bare component array, e.g. a k1 >= 0 half spectrum."""
     k2 = _mesh_k2(mesh)
-    kdotu = np.zeros(u.grid.shape, dtype=np.complex128)
-    for a in range(u.grid.dim):
-        kdotu += mesh[a] * u.coeffs[a]
+    kdotu = sum(mesh[a] * coeffs[a] for a in range(len(mesh)))
     with np.errstate(divide="ignore", invalid="ignore"):
         kdotu = np.where(k2 > 0.0, kdotu / np.where(k2 > 0.0, k2, 1.0), 0.0)
-    out = u.coeffs.copy()
-    for a in range(u.grid.dim):
+    out = coeffs.copy()
+    for a in range(len(mesh)):
         out[a] -= mesh[a] * kdotu
-    return SpectralField(u.grid, out)
+    return out
 
 
 def grad_inv_lap_dx(F: SpectralField, k_mesh=None) -> SpectralField:

@@ -1,9 +1,16 @@
 """Solver tendencies, stepping, conservation and run outcomes."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from shearks import diagnostics, inequalities, solver, spectral
+from shearks.config import parse_config
+from shearks.inequalities import free_energy
 from shearks.sampling import fluctuation_only, gaussian_bump, random_smooth
+from shearks.scenarios import run_simulate
 from shearks.shear import ShearFrame, exact_scalar_evolve
 from shearks.solver import (
     BlowupMonitor,
@@ -22,9 +29,13 @@ from shearks.spectral import (
     from_values,
     l2_norm,
     leray_project,
+    linf_norm,
+    min_value,
     values_of,
     zeros,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 GRID2 = GridSpec((32, 32))
 GRID3 = GridSpec((16, 16, 16))
@@ -65,17 +76,15 @@ class TestParamsValidation:
 class TestRhsDensity:
     def test_constant_density_is_fixed_point(self):
         n = from_values(GRID2, np.full(GRID2.shape, 2.0))
-        from shearks.spectral import solve_chemo
-        out = rhs_density(n, None, solve_chemo(n), A=1.0)
+        out = rhs_density(n, None, A=1.0)
         assert np.max(np.abs(out.coeffs)) < 1e-14
 
     def test_cos_y_hand_value(self):
         # n = 1 + cos y, u = 0: tendency is (cos y + cos 2y)/A
         _, y = GRID2.coordinate_mesh()
         n = from_values(GRID2, 1.0 + np.cos(y) + np.zeros(GRID2.shape))
-        from shearks.spectral import solve_chemo
         A = 3.0
-        out = rhs_density(n, None, solve_chemo(n), A=A)
+        out = rhs_density(n, None, A=A)
         expected = (np.cos(y) + np.cos(2 * y)) / A + np.zeros(GRID2.shape)
         assert np.max(np.abs(values_of(out) - expected)) < 1e-10
 
@@ -83,8 +92,7 @@ class TestRhsDensity:
         n = random_smooth(GRID3, seed=1)
         n.coeffs[0, 0, 0] = 1.0
         u = leray_project(random_smooth(GRID3, seed=2, components=3))
-        from shearks.spectral import solve_chemo
-        out = rhs_density(n, u, solve_chemo(n), A=2.0)
+        out = rhs_density(n, u, A=2.0)
         assert abs(out.coeffs[0, 0, 0]) < 1e-14
 
 
@@ -253,3 +261,34 @@ class TestBlowupMonitor:
         assert m.status == "blowup"
         m.observe(2.0, 1.0, linf=0.1, n_min=-1.0, tail_ratio=1.0, pos_floor=1e-8)
         assert m.status == "blowup"
+
+
+class TestSamples:
+    def test_one_density_transform_per_2d_sample(self, monkeypatch):
+        calls = []
+
+        def counting(F, _values_of=spectral.values_of):
+            calls.append(F.grid.shape)
+            return _values_of(F)
+        for module in (spectral, solver, inequalities, diagnostics):
+            monkeypatch.setattr(module, "values_of", counting)
+        params = make_params(GRID2, t_end=0.5, output_every=0.05, dt_max=5e-3,
+                             track_energies=True)
+        n = gaussian_bump(GRID2, width=1.0, mass=4 * np.pi)
+        states = []
+        result = run(params, make_state(GRID2, n), on_sample=lambda s, row: states.append(s))
+        assert result.status == "suppressed" and len(result.rows) == 11
+        assert len(calls) <= 2 * len(result.rows)  # n and c once per sample
+        monkeypatch.undo()
+        for state, row in zip(states, result.rows):
+            assert row["n_min"] == min_value(state.n)
+            assert row["n_linf"] == linf_norm(state.n)
+            assert row["free_energy"] == free_energy(state.n)
+
+    def test_velocity_band_exit_energy_reported(self, tmp_path):
+        text = (CONFIGS / "suppression_3d.conf").read_text()
+        cfg = parse_config(text + "\nnx = 16\nny = 16\nnz = 16\nt_end = 2.0\n")
+        summary = run_simulate(replace(cfg, out_dir=str(tmp_path)))
+        assert summary["status"] == "suppressed"
+        assert summary["dropped_u"] > 0.0
+        assert summary["result"].dropped_u == summary["dropped_u"]

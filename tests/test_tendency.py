@@ -1,0 +1,151 @@
+"""The half-spectrum tendency kernel against an independent full-complex oracle.
+
+The oracle below is the tendency assembly written directly on full complex
+spectra with complex FFTs: every product has all d^2 components and every
+transform sees the whole spectrum.  The solver's kernel works on the k1 >= 0
+half with real transforms and fills the k1 < 0 half by conjugate symmetry,
+so the two agree to round-off on every mode off the lone Nyquist rows
+(|k_a| = n_a/2).  On those rows, all outside the 2/3 band, they
+legitimately differ: there the effective wavevector is not odd in k, and the
+oracle leaves a non-Hermitian residue that the kernel does not produce.
+"""
+
+import numpy as np
+import pytest
+
+from shearks.modes import split_x
+from shearks.sampling import random_smooth
+from shearks.shear import effective_k_mesh
+from shearks.solver import Params, _evaluate
+from shearks.spectral import GridSpec, SpectralField, conj_reverse, leray_project
+
+GRID2 = GridSpec((32, 24))
+GRID3 = GridSpec((16, 12, 20))
+
+
+def _phys(grid, coeffs):
+    return np.fft.ifftn(coeffs, axes=tuple(range(-grid.dim, 0))).real * grid.size
+
+
+def _spec(grid, values):
+    return np.fft.fftn(values, axes=tuple(range(-grid.dim, 0))) / grid.size
+
+
+def oracle(n, u, params, drift):
+    """(rhs_n, rhs_u, max_u, max_chemo, q_neq_hat) on full complex spectra."""
+    grid = params.grid
+    mesh = effective_k_mesh(grid, drift) if params.enable_shear else grid.k_mesh()
+    mesh = [np.broadcast_to(m, grid.shape) for m in mesh]
+    dmask = grid.dealias_mask() if params.dealias else 1.0
+    A = params.A
+    k2 = sum(m ** 2 for m in mesh)
+    safe_k2 = np.where(k2 > 0, k2, 1.0)
+
+    max_u = max_chemo = 0.0
+    rhs_u = q_neq_hat = None
+    flux = np.zeros((grid.dim, *grid.shape))
+    if u is not None:
+        u_phys = _phys(grid, u.coeffs * dmask)
+        max_u = float(np.max(np.abs(u_phys)))
+        uu_hat = _spec(grid, np.einsum("i...,j...->ij...", u_phys, u_phys))
+        rhs = np.zeros_like(u.coeffs)
+        for i in range(grid.dim):
+            acc = sum(1j * mesh[j] * uu_hat[j, i] for j in range(grid.dim))
+            rhs[i] = (-1.0 / A) * acc * dmask
+        rhs[0] += n.coeffs / A - u.coeffs[1]
+        rhs_u = leray_project(SpectralField(grid, rhs), k_mesh=mesh).coeffs
+        if params.enable_shear:
+            base = np.where(k2 > 0, 1j * mesh[0] * u.coeffs[1] / -safe_k2, 0.0)
+            rhs_u = rhs_u + np.stack([1j * mesh[a] * base for a in range(grid.dim)])
+        flux += _phys(grid, u.coeffs * dmask)
+        cross = grid.cross_section()
+        cmask = cross.dealias_mask() if params.dealias else 1.0
+        zero_vals = [np.fft.ifftn(u.coeffs[i][0] * cmask).real * cross.size
+                     for i in range(grid.dim)]
+        q_neq_hat = [uu_hat[j, 0][0] - np.fft.fftn(zero_vals[j] * zero_vals[0]) / cross.size
+                     for j in (1, 2)]
+    if params.enable_chemotaxis:
+        c = np.where(k2 > 0, n.coeffs / safe_k2, 0.0)
+        grad_c = np.stack([_phys(grid, 1j * mesh[a] * c * dmask) for a in range(grid.dim)])
+        max_chemo = float(np.max(np.abs(grad_c)))
+        flux += grad_c
+    flux_hat = _spec(grid, flux * _phys(grid, n.coeffs * dmask))
+    rhs_n = sum(1j * mesh[a] * flux_hat[a] for a in range(grid.dim)) * (-1.0 / A) * dmask
+    return rhs_n, rhs_u, max_u, max_chemo, q_neq_hat
+
+
+def random_state(grid, seed):
+    """Hermitian density around 1 and a solenoidal velocity, full band."""
+    n = random_smooth(grid, seed, band_limit=False)
+    n.coeffs[(0,) * grid.dim] = 1.0
+    if grid.dim == 2:
+        return n, None
+    u = leray_project(random_smooth(grid, seed + 1, components=3, band_limit=False))
+    u.coeffs *= 0.3
+    return n, u
+
+
+def off_nyquist(grid):
+    mask = np.ones(grid.shape, dtype=bool)
+    for a, k in enumerate(grid.k_mesh()):
+        mask &= np.abs(k) != grid.shape[a] // 2
+    return mask
+
+
+def assert_close(got, want, mask, rel=1e-12):
+    scale = np.max(np.abs(want * mask))
+    err = np.max(np.abs((got - want) * mask))
+    if scale == 0.0:
+        assert err == 0.0
+    else:
+        assert err <= rel * scale, f"relative error {err / scale:.3e}"
+
+
+def assert_mirror_exact(coeffs, grid):
+    """coeff(-k) = conj(coeff(k)) bit for bit on every plane 0 < |k1| < n1/2."""
+    lead = (slice(None),) * (coeffs.ndim - grid.dim)
+    planes = lead + (np.r_[1: grid.shape[0] // 2, grid.shape[0] // 2 + 1: grid.shape[0]],)
+    assert np.array_equal(coeffs[planes], conj_reverse(coeffs, grid.dim)[planes])
+
+
+CASES = [(grid, shear, chemo, drift)
+         for grid in (GRID2, GRID3) for shear in (False, True)
+         for chemo in (False, True) for drift in (0.0, 0.37, -0.8)
+         if shear or drift == 0.0]
+
+
+@pytest.mark.parametrize("grid,shear,chemo,drift", CASES)
+def test_kernel_matches_full_complex_oracle(grid, shear, chemo, drift):
+    params = Params(grid=grid, amplitude=7.0, enable_shear=shear, enable_chemotaxis=chemo,
+                    enable_velocity=grid.dim == 3)
+    n, u = random_state(grid, seed=17)
+    ev = _evaluate(n, u, params, drift, need_aux=u is not None)
+    rhs_n, rhs_u, max_u, max_chemo, q_neq_hat = oracle(n, u, params, drift)
+    mask = off_nyquist(grid)
+
+    assert_close(ev.rhs_n, rhs_n, mask)
+    assert_mirror_exact(ev.rhs_n, grid)
+    assert ev.max_u == pytest.approx(max_u, rel=1e-12, abs=0.0)
+    assert ev.max_chemo == pytest.approx(max_chemo, rel=1e-12, abs=0.0)
+    if u is None:
+        assert ev.rhs_u is None and ev.q_neq_hat is None
+        if not chemo:
+            assert not np.any(ev.rhs_n)  # passive: exactly zero
+        return
+    assert_close(ev.rhs_u, rhs_u, mask)
+    assert_mirror_exact(ev.rhs_u, grid)
+    for got, want in zip(ev.q_neq_hat, q_neq_hat):
+        assert_close(got, want, off_nyquist(grid.cross_section()))
+    assert np.array_equal(ev.n_zero.coeffs, split_x(n)[0].coeffs)
+
+
+@pytest.mark.parametrize("grid", [GRID2, GRID3])
+def test_k1_zero_plane_hermitian_in_band(grid):
+    params = Params(grid=grid, amplitude=3.0, enable_velocity=grid.dim == 3)
+    n, u = random_state(grid, seed=5)
+    ev = _evaluate(n, u, params, 0.37, need_aux=False)
+    mask = grid.dealias_mask()
+    for out in (ev.rhs_n,) if u is None else (ev.rhs_n, ev.rhs_u):
+        scale = np.max(np.abs(out * mask))
+        defect = np.max(np.abs((out - conj_reverse(out, grid.dim)) * mask))
+        assert defect <= 1e-13 * scale
