@@ -13,7 +13,7 @@ from .spectral import (
     leray_project,
     solve_chemo,
 )
-from .shear import ShearFrame, exact_scalar_evolve, integrating_factor, remap
+from .shear import ShearFrame, integrating_factor
 
 __all__ = [
     "ContractViolation",
@@ -23,12 +23,10 @@ __all__ = [
     "ShearFrame",
     "dealias",
     "derivative",
-    "exact_scalar_evolve",
     "forward_transform",
     "integrating_factor",
     "inverse_transform",
     "laplacian",
     "leray_project",
-    "remap",
     "solve_chemo",
 ]

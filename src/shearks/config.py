@@ -1,8 +1,9 @@
 """Plain key = value run configuration.
 
 One flat namespace, '#' comments, unknown keys rejected, later assignments
-win (the CLI appends its overrides below the file's text).  Scenario-specific
-requirements are validated when the config is turned into solver parameters.
+win (the CLI appends its overrides below the file's text).  Scenario-level
+requirements are checked here; the physical and numerical parameters are
+checked once, by the solver's ``Params``, which validation builds.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ class RunConfig:
     enable_shear: bool = True
     enable_chemotaxis: bool = True
     enable_velocity: bool | None = None   # defaults to (dim == 3)
-    phi_axis: str = "x"
     t_end: float = 10.0
     dt_max: float = 0.05
     cfl: float = 0.4
@@ -146,15 +146,6 @@ def validate_config(cfg: RunConfig):
     for name, n in sizes:
         if n < 8 or n % 2 != 0:
             raise ConfigError(f"{name}: n_modes must be even and >= 8, got {n}")
-    if cfg.A < 1.0:
-        raise ConfigError(f"A: shear amplitude must be >= 1, got {cfg.A}")
-    if not (0.0 < cfg.a_weight < cfg.b_weight < 2.0 * cfg.a_weight):
-        raise ConfigError(
-            f"a_weight/b_weight: requires 0 < a < b < 2a, "
-            f"got a = {cfg.a_weight}, b = {cfg.b_weight}"
-        )
-    if cfg.phi_axis != "x":
-        raise ConfigError("phi_axis: only 'x' is supported")
     if cfg.scenario in ("simulate", "sweep_mass") and cfg.init_kind == "gaussian":
         if cfg.scenario == "simulate" and cfg.mass <= 0:
             raise ConfigError("mass: required positive for simulate runs")
@@ -172,6 +163,7 @@ def validate_config(cfg: RunConfig):
         raise ConfigError(f"u_kind: unknown kind {cfg.u_kind!r}")
     if cfg.workers < 1:
         raise ConfigError("workers: must be >= 1")
+    params_of(cfg)  # the solver parameters carry the physical checks
 
 
 def grid_of(cfg: RunConfig) -> GridSpec:
@@ -180,34 +172,15 @@ def grid_of(cfg: RunConfig) -> GridSpec:
 
 
 def params_of(cfg: RunConfig) -> Params:
+    """Solver parameters: every Params field RunConfig shares by name, plus
+    the grid, A as the amplitude and the two velocity-dependent defaults."""
+    shared = {f.name for f in fields(RunConfig)}
+    kw = {f.name: getattr(cfg, f.name) for f in fields(Params) if f.name in shared}
     velocity = cfg.enable_velocity if cfg.enable_velocity is not None else cfg.dim == 3
     track_dec = cfg.track_decomposition if cfg.track_decomposition is not None else velocity
+    kw.update(grid=grid_of(cfg), amplitude=cfg.A, enable_velocity=velocity,
+              track_decomposition=track_dec and velocity)
     try:
-        return Params(
-            grid=grid_of(cfg),
-            amplitude=cfg.A,
-            enable_shear=cfg.enable_shear,
-            enable_chemotaxis=cfg.enable_chemotaxis,
-            enable_velocity=velocity,
-            phi_axis=cfg.phi_axis,
-            t_end=cfg.t_end,
-            dt_max=cfg.dt_max,
-            cfl=cfg.cfl,
-            fixed_dt=cfg.fixed_dt,
-            dt_min=cfg.dt_min,
-            dealias=cfg.dealias,
-            a_weight=cfg.a_weight,
-            b_weight=cfg.b_weight,
-            positivity_tol=cfg.positivity_tol,
-            monitor_positivity=cfg.monitor_positivity,
-            linf_factor=cfg.linf_factor,
-            growth_confirm=cfg.growth_confirm,
-            tail_ratio_max=cfg.tail_ratio_max,
-            monitor_tail=cfg.monitor_tail,
-            drop_tol=cfg.drop_tol,
-            track_decomposition=track_dec and velocity,
-            track_energies=cfg.track_energies,
-            output_every=cfg.output_every,
-        )
+        return Params(**kw)
     except ValueError as err:
         raise ConfigError(str(err)) from err

@@ -1,10 +1,10 @@
 """Everything the suppression analysis measures during a run.
 
-Live diagnostics for the solver: the wall-normal vorticity and lap(u2), a
-residual check of their evolution equation, weighted space-time norm
-accumulators and the energy functionals built from them, the good/bad
-splitting of the streamwise zero-mode velocity via co-evolved cross-section
-PDEs, and the quasi-linear frame quantities kappa, rho1, rho2, W.
+Live diagnostics for the solver: the wall-normal vorticity and lap(u2),
+weighted space-time norm accumulators and the energy functionals built from
+them, the good/bad splitting of the streamwise zero-mode velocity via
+co-evolved cross-section PDEs, and the quasi-linear frame quantities kappa,
+rho1, rho2, W.
 """
 
 from __future__ import annotations
@@ -51,62 +51,6 @@ def compute_lap_u2(u: SpectralField, k_mesh=None) -> SpectralField:
     for comp in mesh:
         k2 = k2 + np.broadcast_to(comp ** 2, u.grid.shape)
     return SpectralField(u.grid, -k2 * u.coeffs[1])
-
-
-def residual_omega2(state_before, state_after, params) -> float:
-    """L2 residual of the omega2 evolution equation across one step.
-
-    The stored-coefficient finite difference absorbs d/dt + y d/dx exactly
-    (both states must share a remap epoch); the remaining terms are assembled
-    from midpoint fields at the midpoint drift.
-    """
-    sb, sa = state_before, state_after
-    if sb.n.grid.shape != sa.n.grid.shape:
-        raise ContractViolation("states live on different grids")
-    if sb.frame.t_last_remap != sa.frame.t_last_remap:
-        raise ContractViolation("states straddle a remap; residual undefined")
-    dt = sa.t - sb.t
-    if dt <= 0:
-        raise ContractViolation("states must be ordered in time")
-    grid = params.grid
-    A = params.A
-    drift_mid = 0.5 * (sb.frame.drift + sa.frame.drift)
-    mesh = effective_k_mesh(grid, drift_mid) if params.enable_shear else grid.k_mesh()
-
-    u_mid = SpectralField(grid, 0.5 * (sb.u.coeffs + sa.u.coeffs))
-    n_mid = SpectralField(grid, 0.5 * (sb.n.coeffs + sa.n.coeffs))
-    w_before = compute_omega2(sb.u, k_mesh=effective_k_mesh(grid, sb.frame.drift)
-                              if params.enable_shear else None)
-    w_after = compute_omega2(sa.u, k_mesh=effective_k_mesh(grid, sa.frame.drift)
-                             if params.enable_shear else None)
-    fd = (w_after.coeffs - w_before.coeffs) / dt
-
-    k2 = np.zeros(grid.shape)
-    for comp in mesh:
-        k2 = k2 + np.broadcast_to(comp ** 2, grid.shape)
-    w_mid = compute_omega2(u_mid, k_mesh=mesh)
-
-    # u . grad u1 and u . grad u3, pseudo-spectral at the midpoint
-    dmask = grid.dealias_mask() if params.dealias else 1.0
-    u_phys = irfft_x(halve(u_mid.coeffs * dmask, grid), grid)
-    adv = []
-    for comp in (0, 2):
-        acc = np.zeros(grid.shape)
-        for j in range(3):
-            dj = irfft_x(halve((1j * mesh[j] * u_mid.coeffs[comp]) * dmask, grid), grid)
-            acc += u_phys[j] * dj
-        adv.append(fill(rfft_x(acc, grid), grid) * dmask)
-    adv_u1, adv_u3 = adv
-
-    rhs = (
-        -1j * mesh[2] * u_mid.coeffs[1]
-        - (1.0 / A) * k2 * w_mid.coeffs
-        - (1.0 / A) * 1j * mesh[2] * adv_u1
-        + (1.0 / A) * 1j * mesh[0] * adv_u3
-        + (1.0 / A) * 1j * mesh[2] * n_mid.coeffs
-    )
-    resid = fd - rhs
-    return float(np.sqrt(grid.volume * np.sum(np.abs(resid) ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +180,11 @@ class DecompositionTracker:
         r_b2 = -advect(self.B2.coeffs) / A - ev.u_zero[1].coeffs
         return r_g1, r_b1, r_b2
 
-    def advance(self, params, dt, apply_op, ev1, ev2):
+    def advance(self, params, dt, ev1, ev2):
         """One Heun step mirroring the solver's stages exactly.
 
-        apply_op is unused (cross-section fields see no shear); the heat
-        factor below equals the k1 = 0 plane of the solver's propagator.
+        Cross-section fields see no shear: the heat factor below equals the
+        k1 = 0 plane of the solver's propagator.
         """
         cross = self.cross
         heat = np.exp(-cross.k_squared() * dt / params.A)

@@ -1,12 +1,13 @@
-"""Exact treatment of d/dt + y d/dx - (1/A) lap via shear-periodic coordinates.
+"""Shear-frame kinematics of d/dt + y d/dx - (1/A) lap.
 
 Couette advection turns every Fourier mode into a travelling wave whose
 wall-normal wavenumber drifts linearly in time: a mode stored at integer
 index k represents the physical wavevector (k1, k2 - k1*drift, k3).  In this
 frame advection is exact bookkeeping and diffusion reduces to a closed-form
-integrating factor per mode.  Once |drift| reaches one, coefficients are
-relabelled (Rogallo-style remap) so index arithmetic stays exact; modes
-relabelled outside the resolved band are dropped and their energy logged.
+integrating factor per mode.  This module holds the frame, the effective
+wavevector and that factor.  The propagator that applies it, and relabels
+the coefficients (Rogallo remap) once |drift| reaches REMAP_THRESHOLD, is
+``solver._step_operator``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import ContractViolation, GridSpec, SpectralField
+from .spectral import ContractViolation, GridSpec
 
 REMAP_THRESHOLD = 1.0
 
@@ -80,113 +81,3 @@ def integrating_factor(k, t0: float, t1: float, drift0: float, A: float):
     if t1 < t0:
         raise ContractViolation("integrating_factor needs t1 >= t0")
     return np.exp(-dissipation_exponent(k, t1 - t0, drift0) / A)
-
-
-def decay_time(k, A: float, drift0: float = 0.0, target: float = np.e ** -1) -> float:
-    """Time for integrating_factor of a single mode to reach target (< 1)."""
-    if not 0.0 < target < 1.0:
-        raise ContractViolation("target must lie in (0, 1)")
-    goal = -np.log(target) * A
-    lo, hi = 0.0, 1.0
-    def exponent(t):
-        return float(np.asarray(dissipation_exponent(k, t, drift0)).reshape(()))
-    while exponent(hi) < goal:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ContractViolation("mode does not decay (k = 0?)")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if exponent(mid) < goal:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def remap(F: SpectralField, frame: ShearFrame | float) -> tuple[SpectralField, ShearFrame, float]:
-    """Relabel coefficients so the frame drift returns to its fractional part.
-
-    Each coefficient's k2 index moves to k2 - k1*round(drift), preserving the
-    physical wavevector; modes relabelled outside the representable band are
-    dropped and their spectral energy returned.
-    """
-    drift = frame.drift if isinstance(frame, ShearFrame) else float(frame)
-    t_mark = frame.t_last_remap if isinstance(frame, ShearFrame) else 0.0
-    shift = int(np.rint(drift))
-    if shift == 0:
-        out_frame = ShearFrame(t_last_remap=t_mark, drift=drift)
-        return F.copy(), out_frame, 0.0
-    if F.grid.dim < 2:
-        raise ContractViolation("remap needs a sheared (dim >= 2) grid")
-
-    n2 = F.grid.shape[1]
-    k1s = F.grid.wavenumbers(0).astype(int)
-    k2s = F.grid.wavenumbers(1).astype(int)
-    kmax = n2 // 2 - 1  # keep the band Hermitian-symmetric: drop the lone -n/2 row
-
-    old = F.coeffs
-    new = np.zeros_like(old)
-    dropped = 0.0
-    lead = (slice(None),) * (old.ndim - F.grid.dim)
-    for i1, k1 in enumerate(k1s):
-        k2_new = k2s - k1 * shift
-        keep = np.abs(k2_new) <= kmax
-        src = lead + (i1, np.nonzero(keep)[0])
-        dst = lead + (i1, k2_new[keep] % n2)
-        new[dst] = old[src]
-        lost = lead + (i1, np.nonzero(~keep)[0])
-        dropped += float(np.sum(np.abs(old[lost]) ** 2))
-    dropped *= F.grid.volume
-    out_frame = ShearFrame(t_last_remap=t_mark, drift=drift - shift)
-    return SpectralField(F.grid, new), out_frame, dropped
-
-
-def propagate(
-    F: SpectralField,
-    frame: ShearFrame,
-    t0: float,
-    dt: float,
-    A: float,
-    shear: bool = True,
-) -> tuple[SpectralField, ShearFrame, float]:
-    """Advance the exact shear + diffusion semigroup by dt.
-
-    Returns the propagated field, the updated frame (remapped whenever the
-    accumulated drift reaches the threshold) and the dropped spectral energy.
-    """
-    if dt < 0:
-        raise ContractViolation("propagate needs dt >= 0")
-    if not shear:
-        factor = np.exp(-F.grid.k_squared() * dt / A)
-        return SpectralField(F.grid, F.coeffs * factor), frame, 0.0
-    mesh = F.grid.k_mesh()
-    factor = integrating_factor(mesh, 0.0, dt, frame.drift, A)
-    out = SpectralField(F.grid, F.coeffs * factor)
-    new_drift = frame.drift + dt
-    if abs(new_drift) >= REMAP_THRESHOLD:
-        out, new_frame, dropped = remap(out, new_drift)
-        new_frame = ShearFrame(t_last_remap=t0 + dt, drift=new_frame.drift)
-        return out, new_frame, dropped
-    return out, ShearFrame(t_last_remap=frame.t_last_remap, drift=new_drift), 0.0
-
-
-def exact_scalar_evolve(
-    F0: SpectralField,
-    t: float,
-    A: float,
-    frame: ShearFrame | None = None,
-) -> tuple[SpectralField, ShearFrame, float]:
-    """Exact solution of d/dt f + y d/dx f - (1/A) lap f = 0 after time t.
-
-    Coefficients are transported along the wavenumber drift and damped by the
-    closed-form integrating factor; zero modes reduce to plain heat decay and
-    the spatial mean is invariant.  Returns (field, frame, dropped energy);
-    for integer total drift the returned frame is unsheared and the field
-    lives on the ordinary lattice.
-    """
-    if t < 0:
-        raise ContractViolation("exact_scalar_evolve needs t >= 0")
-    if frame is None:
-        frame = ShearFrame()
-    out, new_frame, dropped = propagate(F0, frame, frame.t_last_remap, t, A, shear=True)
-    return out, new_frame, dropped

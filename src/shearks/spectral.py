@@ -355,19 +355,6 @@ def leray_coeffs(coeffs: np.ndarray, mesh) -> np.ndarray:
     return out
 
 
-def grad_inv_lap_dx(F: SpectralField, k_mesh=None) -> SpectralField:
-    """grad(lap^-1 d/dx F), the pressure-type operator entering the X norms."""
-    mesh = _mesh(F, k_mesh)
-    k2 = _mesh_k2(mesh)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_lap_dx = np.where(
-            k2 > 0.0, (1j * mesh[0]) * F.coeffs / np.where(k2 > 0.0, -k2, 1.0), 0.0
-        )
-    comps = np.stack([np.broadcast_to(1j * mesh[a], F.grid.shape) * inv_lap_dx
-                      for a in range(F.grid.dim)])
-    return SpectralField(F.grid, comps)
-
-
 def dealias(F: SpectralField) -> SpectralField:
     """Zero every coefficient with any |k_axis| above floor(n/3)."""
     return SpectralField(F.grid, F.coeffs * F.grid.dealias_mask())
@@ -451,17 +438,3 @@ def mixed_norm(F: SpectralField, sup_axes: tuple[int, ...]) -> float:
     reduced = np.sum(sq, axis=l2_axes) * measure if l2_axes else sq
     return float(np.sqrt(np.max(reduced)))
 
-
-def norm_report(F: SpectralField, mixed: tuple[tuple[int, ...], ...] = ()) -> dict:
-    """Bundle of the standard norms; mixed lists sup-axis tuples to include."""
-    report = {
-        "l2": l2_norm(F),
-        "linf": linf_norm(F),
-        "h1": h1_norm(F),
-    }
-    if F.components == 1:
-        report["min"] = min_value(F)
-    for axes in mixed:
-        key = "linf_" + "".join("xyz"[a] for a in axes)
-        report[key] = mixed_norm(F, axes)
-    return report

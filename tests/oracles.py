@@ -1,0 +1,121 @@
+"""Test oracles: independent references the solver is graded against.
+
+Nothing here is called by ``shearks`` itself.  ``exact_passive_scalar`` is
+the closed-form passive-scalar semigroup; it writes its own exponent and its
+own relabelling, so it shares neither the integrating factor nor the
+propagator of the solver it checks.
+"""
+
+import math
+
+import numpy as np
+
+from shearks.diagnostics import compute_omega2
+from shearks.shear import effective_k_mesh
+from shearks.spectral import ContractViolation, SpectralField, fill, halve, irfft_x, rfft_x
+
+
+def exact_passive_scalar(F: SpectralField, t: float, A: float, drift0: float = 0.0):
+    """Exact solution of df/dt + y df/dx = (1/A) lap f after time t, mode by mode.
+
+    F is a scalar field stored in a shear frame of drift drift0: index k holds
+    the physical wavevector (k1, b, k3) with b = k2 - k1*drift0.  Each
+    coefficient is damped by exp(-(1/A) int_0^t |k_eff(s)|^2 ds), where the
+    wall-normal part int_0^t (b - k1 s)^2 ds = b^2 t - b k1 t^2 + k1^2 t^3 / 3,
+    and is then relabelled once, to k2 - k1*m with m = round(drift0 + t).
+    Modes relabelled beyond |k2| <= n2/2 - 1 are dropped.  Returns the field,
+    its drift drift0 + t - m and the dropped spectral energy.
+    """
+    grid = F.grid
+    if F.components != 1:
+        raise ContractViolation("exact_passive_scalar takes a scalar field")
+    k = [np.broadcast_to(c, grid.shape).astype(float) for c in grid.k_mesh()]
+    k1, k2 = k[0], k[1]
+    b = k2 - k1 * drift0
+    exponent = (k1 * k1 + sum(c * c for c in k[2:])) * t \
+        + b * b * t - b * k1 * t * t + k1 * k1 * t ** 3 / 3.0
+    damped = F.coeffs * np.exp(-exponent / A)
+
+    m = round(drift0 + t)
+    kmax = grid.shape[1] // 2 - 1
+    out = np.zeros_like(damped)
+    dropped = 0.0
+    for i1, k1_row in enumerate(grid.wavenumbers(0).astype(int)):
+        inside = np.abs(grid.wavenumbers(1) - k1_row * m) <= kmax
+        inside = inside.reshape((-1,) + (1,) * (grid.dim - 2))
+        dropped += float(np.sum(np.abs(np.where(inside, 0.0, damped[i1])) ** 2))
+        out[i1] = np.roll(np.where(inside, damped[i1], 0.0), -k1_row * m, axis=0)
+    return SpectralField(grid, out), drift0 + t - m, dropped * grid.volume
+
+
+def min_principle_check(rows: list, nbar: float, A: float,
+                        delta: float | None = None, slack_frac: float = 1e-3) -> bool:
+    """min n(t) >= delta * exp(-nbar t / A) - slack for every sampled t."""
+    if not rows:
+        return False
+    if delta is None:
+        delta = rows[0]["n_min"]
+    if delta <= 0:
+        raise ContractViolation("minimum principle needs positive initial data")
+    slack = slack_frac * delta
+    for row in rows:
+        bound = delta * math.exp(-nbar * row["t"] / A)
+        if row["n_min"] < bound - slack:
+            return False
+    return True
+
+
+def residual_omega2(state_before, state_after, params) -> float:
+    """L2 residual of the omega2 evolution equation across one step.
+
+    The stored-coefficient finite difference absorbs d/dt + y d/dx exactly
+    (both states must share a remap epoch); the remaining terms are assembled
+    from midpoint fields at the midpoint drift.
+    """
+    sb, sa = state_before, state_after
+    if sb.n.grid.shape != sa.n.grid.shape:
+        raise ContractViolation("states live on different grids")
+    if sb.frame.t_last_remap != sa.frame.t_last_remap:
+        raise ContractViolation("states straddle a remap; residual undefined")
+    dt = sa.t - sb.t
+    if dt <= 0:
+        raise ContractViolation("states must be ordered in time")
+    grid = params.grid
+    A = params.A
+    drift_mid = 0.5 * (sb.frame.drift + sa.frame.drift)
+    mesh = effective_k_mesh(grid, drift_mid) if params.enable_shear else grid.k_mesh()
+
+    u_mid = SpectralField(grid, 0.5 * (sb.u.coeffs + sa.u.coeffs))
+    n_mid = SpectralField(grid, 0.5 * (sb.n.coeffs + sa.n.coeffs))
+    w_before = compute_omega2(sb.u, k_mesh=effective_k_mesh(grid, sb.frame.drift)
+                              if params.enable_shear else None)
+    w_after = compute_omega2(sa.u, k_mesh=effective_k_mesh(grid, sa.frame.drift)
+                             if params.enable_shear else None)
+    fd = (w_after.coeffs - w_before.coeffs) / dt
+
+    k2 = np.zeros(grid.shape)
+    for comp in mesh:
+        k2 = k2 + np.broadcast_to(comp ** 2, grid.shape)
+    w_mid = compute_omega2(u_mid, k_mesh=mesh)
+
+    # u . grad u1 and u . grad u3, pseudo-spectral at the midpoint
+    dmask = grid.dealias_mask() if params.dealias else 1.0
+    u_phys = irfft_x(halve(u_mid.coeffs * dmask, grid), grid)
+    adv = []
+    for comp in (0, 2):
+        acc = np.zeros(grid.shape)
+        for j in range(3):
+            dj = irfft_x(halve((1j * mesh[j] * u_mid.coeffs[comp]) * dmask, grid), grid)
+            acc += u_phys[j] * dj
+        adv.append(fill(rfft_x(acc, grid), grid) * dmask)
+    adv_u1, adv_u3 = adv
+
+    rhs = (
+        -1j * mesh[2] * u_mid.coeffs[1]
+        - (1.0 / A) * k2 * w_mid.coeffs
+        - (1.0 / A) * 1j * mesh[2] * adv_u1
+        + (1.0 / A) * 1j * mesh[0] * adv_u3
+        + (1.0 / A) * 1j * mesh[2] * n_mid.coeffs
+    )
+    resid = fd - rhs
+    return float(np.sqrt(grid.volume * np.sum(np.abs(resid) ** 2)))

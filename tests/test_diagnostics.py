@@ -10,7 +10,6 @@ from shearks.diagnostics import (
     compute_omega2,
     energy_report,
     kappa_identity_residual,
-    residual_omega2,
 )
 from shearks.modes import split_x
 from shearks.sampling import gaussian_bump, random_smooth
@@ -26,6 +25,8 @@ from shearks.spectral import (
     values_of,
     zeros,
 )
+
+from oracles import residual_omega2
 
 GRID3 = GridSpec((16, 16, 16))
 CROSS = GridSpec((32, 32))

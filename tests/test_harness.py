@@ -66,7 +66,6 @@ class TestParseConfig:
             enable_shear = true
             enable_chemotaxis = true
             enable_velocity = true
-            phi_axis = x
             t_end = 1.0
             dt_max = 0.01
             cfl = 0.5

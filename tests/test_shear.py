@@ -1,23 +1,23 @@
-"""Shear-frame kinematics, integrating factors and the exact scalar oracle."""
+"""Shear-frame kinematics, the propagator and remap, and the exact scalar oracle."""
 
 import numpy as np
 import pytest
 
 from shearks.modes import split_x
-from shearks.shear import (
-    ShearFrame,
-    decay_time,
-    effective_wavevector,
-    exact_scalar_evolve,
-    integrating_factor,
-    propagate,
-    remap,
-)
+from shearks.shear import ShearFrame, effective_wavevector, integrating_factor
+from shearks.solver import Params, _step_operator
 from shearks.spectral import GridSpec, SpectralField, from_values, l2_norm, values_of, zeros
 
+from oracles import exact_passive_scalar
 from test_spectral import random_real_field
 
 GRID2 = GridSpec((64, 64))
+GRID3 = GridSpec((48, 48, 48))
+
+
+def passive_params(grid, A):
+    return Params(grid=grid, amplitude=A, enable_shear=True, enable_chemotaxis=False,
+                  enable_velocity=False)
 
 
 def test_frame_rejects_unremapped_drift():
@@ -58,78 +58,112 @@ class TestIntegratingFactor:
         f = integrating_factor(k, 5.0, 5.0 + dt, drift0=drift0, A=A)
         assert f == pytest.approx(expected, rel=1e-9)
 
-    def test_decay_time_cube_root_scaling(self):
-        t3 = decay_time([1, 0, 0], A=1e3)
-        t6 = decay_time([1, 0, 0], A=1e6)
-        assert t6 / t3 == pytest.approx(10.0, rel=0.10)
-
 
 class TestRemap:
+    """solver._step_operator, the one propagator, across a remap."""
+
     def test_identity_at_zero_drift(self):
         F = random_real_field(GRID2, seed=0)
-        out, frame, dropped = remap(F, ShearFrame())
-        assert np.array_equal(out.coeffs, F.coeffs)
+        params = passive_params(GRID2, A=30.0)
+        apply, frame = _step_operator(params, ShearFrame(), 0.0, 0.3)
+        out, dropped = apply(F.coeffs)
+        factor = integrating_factor(GRID2.k_mesh(), 0.0, 0.3, 0.0, 30.0)
+        assert frame == ShearFrame(drift=0.3)
+        assert np.array_equal(out, F.coeffs * factor)
         assert dropped == 0.0
 
     def test_single_mode_relabelled(self):
         F = zeros(GRID2)
         F.coeffs[1, 0] = 0.5
         F.coeffs[-1, 0] = 0.5
-        out, frame, dropped = remap(F, 1.0)
-        assert frame.drift == 0.0
+        # A so large that the factor is exactly one: a pure relabelling
+        apply, frame = _step_operator(passive_params(GRID2, A=1e30), ShearFrame(drift=0.5),
+                                      2.0, 0.5)
+        out, dropped = apply(F.coeffs)
+        assert frame == ShearFrame(t_last_remap=2.5, drift=0.0)
         assert dropped == 0.0
         # the sheared wave e^{i(x - y)} is now stored at its physical index
-        assert out.coeffs[1, -1] == 0.5
-        assert out.coeffs[-1, 1] == 0.5
-        assert abs(out.coeffs[1, 0]) == 0.0
+        assert out[1, -1] == 0.5
+        assert out[-1, 1] == 0.5
+        assert abs(out[1, 0]) == 0.0
 
     def test_dropped_energy_logged(self):
         F = zeros(GRID2)
         kmax = GRID2.shape[1] // 2 - 1
         F.coeffs[2, -kmax] = 1.0
         F.coeffs[-2, kmax] = 1.0
-        out, _, dropped = remap(F, 1.0)  # shifts k2 to -(kmax + 2), off the band
+        apply, _ = _step_operator(passive_params(GRID2, A=1e30), ShearFrame(drift=0.5),
+                                  0.0, 0.5)
+        out, dropped = apply(F.coeffs)  # shifts k2 to -(kmax + 2), off the band
         assert dropped == pytest.approx(2 * GRID2.volume)
-        assert np.max(np.abs(out.coeffs)) == 0.0
+        assert np.max(np.abs(out)) == 0.0
+
+    def test_shift_two_matches_oracle(self):
+        # drift 0.9 + dt 0.7 = 1.6 relabels by two rows in one step
+        F = random_real_field(GRID2, seed=5)
+        A = 20.0
+        apply, frame = _step_operator(passive_params(GRID2, A), ShearFrame(drift=0.9), 0.0, 0.7)
+        out, dropped = apply(F.coeffs)
+        exact, drift, exact_dropped = exact_passive_scalar(F, 0.7, A, drift0=0.9)
+        assert frame.drift == pytest.approx(-0.4, abs=1e-15)
+        assert drift == pytest.approx(frame.drift, abs=1e-15)
+        assert np.max(np.abs(out - exact.coeffs)) <= 1e-14 * np.max(np.abs(exact.coeffs))
+        assert dropped > 0.0
+        assert dropped == pytest.approx(exact_dropped, rel=1e-12)
+
+    def test_vector_field_gathers_every_component(self):
+        # a 3-component 48^3 field: the gather runs over the leading axis too
+        U = random_real_field(GRID3, seed=6, components=3)
+        A = 50.0
+        apply, frame = _step_operator(passive_params(GRID3, A), ShearFrame(drift=0.8), 0.0, 0.4)
+        out, dropped = apply(U.coeffs)
+        total = 0.0
+        for c in range(3):
+            exact, drift, d = exact_passive_scalar(U.component(c), 0.4, A, drift0=0.8)
+            assert drift == pytest.approx(frame.drift)
+            assert np.max(np.abs(out[c] - exact.coeffs)) <= 1e-14 * np.max(np.abs(exact.coeffs))
+            total += d
+        assert dropped > 0.0
+        assert dropped == pytest.approx(total, rel=1e-12)
 
 
 class TestExactScalarEvolve:
     def test_heat_decay_of_zero_mode(self):
         _, y = GRID2.coordinate_mesh()
         F = from_values(GRID2, np.cos(y) + np.zeros(GRID2.shape))
-        out, _, _ = exact_scalar_evolve(F, t=100.0, A=100.0)
+        out, _, _ = exact_passive_scalar(F, t=100.0, A=100.0)
         assert np.max(np.abs(values_of(out) - np.cos(y) * np.e ** -1)) < 1e-12
 
     def test_constant_invariant(self):
         F = from_values(GRID2, np.full(GRID2.shape, 2.5))
-        out, _, _ = exact_scalar_evolve(F, t=17.0, A=10.0)
+        out, _, _ = exact_passive_scalar(F, t=17.0, A=10.0)
         assert np.max(np.abs(out.coeffs - F.coeffs)) < 1e-14
 
     def test_cos_x_norm_decay(self):
         x, _ = GRID2.coordinate_mesh()
         F = from_values(GRID2, np.cos(x) + np.zeros(GRID2.shape))
         A, t = 50.0, 3.0
-        out, _, _ = exact_scalar_evolve(F, t=t, A=A)
+        out, _, _ = exact_passive_scalar(F, t=t, A=A)
         expected = l2_norm(F) * np.exp(-(t + t ** 3 / 3.0) / A)
         assert l2_norm(out) == pytest.approx(expected, abs=1e-10 * l2_norm(F))
 
     def test_semigroup_across_remap(self):
         F = random_real_field(GRID2, seed=3)
         A = 40.0
-        one, frame1, d1 = exact_scalar_evolve(F, t=0.8, A=A)
-        two, frame2, d2 = exact_scalar_evolve(one, t=0.9, A=A, frame=frame1)
-        direct, frame3, d3 = exact_scalar_evolve(F, t=1.7, A=A)
-        assert frame2.drift == pytest.approx(frame3.drift)
+        one, drift1, d1 = exact_passive_scalar(F, t=0.8, A=A)
+        two, drift2, d2 = exact_passive_scalar(one, t=0.9, A=A, drift0=drift1)
+        direct, drift3, d3 = exact_passive_scalar(F, t=1.7, A=A)
+        assert drift2 == pytest.approx(drift3)
         assert np.max(np.abs(two.coeffs - direct.coeffs)) < 1e-11
 
     def test_nonzero_mode_norm_nonincreasing(self):
         F = random_real_field(GRID2, seed=4)
         _, fneq = split_x(F)
         last = l2_norm(fneq)
-        frame = ShearFrame()
+        drift = 0.0
         cur = fneq
         for _ in range(6):
-            cur, frame, _ = exact_scalar_evolve(cur, t=0.5, A=30.0, frame=frame)
+            cur, drift, _ = exact_passive_scalar(cur, t=0.5, A=30.0, drift0=drift)
             now = l2_norm(cur)
             assert now <= last + 1e-12
             last = now
@@ -139,7 +173,7 @@ class TestExactScalarEvolve:
         _, y = GRID2.coordinate_mesh()
         F = from_values(GRID2, np.sin(y) + np.zeros(GRID2.shape))
         A = 25.0
-        out, _, _ = exact_scalar_evolve(F, t=5.0, A=A)
+        out, _, _ = exact_passive_scalar(F, t=5.0, A=A)
         ratio = l2_norm(out) / l2_norm(F)
         assert ratio == pytest.approx(np.exp(-5.0 / A), rel=1e-12)
         assert ratio <= np.exp(-5.0 / (2 * A))
@@ -159,14 +193,16 @@ def measured_efold_rate(A, grid):
 
     F = hermitize(SpectralField(grid, coeffs))
     n0 = l2_norm(F)
+    params = passive_params(grid, A)
     frame = ShearFrame()
     t, dt = 0.0, 0.05 * A ** (1 / 3)
-    cur = F
+    cur = F.coeffs
     prev_t, prev_norm = 0.0, n0
     for _ in range(2000):
-        cur, frame, _ = propagate(cur, frame, t, dt, A, shear=True)
+        apply, frame = _step_operator(params, frame, t, dt)
+        cur, _ = apply(cur)
         t += dt
-        norm = l2_norm(cur)
+        norm = l2_norm(SpectralField(grid, cur))
         if norm <= n0 / np.e:
             # log-linear interpolation of the crossing
             w = (np.log(n0 / np.e) - np.log(prev_norm)) / (np.log(norm) - np.log(prev_norm))

@@ -11,12 +11,11 @@ from shearks.config import parse_config
 from shearks.inequalities import free_energy
 from shearks.sampling import fluctuation_only, gaussian_bump, random_smooth
 from shearks.scenarios import run_simulate
-from shearks.shear import ShearFrame, exact_scalar_evolve
+from shearks.shear import ShearFrame
 from shearks.solver import (
     BlowupMonitor,
     Params,
     State,
-    min_principle_check,
     rhs_density,
     rhs_velocity,
     run,
@@ -34,6 +33,8 @@ from shearks.spectral import (
     values_of,
     zeros,
 )
+
+from oracles import exact_passive_scalar, min_principle_check
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -67,10 +68,6 @@ class TestParamsValidation:
     def test_2d_has_no_fluid(self):
         with pytest.raises(ValueError, match="2D"):
             make_params(GRID2, enable_velocity=True)
-
-    def test_phi_axis_fixed(self):
-        with pytest.raises(ValueError, match="phi_axis"):
-            make_params(GRID2, phi_axis="y")
 
 
 class TestRhsDensity:
@@ -181,8 +178,8 @@ class TestPassiveScalarOracle:
         t_target = 3.0
         while state.t < t_target - 1e-12:
             state, _ = step(state, params, t_stop=t_target)
-        exact, frame, _ = exact_scalar_evolve(f, t=t_target, A=params.A)
-        assert frame.drift == pytest.approx(state.frame.drift)
+        exact, drift, _ = exact_passive_scalar(f, t=t_target, A=params.A)
+        assert drift == pytest.approx(state.frame.drift)
         err = l2_norm(SpectralField(GRID2, state.n.coeffs - exact.coeffs))
         assert err <= 1e-12 * max(l2_norm(exact), 1e-30)
 

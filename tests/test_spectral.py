@@ -13,7 +13,6 @@ from shearks.spectral import (
     divergence,
     forward_transform,
     from_values,
-    grad_inv_lap_dx,
     gradient,
     h1_norm,
     hermitize,
@@ -23,9 +22,7 @@ from shearks.spectral import (
     laplacian,
     leray_project,
     linf_norm,
-    min_value,
     mixed_norm,
-    norm_report,
     solve_chemo,
     spectral_energy,
     values_of,
@@ -239,21 +236,3 @@ class TestNorms:
     def test_h1_exceeds_l2(self):
         F = random_real_field(GRID2, seed=23)
         assert h1_norm(F) >= l2_norm(F)
-
-    def test_norm_report_keys(self):
-        F = random_real_field(GRID2, seed=24)
-        rep = norm_report(F, mixed=((0,),))
-        assert set(rep) == {"l2", "linf", "h1", "min", "linf_x"}
-        assert rep["min"] == pytest.approx(min_value(F))
-
-
-class TestGradInvLapDx:
-    def test_matches_composition(self):
-        F = random_real_field(GRID3, seed=31)
-        direct = grad_inv_lap_dx(F)
-        # independent composition: derivative, then invert laplacian, then gradient
-        dx = derivative(F, 0)
-        k2 = GRID3.k_squared()
-        inv = np.where(k2 > 0, dx.coeffs / np.where(k2 > 0, -k2, 1.0), 0.0)
-        expect = gradient(SpectralField(GRID3, inv))
-        assert np.max(np.abs(direct.coeffs - expect.coeffs)) < 1e-14
