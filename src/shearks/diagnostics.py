@@ -305,25 +305,32 @@ class EnergyLedger:
         return self.b_weight * self.A ** (-1.0 / 3.0)
 
 
-def _norm_pieces(coeffs: np.ndarray, grid: GridSpec, mesh) -> tuple[float, float, float]:
-    """(|f|^2, |grad f|^2, |grad lap^-1 dx f|^2) integrals from the spectrum."""
-    e = np.abs(coeffs) ** 2
-    if coeffs.ndim > grid.dim:
-        e = np.sum(e, axis=tuple(range(coeffs.ndim - grid.dim)))
+def _norm_weights(grid: GridSpec, mesh) -> tuple[np.ndarray, np.ndarray]:
+    """|k|^2 and the pressure weight k1^2/|k|^2 (zero at k = 0) on the grid."""
     k2 = np.zeros(grid.shape)
     for comp in mesh:
         k2 = k2 + np.broadcast_to(comp ** 2, grid.shape)
     k1sq = np.broadcast_to(np.asarray(mesh[0]) ** 2, grid.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         pres = np.where(k2 > 0, k1sq / np.where(k2 > 0, k2, 1.0), 0.0)
+    return k2, pres
+
+
+def _norm_pieces(coeffs: np.ndarray, grid: GridSpec, weights) -> tuple[float, float, float]:
+    """(|f|^2, |grad f|^2, |grad lap^-1 dx f|^2) integrals from the spectrum;
+    weights are the grid's ``_norm_weights``."""
+    e = np.abs(coeffs) ** 2
+    if coeffs.ndim > grid.dim:
+        e = np.sum(e, axis=tuple(range(coeffs.ndim - grid.dim)))
+    k2, pres = weights
     vol = grid.volume
     return (float(vol * np.sum(e)), float(vol * np.sum(k2 * e)),
             float(vol * np.sum(pres * e)))
 
 
 def _observe_field(ledger: EnergyLedger, name: str, weight: float, t: float,
-                   coeffs: np.ndarray, grid: GridSpec, mesh):
-    ledger.norm_track(name, weight).observe(t, *_norm_pieces(coeffs, grid, mesh))
+                   coeffs: np.ndarray, grid: GridSpec, weights):
+    ledger.norm_track(name, weight).observe(t, *_norm_pieces(coeffs, grid, weights))
 
 
 def ledger_update(ledger: EnergyLedger, state, params, tracker, n_vals: np.ndarray):
@@ -336,53 +343,53 @@ def ledger_update(ledger: EnergyLedger, state, params, tracker, n_vals: np.ndarr
         else grid.k_mesh()
 
     ledger.scalar_track("n_linf").observe(t, float(np.max(np.abs(n_vals))))
+    weights = _norm_weights(grid, mesh)
 
     n_neq = split_x(n)[1] if grid.dim == 3 else n
     dxx_n = (1j * np.asarray(mesh[0])) ** 2 * n_neq.coeffs
     if grid.dim == 2:
         dxx_n = dxx_n * (np.abs(grid.k_mesh()[0]) > 0)  # fluctuation only
-    _observe_field(ledger, "dxx_n_neq", ledger.wb, t, dxx_n, grid, mesh)
+    _observe_field(ledger, "dxx_n_neq", ledger.wb, t, dxx_n, grid, weights)
 
     if state.u is None:
         return
     u = state.u
     cross = grid.cross_section()
     cmesh = cross.k_mesh()
+    cweights = _norm_weights(cross, cmesh)
 
     # Y0 group: zero-mode velocities and their derivatives
     u2_0 = split_x(u.component(1))[0]
     u3_0 = split_x(u.component(2))[0]
     ck2 = cross.k_squared()
     for name, f0 in (("u2_0", u2_0), ("u3_0", u3_0)):
-        _observe_field(ledger, name, 0.0, t, f0.coeffs, cross, cmesh)
+        _observe_field(ledger, name, 0.0, t, f0.coeffs, cross, cweights)
         grad = np.stack([1j * np.broadcast_to(cmesh[a], cross.shape) * f0.coeffs
                          for a in range(2)])
-        _observe_field(ledger, "grad_" + name, 0.0, t, grad, cross, cmesh)
+        _observe_field(ledger, "grad_" + name, 0.0, t, grad, cross, cweights)
         lap = -ck2 * f0.coeffs
         if name == "u2_0":
-            _observe_field(ledger, "lap_u2_0", 0.0, t, lap, cross, cmesh)
+            _observe_field(ledger, "lap_u2_0", 0.0, t, lap, cross, cweights)
         else:
             wmin = min(math.sqrt(params.A ** (-2.0 / 3.0) + t / params.A), 1.0)
-            _observe_field(ledger, "wmin_lap_u3_0", 0.0, t, wmin * lap, cross, cmesh)
+            _observe_field(ledger, "wmin_lap_u3_0", 0.0, t, wmin * lap, cross, cweights)
 
     # X_a group: vorticity pair
     u_neq = SpectralField(grid, u.coeffs.copy())
     u_neq.coeffs[:, 0] = 0.0
     w2 = compute_omega2(u_neq, k_mesh=mesh)
     lap_u2 = compute_lap_u2(u_neq, k_mesh=mesh)
-    _observe_field(ledger, "lap_u2_neq", ledger.wa, t, lap_u2.coeffs, grid, mesh)
+    _observe_field(ledger, "lap_u2_neq", ledger.wa, t, lap_u2.coeffs, grid, weights)
     for axis, name in ((0, "dx_w2_neq"), (1, "dy_w2_neq"), (2, "dz_w2_neq")):
         d = 1j * np.broadcast_to(mesh[axis], grid.shape) * w2.coeffs
-        _observe_field(ledger, name, ledger.wa, t, d, grid, mesh)
+        _observe_field(ledger, name, ledger.wa, t, d, grid, weights)
 
     # X_b group: streamwise-second-derivative fluctuations
     dxx = (1j * np.asarray(mesh[0])) ** 2
-    k2full = np.zeros(grid.shape)
-    for comp in mesh:
-        k2full = k2full + np.broadcast_to(comp ** 2, grid.shape)
-    _observe_field(ledger, "dxx_u2_neq", ledger.wb, t, dxx * u_neq.coeffs[1], grid, mesh)
-    _observe_field(ledger, "dxx_u3_neq", ledger.wb, t, dxx * u_neq.coeffs[2], grid, mesh)
-    _observe_field(ledger, "lap_u3_neq", ledger.wb, t, -k2full * u_neq.coeffs[2], grid, mesh)
+    k2full = weights[0]
+    _observe_field(ledger, "dxx_u2_neq", ledger.wb, t, dxx * u_neq.coeffs[1], grid, weights)
+    _observe_field(ledger, "dxx_u3_neq", ledger.wb, t, dxx * u_neq.coeffs[2], grid, weights)
+    _observe_field(ledger, "lap_u3_neq", ledger.wb, t, -k2full * u_neq.coeffs[2], grid, weights)
 
     # good-derivative and W quantities need the quasi-linear frame
     kappa_vals = 0.0
@@ -405,9 +412,9 @@ def ledger_update(ledger: EnergyLedger, state, params, tracker, n_vals: np.ndarr
 
     dx1 = 1j * np.asarray(mesh[0])
     _observe_field(ledger, "dx_good_u2", ledger.wb, t,
-                   dx1 * good_derivative(u_neq.coeffs[1]), grid, mesh)
+                   dx1 * good_derivative(u_neq.coeffs[1]), grid, weights)
     _observe_field(ledger, "dx_good_u3", ledger.wb, t,
-                   dx1 * good_derivative(u_neq.coeffs[2]), grid, mesh)
+                   dx1 * good_derivative(u_neq.coeffs[2]), grid, weights)
 
     if np.isscalar(kappa_vals) and kappa_vals == 0.0:
         w_coeffs = u_neq.coeffs[1]
@@ -419,7 +426,7 @@ def ledger_update(ledger: EnergyLedger, state, params, tracker, n_vals: np.ndarr
         w_coeffs = u_neq.coeffs[1] + prod
     grad_w = np.stack([1j * np.broadcast_to(mesh[a], grid.shape) * w_coeffs
                        for a in range(3)])
-    _observe_field(ledger, "dx_grad_W", ledger.wb, t, dx1 * grad_w, grid, mesh)
+    _observe_field(ledger, "dx_grad_W", ledger.wb, t, dx1 * grad_w, grid, weights)
 
     # E_{1,2}: bad-part Sobolev budgets from the co-evolved fields
     if tracker is not None:
