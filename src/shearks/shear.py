@@ -4,8 +4,9 @@ Couette advection turns every Fourier mode into a travelling wave whose
 wall-normal wavenumber drifts linearly in time: a mode stored at integer
 index k represents the physical wavevector (k1, k2 - k1*drift, k3).  In this
 frame advection is exact bookkeeping and diffusion reduces to a closed-form
-integrating factor per mode.  This module holds the frame, the effective
-wavevector and that factor.  The propagator that applies it, and relabels
+integrating factor per mode.  Only k1 and k2 enter the sheared part, so the
+factor separates into a (k1, k2) plane and, in 3D, a k3 line.  This module
+holds the frame, the effective wavevector and that factor.  The propagator that applies it, and relabels
 the coefficients (Rogallo remap) once |drift| reaches REMAP_THRESHOLD, is
 ``solver._step_operator``.
 """
@@ -51,33 +52,31 @@ def effective_k_mesh(grid: GridSpec, drift: float) -> list[np.ndarray]:
 
 
 def _shear_exponent(k1, k2, dt: float, drift0: float):
-    """integral over [0, dt] of (k2 - k1*(drift0 + s))^2 ds, closed form."""
-    k1 = np.asarray(k1, dtype=float)
-    k2 = np.asarray(k2, dtype=float)
+    """integral over [0, dt] of (k2 - k1*(drift0 + s))^2 ds, closed form.
+
+    With b = k2 - k1*drift0 and c = k1*dt this is dt*(b^2 - b*c + c^2/3),
+    evaluated as dt*(b*(b - c) + c*c/3): no power, no division by k1, and
+    k2^2 dt at k1 = 0 by itself.  Flipping the sign of (k1, k2) flips b, c
+    and b - c exactly, so the result is bitwise even in k.
+    """
     b = k2 - k1 * drift0
-    safe = np.where(k1 != 0.0, k1, 1.0)
-    cubic = (b ** 3 - (b - safe * dt) ** 3) / (3.0 * safe)
-    return np.where(k1 != 0.0, cubic, k2 ** 2 * dt)
-
-
-def dissipation_exponent(k, dt: float, drift0: float):
-    """integral of |k_eff(s)|^2 over an interval of length dt (drift-aware)."""
-    k = [np.asarray(c, dtype=float) for c in k]
-    steady = np.zeros(np.broadcast_shapes(*[c.shape for c in k]))
-    steady = steady + k[0] ** 2 * dt
-    for c in k[2:]:
-        steady = steady + c ** 2 * dt
-    if len(k) >= 2:
-        return steady + _shear_exponent(k[0], k[1], dt, drift0)
-    return steady
+    c = k1 * dt
+    return dt * (b * (b - c) + c * c / 3.0)
 
 
 def integrating_factor(k, t0: float, t1: float, drift0: float, A: float):
-    """exp of -(1/A) * integral of |k_eff(s)|^2 over [t0, t1].
+    """exp of -(1/A) * integral of |k_eff(s)|^2 over [t0, t1], k = (k1, k2[, k3]).
 
-    The drift evolves as drift0 + (s - t0); the wall-normal contribution is
-    the exact cubic antiderivative of (k2 - k1*s)^2.
+    The drift evolves as drift0 + (s - t0).  The factor separates: one exp
+    over the broadcast (k1, k2) plane, with the steady k1^2 part folded into
+    the closed-form wall-normal integral, times the line exp(-k3^2 dt / A)
+    in 3D.
     """
     if t1 < t0:
         raise ContractViolation("integrating_factor needs t1 >= t0")
-    return np.exp(-dissipation_exponent(k, t1 - t0, drift0) / A)
+    dt = t1 - t0
+    k1 = k[0]
+    factor = np.exp((k1 * k1 * dt + _shear_exponent(k1, k[1], dt, drift0)) / -A)
+    for c in k[2:]:
+        factor = factor * np.exp(-c * c * dt / A)
+    return factor

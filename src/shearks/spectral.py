@@ -389,52 +389,8 @@ def l2_norm(F: SpectralField) -> float:
     return float(np.sqrt(spectral_energy(F)))
 
 
-def l2_norm_values(f: RealField) -> float:
-    """Grid-quadrature L2 norm (trapezoid on the periodic grid)."""
-    return float(np.sqrt(np.sum(f.values ** 2) * f.grid.cell_volume))
-
-
-def linf_norm(F: SpectralField) -> float:
-    vals = values_of(F)
-    if F.components > 1:
-        vals = np.sqrt(np.sum(vals ** 2, axis=0))
-    return float(np.max(np.abs(vals)))
-
-
-def min_value(F: SpectralField) -> float:
-    if F.components != 1:
-        raise ContractViolation("min_value expects a scalar field")
-    return float(np.min(values_of(F)))
-
-
-def h1_norm(F: SpectralField, k_mesh=None) -> float:
-    k2 = _mesh_k2(_mesh(F, k_mesh))
-    w = (1.0 + k2) * np.abs(F.coeffs) ** 2
-    return float(np.sqrt(F.grid.volume * np.sum(w)))
-
-
 def sobolev_norm(F: SpectralField, order: int, k_mesh=None) -> float:
     """H^s norm with Bessel weights (1 + |k|^2)^s."""
     k2 = _mesh_k2(_mesh(F, k_mesh))
     w = (1.0 + k2) ** order * np.abs(F.coeffs) ** 2
     return float(np.sqrt(F.grid.volume * np.sum(w)))
-
-
-def mixed_norm(F: SpectralField, sup_axes: tuple[int, ...]) -> float:
-    """L^inf over sup_axes of the L2 norm over the remaining axes.
-
-    Evaluated on the collocation grid; for vector fields the L2 part sums
-    component energies.
-    """
-    for a in sup_axes:
-        if not 0 <= a < F.grid.dim:
-            raise ContractViolation(f"axis {a} out of range")
-    vals = values_of(F)
-    sq = vals ** 2
-    if F.components > 1:
-        sq = np.sum(sq, axis=0)
-    l2_axes = tuple(a for a in range(F.grid.dim) if a not in sup_axes)
-    measure = np.prod([F.grid.spacing[a] for a in l2_axes]) if l2_axes else 1.0
-    reduced = np.sum(sq, axis=l2_axes) * measure if l2_axes else sq
-    return float(np.sqrt(np.max(reduced)))
-

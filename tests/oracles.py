@@ -12,7 +12,16 @@ import numpy as np
 
 from shearks.diagnostics import compute_omega2
 from shearks.shear import effective_k_mesh
-from shearks.spectral import ContractViolation, SpectralField, fill, halve, irfft_x, rfft_x
+from shearks.spectral import (
+    ContractViolation,
+    RealField,
+    SpectralField,
+    fill,
+    halve,
+    irfft_x,
+    rfft_x,
+    values_of,
+)
 
 
 def exact_passive_scalar(F: SpectralField, t: float, A: float, drift0: float = 0.0):
@@ -46,6 +55,26 @@ def exact_passive_scalar(F: SpectralField, t: float, A: float, drift0: float = 0
         dropped += float(np.sum(np.abs(np.where(inside, 0.0, damped[i1])) ** 2))
         out[i1] = np.roll(np.where(inside, damped[i1], 0.0), -k1_row * m, axis=0)
     return SpectralField(grid, out), drift0 + t - m, dropped * grid.volume
+
+
+def l2_norm_values(f: RealField) -> float:
+    """Grid-quadrature L2 norm (trapezoid on the periodic grid)."""
+    return float(np.sqrt(np.sum(f.values ** 2) * f.grid.cell_volume))
+
+
+def linf_norm(F: SpectralField) -> float:
+    """Largest pointwise magnitude on the collocation grid."""
+    vals = values_of(F)
+    if F.components > 1:
+        vals = np.sqrt(np.sum(vals ** 2, axis=0))
+    return float(np.max(np.abs(vals)))
+
+
+def min_value(F: SpectralField) -> float:
+    """Smallest collocation value of a scalar field."""
+    if F.components != 1:
+        raise ContractViolation("min_value expects a scalar field")
+    return float(np.min(values_of(F)))
 
 
 def min_principle_check(rows: list, nbar: float, A: float,

@@ -35,13 +35,12 @@ from shearks.spectral import (
     hermitize,
     inverse_transform,
     l2_norm,
-    l2_norm_values,
     laplacian,
     leray_project,
     solve_chemo,
 )
 
-from oracles import exact_passive_scalar
+from oracles import exact_passive_scalar, l2_norm_values
 
 EIGHT_PI = 8.0 * np.pi
 MASS_3D = 0.8 * 16.0 * np.pi ** 2

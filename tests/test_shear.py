@@ -1,10 +1,12 @@
 """Shear-frame kinematics, the propagator and remap, and the exact scalar oracle."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from shearks.modes import split_x
-from shearks.shear import ShearFrame, effective_wavevector, integrating_factor
+from shearks.shear import ShearFrame, _shear_exponent, effective_wavevector, integrating_factor
 from shearks.solver import Params, _step_operator
 from shearks.spectral import GridSpec, SpectralField, from_values, l2_norm, values_of, zeros
 
@@ -13,6 +15,7 @@ from test_spectral import random_real_field
 
 GRID2 = GridSpec((64, 64))
 GRID3 = GridSpec((48, 48, 48))
+GRID128 = GridSpec((128, 128))
 
 
 def passive_params(grid, A):
@@ -57,6 +60,53 @@ class TestIntegratingFactor:
         expected = np.exp(-np.trapezoid(keff2, s) / A)
         f = integrating_factor(k, 5.0, 5.0 + dt, drift0=drift0, A=A)
         assert f == pytest.approx(expected, rel=1e-9)
+
+    def test_mesh_factor_with_k3_matches_quadrature(self):
+        # the 48^3 factor is a (k1, k2) plane times a k3 line; grade modes
+        # with k3 != 0 against quadrature of |k_eff(s)|^2
+        drift0, A, dt = -0.65, 40.0, 0.4
+        factor = np.broadcast_to(integrating_factor(GRID3.k_mesh(), 1.0, 1.0 + dt, drift0, A),
+                                 GRID3.shape)
+        rng = np.random.default_rng(7)
+        idx = rng.integers(0, 48, size=(3, 64))
+        idx[2] = np.where(idx[2] == 0, 47, idx[2])
+        idx[:, :4] = [[1, 47, 23, 25], [47, 1, 25, 23], [1, 47, 24, 23]]
+        k = [GRID3.wavenumbers(a)[idx[a]][:, None] for a in range(3)]
+        assert np.all(k[2] != 0)
+        s = np.linspace(0.0, dt, 40001)
+        keff2 = k[0] ** 2 + (k[1] - k[0] * (drift0 + s)) ** 2 + k[2] ** 2
+        expected = np.exp(-np.trapezoid(keff2, s, axis=1) / A)
+        got = factor[tuple(idx)]
+        assert np.max(np.abs(got / expected - 1.0)) <= 1e-9
+
+    @pytest.mark.parametrize("dt, drift0", [(1e-3, 0.99), (0.0464, -0.9)])
+    def test_shear_exponent_exact_on_grid(self, dt, drift0):
+        # exact rational arithmetic on the float inputs, every mode of 128^2
+        k1s, k2s = GRID128.wavenumbers(0), GRID128.wavenumbers(1)
+        got = np.broadcast_to(_shear_exponent(k1s[:, None], k2s[None, :], dt, drift0),
+                              GRID128.shape)
+        fdt, fdrift = Fraction(dt), Fraction(drift0)
+        worst = 0.0
+        for i1, k1 in enumerate(k1s):
+            fk1 = Fraction(int(k1))
+            for i2, k2 in enumerate(k2s):
+                b = int(k2) - fk1 * fdrift
+                exact = fdt * (b * b - b * fk1 * fdt + fk1 * fk1 * fdt * fdt / 3)
+                if exact == 0:
+                    assert got[i1, i2] == 0.0
+                    continue
+                worst = max(worst, abs(float((Fraction(float(got[i1, i2])) - exact) / exact)))
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("grid", [GRID128, GRID3], ids=["128^2", "48^3"])
+    def test_factor_even_in_k_bitwise(self, grid):
+        # f(-k) == f(k) exactly, so the propagator keeps Hermitian symmetry;
+        # the lone -n/2 rows have no mirror on the grid
+        factor = np.broadcast_to(integrating_factor(grid.k_mesh(), 0.0, 0.0464, -0.9, 50.0),
+                                 grid.shape)
+        mirror = factor[np.ix_(*[(-np.arange(n)) % n for n in grid.shape])]
+        inner = np.ix_(*[np.flatnonzero(np.arange(n) != n // 2) for n in grid.shape])
+        assert np.array_equal(factor[inner], mirror[inner])
 
 
 class TestRemap:

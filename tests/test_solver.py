@@ -28,13 +28,11 @@ from shearks.spectral import (
     from_values,
     l2_norm,
     leray_project,
-    linf_norm,
-    min_value,
     values_of,
     zeros,
 )
 
-from oracles import exact_passive_scalar, min_principle_check
+from oracles import exact_passive_scalar, linf_norm, min_principle_check, min_value
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
