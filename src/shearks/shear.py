@@ -6,9 +6,9 @@ index k represents the physical wavevector (k1, k2 - k1*drift, k3).  In this
 frame advection is exact bookkeeping and diffusion reduces to a closed-form
 integrating factor per mode.  Only k1 and k2 enter the sheared part, so the
 factor separates into a (k1, k2) plane and, in 3D, a k3 line.  This module
-holds the frame, the effective wavevector and that factor.  The propagator that applies it, and relabels
-the coefficients (Rogallo remap) once |drift| reaches REMAP_THRESHOLD, is
-``solver._step_operator``.
+holds the frame, the effective wavevector and that factor.  The propagator
+that applies it, and relabels the coefficients (Rogallo remap) once |drift|
+reaches REMAP_THRESHOLD, is ``solver._step_operator``.
 """
 
 from __future__ import annotations

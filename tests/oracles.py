@@ -3,7 +3,8 @@
 Nothing here is called by ``shearks`` itself.  ``exact_passive_scalar`` is
 the closed-form passive-scalar semigroup; it writes its own exponent and its
 own relabelling, so it shares neither the integrating factor nor the
-propagator of the solver it checks.
+propagator of the solver it checks.  The collocation-grid norms are the
+references the solver's sample rows and Parseval are checked against.
 """
 
 import math
