@@ -5,7 +5,6 @@ from .spectral import (
     GridSpec,
     RealField,
     SpectralField,
-    dealias,
     derivative,
     forward_transform,
     inverse_transform,
@@ -21,7 +20,6 @@ __all__ = [
     "RealField",
     "SpectralField",
     "ShearFrame",
-    "dealias",
     "derivative",
     "forward_transform",
     "integrating_factor",

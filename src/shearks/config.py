@@ -53,17 +53,10 @@ class RunConfig:
     enable_velocity: bool | None = None   # defaults to (dim == 3)
     t_end: float = 10.0
     dt_max: float = 0.05
-    cfl: float = 0.4
     fixed_dt: float | None = None
-    dt_min: float = 1e-12
-    dealias: bool = True
     a_weight: float = 0.05
     b_weight: float = 0.08
-    positivity_tol: float = 1e-8
     monitor_positivity: bool = True
-    linf_factor: float = 100.0
-    growth_confirm: float = 2.0
-    tail_ratio_max: float = 1e-4
     monitor_tail: bool = True
     drop_tol: float = 1e-6
     track_decomposition: bool | None = None  # defaults to velocity runs

@@ -20,6 +20,7 @@ from .spectral import (
     ContractViolation,
     GridSpec,
     SpectralField,
+    _mesh_k2,
     derivative,
     fill,
     halve,
@@ -43,24 +44,13 @@ def compute_omega2(u: SpectralField, k_mesh=None) -> SpectralField:
     return SpectralField(u.grid, w)
 
 
-def compute_lap_u2(u: SpectralField, k_mesh=None) -> SpectralField:
-    if u.grid.dim != 3 or u.components != 3:
-        raise ContractViolation("lap_u2 needs a 3-component 3D velocity")
-    mesh = u.grid.k_mesh() if k_mesh is None else list(k_mesh)
-    k2 = np.zeros(u.grid.shape)
-    for comp in mesh:
-        k2 = k2 + np.broadcast_to(comp ** 2, u.grid.shape)
-    return SpectralField(u.grid, -k2 * u.coeffs[1])
-
-
 # ---------------------------------------------------------------------------
 # quasi-linear frame quantities
 
 @dataclass
 class KappaRho:
-    kappa: SpectralField
-    rho1: SpectralField
-    rho2: SpectralField
+    """Collocation values of the frame quantities."""
+
     kappa_values: np.ndarray
     dy_kappa: np.ndarray
     dz_kappa: np.ndarray
@@ -90,10 +80,7 @@ def compute_kappa_rho(U2: SpectralField, A: float) -> KappaRho:
     denom = 1.0 + kv ** 2
     r1 = (dyk + kv * dzk) / (vy * denom)
     r2 = (dzk - kv * dyk) / denom
-    rho_hat = fill(rfft_x(np.stack([r1, r2]), U2.grid), U2.grid)
-    rho1, rho2 = SpectralField(U2.grid, rho_hat[0]), SpectralField(U2.grid, rho_hat[1])
-    return KappaRho(kappa=kappa, rho1=rho1, rho2=rho2, kappa_values=kv,
-                    dy_kappa=dyk, dz_kappa=dzk, vy_values=vy, vz_values=vz,
+    return KappaRho(kappa_values=kv, dy_kappa=dyk, dz_kappa=dzk, vy_values=vy, vz_values=vz,
                     rho1_values=r1, rho2_values=r2)
 
 
@@ -140,9 +127,6 @@ class DecompositionTracker:
     def cross(self) -> GridSpec:
         return self.G1.grid
 
-    def sum_field(self) -> SpectralField:
-        return SpectralField(self.cross, self.G1.coeffs + self.B1.coeffs + self.B2.coeffs)
-
     def bad_part(self) -> SpectralField:
         """U2 = tilde(B2) + bar(B2) + bar(B1)."""
         bar1, _ = split_bar_tilde(self.B1)
@@ -150,22 +134,11 @@ class DecompositionTracker:
         out[(0,) * self.cross.dim] += bar1
         return SpectralField(self.cross, out)
 
-    def good_part(self) -> SpectralField:
-        """U1 = G1 + tilde(B1)."""
-        _, tilde1 = split_bar_tilde(self.B1)
-        return SpectralField(self.cross, self.G1.coeffs + tilde1.coeffs)
-
-    def bar_b1(self) -> float:
-        return split_bar_tilde(self.B1)[0]
-
-    def bar_b2(self) -> float:
-        return split_bar_tilde(self.B2)[0]
-
     def _stage_rhs(self, params, ev):
         """Per-stage tendencies (G1, B1, B2) from the solver's aux fields."""
         cross = self.cross
         A = params.A
-        mask = cross.dealias_mask() if params.dealias else 1.0
+        mask = cross.dealias_mask()
         mesh = cross.k_mesh()
         u2v, u3v = ev.u_zero_vals[1], ev.u_zero_vals[2]
 
@@ -207,7 +180,7 @@ class DecompositionTracker:
         right-hand sides rather than finite differences."""
         cross = self.cross
         A = params.A
-        mask = cross.dealias_mask() if params.dealias else 1.0
+        mask = cross.dealias_mask()
         mesh = cross.k_mesh()
         u = state.u
         u2_0 = split_x(u.component(1))[0]
@@ -307,9 +280,7 @@ class EnergyLedger:
 
 def _norm_weights(grid: GridSpec, mesh) -> tuple[np.ndarray, np.ndarray]:
     """|k|^2 and the pressure weight k1^2/|k|^2 (zero at k = 0) on the grid."""
-    k2 = np.zeros(grid.shape)
-    for comp in mesh:
-        k2 = k2 + np.broadcast_to(comp ** 2, grid.shape)
+    k2 = _mesh_k2(mesh)
     k1sq = np.broadcast_to(np.asarray(mesh[0]) ** 2, grid.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         pres = np.where(k2 > 0, k1sq / np.where(k2 > 0, k2, 1.0), 0.0)
@@ -378,18 +349,17 @@ def ledger_update(ledger: EnergyLedger, state, params, tracker, n_vals: np.ndarr
     u_neq = SpectralField(grid, u.coeffs.copy())
     u_neq.coeffs[:, 0] = 0.0
     w2 = compute_omega2(u_neq, k_mesh=mesh)
-    lap_u2 = compute_lap_u2(u_neq, k_mesh=mesh)
-    _observe_field(ledger, "lap_u2_neq", ledger.wa, t, lap_u2.coeffs, grid, weights)
+    k2 = weights[0]
+    _observe_field(ledger, "lap_u2_neq", ledger.wa, t, -k2 * u_neq.coeffs[1], grid, weights)
     for axis, name in ((0, "dx_w2_neq"), (1, "dy_w2_neq"), (2, "dz_w2_neq")):
         d = 1j * np.broadcast_to(mesh[axis], grid.shape) * w2.coeffs
         _observe_field(ledger, name, ledger.wa, t, d, grid, weights)
 
     # X_b group: streamwise-second-derivative fluctuations
     dxx = (1j * np.asarray(mesh[0])) ** 2
-    k2full = weights[0]
     _observe_field(ledger, "dxx_u2_neq", ledger.wb, t, dxx * u_neq.coeffs[1], grid, weights)
     _observe_field(ledger, "dxx_u3_neq", ledger.wb, t, dxx * u_neq.coeffs[2], grid, weights)
-    _observe_field(ledger, "lap_u3_neq", ledger.wb, t, -k2full * u_neq.coeffs[2], grid, weights)
+    _observe_field(ledger, "lap_u3_neq", ledger.wb, t, -k2 * u_neq.coeffs[2], grid, weights)
 
     # good-derivative and W quantities need the quasi-linear frame
     kappa_vals = 0.0
@@ -406,9 +376,7 @@ def ledger_update(ledger: EnergyLedger, state, params, tracker, n_vals: np.ndarr
             return dz
         dy_phys = irfft_x(halve(dy, grid), grid)
         prod = fill(rfft_x(kappa_vals[None, :, :] * dy_phys, grid), grid)
-        if params.dealias:
-            prod = prod * grid.dealias_mask()
-        return dz - prod
+        return dz - prod * grid.dealias_mask()
 
     dx1 = 1j * np.asarray(mesh[0])
     _observe_field(ledger, "dx_good_u2", ledger.wb, t,
@@ -421,9 +389,7 @@ def ledger_update(ledger: EnergyLedger, state, params, tracker, n_vals: np.ndarr
     else:
         u3_phys = irfft_x(halve(u_neq.coeffs[2], grid), grid)
         prod = fill(rfft_x(kappa_vals[None, :, :] * u3_phys, grid), grid)
-        if params.dealias:
-            prod = prod * grid.dealias_mask()
-        w_coeffs = u_neq.coeffs[1] + prod
+        w_coeffs = u_neq.coeffs[1] + prod * grid.dealias_mask()
     grad_w = np.stack([1j * np.broadcast_to(mesh[a], grid.shape) * w_coeffs
                        for a in range(3)])
     _observe_field(ledger, "dx_grad_W", ledger.wb, t, dx1 * grad_w, grid, weights)

@@ -10,12 +10,11 @@ rather than asserting analytic constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .modes import split_x
-from .sampling import gaussian_bump, positive_density, random_smooth
+from .sampling import gaussian_bump, positive_density
 from .spectral import (
     ContractViolation,
     GridSpec,
@@ -26,35 +25,6 @@ from .spectral import (
     solve_chemo,
     values_of,
 )
-
-
-@dataclass
-class FieldSampler:
-    """Deterministic family of test fields on a grid."""
-
-    grid: GridSpec
-    seed: int = 0
-    spectrum_slope: float = 2.0
-
-    def random(self, count: int) -> list[SpectralField]:
-        return [random_smooth(self.grid, self.seed + i, slope=self.spectrum_slope)
-                for i in range(count)]
-
-    def random_positive(self, count: int, mass: float) -> list[SpectralField]:
-        return [positive_density(self.grid, self.seed + i, mass,
-                                 slope=max(self.spectrum_slope, 2.0))
-                for i in range(count)]
-
-    def bump(self, width: float, mass: float, center=None) -> SpectralField:
-        return gaussian_bump(self.grid, width, center=center, mass=mass)
-
-    def single_mode(self, k: tuple) -> SpectralField:
-        F = SpectralField(self.grid, np.zeros(self.grid.shape, dtype=np.complex128))
-        idx = tuple(ki % n for ki, n in zip(k, self.grid.shape))
-        conj_idx = tuple((-ki) % n for ki, n in zip(k, self.grid.shape))
-        F.coeffs[idx] = 0.5
-        F.coeffs[conj_idx] = 0.5
-        return F
 
 
 # ---------------------------------------------------------------------------
@@ -122,19 +92,6 @@ def free_energy(n0: SpectralField, vals: np.ndarray | None = None) -> float:
     c_vals = values_of(solve_chemo(n0))
     integrand = vals * np.log(vals) - 0.5 * (vals - nbar) * c_vals
     return float(np.sum(integrand) * n0.grid.cell_volume)
-
-
-def free_energy_series(rows: list) -> list[tuple[float, float]]:
-    """(t, free energy) pairs from emitted series rows."""
-    return [(row["t"], row["free_energy"]) for row in rows]
-
-
-def free_energy_monotone(rows: list, slack_frac: float = 1e-6) -> bool:
-    series = [le for _, le in free_energy_series(rows) if math.isfinite(le)]
-    if len(series) < 2:
-        return False
-    scale = max(abs(v) for v in series)
-    return all(b <= a + slack_frac * scale for a, b in zip(series, series[1:]))
 
 
 # ---------------------------------------------------------------------------

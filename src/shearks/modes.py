@@ -8,11 +8,7 @@ and the mean-free remainder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from .spectral import ContractViolation, GridSpec, SpectralField
+from .spectral import ContractViolation, SpectralField
 
 
 def split_x(F: SpectralField) -> tuple[SpectralField, SpectralField]:
@@ -31,25 +27,6 @@ def split_x(F: SpectralField) -> tuple[SpectralField, SpectralField]:
     return zero, SpectralField(F.grid, fluct)
 
 
-def zero_mode(F: SpectralField) -> SpectralField:
-    return split_x(F)[0]
-
-
-def fluctuation(F: SpectralField) -> SpectralField:
-    return split_x(F)[1]
-
-
-def lift_zero_mode(f0: SpectralField, grid: GridSpec) -> SpectralField:
-    """Embed a cross-section field back into the full torus (k1 = 0 plane)."""
-    if f0.grid.shape != grid.shape[1:]:
-        raise ContractViolation("cross-section grid does not match target grid")
-    lead = f0.coeffs.shape[: f0.coeffs.ndim - f0.grid.dim]
-    out = np.zeros((*lead, *grid.shape), dtype=np.complex128)
-    take = (slice(None),) * len(lead) + (0,)
-    out[take] = f0.coeffs
-    return SpectralField(grid, out)
-
-
 def split_bar_tilde(f0: SpectralField) -> tuple[float, SpectralField]:
     """(spatial average, mean-free remainder) of a scalar zero mode."""
     if f0.components != 1:
@@ -59,23 +36,3 @@ def split_bar_tilde(f0: SpectralField) -> tuple[float, SpectralField]:
     tilde = f0.coeffs.copy()
     tilde[origin] = 0.0
     return bar, SpectralField(f0.grid, tilde)
-
-
-@dataclass
-class ModeSplit:
-    """Full decomposition f = (bar + tilde) + fluctuation."""
-
-    zero_mode: SpectralField
-    fluctuation: SpectralField
-    bar: float
-    tilde: SpectralField
-
-    @classmethod
-    def of(cls, F: SpectralField) -> "ModeSplit":
-        f0, fneq = split_x(F)
-        bar, tilde = split_bar_tilde(f0)
-        return cls(zero_mode=f0, fluctuation=fneq, bar=bar, tilde=tilde)
-
-    def reconstruct(self) -> SpectralField:
-        full = lift_zero_mode(self.zero_mode, self.fluctuation.grid)
-        return SpectralField(self.fluctuation.grid, full.coeffs + self.fluctuation.coeffs)

@@ -33,6 +33,7 @@ from .spectral import (
     ContractViolation,
     GridSpec,
     SpectralField,
+    _mesh_k2,
     divergence,
     fill,
     halve,
@@ -57,6 +58,9 @@ STATUS_SUPPRESSED = "suppressed"
 STATUS_BLOWUP = "blowup"
 STATUS_UNRESOLVED = "unresolved"
 
+CFL = 0.4        # explicit speeds may cross this fraction of a cell per step
+DT_MIN = 1e-12   # a CFL step below this aborts the run as unresolved
+
 
 @dataclass
 class Params:
@@ -69,17 +73,10 @@ class Params:
     enable_velocity: bool = True
     t_end: float = 10.0
     dt_max: float = 0.05
-    cfl: float = 0.4
     fixed_dt: float | None = None
-    dt_min: float = 1e-12
-    dealias: bool = True
     a_weight: float = 0.05
     b_weight: float = 0.08
-    positivity_tol: float = 1e-8
     monitor_positivity: bool = True
-    linf_factor: float = 100.0
-    growth_confirm: float = 2.0
-    tail_ratio_max: float = 1e-4
     monitor_tail: bool = True
     drop_tol: float = 1e-6
     track_decomposition: bool = False
@@ -91,8 +88,6 @@ class Params:
             raise ValueError("runs need a 2D or 3D grid")
         if self.amplitude < 1.0:
             raise ValueError("shear amplitude A must be >= 1")
-        if not 0.0 < self.cfl <= 1.0:
-            raise ValueError("cfl must lie in (0, 1]")
         if not (0.0 < self.a_weight < self.b_weight < 2.0 * self.a_weight):
             raise ValueError(
                 f"weights must satisfy 0 < a < b < 2a, got a={self.a_weight}, b={self.b_weight}"
@@ -135,6 +130,7 @@ class BlowupMonitor:
     linf_factor: float = 100.0
     tail_ratio_max: float = 1e-4
     growth_confirm: float = 2.0
+    positivity_tol: float = 1e-8    # n_min below -tol * peak Linf: positivity lost
     enabled: bool = True
     status: str = STATUS_RUNNING
     linf0: float = 0.0
@@ -213,7 +209,7 @@ class StageEval:
 
 
 def tendency(n: SpectralField, u: SpectralField | None, A: float, k_mesh=None,
-             dealias: bool = True, chemotaxis: bool = True, tilt: bool = False,
+             chemotaxis: bool = True, tilt: bool = False,
              need_aux: bool = False) -> StageEval:
     """Explicit tendencies, the one assembly behind every caller:
     rhs_n = -(1/A) div(n u + n grad c) and rhs_u = P[-u2 e1 + (n/A) e1 -
@@ -228,8 +224,8 @@ def tendency(n: SpectralField, u: SpectralField | None, A: float, k_mesh=None,
         return StageEval(rhs_n=np.zeros(grid.shape, dtype=np.complex128), rhs_u=None,
                          max_u=0.0, max_chemo=0.0)
     mesh = [halve(m, grid) for m in (grid.k_mesh() if k_mesh is None else k_mesh)]
-    k2 = sum(m ** 2 for m in mesh)
-    dmask = halve(grid.dealias_mask(), grid) if dealias else 1.0
+    k2 = _mesh_k2(mesh)
+    dmask = halve(grid.dealias_mask(), grid)
     n_h = halve(n.coeffs, grid)
     n_phys = irfft_x(n_h * dmask, grid)
     max_u = max_chemo = 0.0
@@ -261,7 +257,7 @@ def tendency(n: SpectralField, u: SpectralField | None, A: float, k_mesh=None,
     aux = {}
     if need_aux and u is not None:
         cross = grid.cross_section()
-        cmask = halve(cross.dealias_mask(), cross) if dealias else 1.0
+        cmask = halve(cross.dealias_mask(), cross)
         u_zero_vals = list(irfft_x(halve(u.coeffs[:, 0], cross) * cmask, cross))
         # the k1 = 0 plane of a half spectrum is complete
         q_neq_hat = [uu[slot[j, 0]][0] - fill(rfft_x(u_zero_vals[j] * u_zero_vals[0], cross), cross)
@@ -273,27 +269,10 @@ def tendency(n: SpectralField, u: SpectralField | None, A: float, k_mesh=None,
                      max_u=max_u, max_chemo=max_chemo, **aux)
 
 
-def rhs_density(n: SpectralField, u: SpectralField | None, A: float, chemotaxis: bool = True,
-                k_mesh=None, mask: bool = True) -> SpectralField:
-    """Density tendency of ``tendency``; shear advection and diffusion are
-    handled by the propagator, not here."""
-    return SpectralField(n.grid, tendency(n, u, A, k_mesh, mask, chemotaxis).rhs_n)
-
-
-def rhs_velocity(n: SpectralField, u: SpectralField, A: float,
-                 k_mesh=None, mask: bool = True) -> SpectralField:
-    """Velocity tendency of ``tendency`` without the tilt term.
-
-    The k = 0 component passes the projection, so the mean of u1 grows at
-    mean(n)/A minus the mean of u2.
-    """
-    return SpectralField(u.grid, tendency(n, u, A, k_mesh, mask, chemotaxis=False).rhs_u)
-
-
 def _evaluate(n: SpectralField, u: SpectralField | None, params: Params,
               drift: float, need_aux: bool) -> StageEval:
     mesh = effective_k_mesh(params.grid, drift) if params.enable_shear else None
-    return tendency(n, u, params.A, mesh, params.dealias, params.enable_chemotaxis,
+    return tendency(n, u, params.A, mesh, params.enable_chemotaxis,
                     tilt=params.enable_shear, need_aux=need_aux)
 
 
@@ -305,7 +284,7 @@ def choose_dt(params: Params, ev: StageEval, t_remaining: float) -> float:
     dt = params.dt_max
     speed = max(ev.max_u, ev.max_chemo) / params.A
     if speed > 0:
-        dt = min(dt, params.cfl * dx / speed)
+        dt = min(dt, CFL * dx / speed)
     return min(dt, t_remaining)
 
 
@@ -372,7 +351,7 @@ def step(state: State, params: Params, t_stop: float | None = None,
     t_remaining = (t_stop - state.t) if t_stop is not None else params.dt_max
     ev1 = _evaluate(state.n, state.u, params, state.frame.drift, tracker is not None)
     dt = choose_dt(params, ev1, t_remaining)
-    if dt < params.dt_min:
+    if dt < DT_MIN:
         raise ContractViolation(f"dt underflow: {dt:.3e}")
 
     apply_op, new_frame = _step_operator(params, state.frame, state.t, dt)
@@ -412,9 +391,7 @@ def tail_ratio(n: SpectralField, params: Params, drift: float) -> float:
     """Fraction of fluctuation energy at |k_eff| in the top third of the band."""
     grid = params.grid
     mesh = effective_k_mesh(grid, drift) if params.enable_shear else grid.k_mesh()
-    k2 = np.zeros(grid.shape)
-    for comp in mesh:
-        k2 = k2 + np.broadcast_to(comp ** 2, grid.shape)
+    k2 = _mesh_k2(mesh)
     kcut = min(grid.dealias_cutoff(a) for a in range(grid.dim))
     e = np.abs(n.coeffs) ** 2
     e[(0,) * grid.dim] = 0.0
@@ -435,11 +412,6 @@ class RunResult:
     tracker: "diagnostics.DecompositionTracker | None" = None
     dropped_energy: float = 0.0
     dropped_u: float = 0.0          # velocity energy dropped at remaps (absolute)
-
-    @property
-    def series(self) -> dict:
-        return {key: np.array([row[key] for row in self.rows])
-                for key in SERIES_COLUMNS if key != "status"}
 
 
 def _mass(n: SpectralField) -> float:
@@ -479,12 +451,7 @@ def run(params: Params, init: State, on_sample=None) -> RunResult:
     sample; the harness uses it for checkpoints.
     """
     state = init
-    monitor = BlowupMonitor(
-        linf_factor=params.linf_factor,
-        tail_ratio_max=params.tail_ratio_max,
-        growth_confirm=params.growth_confirm,
-        enabled=params.monitor_tail,
-    )
+    monitor = BlowupMonitor(enabled=params.monitor_tail)
     n_vals = values_of(state.n)
     monitor.start(state.t, float(np.max(np.abs(n_vals))))
     mass0 = _mass(state.n)
@@ -528,8 +495,10 @@ def run(params: Params, init: State, on_sample=None) -> RunResult:
         last_dt = info.dt
         dropped_total += info.dropped_n
         dropped_u += info.dropped_u
-        if not np.all(np.isfinite(state.n.coeffs.view(float))):
-            monitor.abort(state.t, "non-finite density coefficients")
+        bad = [name for name, f in (("density", state.n), ("velocity", state.u))
+               if f is not None and not np.all(np.isfinite(f.coeffs.view(float)))]
+        if bad:
+            monitor.abort(state.t, f"non-finite {' and '.join(bad)} coefficients")
             break
         if dropped_total / fluct0 > params.drop_tol:
             monitor.abort(state.t, f"dropped energy fraction {dropped_total / fluct0:.2e}")
@@ -538,7 +507,7 @@ def run(params: Params, init: State, on_sample=None) -> RunResult:
             n_vals = values_of(state.n)
             if params.enable_chemotaxis:
                 pos_floor = math.inf if not params.monitor_positivity else \
-                    params.positivity_tol * max(monitor.linf_max, monitor.linf0)
+                    monitor.positivity_tol * max(monitor.linf_max, monitor.linf0)
                 monitor.observe(
                     t=state.t, t_prev=t_prev_sample,
                     linf=float(np.max(np.abs(n_vals))), n_min=float(np.min(n_vals)),

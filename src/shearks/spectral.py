@@ -100,10 +100,7 @@ class GridSpec:
 
 @lru_cache(maxsize=32)
 def _k_squared(grid: GridSpec) -> np.ndarray:
-    k2 = np.zeros(grid.shape)
-    for comp in grid.k_mesh():
-        k2 = k2 + comp ** 2
-    return k2
+    return _mesh_k2(grid.k_mesh())
 
 
 @lru_cache(maxsize=32)
@@ -158,19 +155,6 @@ class SpectralField:
         if self.coeffs.ndim == self.grid.dim:
             raise IndexError("scalar field has no components to index")
         return SpectralField(self.grid, self.coeffs[i])
-
-    def hermitian_defect(self) -> float:
-        """Relative departure from conj-symmetry coeff(-k) = conj(coeff(k))."""
-        mirror = conj_reverse(self.coeffs, self.grid.dim)
-        scale = np.max(np.abs(self.coeffs)) or 1.0
-        return float(np.max(np.abs(self.coeffs - mirror)) / scale)
-
-    def validate(self):
-        if self.hermitian_defect() > 1e-12:
-            raise ContractViolation("field is not Hermitian-symmetric (not real)")
-        mean = self.coeffs[(..., *([0] * self.grid.dim))]
-        if np.max(np.abs(np.imag(np.atleast_1d(mean)))) > 1e-14:
-            raise ContractViolation("k = 0 coefficient must be real")
 
 
 def _check_shape(grid: GridSpec, arr: np.ndarray):
@@ -283,6 +267,8 @@ def _mesh(F: SpectralField, k_mesh) -> list[np.ndarray]:
 
 
 def _mesh_k2(mesh) -> np.ndarray:
+    """|k|^2 on the broadcast shape of the wavevector components, summed in
+    axis order."""
     k2 = np.zeros(np.broadcast_shapes(*[m.shape for m in mesh]))
     for comp in mesh:
         k2 = k2 + comp ** 2
@@ -300,16 +286,6 @@ def derivative(F: SpectralField, axis: int, k_mesh=None) -> SpectralField:
 def laplacian(F: SpectralField, k_mesh=None) -> SpectralField:
     k2 = _mesh_k2(_mesh(F, k_mesh))
     return SpectralField(F.grid, -k2 * F.coeffs)
-
-
-def gradient(F: SpectralField, k_mesh=None) -> SpectralField:
-    """Gradient of a scalar field as a dim-component vector field."""
-    if F.components != 1:
-        raise ContractViolation("gradient expects a scalar field")
-    mesh = _mesh(F, k_mesh)
-    comps = np.stack([np.broadcast_to(1j * mesh[a], F.grid.shape) * F.coeffs
-                      for a in range(F.grid.dim)])
-    return SpectralField(F.grid, comps)
 
 
 def divergence(u: SpectralField, k_mesh=None) -> SpectralField:
@@ -353,28 +329,6 @@ def leray_coeffs(coeffs: np.ndarray, mesh) -> np.ndarray:
     for a in range(len(mesh)):
         out[a] -= mesh[a] * kdotu
     return out
-
-
-def dealias(F: SpectralField) -> SpectralField:
-    """Zero every coefficient with any |k_axis| above floor(n/3)."""
-    return SpectralField(F.grid, F.coeffs * F.grid.dealias_mask())
-
-
-def pad_to(F: SpectralField, grid: GridSpec) -> SpectralField:
-    """Represent the same band-limited function on a finer grid."""
-    if grid.dim != F.grid.dim:
-        raise ContractViolation("pad_to needs grids of equal dimension")
-    lead = F.coeffs.shape[: F.coeffs.ndim - F.grid.dim]
-    src = [np.arange(n) for n in lead]
-    dst = [np.arange(n) for n in lead]
-    for n_old, n_new in zip(F.grid.shape, grid.shape):
-        if n_new < n_old:
-            raise ContractViolation("pad_to only refines")
-        src.append(np.r_[0: n_old // 2, n_old - n_old // 2: n_old])
-        dst.append(np.r_[0: n_old // 2, n_new - n_old // 2: n_new])
-    out = np.zeros((*lead, *grid.shape), dtype=np.complex128)
-    out[np.ix_(*dst)] = F.coeffs[np.ix_(*src)]
-    return SpectralField(grid, out)
 
 
 # ---------------------------------------------------------------------------

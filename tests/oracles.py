@@ -4,7 +4,9 @@ Nothing here is called by ``shearks`` itself.  ``exact_passive_scalar`` is
 the closed-form passive-scalar semigroup; it writes its own exponent and its
 own relabelling, so it shares neither the integrating factor nor the
 propagator of the solver it checks.  The collocation-grid norms are the
-references the solver's sample rows and Parseval are checked against.
+references the solver's sample rows and Parseval are checked against;
+``pad_to`` re-samples a band-limited field on a finer grid, and
+``free_energy_monotone`` grades a run's free-energy column.
 """
 
 import math
@@ -15,6 +17,7 @@ from shearks.diagnostics import compute_omega2
 from shearks.shear import effective_k_mesh
 from shearks.spectral import (
     ContractViolation,
+    GridSpec,
     RealField,
     SpectralField,
     fill,
@@ -78,6 +81,32 @@ def min_value(F: SpectralField) -> float:
     return float(np.min(values_of(F)))
 
 
+def pad_to(F: SpectralField, grid: GridSpec) -> SpectralField:
+    """Represent the same band-limited function on a finer grid."""
+    if grid.dim != F.grid.dim:
+        raise ContractViolation("pad_to needs grids of equal dimension")
+    lead = F.coeffs.shape[: F.coeffs.ndim - F.grid.dim]
+    src = [np.arange(n) for n in lead]
+    dst = [np.arange(n) for n in lead]
+    for n_old, n_new in zip(F.grid.shape, grid.shape):
+        if n_new < n_old:
+            raise ContractViolation("pad_to only refines")
+        src.append(np.r_[0: n_old // 2, n_old - n_old // 2: n_old])
+        dst.append(np.r_[0: n_old // 2, n_new - n_old // 2: n_new])
+    out = np.zeros((*lead, *grid.shape), dtype=np.complex128)
+    out[np.ix_(*dst)] = F.coeffs[np.ix_(*src)]
+    return SpectralField(grid, out)
+
+
+def free_energy_monotone(rows: list, slack_frac: float = 1e-6) -> bool:
+    """The finite free-energy values of a series never rise beyond slack."""
+    series = [row["free_energy"] for row in rows if math.isfinite(row["free_energy"])]
+    if len(series) < 2:
+        return False
+    scale = max(abs(v) for v in series)
+    return all(b <= a + slack_frac * scale for a, b in zip(series, series[1:]))
+
+
 def min_principle_check(rows: list, nbar: float, A: float,
                         delta: float | None = None, slack_frac: float = 1e-3) -> bool:
     """min n(t) >= delta * exp(-nbar t / A) - slack for every sampled t."""
@@ -129,7 +158,7 @@ def residual_omega2(state_before, state_after, params) -> float:
     w_mid = compute_omega2(u_mid, k_mesh=mesh)
 
     # u . grad u1 and u . grad u3, pseudo-spectral at the midpoint
-    dmask = grid.dealias_mask() if params.dealias else 1.0
+    dmask = grid.dealias_mask()
     u_phys = irfft_x(halve(u_mid.coeffs * dmask, grid), grid)
     adv = []
     for comp in (0, 2):

@@ -12,14 +12,8 @@ import pytest
 
 from shearks.config import parse_config
 from shearks.diagnostics import compute_kappa_rho, kappa_identity_residual
-from shearks.inequalities import (
-    FieldSampler,
-    check_elliptic,
-    check_poincare,
-    free_energy_monotone,
-    loghls_scan,
-)
-from shearks.modes import split_x
+from shearks.inequalities import check_elliptic, check_poincare, loghls_scan
+from shearks.modes import split_bar_tilde, split_x
 from shearks.sampling import fluctuation_only, gaussian_bump, random_smooth
 from shearks.scenarios import run_rate_fit, run_resume, run_simulate, run_sweep_mass
 from shearks.seriesio import checkpoint_bytes, state_from_bytes
@@ -40,7 +34,7 @@ from shearks.spectral import (
     solve_chemo,
 )
 
-from oracles import exact_passive_scalar, l2_norm_values
+from oracles import exact_passive_scalar, free_energy_monotone, l2_norm_values
 
 EIGHT_PI = 8.0 * np.pi
 MASS_3D = 0.8 * 16.0 * np.pi ** 2
@@ -284,12 +278,12 @@ def test_c08_decomposition_fidelity(suppression_run):
     result = suppression_run["result"]
     tracker = result.tracker
     u1_0 = split_x(result.final_state.u.component(0))[0]
-    diff = l2_norm(SpectralField(tracker.cross,
-                                 tracker.sum_field().coeffs - u1_0.coeffs))
+    diff = l2_norm(SpectralField(tracker.cross, tracker.G1.coeffs + tracker.B1.coeffs
+                                 + tracker.B2.coeffs - u1_0.coeffs))
     rel = diff / max(l2_norm(u1_0), 1e-300)
     nbar = result.rows[0]["mass"] / result.params.grid.volume
     expected = nbar * result.final_state.t / result.params.A
-    slope_rel = abs(tracker.bar_b1() - expected) / expected
+    slope_rel = abs(split_bar_tilde(tracker.B1)[0] - expected) / expected
     ok = rel <= 1e-6 and slope_rel <= 1e-8
     verdict(8, ok, f"|G1+B1+B2 - u1_0| = {rel:.2e} relative, "
                    f"bar(B1) slope off by {slope_rel:.2e} relative")
@@ -314,8 +308,7 @@ def test_c09_kappa_rho_identity():
 
 def test_c10_inequality_suites(tmp_path):
     grid = GridSpec((64, 64))
-    sampler = FieldSampler(grid, seed=0)
-    elliptic_samples = sampler.random(100)
+    elliptic_samples = [random_smooth(grid, seed=s) for s in range(100)]
     for f in elliptic_samples:
         f.coeffs[0, 0] += 1.0
     rep_e = check_elliptic(elliptic_samples)

@@ -6,12 +6,12 @@ import pytest
 from shearks.diagnostics import (
     EnergyLedger,
     compute_kappa_rho,
-    compute_lap_u2,
     compute_omega2,
     energy_report,
     kappa_identity_residual,
+    ledger_update,
 )
-from shearks.modes import split_x
+from shearks.modes import split_bar_tilde, split_x
 from shearks.sampling import gaussian_bump, random_smooth
 from shearks.shear import ShearFrame
 from shearks.solver import Params, State, run, step
@@ -51,9 +51,6 @@ class TestVorticity:
     def test_u2_only_has_no_omega2(self):
         u = vec_field(GRID3, fy=lambda x, y, z: np.sin(y))
         assert np.max(np.abs(compute_omega2(u).coeffs)) < 1e-15
-        lap = compute_lap_u2(u)
-        _, y, _ = GRID3.coordinate_mesh()
-        assert np.max(np.abs(values_of(lap) + np.sin(y))) < 1e-13
 
     def test_dx_u3_sign(self):
         u = vec_field(GRID3, fz=lambda x, y, z: np.sin(x))
@@ -159,7 +156,8 @@ class TestDecompositionTracker:
         tracker = result.tracker
         u1_0 = split_x(result.final_state.u.component(0))[0]
         diff = l2_norm(SpectralField(tracker.cross,
-                                     tracker.sum_field().coeffs - u1_0.coeffs))
+                                     tracker.G1.coeffs + tracker.B1.coeffs
+                                     + tracker.B2.coeffs - u1_0.coeffs))
         assert diff <= 1e-6 * max(l2_norm(u1_0), 1e-30)
         # round-off level in practice
         assert diff <= 1e-11 * max(l2_norm(u1_0), 1e-30)
@@ -171,7 +169,7 @@ class TestDecompositionTracker:
         nbar = state.n.coeffs[0, 0, 0].real
         result = run(params, state)
         expected = nbar * result.final_state.t / params.A
-        assert result.tracker.bar_b1() == pytest.approx(expected, rel=1e-12)
+        assert split_bar_tilde(result.tracker.B1)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_bar_b2_tracks_mean_u2(self):
         params = small_3d_params(track_decomposition=True, fixed_dt=5e-3,
@@ -183,7 +181,7 @@ class TestDecompositionTracker:
         t = result.final_state.t
         # mean of u2 is conserved, so bar(B2) = -ubar2 * t exactly
         assert result.final_state.u.coeffs[1, 0, 0, 0].real == pytest.approx(ubar2, rel=1e-10)
-        assert result.tracker.bar_b2() == pytest.approx(-ubar2 * t, rel=1e-10)
+        assert split_bar_tilde(result.tracker.B2)[0] == pytest.approx(-ubar2 * t, rel=1e-10)
 
     def test_pure_forcing_case(self):
         # n constant, u = 0: B1 = (nbar/A) t exactly, G1 = B2 = 0
@@ -194,7 +192,7 @@ class TestDecompositionTracker:
         result = run(params, state)
         t = result.final_state.t
         tr = result.tracker
-        assert tr.bar_b1() == pytest.approx(2.0 * t / params.A, rel=1e-12)
+        assert split_bar_tilde(tr.B1)[0] == pytest.approx(2.0 * t / params.A, rel=1e-12)
         assert np.max(np.abs(tr.G1.coeffs)) < 1e-14
         assert np.max(np.abs(tr.B2.coeffs)) < 1e-14
 
@@ -244,6 +242,16 @@ class TestEnergyLedger:
             tr.observe(t, val, 0.0, 0.0)
             sups.append(tr.sup_sq)
         assert max(sups) - min(sups) <= 1e-8 * base
+
+    def test_lap_u2_term_hand_value(self):
+        # u2 = sin(x + z) has |k|^2 = 2, so ||lap u2||^2 = 4 ||u2||^2 = 16 pi^3
+        params = small_3d_params(enable_shear=False, track_energies=True)
+        n = from_values(GRID3, np.full(GRID3.shape, 1.0))
+        u = vec_field(GRID3, fy=lambda x, y, z: np.sin(x + z))
+        state = State(t=0.0, n=n, u=u, frame=ShearFrame())
+        ledger = EnergyLedger(A=params.A, a_weight=params.a_weight, b_weight=params.b_weight)
+        ledger_update(ledger, state, params, None, values_of(n))
+        assert ledger.norms["lap_u2_neq"].sup_sq == pytest.approx(16 * np.pi ** 3, rel=1e-12)
 
     def test_monotone_accumulators_on_run(self):
         params = small_3d_params(track_energies=True, track_decomposition=True,

@@ -27,7 +27,7 @@ class TestParseConfig:
     def test_minimal_example(self):
         cfg = parse_config("dim = 2\nnx = 64\nny = 64\nscenario = simulate\nmass = 12.0")
         assert cfg.dim == 2 and cfg.mass == 12.0
-        assert cfg.cfl == 0.4  # defaults filled
+        assert cfg.dt_max == 0.05  # defaults filled
 
     def test_odd_modes_rejected(self):
         with pytest.raises(ConfigError, match="even"):
@@ -40,6 +40,14 @@ class TestParseConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("speling = 3")
+
+    @pytest.mark.parametrize("line", ["cfl = 0.4", "dt_min = 1e-12", "dealias = true",
+                                      "positivity_tol = 1e-8", "linf_factor = 100",
+                                      "growth_confirm = 2.0", "tail_ratio_max = 1e-4"])
+    def test_fixed_numerics_are_not_keys(self, line):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(f"scenario = simulate\nmass = 1\n{line}")
 
     def test_comments_and_last_wins(self):
         cfg = parse_config("mass = 1.0  # initial\nmass = 2.0\nscenario = simulate")
@@ -68,17 +76,10 @@ class TestParseConfig:
             enable_velocity = true
             t_end = 1.0
             dt_max = 0.01
-            cfl = 0.5
             fixed_dt = 0.001
-            dt_min = 1e-12
-            dealias = true
             a_weight = 0.05
             b_weight = 0.08
-            positivity_tol = 1e-8
             monitor_positivity = true
-            linf_factor = 100
-            growth_confirm = 2.0
-            tail_ratio_max = 1e-4
             monitor_tail = true
             drop_tol = 1e-6
             track_decomposition = true

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from shearks.modes import ModeSplit, lift_zero_mode, split_bar_tilde, split_x
+from shearks.modes import split_bar_tilde, split_x
 from shearks.spectral import GridSpec, from_values, l2_norm, spectral_energy
 
 from test_spectral import random_real_field
@@ -48,17 +48,21 @@ def test_bar_tilde_cases():
 
 def test_reconstruction_and_orthogonality():
     F = random_real_field(GRID3, seed=4)
-    split = ModeSplit.of(F)
-    back = split.reconstruct()
-    assert np.max(np.abs(back.coeffs - F.coeffs)) < 1e-12
+    f0, fneq = split_x(F)
+    # the fluctuation leaves the k1 = 0 plane empty; the zero mode fills it back
+    assert not np.any(fneq.coeffs[0])
+    back = fneq.coeffs.copy()
+    back[0] = f0.coeffs
+    assert np.array_equal(back, F.coeffs)
     # energy splits with the 2 pi factor from integrating out x
     total = spectral_energy(F)
-    parts = 2 * np.pi * spectral_energy(split.zero_mode) + spectral_energy(split.fluctuation)
+    parts = 2 * np.pi * spectral_energy(f0) + spectral_energy(fneq)
     assert parts == pytest.approx(total, rel=1e-10)
     # bar + tilde rebuild the zero mode
-    rebuilt = split.tilde.coeffs.copy()
-    rebuilt[(0,) * split.tilde.grid.dim] += split.bar
-    assert np.max(np.abs(rebuilt - split.zero_mode.coeffs)) < 1e-12
+    bar, tilde = split_bar_tilde(f0)
+    rebuilt = tilde.coeffs.copy()
+    rebuilt[(0,) * tilde.grid.dim] += bar
+    assert np.max(np.abs(rebuilt - f0.coeffs)) < 1e-12
 
 
 def test_split_commutes_with_yz_derivative():
@@ -70,10 +74,3 @@ def test_split_commutes_with_yz_derivative():
         split_then_d = derivative(split_x(F)[0], axis - 1)
         assert np.max(np.abs(d_then_split.coeffs - split_then_d.coeffs)) < 1e-13
 
-
-def test_lift_roundtrip():
-    F = random_real_field(GRID3, seed=6)
-    f0, _ = split_x(F)
-    lifted = lift_zero_mode(f0, GRID3)
-    again, _ = split_x(lifted)
-    assert np.max(np.abs(again.coeffs - f0.coeffs)) == 0.0

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from shearks import diagnostics, inequalities, solver, spectral
-from shearks.config import parse_config
+from shearks.config import params_of, parse_config
 from shearks.inequalities import free_energy
+from shearks.initial import build_initial_state
 from shearks.sampling import fluctuation_only, gaussian_bump, random_smooth
 from shearks.scenarios import run_simulate
 from shearks.shear import ShearFrame
@@ -16,10 +17,9 @@ from shearks.solver import (
     BlowupMonitor,
     Params,
     State,
-    rhs_density,
-    rhs_velocity,
     run,
     step,
+    tendency,
 )
 from shearks.spectral import (
     GridSpec,
@@ -71,15 +71,15 @@ class TestParamsValidation:
 class TestRhsDensity:
     def test_constant_density_is_fixed_point(self):
         n = from_values(GRID2, np.full(GRID2.shape, 2.0))
-        out = rhs_density(n, None, A=1.0)
-        assert np.max(np.abs(out.coeffs)) < 1e-14
+        out = tendency(n, None, A=1.0).rhs_n
+        assert np.max(np.abs(out)) < 1e-14
 
     def test_cos_y_hand_value(self):
         # n = 1 + cos y, u = 0: tendency is (cos y + cos 2y)/A
         _, y = GRID2.coordinate_mesh()
         n = from_values(GRID2, 1.0 + np.cos(y) + np.zeros(GRID2.shape))
         A = 3.0
-        out = rhs_density(n, None, A=A)
+        out = SpectralField(GRID2, tendency(n, None, A=A).rhs_n)
         expected = (np.cos(y) + np.cos(2 * y)) / A + np.zeros(GRID2.shape)
         assert np.max(np.abs(values_of(out) - expected)) < 1e-10
 
@@ -87,8 +87,8 @@ class TestRhsDensity:
         n = random_smooth(GRID3, seed=1)
         n.coeffs[0, 0, 0] = 1.0
         u = leray_project(random_smooth(GRID3, seed=2, components=3))
-        out = rhs_density(n, u, A=2.0)
-        assert abs(out.coeffs[0, 0, 0]) < 1e-14
+        out = tendency(n, u, A=2.0).rhs_n
+        assert abs(out[0, 0, 0]) < 1e-14
 
 
 class TestRhsVelocity:
@@ -96,10 +96,10 @@ class TestRhsVelocity:
         n = from_values(GRID3, np.full(GRID3.shape, 1.5))
         u = zeros(GRID3, components=3)
         A = 4.0
-        out = rhs_velocity(n, u, A)
+        out = tendency(n, u, A, chemotaxis=False).rhs_u
         # projected forcing (n/A) e1 keeps only its mean; mean u1 grows at nbar/A
-        assert out.coeffs[0][0, 0, 0] == pytest.approx(1.5 / A)
-        off = out.coeffs.copy()
+        assert out[0][0, 0, 0] == pytest.approx(1.5 / A)
+        off = out.copy()
         off[0, 0, 0, 0] = 0.0
         assert np.max(np.abs(off)) < 1e-14
 
@@ -108,13 +108,13 @@ class TestRhsVelocity:
         u = zeros(GRID3, components=3)
         u.coeffs[0] = from_values(GRID3, np.sin(y) + np.zeros(GRID3.shape)).coeffs
         n = zeros(GRID3)
-        out = rhs_velocity(n, u, A=2.0)
-        assert np.max(np.abs(out.coeffs)) < 1e-13
+        out = tendency(n, u, A=2.0, chemotaxis=False).rhs_u
+        assert np.max(np.abs(out)) < 1e-13
 
     def test_divergence_free_output(self):
         n = random_smooth(GRID3, seed=3)
         u = leray_project(random_smooth(GRID3, seed=4, components=3))
-        out = rhs_velocity(n, u, A=1.5)
+        out = SpectralField(GRID3, tendency(n, u, A=1.5, chemotaxis=False).rhs_u)
         assert l2_norm(divergence(out)) <= 1e-12 * max(l2_norm(out), 1e-30)
 
 
@@ -287,3 +287,12 @@ class TestSamples:
         assert summary["status"] == "suppressed"
         assert summary["dropped_u"] > 0.0
         assert summary["result"].dropped_u == summary["dropped_u"]
+
+    def test_non_finite_velocity_is_named(self):
+        text = (CONFIGS / "suppression_3d.conf").read_text()
+        cfg = parse_config(text + "\nnx = 16\nny = 16\nnz = 16\nt_end = 1.0\n")
+        state = build_initial_state(cfg)
+        state.u.coeffs[0, 1, 2, 3] = np.nan
+        result = run(params_of(cfg), state)
+        assert result.status == "unresolved"
+        assert "velocity" in result.monitor.reason

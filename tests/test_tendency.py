@@ -36,7 +36,7 @@ def oracle(n, u, params, drift):
     grid = params.grid
     mesh = effective_k_mesh(grid, drift) if params.enable_shear else grid.k_mesh()
     mesh = [np.broadcast_to(m, grid.shape) for m in mesh]
-    dmask = grid.dealias_mask() if params.dealias else 1.0
+    dmask = grid.dealias_mask()
     A = params.A
     k2 = sum(m ** 2 for m in mesh)
     safe_k2 = np.where(k2 > 0, k2, 1.0)
@@ -59,7 +59,7 @@ def oracle(n, u, params, drift):
             rhs_u = rhs_u + np.stack([1j * mesh[a] * base for a in range(grid.dim)])
         flux += _phys(grid, u.coeffs * dmask)
         cross = grid.cross_section()
-        cmask = cross.dealias_mask() if params.dealias else 1.0
+        cmask = cross.dealias_mask()
         zero_vals = [np.fft.ifftn(u.coeffs[i][0] * cmask).real * cross.size
                      for i in range(grid.dim)]
         q_neq_hat = [uu_hat[j, 0][0] - np.fft.fftn(zero_vals[j] * zero_vals[0]) / cross.size
