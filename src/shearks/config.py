@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .solver import Params
 from .spectral import GridSpec
 
@@ -54,8 +52,6 @@ class RunConfig:
     t_end: float = 10.0
     dt_max: float = 0.05
     fixed_dt: float | None = None
-    a_weight: float = 0.05
-    b_weight: float = 0.08
     monitor_positivity: bool = True
     monitor_tail: bool = True
     drop_tol: float = 1e-6
@@ -69,17 +65,13 @@ class RunConfig:
     init_kind: str = "gaussian"
     mass: float = 0.0
     init_width: float = 0.5
-    init_center: tuple[float, ...] = ()
     init_seed: int = 0
     init_slope: float = 2.0
-    init_amplitude: float = 1.0
-    init_file: str = ""
 
     # initial velocity
     u_kind: str = "none"
     u_eps: float = 0.0
     u_seed: int = 1
-    u_slope: float = 3.0
     u_amplitude: float = 0.0   # non-zero-mode scale
 
     # sweep / rate / check scenario knobs
@@ -88,7 +80,6 @@ class RunConfig:
     workers: int = 1
     suite: str = "all"
     samples: int = 100
-    loghls_mass: float = 4.0 * np.pi
 
 
 _CONVERTERS = {
@@ -100,7 +91,7 @@ _CONVERTERS = {
 
 
 def _converter_for(f):
-    if f.name in ("masses", "a_values", "init_center"):
+    if f.name in ("masses", "a_values"):
         return _parse_float_list
     if f.name in ("fixed_dt",):
         return _parse_optional_float
@@ -148,10 +139,8 @@ def validate_config(cfg: RunConfig):
         raise ConfigError("a_values: rate_fit needs a nonempty amplitude list")
     if cfg.scenario == "check" and cfg.suite not in CHECK_SUITES:
         raise ConfigError(f"suite: must be one of {CHECK_SUITES}, got {cfg.suite!r}")
-    if cfg.init_kind not in ("gaussian", "random", "file"):
+    if cfg.init_kind not in ("gaussian", "random"):
         raise ConfigError(f"init_kind: unknown kind {cfg.init_kind!r}")
-    if cfg.init_kind == "file" and not cfg.init_file:
-        raise ConfigError("init_file: required when init_kind = file")
     if cfg.u_kind not in ("none", "zero_mode", "random"):
         raise ConfigError(f"u_kind: unknown kind {cfg.u_kind!r}")
     if cfg.workers < 1:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .modes import split_bar_tilde, split_x
-from .shear import effective_k_mesh
+from .shear import frame_k_mesh
 from .spectral import (
     ContractViolation,
     GridSpec,
@@ -249,13 +249,15 @@ class EnergyLedger:
     """Running realization of the weighted norms behind the functionals.
 
     Weights: 0 for the Y0 group (zero-mode velocities), a*A^{-1/3} for the
-    X_a group, b*A^{-1/3} for the X_b group.  Time integrals use the
-    trapezoid rule over emitted samples, sups are maxima over samples.
+    X_a group, b*A^{-1/3} for the X_b group, with the one admissible pair
+    0 < a < b < 2a the functionals use.  Time integrals use the trapezoid
+    rule over emitted samples, sups are maxima over samples.
     """
 
+    A_WEIGHT = 0.05
+    B_WEIGHT = 0.08
+
     A: float
-    a_weight: float
-    b_weight: float
     norms: dict = field(default_factory=dict)
     scalars: dict = field(default_factory=dict)
 
@@ -271,11 +273,11 @@ class EnergyLedger:
 
     @property
     def wa(self) -> float:
-        return self.a_weight * self.A ** (-1.0 / 3.0)
+        return self.A_WEIGHT * self.A ** (-1.0 / 3.0)
 
     @property
     def wb(self) -> float:
-        return self.b_weight * self.A ** (-1.0 / 3.0)
+        return self.B_WEIGHT * self.A ** (-1.0 / 3.0)
 
 
 def _norm_weights(grid: GridSpec, mesh) -> tuple[np.ndarray, np.ndarray]:
@@ -310,8 +312,7 @@ def ledger_update(ledger: EnergyLedger, state, params, tracker, n_vals: np.ndarr
     t = state.t
     grid = params.grid
     n = state.n
-    mesh = effective_k_mesh(grid, state.frame.drift) if params.enable_shear \
-        else grid.k_mesh()
+    mesh = frame_k_mesh(params, state.frame.drift)
 
     ledger.scalar_track("n_linf").observe(t, float(np.max(np.abs(n_vals))))
     weights = _norm_weights(grid, mesh)

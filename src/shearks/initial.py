@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, grid_of
+from .config import ConfigError, RunConfig, params_of
 from .modes import split_x
 from .sampling import (
     fluctuation_only,
@@ -31,27 +31,17 @@ def _strip_nyquist(F: SpectralField) -> SpectralField:
 
 def build_density(cfg: RunConfig, grid: GridSpec) -> SpectralField:
     if cfg.init_kind == "gaussian":
-        center = cfg.init_center if cfg.init_center else None
-        n = gaussian_bump(grid, cfg.init_width, center=center, mass=cfg.mass)
+        n = gaussian_bump(grid, cfg.init_width, mass=cfg.mass)
     elif cfg.init_kind == "random":
-        n = positive_density(grid, seed=cfg.init_seed, mass=cfg.mass,
-                             slope=cfg.init_slope, contrast=cfg.init_amplitude)
-    elif cfg.init_kind == "file":
-        from .seriesio import read_checkpoint
-
-        state, _ = read_checkpoint(cfg.init_file)
-        if state.n.grid.shape != grid.shape:
-            raise ConfigError("init_file: checkpoint grid does not match config grid")
-        n = state.n
+        n = positive_density(grid, seed=cfg.init_seed, mass=cfg.mass, slope=cfg.init_slope)
     else:
         raise ConfigError(f"init_kind: unknown kind {cfg.init_kind!r}")
     return _strip_nyquist(hermitize(n))
 
 
-def scaled_zero_mode_velocity(grid: GridSpec, seed: int, slope: float,
-                              eps: float) -> SpectralField:
+def scaled_zero_mode_velocity(grid: GridSpec, seed: int, eps: float) -> SpectralField:
     """Solenoidal x-independent (u2, u3) with ||u2_0||_H2 + ||u3_0||_H1 = eps."""
-    u = solenoidal_zero_mode(grid, seed=seed, slope=slope)
+    u = solenoidal_zero_mode(grid, seed=seed, slope=3.0)
     u2_0 = split_x(u.component(1))[0]
     u3_0 = split_x(u.component(2))[0]
     size = sobolev_norm(u2_0, 2) + sobolev_norm(u3_0, 1)
@@ -65,11 +55,10 @@ def scaled_zero_mode_velocity(grid: GridSpec, seed: int, slope: float,
 def build_velocity(cfg: RunConfig, grid: GridSpec) -> SpectralField:
     u = zeros(grid, components=3)
     if cfg.u_kind in ("zero_mode", "random") and cfg.u_eps > 0:
-        u.coeffs += scaled_zero_mode_velocity(grid, cfg.u_seed, cfg.u_slope,
-                                              cfg.u_eps).coeffs
+        u.coeffs += scaled_zero_mode_velocity(grid, cfg.u_seed, cfg.u_eps).coeffs
     if cfg.u_kind == "random" and cfg.u_amplitude > 0:
         fluct = fluctuation_only(random_smooth(grid, seed=cfg.u_seed + 1000,
-                                               slope=cfg.u_slope, components=3))
+                                               slope=3.0, components=3))
         fluct = leray_project(fluct)
         norm = np.sqrt(grid.volume * np.sum(np.abs(fluct.coeffs) ** 2))
         if norm > 0:
@@ -78,16 +67,7 @@ def build_velocity(cfg: RunConfig, grid: GridSpec) -> SpectralField:
 
 
 def build_initial_state(cfg: RunConfig) -> State:
-    grid = grid_of(cfg)
-    n = build_density(cfg, grid)
-    u = None
-    velocity = cfg.enable_velocity if cfg.enable_velocity is not None else cfg.dim == 3
-    if velocity:
-        if cfg.init_kind == "file":
-            from .seriesio import read_checkpoint
-
-            state, _ = read_checkpoint(cfg.init_file)
-            u = state.u if state.u is not None else zeros(grid, components=3)
-        else:
-            u = build_velocity(cfg, grid)
+    params = params_of(cfg)
+    n = build_density(cfg, params.grid)
+    u = build_velocity(cfg, params.grid) if params.enable_velocity else None
     return State(t=0.0, n=n, u=u, frame=ShearFrame())

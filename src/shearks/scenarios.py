@@ -192,7 +192,7 @@ def run_check(cfg: RunConfig) -> dict:
             detail = f"max_ratio={rep['max_ratio']:.12f} over {cfg.samples} samples"
         elif suite == "loghls":
             ngrid = GridSpec((min(cfg.nx, 64), min(cfg.ny, 64)))
-            rep = loghls_scan(cfg.loghls_mass, grid=ngrid)
+            rep = loghls_scan(4.0 * np.pi, grid=ngrid)
             detail = (f"minimum={rep['minimum']:.6f} "
                       f"relative_drop={rep['relative_drop']:.2e}")
         elif suite == "gns":

@@ -51,6 +51,14 @@ def effective_k_mesh(grid: GridSpec, drift: float) -> list[np.ndarray]:
     return effective_wavevector(grid.k_mesh(), drift)
 
 
+def frame_k_mesh(params, drift: float) -> list[np.ndarray]:
+    """Wavevectors of a run's fields at this drift: the effective mesh when
+    ``params.enable_shear``, the grid's integer lattice otherwise."""
+    if params.enable_shear:
+        return effective_k_mesh(params.grid, drift)
+    return params.grid.k_mesh()
+
+
 def _shear_exponent(k1, k2, dt: float, drift0: float):
     """integral over [0, dt] of (k2 - k1*(drift0 + s))^2 ds, closed form.
 

@@ -28,7 +28,7 @@ import numpy as np
 from . import diagnostics
 from .inequalities import free_energy
 from .modes import split_x
-from .shear import REMAP_THRESHOLD, ShearFrame, effective_k_mesh, integrating_factor
+from .shear import REMAP_THRESHOLD, ShearFrame, frame_k_mesh, integrating_factor
 from .spectral import (
     ContractViolation,
     GridSpec,
@@ -74,8 +74,6 @@ class Params:
     t_end: float = 10.0
     dt_max: float = 0.05
     fixed_dt: float | None = None
-    a_weight: float = 0.05
-    b_weight: float = 0.08
     monitor_positivity: bool = True
     monitor_tail: bool = True
     drop_tol: float = 1e-6
@@ -88,10 +86,6 @@ class Params:
             raise ValueError("runs need a 2D or 3D grid")
         if self.amplitude < 1.0:
             raise ValueError("shear amplitude A must be >= 1")
-        if not (0.0 < self.a_weight < self.b_weight < 2.0 * self.a_weight):
-            raise ValueError(
-                f"weights must satisfy 0 < a < b < 2a, got a={self.a_weight}, b={self.b_weight}"
-            )
         if self.grid.dim == 2 and self.enable_velocity:
             raise ValueError("2D mode drops the fluid; enable_velocity needs dim = 3")
         if self.t_end <= 0 or self.dt_max <= 0 or self.output_every <= 0:
@@ -110,11 +104,6 @@ class State:
     n: SpectralField
     u: SpectralField | None
     frame: ShearFrame
-
-    def k_mesh(self, params: Params):
-        if params.enable_shear:
-            return effective_k_mesh(self.n.grid, self.frame.drift)
-        return self.n.grid.k_mesh()
 
 
 @dataclass
@@ -271,13 +260,19 @@ def tendency(n: SpectralField, u: SpectralField | None, A: float, k_mesh=None,
 
 def _evaluate(n: SpectralField, u: SpectralField | None, params: Params,
               drift: float, need_aux: bool) -> StageEval:
-    mesh = effective_k_mesh(params.grid, drift) if params.enable_shear else None
-    return tendency(n, u, params.A, mesh, params.enable_chemotaxis,
+    return tendency(n, u, params.A, frame_k_mesh(params, drift), params.enable_chemotaxis,
                     tilt=params.enable_shear, need_aux=need_aux)
 
 
 def choose_dt(params: Params, ev: StageEval, t_remaining: float) -> float:
-    """CFL-limited step from the explicit velocities; shear is exempt."""
+    """CFL-limited step from the explicit velocities; shear is exempt.
+
+    A non-finite speed raises ContractViolation before any step is taken.
+    """
+    bad = [name for name, s in (("velocity", ev.max_u), ("chemotactic", ev.max_chemo))
+           if not math.isfinite(s)]
+    if bad:
+        raise ContractViolation(f"non-finite {' and '.join(bad)} speed")
     if params.fixed_dt is not None:
         return min(params.fixed_dt, t_remaining)
     dx = min(params.grid.spacing)
@@ -374,11 +369,10 @@ def step(state: State, params: Params, t_stop: float | None = None,
     if state.u is not None:
         u_new, dropped_u = apply_op(state.u.coeffs + 0.5 * dt * ev1.rhs_u)
         u_new = u_new + 0.5 * dt * ev2.rhs_u
-        mesh2 = effective_k_mesh(params.grid, new_frame.drift) if params.enable_shear \
-            else params.grid.k_mesh()
         # symmetrize first: odd-in-k operators are ill-defined on the lone
         # Nyquist rows, and projecting after hermitize keeps both invariants
-        u_field = leray_project(hermitize(SpectralField(params.grid, u_new)), k_mesh=mesh2)
+        u_field = leray_project(hermitize(SpectralField(params.grid, u_new)),
+                                k_mesh=frame_k_mesh(params, new_frame.drift))
 
     if tracker is not None and state.u is not None:
         tracker.advance(params, dt, ev1, ev2)
@@ -390,8 +384,7 @@ def step(state: State, params: Params, t_stop: float | None = None,
 def tail_ratio(n: SpectralField, params: Params, drift: float) -> float:
     """Fraction of fluctuation energy at |k_eff| in the top third of the band."""
     grid = params.grid
-    mesh = effective_k_mesh(grid, drift) if params.enable_shear else grid.k_mesh()
-    k2 = _mesh_k2(mesh)
+    k2 = _mesh_k2(frame_k_mesh(params, drift))
     kcut = min(grid.dealias_cutoff(a) for a in range(grid.dim))
     e = np.abs(n.coeffs) ** 2
     e[(0,) * grid.dim] = 0.0
@@ -422,7 +415,7 @@ def _row(state: State, params: Params, dt: float, status: str,
          dropped_frac: float, ledger, n_vals: np.ndarray) -> dict:
     """One series row; n_vals are the collocation values of state.n."""
     n, u = state.n, state.u
-    mesh = state.k_mesh(params)
+    mesh = frame_k_mesh(params, state.frame.drift)
     row = {
         "t": state.t,
         "mass": _mass(n),
@@ -460,8 +453,7 @@ def run(params: Params, init: State, on_sample=None) -> RunResult:
 
     ledger = None
     if params.track_energies:
-        ledger = diagnostics.EnergyLedger(A=params.A, a_weight=params.a_weight,
-                                          b_weight=params.b_weight)
+        ledger = diagnostics.EnergyLedger(A=params.A)
     tracker = None
     if params.track_decomposition and state.u is not None:
         tracker = diagnostics.DecompositionTracker.start(params, state)

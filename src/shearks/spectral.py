@@ -251,10 +251,6 @@ def values_of(F: SpectralField) -> np.ndarray:
     return inverse_transform(F).values
 
 
-def from_values(grid: GridSpec, values: np.ndarray) -> SpectralField:
-    return forward_transform(RealField(grid, np.asarray(values, dtype=float)))
-
-
 # ---------------------------------------------------------------------------
 # differential operators
 #

@@ -3,8 +3,9 @@
 Nothing here is called by ``shearks`` itself.  ``exact_passive_scalar`` is
 the closed-form passive-scalar semigroup; it writes its own exponent and its
 own relabelling, so it shares neither the integrating factor nor the
-propagator of the solver it checks.  The collocation-grid norms are the
-references the solver's sample rows and Parseval are checked against;
+propagator of the solver it checks.  ``from_values`` builds a spectral
+field from closed-form collocation values.  The collocation-grid norms are
+the references the solver's sample rows and Parseval are checked against;
 ``pad_to`` re-samples a band-limited field on a finer grid, and
 ``free_energy_monotone`` grades a run's free-energy column.
 """
@@ -21,6 +22,7 @@ from shearks.spectral import (
     RealField,
     SpectralField,
     fill,
+    forward_transform,
     halve,
     irfft_x,
     rfft_x,
@@ -59,6 +61,11 @@ def exact_passive_scalar(F: SpectralField, t: float, A: float, drift0: float = 0
         dropped += float(np.sum(np.abs(np.where(inside, 0.0, damped[i1])) ** 2))
         out[i1] = np.roll(np.where(inside, damped[i1], 0.0), -k1_row * m, axis=0)
     return SpectralField(grid, out), drift0 + t - m, dropped * grid.volume
+
+
+def from_values(grid: GridSpec, values: np.ndarray) -> SpectralField:
+    """Spectral field of real collocation values."""
+    return forward_transform(RealField(grid, np.asarray(values, dtype=float)))
 
 
 def l2_norm_values(f: RealField) -> float:

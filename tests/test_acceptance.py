@@ -25,7 +25,6 @@ from shearks.spectral import (
     SpectralField,
     divergence,
     forward_transform,
-    from_values,
     hermitize,
     inverse_transform,
     l2_norm,
@@ -34,7 +33,7 @@ from shearks.spectral import (
     solve_chemo,
 )
 
-from oracles import exact_passive_scalar, free_energy_monotone, l2_norm_values
+from oracles import exact_passive_scalar, free_energy_monotone, from_values, l2_norm_values
 
 EIGHT_PI = 8.0 * np.pi
 MASS_3D = 0.8 * 16.0 * np.pi ** 2

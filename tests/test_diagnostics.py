@@ -19,14 +19,13 @@ from shearks.spectral import (
     ContractViolation,
     GridSpec,
     SpectralField,
-    from_values,
     l2_norm,
     leray_project,
     values_of,
     zeros,
 )
 
-from oracles import residual_omega2
+from oracles import from_values, residual_omega2
 
 GRID3 = GridSpec((16, 16, 16))
 CROSS = GridSpec((32, 32))
@@ -214,15 +213,20 @@ class TestDecompositionTracker:
 
 
 class TestEnergyLedger:
+    def test_weights_admissible(self):
+        # the functionals need one weight pair with 0 < a < b < 2a
+        a, b = EnergyLedger.A_WEIGHT, EnergyLedger.B_WEIGHT
+        assert 0.0 < a < b < 2.0 * a
+
     def test_zero_fields_report_zero(self):
-        ledger = EnergyLedger(A=100.0, a_weight=0.05, b_weight=0.08)
+        ledger = EnergyLedger(A=100.0)
         report = energy_report(ledger)
         assert set(report) == {"E11", "E12", "E21", "E22", "E3", "E4", "E51", "E52"}
         assert all(v == 0.0 for v in report.values())
 
     def test_static_unweighted_accumulators(self):
         # constant field, weight 0: sup stays fixed, time integral grows linearly
-        ledger = EnergyLedger(A=1.0, a_weight=0.05, b_weight=0.08)
+        ledger = EnergyLedger(A=1.0)
         tr = ledger.norm_track("q", weight=0.0)
         l2sq = 2 * np.pi ** 2  # ||sin x||^2
         for t in (0.0, 0.5, 1.0, 1.5, 2.0):
@@ -232,7 +236,7 @@ class TestEnergyLedger:
 
     def test_weighted_cancellation(self):
         # field decaying exactly like e^{-wt}: weighted sup accumulator constant
-        ledger = EnergyLedger(A=1000.0, a_weight=0.05, b_weight=0.08)
+        ledger = EnergyLedger(A=1000.0)
         w = ledger.wa
         tr = ledger.norm_track("q", weight=w)
         base = 3.7
@@ -249,7 +253,7 @@ class TestEnergyLedger:
         n = from_values(GRID3, np.full(GRID3.shape, 1.0))
         u = vec_field(GRID3, fy=lambda x, y, z: np.sin(x + z))
         state = State(t=0.0, n=n, u=u, frame=ShearFrame())
-        ledger = EnergyLedger(A=params.A, a_weight=params.a_weight, b_weight=params.b_weight)
+        ledger = EnergyLedger(A=params.A)
         ledger_update(ledger, state, params, None, values_of(n))
         assert ledger.norms["lap_u2_neq"].sup_sq == pytest.approx(16 * np.pi ** 3, rel=1e-12)
 

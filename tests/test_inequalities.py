@@ -15,9 +15,9 @@ from shearks.inequalities import (
     loghls_scan,
 )
 from shearks.sampling import fluctuation_only, gaussian_bump, random_smooth
-from shearks.spectral import ContractViolation, GridSpec, from_values
+from shearks.spectral import ContractViolation, GridSpec
 
-from oracles import free_energy_monotone, pad_to
+from oracles import free_energy_monotone, from_values, pad_to
 
 GRID2 = GridSpec((32, 32))
 

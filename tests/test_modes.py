@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from shearks.modes import split_bar_tilde, split_x
-from shearks.spectral import GridSpec, from_values, l2_norm, spectral_energy
+from shearks.spectral import GridSpec, l2_norm, spectral_energy
 
+from oracles import from_values
 from test_spectral import random_real_field
 
 GRID2 = GridSpec((32, 32))

@@ -8,9 +8,9 @@ import pytest
 from shearks.modes import split_x
 from shearks.shear import ShearFrame, _shear_exponent, effective_wavevector, integrating_factor
 from shearks.solver import Params, _step_operator
-from shearks.spectral import GridSpec, SpectralField, from_values, l2_norm, values_of, zeros
+from shearks.spectral import GridSpec, SpectralField, l2_norm, values_of, zeros
 
-from oracles import exact_passive_scalar
+from oracles import exact_passive_scalar, from_values
 from test_spectral import random_real_field
 
 GRID2 = GridSpec((64, 64))

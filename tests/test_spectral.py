@@ -12,7 +12,6 @@ from shearks.spectral import (
     derivative,
     divergence,
     forward_transform,
-    from_values,
     hermitize,
     inverse_transform,
     l2_norm,
@@ -24,7 +23,7 @@ from shearks.spectral import (
     zeros,
 )
 
-from oracles import l2_norm_values, linf_norm
+from oracles import from_values, l2_norm_values, linf_norm
 
 GRID2 = GridSpec((32, 32))
 GRID3 = GridSpec((16, 16, 16))
