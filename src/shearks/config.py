@@ -130,9 +130,8 @@ def validate_config(cfg: RunConfig):
     for name, n in sizes:
         if n < 8 or n % 2 != 0:
             raise ConfigError(f"{name}: n_modes must be even and >= 8, got {n}")
-    if cfg.scenario in ("simulate", "sweep_mass") and cfg.init_kind == "gaussian":
-        if cfg.scenario == "simulate" and cfg.mass <= 0:
-            raise ConfigError("mass: required positive for simulate runs")
+    if cfg.scenario == "simulate" and cfg.mass <= 0:
+        raise ConfigError("mass: required positive for simulate runs")
     if cfg.scenario == "sweep_mass" and not cfg.masses:
         raise ConfigError("masses: sweep_mass needs a nonempty mass list")
     if cfg.scenario == "rate_fit" and not cfg.a_values:

@@ -60,6 +60,23 @@ class KappaRho:
     rho2_values: np.ndarray
 
 
+def _frame_slopes(U2: SpectralField, A: float) -> tuple[np.ndarray, np.ndarray]:
+    """Values of dy(V), dz(V) for V = y + U2/A; aborts when min dy(V) < 1/2."""
+    if U2.grid.dim != 2 or U2.components != 1:
+        raise ContractViolation("U2 must be a scalar cross-section field")
+    vy = 1.0 + values_of(derivative(U2, 0)) / A
+    vz = values_of(derivative(U2, 1)) / A
+    if float(np.min(vy)) < 0.5:
+        raise ContractViolation("dy(V) dropped below 1/2; quasi-linear frame invalid")
+    return vy, vz
+
+
+def kappa_values(U2: SpectralField, A: float) -> np.ndarray:
+    """Values of kappa = dz(V)/dy(V) alone, for the run's ledger."""
+    vy, vz = _frame_slopes(U2, A)
+    return vz / vy
+
+
 def compute_kappa_rho(U2: SpectralField, A: float) -> KappaRho:
     """Quasi-linear frame V = y + U2/A: kappa = dz(V)/dy(V) and the
     coefficients rho1, rho2 splitting grad(kappa).grad into a grad(V) part
@@ -67,12 +84,7 @@ def compute_kappa_rho(U2: SpectralField, A: float) -> KappaRho:
 
     Aborts when min dy(V) < 1/2 (outside the quasi-linear regime).
     """
-    if U2.grid.dim != 2 or U2.components != 1:
-        raise ContractViolation("U2 must be a scalar cross-section field")
-    vy = 1.0 + values_of(derivative(U2, 0)) / A
-    vz = values_of(derivative(U2, 1)) / A
-    if float(np.min(vy)) < 0.5:
-        raise ContractViolation("dy(V) dropped below 1/2; quasi-linear frame invalid")
+    vy, vz = _frame_slopes(U2, A)
     kv = vz / vy
     kappa = SpectralField(U2.grid, fill(rfft_x(kv, U2.grid), U2.grid))
     dyk = values_of(derivative(kappa, 0))
@@ -366,8 +378,7 @@ def ledger_update(ledger: EnergyLedger, state, params, tracker, n_vals: np.ndarr
     kappa_vals = 0.0
     if tracker is not None:
         try:
-            kr = compute_kappa_rho(tracker.bad_part(), params.A)
-            kappa_vals = kr.kappa_values
+            kappa_vals = kappa_values(tracker.bad_part(), params.A)
         except ContractViolation:
             kappa_vals = 0.0
     def good_derivative(comp_coeffs):

@@ -5,8 +5,9 @@ u around the Couette background, both as spectral fields in a common shear
 frame.  The stiff anisotropic linear part (Couette advection + diffusion) is
 integrated exactly by the per-mode integrating factor of the shear frame;
 every nonlinear and coupling term is advanced explicitly with Heun's method,
-so the passive-scalar limit of the scheme is exact and the overall order in
-dt is two.
+and the overall order in dt is two.  A passive scalar (no velocity, no
+chemotaxis) has no explicit term: its step is the exact propagator alone,
+applied once, so the scheme is exact in that limit.
 
 Rescaled system (diffusivity 1/A, Couette advection y d/dx):
     dn/dt + y dn/dx = (1/A) [lap n - div(n u) - div(n grad c)]
@@ -59,7 +60,7 @@ STATUS_BLOWUP = "blowup"
 STATUS_UNRESOLVED = "unresolved"
 
 CFL = 0.4        # explicit speeds may cross this fraction of a cell per step
-DT_MIN = 1e-12   # a CFL step below this aborts the run as unresolved
+DT_MIN = 1e-12   # a step below this aborts the run as unresolved
 
 
 @dataclass
@@ -197,7 +198,7 @@ class StageEval:
     q_neq_hat: list[np.ndarray] | None = None
 
 
-def tendency(n: SpectralField, u: SpectralField | None, A: float, k_mesh=None,
+def tendency(n: SpectralField, u: SpectralField | None, A: float, k_mesh,
              chemotaxis: bool = True, tilt: bool = False,
              need_aux: bool = False) -> StageEval:
     """Explicit tendencies, the one assembly behind every caller:
@@ -205,14 +206,14 @@ def tendency(n: SpectralField, u: SpectralField | None, A: float, k_mesh=None,
     (1/A) div(u x u)], plus grad lap^-1 dx u2 (pressure response to the
     tilting frame) when tilt is set.  Products are dealiased, forcing terms
     raw; rhs_n conserves mass to round-off and rhs_u is divergence-free for
-    the given wavevectors.  Work runs on the k1 >= 0 half spectrum; with no
-    velocity and no chemotaxis rhs_n is exactly zero and nothing is transformed.
+    the given wavevectors.  Work runs on the k1 >= 0 half spectrum.  A passive
+    scalar (no velocity, no chemotaxis) has no tendency: ``step`` takes the
+    propagator alone, and asking for one raises ContractViolation.
     """
     grid = n.grid
     if u is None and not chemotaxis:
-        return StageEval(rhs_n=np.zeros(grid.shape, dtype=np.complex128), rhs_u=None,
-                         max_u=0.0, max_chemo=0.0)
-    mesh = [halve(m, grid) for m in (grid.k_mesh() if k_mesh is None else k_mesh)]
+        raise ContractViolation("a passive scalar has no explicit tendency")
+    mesh = [halve(m, grid) for m in k_mesh]
     k2 = _mesh_k2(mesh)
     dmask = halve(grid.dealias_mask(), grid)
     n_h = halve(n.coeffs, grid)
@@ -264,23 +265,29 @@ def _evaluate(n: SpectralField, u: SpectralField | None, params: Params,
                     tilt=params.enable_shear, need_aux=need_aux)
 
 
-def choose_dt(params: Params, ev: StageEval, t_remaining: float) -> float:
+def choose_dt(params: Params, ev: StageEval | None, t_remaining: float) -> float:
     """CFL-limited step from the explicit velocities; shear is exempt.
 
-    A non-finite speed raises ContractViolation before any step is taken.
+    ev is None when the step has no explicit term (zero speeds).  A
+    non-finite speed, or a step below DT_MIN, raises ContractViolation
+    before any step is taken.
     """
-    bad = [name for name, s in (("velocity", ev.max_u), ("chemotactic", ev.max_chemo))
+    max_u, max_chemo = (0.0, 0.0) if ev is None else (ev.max_u, ev.max_chemo)
+    bad = [name for name, s in (("velocity", max_u), ("chemotactic", max_chemo))
            if not math.isfinite(s)]
     if bad:
         raise ContractViolation(f"non-finite {' and '.join(bad)} speed")
     if params.fixed_dt is not None:
-        return min(params.fixed_dt, t_remaining)
-    dx = min(params.grid.spacing)
-    dt = params.dt_max
-    speed = max(ev.max_u, ev.max_chemo) / params.A
-    if speed > 0:
-        dt = min(dt, CFL * dx / speed)
-    return min(dt, t_remaining)
+        dt = min(params.fixed_dt, t_remaining)
+    else:
+        dt = params.dt_max
+        speed = max(max_u, max_chemo) / params.A
+        if speed > 0:
+            dt = min(dt, CFL * min(params.grid.spacing) / speed)
+        dt = min(dt, t_remaining)
+    if dt < DT_MIN:
+        raise ContractViolation(f"dt underflow: {dt:.3e}")
+    return dt
 
 
 @dataclass
@@ -342,14 +349,23 @@ def _step_operator(params: Params, frame: ShearFrame, t: float, dt: float):
 
 def step(state: State, params: Params, t_stop: float | None = None,
          tracker: "diagnostics.DecompositionTracker | None" = None) -> tuple[State, StepInfo]:
-    """Advance one Heun step composed with the exact shear propagator."""
-    t_remaining = (t_stop - state.t) if t_stop is not None else params.dt_max
-    ev1 = _evaluate(state.n, state.u, params, state.frame.drift, tracker is not None)
-    dt = choose_dt(params, ev1, t_remaining)
-    if dt < DT_MIN:
-        raise ContractViolation(f"dt underflow: {dt:.3e}")
+    """Advance one Heun step composed with the exact shear propagator.
 
+    A passive scalar has a zero tendency, so its step is the propagator
+    alone, applied once and not symmetrized: the propagator keeps a
+    Hermitian spectrum Hermitian bit for bit (its factor is even in k, its
+    remap gather mirror symmetric, and the lone -n/2 rows stay empty).
+    """
+    t_remaining = (t_stop - state.t) if t_stop is not None else params.dt_max
+    passive = state.u is None and not params.enable_chemotaxis
+    ev1 = None if passive else _evaluate(state.n, state.u, params, state.frame.drift,
+                                         tracker is not None)
+    dt = choose_dt(params, ev1, t_remaining)
     apply_op, new_frame = _step_operator(params, state.frame, state.t, dt)
+    if passive:
+        n_new, dropped_n = apply_op(state.n.coeffs)
+        return (State(t=state.t + dt, n=SpectralField(params.grid, n_new), u=None,
+                      frame=new_frame), StepInfo(dt=dt, dropped_n=dropped_n))
 
     n_pred, _ = apply_op(state.n.coeffs + dt * ev1.rhs_n)
     u_pred = None
@@ -437,16 +453,28 @@ def _row(state: State, params: Params, dt: float, status: str,
     return row
 
 
+def _non_finite(state: State) -> str:
+    """Why the state cannot be advanced or sampled; empty when it can."""
+    bad = [name for name, f in (("density", state.n), ("velocity", state.u))
+           if f is not None and not np.all(np.isfinite(f.coeffs.view(float)))]
+    return f"non-finite {' and '.join(bad)} coefficients" if bad else ""
+
+
 def run(params: Params, init: State, on_sample=None) -> RunResult:
     """Integrate to t_end or until the blow-up monitor fires.
 
     on_sample, when given, is called with (state, row) at every emitted
-    sample; the harness uses it for checkpoints.
+    sample; the harness uses it for checkpoints.  A non-finite initial
+    state, and a ContractViolation raised while a sample is emitted, end
+    the run unresolved with the reason, never with a traceback.
     """
     state = init
     monitor = BlowupMonitor(enabled=params.monitor_tail)
-    n_vals = values_of(state.n)
-    monitor.start(state.t, float(np.max(np.abs(n_vals))))
+    reason = _non_finite(state)
+    if reason:
+        monitor.abort(state.t, reason)
+        return RunResult(status=monitor.status, rows=[], final_state=state, params=params,
+                         monitor=monitor)
     mass0 = _mass(state.n)
     fluct0 = spectral_energy(state.n) - state.n.grid.volume * (mass0 / state.n.grid.volume) ** 2
     fluct0 = max(fluct0, 1e-300)
@@ -471,9 +499,13 @@ def run(params: Params, init: State, on_sample=None) -> RunResult:
         rows.append(row)
         if on_sample is not None:
             on_sample(state, row)
-        return row
 
-    emit(0.0, n_vals)
+    try:
+        n_vals = values_of(state.n)
+        monitor.start(state.t, float(np.max(np.abs(n_vals))))
+        emit(0.0, n_vals)
+    except ContractViolation as err:
+        monitor.abort(state.t, str(err))
     next_sample = state.t + params.output_every
     eps = 1e-9 * params.output_every
 
@@ -487,30 +519,33 @@ def run(params: Params, init: State, on_sample=None) -> RunResult:
         last_dt = info.dt
         dropped_total += info.dropped_n
         dropped_u += info.dropped_u
-        bad = [name for name, f in (("density", state.n), ("velocity", state.u))
-               if f is not None and not np.all(np.isfinite(f.coeffs.view(float)))]
-        if bad:
-            monitor.abort(state.t, f"non-finite {' and '.join(bad)} coefficients")
+        reason = _non_finite(state)
+        if reason:
+            monitor.abort(state.t, reason)
             break
         if dropped_total / fluct0 > params.drop_tol:
             monitor.abort(state.t, f"dropped energy fraction {dropped_total / fluct0:.2e}")
             break
         if state.t >= target - eps:
-            n_vals = values_of(state.n)
-            if params.enable_chemotaxis:
-                pos_floor = math.inf if not params.monitor_positivity else \
-                    monitor.positivity_tol * max(monitor.linf_max, monitor.linf0)
-                monitor.observe(
-                    t=state.t, t_prev=t_prev_sample,
-                    linf=float(np.max(np.abs(n_vals))), n_min=float(np.min(n_vals)),
-                    tail_ratio=tail_ratio(state.n, params, state.frame.drift),
-                    pos_floor=pos_floor,
-                )
-            # relative mass drift is a hard invariant on every accepted run
-            if abs(_mass(state.n) - mass0) > 1e-8 * max(abs(mass0), 1.0):
-                monitor.abort(state.t, "mass conservation violated")
-            t_prev_sample = state.t
-            emit(last_dt, n_vals)
+            try:
+                n_vals = values_of(state.n)
+                if params.enable_chemotaxis:
+                    pos_floor = math.inf if not params.monitor_positivity else \
+                        monitor.positivity_tol * max(monitor.linf_max, monitor.linf0)
+                    monitor.observe(
+                        t=state.t, t_prev=t_prev_sample,
+                        linf=float(np.max(np.abs(n_vals))), n_min=float(np.min(n_vals)),
+                        tail_ratio=tail_ratio(state.n, params, state.frame.drift),
+                        pos_floor=pos_floor,
+                    )
+                # relative mass drift is a hard invariant on every accepted run
+                if abs(_mass(state.n) - mass0) > 1e-8 * max(abs(mass0), 1.0):
+                    monitor.abort(state.t, "mass conservation violated")
+                t_prev_sample = state.t
+                emit(last_dt, n_vals)
+            except ContractViolation as err:
+                monitor.abort(state.t, str(err))
+                break
             next_sample += params.output_every
 
     if monitor.status == STATUS_RUNNING and state.t >= params.t_end - eps:

@@ -9,6 +9,7 @@ from shearks.diagnostics import (
     compute_omega2,
     energy_report,
     kappa_identity_residual,
+    kappa_values,
     ledger_update,
 )
 from shearks.modes import split_bar_tilde, split_x
@@ -131,6 +132,8 @@ class TestKappaRho:
         U2 = from_values(CROSS, -2.0 * np.sin(y) + np.zeros(CROSS.shape))
         with pytest.raises(ContractViolation, match="1/2"):
             compute_kappa_rho(U2, A=1.0)
+        with pytest.raises(ContractViolation, match="1/2"):
+            kappa_values(U2, A=1.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_identity_residual_random(self, seed):
@@ -140,6 +143,7 @@ class TestKappaRho:
                        for c in (U2.coeffs,))
         U2.coeffs *= 0.1 * A / max(grad_max, 1e-30)
         kr = compute_kappa_rho(U2, A)
+        assert np.array_equal(kappa_values(U2, A), kr.kappa_values)  # the ledger's path
         grid3 = GridSpec((16, 32, 32))
         u3 = split_x(random_smooth(grid3, seed=seed + 100))[1]
         assert kappa_identity_residual(kr, u3) < 1e-10

@@ -69,6 +69,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="a_values"):
             parse_config("scenario = rate_fit")
 
+    @pytest.mark.parametrize("init_kind", ["gaussian", "random"])
+    def test_simulate_needs_positive_mass(self, init_kind):
+        # an all-zero density has no Linf baseline for the blow-up monitor
+        with pytest.raises(ConfigError, match="mass: required positive"):
+            parse_config(f"scenario = simulate\nnx = 16\nny = 16\ninit_kind = {init_kind}")
+
     def test_mass_list_parsing(self):
         cfg = parse_config("scenario = sweep_mass\nmass = 1\nmasses = 1.0, 2.5, 3")
         assert cfg.masses == (1.0, 2.5, 3.0)

@@ -69,7 +69,7 @@ class TestParamsValidation:
 class TestRhsDensity:
     def test_constant_density_is_fixed_point(self):
         n = from_values(GRID2, np.full(GRID2.shape, 2.0))
-        out = tendency(n, None, A=1.0).rhs_n
+        out = tendency(n, None, A=1.0, k_mesh=GRID2.k_mesh()).rhs_n
         assert np.max(np.abs(out)) < 1e-14
 
     def test_cos_y_hand_value(self):
@@ -77,7 +77,7 @@ class TestRhsDensity:
         _, y = GRID2.coordinate_mesh()
         n = from_values(GRID2, 1.0 + np.cos(y) + np.zeros(GRID2.shape))
         A = 3.0
-        out = SpectralField(GRID2, tendency(n, None, A=A).rhs_n)
+        out = SpectralField(GRID2, tendency(n, None, A=A, k_mesh=GRID2.k_mesh()).rhs_n)
         expected = (np.cos(y) + np.cos(2 * y)) / A + np.zeros(GRID2.shape)
         assert np.max(np.abs(values_of(out) - expected)) < 1e-10
 
@@ -85,7 +85,7 @@ class TestRhsDensity:
         n = random_smooth(GRID3, seed=1)
         n.coeffs[0, 0, 0] = 1.0
         u = leray_project(random_smooth(GRID3, seed=2, components=3))
-        out = tendency(n, u, A=2.0).rhs_n
+        out = tendency(n, u, A=2.0, k_mesh=GRID3.k_mesh()).rhs_n
         assert abs(out[0, 0, 0]) < 1e-14
 
 
@@ -94,7 +94,7 @@ class TestRhsVelocity:
         n = from_values(GRID3, np.full(GRID3.shape, 1.5))
         u = zeros(GRID3, components=3)
         A = 4.0
-        out = tendency(n, u, A, chemotaxis=False).rhs_u
+        out = tendency(n, u, A, GRID3.k_mesh(), chemotaxis=False).rhs_u
         # projected forcing (n/A) e1 keeps only its mean; mean u1 grows at nbar/A
         assert out[0][0, 0, 0] == pytest.approx(1.5 / A)
         off = out.copy()
@@ -106,13 +106,14 @@ class TestRhsVelocity:
         u = zeros(GRID3, components=3)
         u.coeffs[0] = from_values(GRID3, np.sin(y) + np.zeros(GRID3.shape)).coeffs
         n = zeros(GRID3)
-        out = tendency(n, u, A=2.0, chemotaxis=False).rhs_u
+        out = tendency(n, u, A=2.0, k_mesh=GRID3.k_mesh(), chemotaxis=False).rhs_u
         assert np.max(np.abs(out)) < 1e-13
 
     def test_divergence_free_output(self):
         n = random_smooth(GRID3, seed=3)
         u = leray_project(random_smooth(GRID3, seed=4, components=3))
-        out = SpectralField(GRID3, tendency(n, u, A=1.5, chemotaxis=False).rhs_u)
+        out = SpectralField(GRID3, tendency(n, u, A=1.5, k_mesh=GRID3.k_mesh(),
+                                             chemotaxis=False).rhs_u)
         assert l2_norm(divergence(out)) <= 1e-12 * max(l2_norm(out), 1e-30)
 
 
@@ -178,6 +179,47 @@ class TestPassiveScalarOracle:
         assert drift == pytest.approx(state.frame.drift)
         err = l2_norm(SpectralField(GRID2, state.n.coeffs - exact.coeffs))
         assert err <= 1e-12 * max(l2_norm(exact), 1e-30)
+
+
+class TestPassiveStep:
+    """A passive step is the exact propagator applied once."""
+
+    def test_no_evaluation_and_no_symmetrization(self, monkeypatch):
+        calls = {"_evaluate": 0, "hermitize": 0}
+        for name in calls:
+            def counting(*args, _name=name, _orig=getattr(solver, name), **kw):
+                calls[_name] += 1
+                return _orig(*args, **kw)
+            monkeypatch.setattr(solver, name, counting)
+        params = make_params(GRID2, enable_shear=True, enable_chemotaxis=False,
+                             amplitude=50.0, fixed_dt=0.3, dt_max=0.3)
+        state = make_state(GRID2, fluctuation_only(random_smooth(GRID2, seed=3)))
+        for _ in range(4):  # crosses a remap at drift 1
+            apply, frame = solver._step_operator(params, state.frame, state.t, 0.3)
+            want, dropped = apply(state.n.coeffs)
+            state, info = step(state, params)
+            assert np.array_equal(state.n.coeffs, want) and state.frame == frame
+            assert info.dt == 0.3 and info.dropped_n == dropped
+        assert calls == {"_evaluate": 0, "hermitize": 0}
+        # the counters do see a chemotaxis step: two evaluations, one symmetrization
+        step(state, replace(params, enable_chemotaxis=True))
+        assert calls == {"_evaluate": 2, "hermitize": 1}
+
+    def test_hermitian_bit_for_bit_across_remaps(self):
+        grid = GridSpec((128, 128))
+        params = make_params(grid, enable_shear=True, enable_chemotaxis=False,
+                             amplitude=1e3, fixed_dt=0.05, dt_max=0.05, t_end=3.0)
+        f = random_smooth(grid, seed=11, band_limit=False)
+        nyquist = (np.abs(grid.k_mesh()[0]) == 64) | (np.abs(grid.k_mesh()[1]) == 64)
+        f.coeffs[nyquist] = 0.0
+        assert np.array_equal(f.coeffs, spectral.conj_reverse(f.coeffs, 2))
+        state, remaps = make_state(grid, f), 0
+        for _ in range(60):
+            state, _ = step(state, params)
+            remaps += state.frame.t_last_remap == state.t
+            assert np.array_equal(state.n.coeffs, spectral.conj_reverse(state.n.coeffs, 2))
+            assert not np.any(state.n.coeffs[nyquist])
+        assert remaps >= 2
 
 
 class TestSelfConvergence:
@@ -296,6 +338,34 @@ class TestSamples:
         assert "velocity" in result.monitor.reason
         # caught before the first step, at the state's own time
         assert result.monitor.t_event == 0.0 and result.final_state.t == 0.0
+
+    def test_non_finite_initial_density_is_named(self, tmp_path):
+        text = (CONFIGS / "sweep_2d_critical_mass.conf").read_text()
+        cfg = parse_config(text + f"\nscenario = simulate\nnx = 16\nny = 16\n"
+                                  f"out_dir = {tmp_path}\n")
+        state = build_initial_state(cfg)
+        state.n.coeffs[1, 2] = np.nan
+        summary = run_simulate(cfg, init=state)
+        assert summary["status"] == "unresolved" and summary["rows"] == 0
+        assert summary["reason"] == "non-finite density coefficients"
+        assert summary["t_event"] == 0.0 and summary["t_final"] == 0.0
+
+    def test_sample_contract_violation_is_classified(self, monkeypatch):
+        ledger_update = diagnostics.ledger_update
+
+        def failing_at_half(ledger, state, *args):
+            if state.t >= 0.5:
+                raise ContractViolation("ledger refused the sample")
+            return ledger_update(ledger, state, *args)
+        monkeypatch.setattr(diagnostics, "ledger_update", failing_at_half)
+        params = make_params(GRID2, t_end=1.0, output_every=0.25, track_energies=True)
+        n = gaussian_bump(GRID2, width=1.0, mass=4 * np.pi)
+        result = run(params, make_state(GRID2, n))
+        assert result.status == "unresolved"
+        assert result.monitor.reason == "ledger refused the sample"
+        assert result.monitor.t_event == pytest.approx(0.5)
+        assert [row["t"] for row in result.rows] == pytest.approx([0.0, 0.25])
+        assert result.rows[-1]["status"] == "unresolved"
 
     @pytest.mark.parametrize("fixed_dt", [None, 0.01])
     def test_choose_dt_rejects_non_finite_speed(self, fixed_dt):

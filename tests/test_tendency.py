@@ -17,7 +17,13 @@ from shearks.modes import split_x
 from shearks.sampling import random_smooth
 from shearks.shear import effective_k_mesh
 from shearks.solver import Params, _evaluate
-from shearks.spectral import GridSpec, SpectralField, conj_reverse, leray_project
+from shearks.spectral import (
+    ContractViolation,
+    GridSpec,
+    SpectralField,
+    conj_reverse,
+    leray_project,
+)
 
 GRID2 = GridSpec((32, 24))
 GRID3 = GridSpec((16, 12, 20))
@@ -119,6 +125,11 @@ def test_kernel_matches_full_complex_oracle(grid, shear, chemo, drift):
     params = Params(grid=grid, amplitude=7.0, enable_shear=shear, enable_chemotaxis=chemo,
                     enable_velocity=grid.dim == 3)
     n, u = random_state(grid, seed=17)
+    if u is None and not chemo:
+        # a passive scalar has no tendency: the solver steps it exactly
+        with pytest.raises(ContractViolation, match="passive"):
+            _evaluate(n, u, params, drift, need_aux=False)
+        return
     ev = _evaluate(n, u, params, drift, need_aux=u is not None)
     rhs_n, rhs_u, max_u, max_chemo, q_neq_hat = oracle(n, u, params, drift)
     mask = off_nyquist(grid)
@@ -129,8 +140,6 @@ def test_kernel_matches_full_complex_oracle(grid, shear, chemo, drift):
     assert ev.max_chemo == pytest.approx(max_chemo, rel=1e-12, abs=0.0)
     if u is None:
         assert ev.rhs_u is None and ev.q_neq_hat is None
-        if not chemo:
-            assert not np.any(ev.rhs_n)  # passive: exactly zero
         return
     assert_close(ev.rhs_u, rhs_u, mask)
     assert_mirror_exact(ev.rhs_u, grid)
