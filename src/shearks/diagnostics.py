@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modes import split_bar_tilde, split_x
+from .modes import split_bar_tilde, split_x, zero_mode
 from .shear import frame_k_mesh
 from .spectral import (
     ContractViolation,
@@ -129,8 +129,7 @@ class DecompositionTracker:
 
     @classmethod
     def start(cls, params, state) -> "DecompositionTracker":
-        u1 = state.u.component(0)
-        g1 = split_x(u1)[0]
+        g1 = zero_mode(state.u.component(0)).copy()
         cross = g1.grid
         zero = lambda: SpectralField(cross, np.zeros(cross.shape, dtype=np.complex128))
         return cls(G1=g1, B1=zero(), B2=zero())
@@ -194,10 +193,8 @@ class DecompositionTracker:
         A = params.A
         mask = cross.dealias_mask()
         mesh = cross.k_mesh()
-        u = state.u
-        u2_0 = split_x(u.component(1))[0]
-        u3_0 = split_x(u.component(2))[0]
-        n_0 = split_x(state.n)[0]
+        u2_0, u3_0 = zero_mode(state.u.component(1)), zero_mode(state.u.component(2))
+        n_0 = zero_mode(state.n)
         u2v, u3v, b2v = irfft_x(halve(np.stack([u2_0.coeffs, u3_0.coeffs, self.B2.coeffs])
                                       * mask, cross), cross)
         fy, fz = fill(rfft_x(np.stack([u2v * b2v, u3v * b2v]), cross), cross)
@@ -343,10 +340,8 @@ def ledger_update(ledger: EnergyLedger, state, params, tracker, n_vals: np.ndarr
     cweights = _norm_weights(cross, cmesh)
 
     # Y0 group: zero-mode velocities and their derivatives
-    u2_0 = split_x(u.component(1))[0]
-    u3_0 = split_x(u.component(2))[0]
     ck2 = cross.k_squared()
-    for name, f0 in (("u2_0", u2_0), ("u3_0", u3_0)):
+    for name, f0 in (("u2_0", zero_mode(u.component(1))), ("u3_0", zero_mode(u.component(2)))):
         _observe_field(ledger, name, 0.0, t, f0.coeffs, cross, cweights)
         grad = np.stack([1j * np.broadcast_to(cmesh[a], cross.shape) * f0.coeffs
                          for a in range(2)])

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ConfigError, RunConfig, params_of
-from .modes import split_x
+from .modes import zero_mode
 from .sampling import (
     fluctuation_only,
     gaussian_bump,
@@ -42,9 +42,7 @@ def build_density(cfg: RunConfig, grid: GridSpec) -> SpectralField:
 def scaled_zero_mode_velocity(grid: GridSpec, seed: int, eps: float) -> SpectralField:
     """Solenoidal x-independent (u2, u3) with ||u2_0||_H2 + ||u3_0||_H1 = eps."""
     u = solenoidal_zero_mode(grid, seed=seed, slope=3.0)
-    u2_0 = split_x(u.component(1))[0]
-    u3_0 = split_x(u.component(2))[0]
-    size = sobolev_norm(u2_0, 2) + sobolev_norm(u3_0, 1)
+    size = sobolev_norm(zero_mode(u.component(1)), 2) + sobolev_norm(zero_mode(u.component(2)), 1)
     if size > 0 and eps > 0:
         u.coeffs *= eps / size
     elif eps == 0:

@@ -11,19 +11,24 @@ from __future__ import annotations
 from .spectral import ContractViolation, SpectralField
 
 
+def zero_mode(F: SpectralField) -> SpectralField:
+    """The x-average of F on the cross-section grid: a view of its k1 = 0
+    plane, so reading it copies nothing."""
+    if F.grid.dim < 2:
+        raise ContractViolation("a zero mode needs a grid with dim >= 2")
+    take = (slice(None),) * (F.coeffs.ndim - F.grid.dim) + (0,)
+    return SpectralField(F.grid.cross_section(), F.coeffs[take])
+
+
 def split_x(F: SpectralField) -> tuple[SpectralField, SpectralField]:
     """(zero mode on the cross-section grid, fluctuation on the full torus).
 
     Exact in spectral space: the zero mode collects the k1 = 0 plane, the
     fluctuation everything else.
     """
-    if F.grid.dim < 2:
-        raise ContractViolation("split_x needs a grid with dim >= 2")
-    cross = F.grid.cross_section()
-    take = (slice(None),) * (F.coeffs.ndim - F.grid.dim) + (0,)
-    zero = SpectralField(cross, F.coeffs[take].copy())
+    zero = zero_mode(F).copy()
     fluct = F.coeffs.copy()
-    fluct[take] = 0.0
+    fluct[(slice(None),) * (F.coeffs.ndim - F.grid.dim) + (0,)] = 0.0
     return zero, SpectralField(F.grid, fluct)
 
 

@@ -1,11 +1,12 @@
 """Time integration of the rescaled chemotaxis-fluid system.
 
 State variables are the cell density n and (in 3D) the velocity perturbation
-u around the Couette background, both as spectral fields in a common shear
-frame.  The stiff anisotropic linear part (Couette advection + diffusion) is
-integrated exactly by the per-mode integrating factor of the shear frame;
-every nonlinear and coupling term is advanced explicitly with Heun's method,
-and the overall order in dt is two.  A passive scalar (no velocity, no
+u around the Couette background, both stored as full spectra in a common
+shear frame; a step works on their k1 >= 0 halves and fills each once.  The
+stiff anisotropic linear part (Couette advection + diffusion) is integrated
+exactly by the per-mode integrating factor of the shear frame; every
+nonlinear and coupling term is advanced explicitly with Heun's method, and
+the overall order in dt is two.  A passive scalar (no velocity, no
 chemotaxis) has no explicit term: its step is the exact propagator alone,
 applied once, so the scheme is exact in that limit.
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import diagnostics
 from .inequalities import free_energy
-from .modes import split_x
+from .modes import zero_mode
 from .shear import REMAP_THRESHOLD, ShearFrame, frame_k_mesh, integrating_factor
 from .spectral import (
     ContractViolation,
@@ -42,7 +43,6 @@ from .spectral import (
     irfft_x,
     l2_norm,
     leray_coeffs,
-    leray_project,
     rfft_x,
     spectral_energy,
     values_of,
@@ -180,12 +180,12 @@ class BlowupMonitor:
 
 @dataclass
 class StageEval:
-    """One explicit right-hand-side evaluation plus shared intermediates.
+    """One explicit evaluation, rhs_n and rhs_u as k1 >= 0 half spectra.
 
     The aux fields feed the decomposition tracker: raw zero modes for the
-    forcing terms (the solver adds those unmasked), physical values of the
-    dealiased zero-mode velocities for the advection products, and the
-    fluctuation-product spectra (u_j,neq u_1,neq)_0.
+    forcing terms (k1 = 0 plane views; the solver adds them unmasked),
+    physical values of the dealiased zero-mode velocities for the advection
+    products, and the fluctuation-product spectra (u_j,neq u_1,neq)_0.
     """
 
     rhs_n: np.ndarray
@@ -198,7 +198,7 @@ class StageEval:
     q_neq_hat: list[np.ndarray] | None = None
 
 
-def tendency(n: SpectralField, u: SpectralField | None, A: float, k_mesh,
+def tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: float, k_mesh,
              chemotaxis: bool = True, tilt: bool = False,
              need_aux: bool = False) -> StageEval:
     """Explicit tendencies, the one assembly behind every caller:
@@ -206,22 +206,20 @@ def tendency(n: SpectralField, u: SpectralField | None, A: float, k_mesh,
     (1/A) div(u x u)], plus grad lap^-1 dx u2 (pressure response to the
     tilting frame) when tilt is set.  Products are dealiased, forcing terms
     raw; rhs_n conserves mass to round-off and rhs_u is divergence-free for
-    the given wavevectors.  Work runs on the k1 >= 0 half spectrum.  A passive
-    scalar (no velocity, no chemotaxis) has no tendency: ``step`` takes the
+    the given wavevectors.  n_h, u_h and both tendencies are k1 >= 0 half
+    spectra (``halve``); k_mesh is the grid's whole mesh.  A passive scalar
+    (no velocity, no chemotaxis) has no tendency: ``step`` takes the
     propagator alone, and asking for one raises ContractViolation.
     """
-    grid = n.grid
-    if u is None and not chemotaxis:
+    if u_h is None and not chemotaxis:
         raise ContractViolation("a passive scalar has no explicit tendency")
     mesh = [halve(m, grid) for m in k_mesh]
     k2 = _mesh_k2(mesh)
     dmask = halve(grid.dealias_mask(), grid)
-    n_h = halve(n.coeffs, grid)
     n_phys = irfft_x(n_h * dmask, grid)
     max_u = max_chemo = 0.0
     rhs_u = None
-    if u is not None:
-        u_h = halve(u.coeffs, grid)
+    if u_h is not None:
         u_phys = irfft_x(u_h * dmask, grid)
         max_u = float(np.max(np.abs(u_phys)))
         pairs = [(i, j) for i in range(grid.dim) for j in range(i, grid.dim)]
@@ -238,31 +236,30 @@ def tendency(n: SpectralField, u: SpectralField | None, A: float, k_mesh,
         c_h = np.where(k2 > 0.0, n_h / np.where(k2 > 0.0, k2, 1.0), 0.0)  # lap c = -(n - mean n)
         grad_c = irfft_x(np.stack([(1j * mesh[a] * c_h) * dmask for a in range(grid.dim)]), grid)
         max_chemo = float(np.max(np.abs(grad_c)))
-        flux = grad_c if u is None else u_phys + grad_c
+        flux = grad_c if u_h is None else u_phys + grad_c
     else:
         flux = u_phys
     flux_hat = rfft_x(flux * n_phys, grid)
     rhs_n = (-1.0 / A) * sum(1j * mesh[a] * flux_hat[a] for a in range(grid.dim)) * dmask
 
     aux = {}
-    if need_aux and u is not None:
+    if need_aux and u_h is not None:
+        # the k1 = 0 plane of a half spectrum is complete: the zero modes are views
         cross = grid.cross_section()
         cmask = halve(cross.dealias_mask(), cross)
-        u_zero_vals = list(irfft_x(halve(u.coeffs[:, 0], cross) * cmask, cross))
-        # the k1 = 0 plane of a half spectrum is complete
+        u_zero_vals = list(irfft_x(halve(u_h[:, 0], cross) * cmask, cross))
         q_neq_hat = [uu[slot[j, 0]][0] - fill(rfft_x(u_zero_vals[j] * u_zero_vals[0], cross), cross)
                      for j in (1, 2)]
-        aux = {"n_zero": split_x(n)[0],
-               "u_zero": [split_x(u.component(i))[0] for i in range(grid.dim)],
+        aux = {"n_zero": SpectralField(cross, n_h[0]),
+               "u_zero": [SpectralField(cross, c) for c in u_h[:, 0]],
                "u_zero_vals": u_zero_vals, "q_neq_hat": q_neq_hat}
-    return StageEval(rhs_n=fill(rhs_n, grid), rhs_u=None if rhs_u is None else fill(rhs_u, grid),
-                     max_u=max_u, max_chemo=max_chemo, **aux)
+    return StageEval(rhs_n=rhs_n, rhs_u=rhs_u, max_u=max_u, max_chemo=max_chemo, **aux)
 
 
-def _evaluate(n: SpectralField, u: SpectralField | None, params: Params,
+def _evaluate(n_h: np.ndarray, u_h: np.ndarray | None, params: Params,
               drift: float, need_aux: bool) -> StageEval:
-    return tendency(n, u, params.A, frame_k_mesh(params, drift), params.enable_chemotaxis,
-                    tilt=params.enable_shear, need_aux=need_aux)
+    return tendency(n_h, u_h, params.grid, params.A, frame_k_mesh(params, drift),
+                    params.enable_chemotaxis, tilt=params.enable_shear, need_aux=need_aux)
 
 
 def choose_dt(params: Params, ev: StageEval | None, t_remaining: float) -> float:
@@ -300,100 +297,105 @@ class StepInfo:
 def _step_operator(params: Params, frame: ShearFrame, t: float, dt: float):
     """The exact shear + diffusion propagator over [t, t+dt], and the new frame.
 
-    Returns ``apply(coeffs) -> (coeffs, dropped energy)`` for every field of
-    the step, leading component axes included.  Each mode is damped by the
-    closed-form integrating factor of its drifting wavevector.  Once the
-    drift reaches REMAP_THRESHOLD the coefficients are relabelled (Rogallo
-    remap): index k2 moves to k2 - k1*shift with shift = rint(drift), which
-    keeps the physical wavevector, and modes moved beyond |k2| <= n2/2 - 1
-    are dropped with their spectral energy returned.
+    Returns ``apply(half) -> (half, dropped energy)`` for the k1 >= 0 half
+    spectrum (``halve``) of every field of the step, leading component axes
+    included.  Each mode is damped by the closed-form integrating factor of
+    its drifting wavevector.  Once the drift reaches REMAP_THRESHOLD the
+    coefficients are relabelled (Rogallo remap): index k2 moves to
+    k2 - k1*shift with shift = rint(drift), within its k1 row, which keeps
+    the physical wavevector, and modes moved beyond |k2| <= n2/2 - 1 are
+    dropped.  The dropped energy is that of the whole spectrum, summed over
+    the whole grid's lost modes in their row-major order.
     """
-    grid = params.grid
-    A = params.A
-    if not params.enable_shear:
-        factor = np.exp(-grid.k_squared() * dt / A)
-        def apply(coeffs):
-            return coeffs * factor, 0.0
-        return apply, frame
-
-    mesh = grid.k_mesh()
-    factor = integrating_factor(mesh, 0.0, dt, frame.drift, A)
-    new_drift = frame.drift + dt
-    shift = int(np.rint(new_drift)) if abs(new_drift) >= REMAP_THRESHOLD else 0
+    grid, A = params.grid, params.A
+    if params.enable_shear:
+        factor = integrating_factor([halve(m, grid) for m in grid.k_mesh()], 0.0, dt,
+                                    frame.drift, A)
+        drift = frame.drift + dt
+        shift = int(np.rint(drift)) if abs(drift) >= REMAP_THRESHOLD else 0
+    else:
+        factor = np.exp(-halve(grid.k_squared(), grid) * dt / A)
+        drift, shift = frame.drift, 0
     if shift == 0:
-        new_frame = ShearFrame(frame.t_last_remap, new_drift)
         def apply(coeffs):
             return coeffs * factor, 0.0
-        return apply, new_frame
+        return apply, ShearFrame(frame.t_last_remap, drift)
 
-    new_frame = ShearFrame(t_last_remap=t + dt, drift=new_drift - shift)
+    new_frame = ShearFrame(t_last_remap=t + dt, drift=drift - shift)
     # one gather, built once per remap step: (i1, i2) -> (i1, k2_new % n2)
     n2 = grid.shape[1]
-    k1s = grid.wavenumbers(0).astype(int)
-    k2s = grid.wavenumbers(1).astype(int)
-    k2_new = k2s[None, :] - k1s[:, None] * shift
+    k2_new = (grid.wavenumbers(1).astype(int)[None, :]
+              - grid.wavenumbers(0).astype(int)[:, None] * shift)
     keep = np.abs(k2_new) <= n2 // 2 - 1  # the lone -n2/2 row stays empty: Hermitian band
-    i1, i2 = np.nonzero(keep)
-    dst = k2_new[keep] % n2
     lost = np.nonzero(~keep)
+    i1, i2 = np.nonzero(keep[: grid.shape[0] // 2 + 1])
+    dst = k2_new[i1, i2] % n2
 
     def apply(coeffs):
         scaled = coeffs * factor
         lead = (slice(None),) * (scaled.ndim - grid.dim)
         out = np.zeros_like(scaled)
         out[lead + (i1, dst)] = scaled[lead + (i1, i2)]
-        dropped = float(np.sum(np.abs(scaled[lead + lost]) ** 2))
+        dropped = float(np.sum(fill(np.abs(scaled) ** 2, grid)[lead + lost]))
         return out, dropped * grid.volume
     return apply, new_frame
+
+
+def _real_field(half: np.ndarray, grid: GridSpec, mesh=None) -> SpectralField:
+    """The real field of a step's k1 >= 0 half spectrum, filled once: in place,
+    the lone -n/2 rows are zeroed (odd-in-k operators are ill-defined there),
+    the k1 = 0 plane, complete in the half, is symmetrized, and a velocity is
+    then Leray-projected on the half mesh, which keeps both."""
+    lead = half.ndim - grid.dim
+    for axis, n in enumerate(grid.shape):
+        half[(slice(None),) * (lead + axis) + (n // 2,)] = 0.0
+    plane = (slice(None),) * lead + (0,)
+    half[plane] = hermitize(SpectralField(grid.cross_section(), half[plane])).coeffs
+    if mesh is not None:
+        half = leray_coeffs(half, mesh)
+    return SpectralField(grid, fill(half, grid))
 
 
 def step(state: State, params: Params, t_stop: float | None = None,
          tracker: "diagnostics.DecompositionTracker | None" = None) -> tuple[State, StepInfo]:
     """Advance one Heun step composed with the exact shear propagator.
 
+    Runs on the k1 >= 0 halves of n and u and fills each output once
+    (``_real_field``); without t_stop the step is not clipped.
     A passive scalar has a zero tendency, so its step is the propagator
     alone, applied once and not symmetrized: the propagator keeps a
     Hermitian spectrum Hermitian bit for bit (its factor is even in k, its
     remap gather mirror symmetric, and the lone -n/2 rows stay empty).
     """
-    t_remaining = (t_stop - state.t) if t_stop is not None else params.dt_max
+    grid = params.grid
+    t_remaining = (t_stop - state.t) if t_stop is not None else math.inf
     passive = state.u is None and not params.enable_chemotaxis
-    ev1 = None if passive else _evaluate(state.n, state.u, params, state.frame.drift,
-                                         tracker is not None)
+    n_h = halve(state.n.coeffs, grid)
+    u_h = None if state.u is None else halve(state.u.coeffs, grid)
+    ev1 = None if passive else _evaluate(n_h, u_h, params, state.frame.drift, tracker is not None)
     dt = choose_dt(params, ev1, t_remaining)
     apply_op, new_frame = _step_operator(params, state.frame, state.t, dt)
     if passive:
-        n_new, dropped_n = apply_op(state.n.coeffs)
-        return (State(t=state.t + dt, n=SpectralField(params.grid, n_new), u=None,
+        n_new, dropped_n = apply_op(n_h)
+        return (State(t=state.t + dt, n=SpectralField(grid, fill(n_new, grid)), u=None,
                       frame=new_frame), StepInfo(dt=dt, dropped_n=dropped_n))
 
-    n_pred, _ = apply_op(state.n.coeffs + dt * ev1.rhs_n)
-    u_pred = None
-    if state.u is not None:
-        u_pred_coeffs, _ = apply_op(state.u.coeffs + dt * ev1.rhs_u)
-        u_pred = SpectralField(params.grid, u_pred_coeffs)
-
-    ev2 = _evaluate(SpectralField(params.grid, n_pred), u_pred, params,
-                    new_frame.drift, tracker is not None)
-
-    n_new, dropped_n = apply_op(state.n.coeffs + 0.5 * dt * ev1.rhs_n)
-    n_new = n_new + 0.5 * dt * ev2.rhs_n
-    n_field = hermitize(SpectralField(params.grid, n_new))
-
-    u_field = None
-    dropped_u = 0.0
-    if state.u is not None:
-        u_new, dropped_u = apply_op(state.u.coeffs + 0.5 * dt * ev1.rhs_u)
-        u_new = u_new + 0.5 * dt * ev2.rhs_u
-        # symmetrize first: odd-in-k operators are ill-defined on the lone
-        # Nyquist rows, and projecting after hermitize keeps both invariants
-        u_field = leray_project(hermitize(SpectralField(params.grid, u_new)),
-                                k_mesh=frame_k_mesh(params, new_frame.drift))
-
-    if tracker is not None and state.u is not None:
+    n_pred, _ = apply_op(n_h + dt * ev1.rhs_n)
+    u_pred = None if u_h is None else apply_op(u_h + dt * ev1.rhs_u)[0]
+    ev2 = _evaluate(n_pred, u_pred, params, new_frame.drift, tracker is not None)
+    if tracker is not None and u_h is not None:
         tracker.advance(params, dt, ev1, ev2)
 
-    new_state = State(t=state.t + dt, n=n_field, u=u_field, frame=new_frame)
+    n_new, dropped_n = apply_op(n_h + 0.5 * dt * ev1.rhs_n)
+    n_new += 0.5 * dt * ev2.rhs_n
+    u_field, dropped_u = None, 0.0
+    if u_h is not None:
+        u_new, dropped_u = apply_op(u_h + 0.5 * dt * ev1.rhs_u)
+        u_new += 0.5 * dt * ev2.rhs_u
+        mesh = [halve(m, grid) for m in frame_k_mesh(params, new_frame.drift)]
+        u_field = _real_field(u_new, grid, mesh)
+
+    new_state = State(t=state.t + dt, n=_real_field(n_new, grid), u=u_field, frame=new_frame)
     return new_state, StepInfo(dt=dt, dropped_n=dropped_n, dropped_u=dropped_u)
 
 
@@ -447,7 +449,7 @@ def _row(state: State, params: Params, dt: float, status: str,
     energies = diagnostics.energy_report(ledger) if ledger is not None else {}
     for key in ("E11", "E12", "E21", "E22", "E3", "E4", "E51", "E52"):
         row[key] = energies.get(key, 0.0)
-    n0 = split_x(n)[0] if params.grid.dim == 3 else n
+    n0 = zero_mode(n) if params.grid.dim == 3 else n
     n0_vals = values_of(n0) if params.grid.dim == 3 else n_vals
     row["free_energy"] = free_energy(n0, n0_vals) if np.min(n0_vals) > 0.0 else float("nan")
     return row

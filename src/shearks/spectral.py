@@ -1,13 +1,13 @@
 """Fourier representation and calculus on the periodic torus [0, 2*pi)^d.
 
-Fields are stored as full complex spectra (no half-spectrum packing) with the
-normalization f = sum_k fhat(k) e^{i k.x}, i.e. the forward transform divides
-by the number of grid points so that fhat(k) = |T|^-d * integral f e^{-i k.x}.
+Fields are stored as full complex spectra with the normalization
+f = sum_k fhat(k) e^{i k.x}, i.e. the forward transform divides by the
+number of grid points so that fhat(k) = |T|^-d * integral f e^{-i k.x}.
 Real fields are kept Hermitian-symmetric; products are formed in physical
-space with 2/3-rule dealiasing (cutoff floor(n/3) per axis).  Products go
-through real transforms halved along the streamwise axis x: they read and
-write only the k1 >= 0 half of a spectrum, and ``fill`` restores the
-conjugate k1 < 0 half where a full spectrum is stored.
+space with 2/3-rule dealiasing (cutoff floor(n/3) per axis) through real
+transforms halved along the streamwise axis x.  A solver step works on the
+k1 >= 0 half of each spectrum (``halve``), which holds the whole k1 = 0
+plane, and ``fill`` restores the conjugate k1 < 0 half once per field.
 """
 
 from __future__ import annotations

@@ -8,14 +8,18 @@ field from closed-form collocation values.  The collocation-grid norms are
 the references the solver's sample rows and Parseval are checked against;
 ``pad_to`` re-samples a band-limited field on a finer grid, and
 ``free_energy_monotone`` grades a run's free-energy column.
+``full_spectrum_step`` is the coupled Heun step taken on whole spectra, the
+bit-for-bit reference of ``solver.step``, which works on k1 >= 0 halves.
 """
 
 import math
 
 import numpy as np
 
+from shearks import solver
 from shearks.diagnostics import compute_omega2
-from shearks.shear import effective_k_mesh
+from shearks.shear import REMAP_THRESHOLD, ShearFrame, effective_k_mesh, frame_k_mesh, \
+    integrating_factor
 from shearks.spectral import (
     ContractViolation,
     GridSpec,
@@ -24,7 +28,9 @@ from shearks.spectral import (
     fill,
     forward_transform,
     halve,
+    hermitize,
     irfft_x,
+    leray_project,
     rfft_x,
     values_of,
 )
@@ -185,3 +191,77 @@ def residual_omega2(state_before, state_after, params) -> float:
     )
     resid = fd - rhs
     return float(np.sqrt(grid.volume * np.sum(np.abs(resid) ** 2)))
+
+
+def full_spectrum_operator(params, frame: ShearFrame, t: float, dt: float):
+    """``solver._step_operator`` on whole spectra: ``apply(coeffs)`` damps
+    every mode of both halves and gathers each remapped k1 row in full."""
+    grid, A = params.grid, params.A
+    if not params.enable_shear:
+        factor = np.exp(-grid.k_squared() * dt / A)
+        return (lambda coeffs: (coeffs * factor, 0.0)), frame
+    factor = integrating_factor(grid.k_mesh(), 0.0, dt, frame.drift, A)
+    new_drift = frame.drift + dt
+    shift = int(np.rint(new_drift)) if abs(new_drift) >= REMAP_THRESHOLD else 0
+    if shift == 0:
+        return (lambda coeffs: (coeffs * factor, 0.0)), ShearFrame(frame.t_last_remap, new_drift)
+    n2 = grid.shape[1]
+    k2_new = (grid.wavenumbers(1).astype(int)[None, :]
+              - grid.wavenumbers(0).astype(int)[:, None] * shift)
+    keep = np.abs(k2_new) <= n2 // 2 - 1
+    i1, i2 = np.nonzero(keep)
+    dst = k2_new[keep] % n2
+    lost = np.nonzero(~keep)
+
+    def apply(coeffs):
+        scaled = coeffs * factor
+        lead = (slice(None),) * (scaled.ndim - grid.dim)
+        out = np.zeros_like(scaled)
+        out[lead + (i1, dst)] = scaled[lead + (i1, i2)]
+        return out, float(np.sum(np.abs(scaled[lead + lost]) ** 2)) * grid.volume
+    return apply, ShearFrame(t_last_remap=t + dt, drift=new_drift - shift)
+
+
+def full_spectrum_step(state, params, t_stop=None, tracker=None):
+    """One ``solver.step`` taken on whole spectra.
+
+    Each tendency is filled to a full spectrum, the propagator runs over
+    both halves, and each output is symmetrized by ``hermitize`` over the
+    whole grid, the velocity then projected by ``leray_project``.  The
+    tendency kernel itself is shared: it is graded on its own in
+    ``test_tendency.py``.
+    """
+    grid = params.grid
+    t_remaining = (t_stop - state.t) if t_stop is not None else math.inf
+    need_aux = tracker is not None
+
+    def evaluate(n, u, drift):
+        ev = solver._evaluate(halve(n, grid), None if u is None else halve(u, grid), params,
+                              drift, need_aux)
+        ev.rhs_n = fill(ev.rhs_n, grid)
+        ev.rhs_u = None if u is None else fill(ev.rhs_u, grid)
+        return ev
+
+    passive = state.u is None and not params.enable_chemotaxis
+    n, u = state.n.coeffs, None if state.u is None else state.u.coeffs
+    ev1 = None if passive else evaluate(n, u, state.frame.drift)
+    dt = solver.choose_dt(params, ev1, t_remaining)
+    apply_op, new_frame = full_spectrum_operator(params, state.frame, state.t, dt)
+    if passive:
+        n_new, dropped_n = apply_op(n)
+        return (solver.State(t=state.t + dt, n=SpectralField(grid, n_new), u=None,
+                             frame=new_frame), solver.StepInfo(dt=dt, dropped_n=dropped_n))
+    n_pred, _ = apply_op(n + dt * ev1.rhs_n)
+    u_pred = None if u is None else apply_op(u + dt * ev1.rhs_u)[0]
+    ev2 = evaluate(n_pred, u_pred, new_frame.drift)
+    n_new, dropped_n = apply_op(n + 0.5 * dt * ev1.rhs_n)
+    n_field = hermitize(SpectralField(grid, n_new + 0.5 * dt * ev2.rhs_n))
+    u_field, dropped_u = None, 0.0
+    if u is not None:
+        u_new, dropped_u = apply_op(u + 0.5 * dt * ev1.rhs_u)
+        u_field = leray_project(hermitize(SpectralField(grid, u_new + 0.5 * dt * ev2.rhs_u)),
+                                k_mesh=frame_k_mesh(params, new_frame.drift))
+        if tracker is not None:
+            tracker.advance(params, dt, ev1, ev2)
+    return (solver.State(t=state.t + dt, n=n_field, u=u_field, frame=new_frame),
+            solver.StepInfo(dt=dt, dropped_n=dropped_n, dropped_u=dropped_u))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from shearks.modes import split_bar_tilde, split_x
+from shearks.modes import split_bar_tilde, split_x, zero_mode
 from shearks.spectral import GridSpec, l2_norm, spectral_energy
 
 from oracles import from_values
@@ -64,6 +64,15 @@ def test_reconstruction_and_orthogonality():
     rebuilt = tilde.coeffs.copy()
     rebuilt[(0,) * tilde.grid.dim] += bar
     assert np.max(np.abs(rebuilt - f0.coeffs)) < 1e-12
+
+
+def test_zero_mode_is_a_view_of_the_split_zero_mode():
+    U = random_real_field(GRID3, seed=6, components=3)
+    for F in (random_real_field(GRID3, seed=7), U, U.component(1)):
+        z = zero_mode(F)
+        assert z.grid == GRID3.cross_section()
+        assert np.array_equal(z.coeffs, split_x(F)[0].coeffs)
+        assert np.shares_memory(z.coeffs, F.coeffs)
 
 
 def test_split_commutes_with_yz_derivative():

@@ -8,7 +8,7 @@ import pytest
 from shearks.modes import split_x
 from shearks.shear import ShearFrame, _shear_exponent, effective_wavevector, integrating_factor
 from shearks.solver import Params, _step_operator
-from shearks.spectral import GridSpec, SpectralField, l2_norm, values_of, zeros
+from shearks.spectral import GridSpec, SpectralField, fill, halve, l2_norm, values_of, zeros
 
 from oracles import exact_passive_scalar, from_values
 from test_spectral import random_real_field
@@ -110,16 +110,17 @@ class TestIntegratingFactor:
 
 
 class TestRemap:
-    """solver._step_operator, the one propagator, across a remap."""
+    """solver._step_operator, the one propagator, across a remap.  It takes and
+    returns k1 >= 0 half spectra; ``fill`` restores the k1 < 0 half."""
 
     def test_identity_at_zero_drift(self):
         F = random_real_field(GRID2, seed=0)
         params = passive_params(GRID2, A=30.0)
         apply, frame = _step_operator(params, ShearFrame(), 0.0, 0.3)
-        out, dropped = apply(F.coeffs)
+        out, dropped = apply(halve(F.coeffs, GRID2))
         factor = integrating_factor(GRID2.k_mesh(), 0.0, 0.3, 0.0, 30.0)
         assert frame == ShearFrame(drift=0.3)
-        assert np.array_equal(out, F.coeffs * factor)
+        assert np.array_equal(out, halve(F.coeffs * factor, GRID2))
         assert dropped == 0.0
 
     def test_single_mode_relabelled(self):
@@ -129,7 +130,8 @@ class TestRemap:
         # A so large that the factor is exactly one: a pure relabelling
         apply, frame = _step_operator(passive_params(GRID2, A=1e30), ShearFrame(drift=0.5),
                                       2.0, 0.5)
-        out, dropped = apply(F.coeffs)
+        out, dropped = apply(halve(F.coeffs, GRID2))
+        out = fill(out, GRID2)
         assert frame == ShearFrame(t_last_remap=2.5, drift=0.0)
         assert dropped == 0.0
         # the sheared wave e^{i(x - y)} is now stored at its physical index
@@ -144,7 +146,7 @@ class TestRemap:
         F.coeffs[-2, kmax] = 1.0
         apply, _ = _step_operator(passive_params(GRID2, A=1e30), ShearFrame(drift=0.5),
                                   0.0, 0.5)
-        out, dropped = apply(F.coeffs)  # shifts k2 to -(kmax + 2), off the band
+        out, dropped = apply(halve(F.coeffs, GRID2))  # shifts k2 to -(kmax + 2), off the band
         assert dropped == pytest.approx(2 * GRID2.volume)
         assert np.max(np.abs(out)) == 0.0
 
@@ -153,7 +155,8 @@ class TestRemap:
         F = random_real_field(GRID2, seed=5)
         A = 20.0
         apply, frame = _step_operator(passive_params(GRID2, A), ShearFrame(drift=0.9), 0.0, 0.7)
-        out, dropped = apply(F.coeffs)
+        out, dropped = apply(halve(F.coeffs, GRID2))
+        out = fill(out, GRID2)
         exact, drift, exact_dropped = exact_passive_scalar(F, 0.7, A, drift0=0.9)
         assert frame.drift == pytest.approx(-0.4, abs=1e-15)
         assert drift == pytest.approx(frame.drift, abs=1e-15)
@@ -166,7 +169,8 @@ class TestRemap:
         U = random_real_field(GRID3, seed=6, components=3)
         A = 50.0
         apply, frame = _step_operator(passive_params(GRID3, A), ShearFrame(drift=0.8), 0.0, 0.4)
-        out, dropped = apply(U.coeffs)
+        out, dropped = apply(halve(U.coeffs, GRID3))
+        out = fill(out, GRID3)
         total = 0.0
         for c in range(3):
             exact, drift, d = exact_passive_scalar(U.component(c), 0.4, A, drift0=0.8)
@@ -246,13 +250,13 @@ def measured_efold_rate(A, grid):
     params = passive_params(grid, A)
     frame = ShearFrame()
     t, dt = 0.0, 0.05 * A ** (1 / 3)
-    cur = F.coeffs
+    cur = halve(F.coeffs, grid)
     prev_t, prev_norm = 0.0, n0
     for _ in range(2000):
         apply, frame = _step_operator(params, frame, t, dt)
         cur, _ = apply(cur)
         t += dt
-        norm = l2_norm(SpectralField(grid, cur))
+        norm = l2_norm(SpectralField(grid, fill(cur, grid)))
         if norm <= n0 / np.e:
             # log-linear interpolation of the crossing
             w = (np.log(n0 / np.e) - np.log(prev_norm)) / (np.log(norm) - np.log(prev_norm))

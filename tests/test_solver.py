@@ -1,5 +1,6 @@
 """Solver tendencies, stepping, conservation and run outcomes."""
 
+from copy import deepcopy
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,13 +29,22 @@ from shearks.spectral import (
     GridSpec,
     SpectralField,
     divergence,
+    fill,
+    halve,
     l2_norm,
     leray_project,
     values_of,
     zeros,
 )
 
-from oracles import exact_passive_scalar, from_values, linf_norm, min_principle_check, min_value
+from oracles import (
+    exact_passive_scalar,
+    from_values,
+    full_spectrum_step,
+    linf_norm,
+    min_principle_check,
+    min_value,
+)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -56,6 +66,14 @@ def make_state(grid, n, u=None):
     return State(t=0.0, n=n, u=u, frame=ShearFrame())
 
 
+def rhs(n, u, A, **kw):
+    """tendency of full fields on the integer lattice; its tendencies are
+    k1 >= 0 half spectra."""
+    grid = n.grid
+    return tendency(halve(n.coeffs, grid), None if u is None else halve(u.coeffs, grid), grid,
+                    A, grid.k_mesh(), **kw)
+
+
 class TestParamsValidation:
     def test_amplitude_constraint(self):
         with pytest.raises(ValueError, match="A must be >= 1"):
@@ -69,7 +87,7 @@ class TestParamsValidation:
 class TestRhsDensity:
     def test_constant_density_is_fixed_point(self):
         n = from_values(GRID2, np.full(GRID2.shape, 2.0))
-        out = tendency(n, None, A=1.0, k_mesh=GRID2.k_mesh()).rhs_n
+        out = rhs(n, None, A=1.0).rhs_n
         assert np.max(np.abs(out)) < 1e-14
 
     def test_cos_y_hand_value(self):
@@ -77,7 +95,7 @@ class TestRhsDensity:
         _, y = GRID2.coordinate_mesh()
         n = from_values(GRID2, 1.0 + np.cos(y) + np.zeros(GRID2.shape))
         A = 3.0
-        out = SpectralField(GRID2, tendency(n, None, A=A, k_mesh=GRID2.k_mesh()).rhs_n)
+        out = SpectralField(GRID2, fill(rhs(n, None, A=A).rhs_n, GRID2))
         expected = (np.cos(y) + np.cos(2 * y)) / A + np.zeros(GRID2.shape)
         assert np.max(np.abs(values_of(out) - expected)) < 1e-10
 
@@ -85,7 +103,7 @@ class TestRhsDensity:
         n = random_smooth(GRID3, seed=1)
         n.coeffs[0, 0, 0] = 1.0
         u = leray_project(random_smooth(GRID3, seed=2, components=3))
-        out = tendency(n, u, A=2.0, k_mesh=GRID3.k_mesh()).rhs_n
+        out = rhs(n, u, A=2.0).rhs_n
         assert abs(out[0, 0, 0]) < 1e-14
 
 
@@ -94,7 +112,7 @@ class TestRhsVelocity:
         n = from_values(GRID3, np.full(GRID3.shape, 1.5))
         u = zeros(GRID3, components=3)
         A = 4.0
-        out = tendency(n, u, A, GRID3.k_mesh(), chemotaxis=False).rhs_u
+        out = rhs(n, u, A, chemotaxis=False).rhs_u
         # projected forcing (n/A) e1 keeps only its mean; mean u1 grows at nbar/A
         assert out[0][0, 0, 0] == pytest.approx(1.5 / A)
         off = out.copy()
@@ -106,14 +124,13 @@ class TestRhsVelocity:
         u = zeros(GRID3, components=3)
         u.coeffs[0] = from_values(GRID3, np.sin(y) + np.zeros(GRID3.shape)).coeffs
         n = zeros(GRID3)
-        out = tendency(n, u, A=2.0, k_mesh=GRID3.k_mesh(), chemotaxis=False).rhs_u
+        out = rhs(n, u, A=2.0, chemotaxis=False).rhs_u
         assert np.max(np.abs(out)) < 1e-13
 
     def test_divergence_free_output(self):
         n = random_smooth(GRID3, seed=3)
         u = leray_project(random_smooth(GRID3, seed=4, components=3))
-        out = SpectralField(GRID3, tendency(n, u, A=1.5, k_mesh=GRID3.k_mesh(),
-                                             chemotaxis=False).rhs_u)
+        out = SpectralField(GRID3, fill(rhs(n, u, A=1.5, chemotaxis=False).rhs_u, GRID3))
         assert l2_norm(divergence(out)) <= 1e-12 * max(l2_norm(out), 1e-30)
 
 
@@ -155,12 +172,82 @@ class TestStep:
         n = gaussian_bump(GRID3, width=0.8, mass=10.0)
         u = leray_project(random_smooth(GRID3, seed=5, components=3))
         u.coeffs *= 0.1
+        assert np.any(n.coeffs[lone_nyquist(GRID3)])  # the input carries Nyquist content
         state = make_state(GRID3, n, u)
         for _ in range(10):
             state, _ = step(state, params)
             mesh = frame_k_mesh(params, state.frame.drift)
-            div = l2_norm(divergence(state.u, k_mesh=mesh))
-            assert div <= 1e-10 * max(l2_norm(state.u), 1e-30)
+            div = divergence(state.u, k_mesh=mesh)
+            u_l2 = max(l2_norm(state.u), 1e-30)
+            assert l2_norm(div) <= 1e-10 * u_l2
+            # every mode, not only the sum: sqrt(|T|) |div_k| is that mode's L2 share
+            assert np.sqrt(GRID3.volume) * np.max(np.abs(div.coeffs)) <= 1e-10 * u_l2
+            assert_real_by_construction(state.n)
+            assert_real_by_construction(state.u)
+
+
+def lone_nyquist(grid):
+    """The lone k_a = -n_a/2 rows of every axis."""
+    mask = np.zeros(grid.shape, dtype=bool)
+    for a, k in enumerate(grid.k_mesh()):
+        mask |= k == -(grid.shape[a] // 2)
+    return mask
+
+
+def assert_real_by_construction(F):
+    """Empty lone Nyquist rows and a Hermitian spectrum, bit for bit."""
+    lead = (slice(None),) * (F.coeffs.ndim - F.grid.dim)
+    assert not np.any(F.coeffs[lead + (lone_nyquist(F.grid),)])
+    assert np.array_equal(F.coeffs, spectral.conj_reverse(F.coeffs, F.grid.dim))
+
+
+class TestHalfSpectrumStep:
+    """solver.step works on k1 >= 0 halves; on the states a run starts from
+    it equals the whole-spectrum step of tests/oracles.py bit for bit."""
+
+    def compare(self, cfg, steps, track=False):
+        params = params_of(cfg)
+        ours = ref = build_initial_state(cfg)
+        tr_ours = tr_ref = None
+        if track:
+            tr_ours = diagnostics.DecompositionTracker.start(params, ours)
+            tr_ref = deepcopy(tr_ours)
+        dropped = 0.0
+        for _ in range(steps):
+            ours, info = step(ours, params, tracker=tr_ours)
+            ref, ref_info = full_spectrum_step(ref, params, tracker=tr_ref)
+            assert vars(info) == vars(ref_info)
+            assert (ours.t, ours.frame) == (ref.t, ref.frame)
+            assert np.array_equal(ours.n.coeffs, ref.n.coeffs)
+            assert_real_by_construction(ours.n)
+            if ours.u is not None:
+                assert np.array_equal(ours.u.coeffs, ref.u.coeffs)
+                assert_real_by_construction(ours.u)
+            if track:
+                for name in ("G1", "B1", "B2"):
+                    assert np.array_equal(getattr(tr_ours, name).coeffs,
+                                          getattr(tr_ref, name).coeffs)
+            dropped += info.dropped_n + info.dropped_u
+        return ours, dropped
+
+    def test_coupled_3d_with_tracker_across_a_remap(self):
+        text = (CONFIGS / "suppression_3d.conf").read_text()
+        cfg = parse_config(text + "\nnx = 16\nny = 16\nnz = 16\n")
+        final, dropped = self.compare(cfg, steps=25, track=True)
+        assert final.frame.t_last_remap > 0.0 and dropped > 0.0
+
+    def test_chemotaxis_2d(self):
+        text = (CONFIGS / "sweep_2d_critical_mass.conf").read_text()
+        self.compare(parse_config(text + "\nscenario = simulate\nnx = 32\nny = 32\n"
+                                         "mass = 37.7\n"), steps=30)
+
+    def test_passive_across_remaps(self):
+        text = (CONFIGS / "rate_fit.conf").read_text()
+        cfg = parse_config(text + "\nscenario = simulate\nA = 100\nnx = 32\nny = 32\n"
+                                  "mass = 1\ndt_max = 0.15\nenable_chemotaxis = false\n"
+                                  "enable_velocity = false\nenable_shear = true\n")
+        final, dropped = self.compare(cfg, steps=40)
+        assert final.frame.t_last_remap >= 5.0 and dropped > 0.0
 
 
 class TestPassiveScalarOracle:
@@ -196,14 +283,21 @@ class TestPassiveStep:
         state = make_state(GRID2, fluctuation_only(random_smooth(GRID2, seed=3)))
         for _ in range(4):  # crosses a remap at drift 1
             apply, frame = solver._step_operator(params, state.frame, state.t, 0.3)
-            want, dropped = apply(state.n.coeffs)
+            want, dropped = apply(halve(state.n.coeffs, GRID2))
             state, info = step(state, params)
-            assert np.array_equal(state.n.coeffs, want) and state.frame == frame
+            assert np.array_equal(state.n.coeffs, fill(want, GRID2)) and state.frame == frame
             assert info.dt == 0.3 and info.dropped_n == dropped
         assert calls == {"_evaluate": 0, "hermitize": 0}
         # the counters do see a chemotaxis step: two evaluations, one symmetrization
         step(state, replace(params, enable_chemotaxis=True))
         assert calls == {"_evaluate": 2, "hermitize": 1}
+
+    def test_fixed_dt_is_not_clipped_without_t_stop(self):
+        params = make_params(GRID2, enable_shear=True, enable_chemotaxis=False,
+                             amplitude=50.0, fixed_dt=0.3, dt_max=0.01)
+        state = make_state(GRID2, fluctuation_only(random_smooth(GRID2, seed=3)))
+        new, info = step(state, params)
+        assert info.dt == 0.3 and new.t == 0.3
 
     def test_hermitian_bit_for_bit_across_remaps(self):
         grid = GridSpec((128, 128))

@@ -2,10 +2,10 @@
 
 The oracle below is the tendency assembly written directly on full complex
 spectra with complex FFTs: every product has all d^2 components and every
-transform sees the whole spectrum.  The solver's kernel works on the k1 >= 0
-half with real transforms and fills the k1 < 0 half by conjugate symmetry,
-so the two agree to round-off on every mode off the lone Nyquist rows
-(|k_a| = n_a/2).  On those rows, all outside the 2/3 band, they
+transform sees the whole spectrum.  The solver's kernel takes and returns
+k1 >= 0 half spectra and works on them with real transforms; filling its
+k1 < 0 half by conjugate symmetry (``fill``), the two agree to round-off on
+every mode off the lone Nyquist rows (|k_a| = n_a/2).  On those rows, all outside the 2/3 band, they
 legitimately differ: there the effective wavevector is not odd in k, and the
 oracle leaves a non-Hermitian residue that the kernel does not produce.
 """
@@ -22,6 +22,8 @@ from shearks.spectral import (
     GridSpec,
     SpectralField,
     conj_reverse,
+    fill,
+    halve,
     leray_project,
 )
 
@@ -80,6 +82,16 @@ def oracle(n, u, params, drift):
     return rhs_n, rhs_u, max_u, max_chemo, q_neq_hat
 
 
+def evaluate(n, u, params, drift, need_aux):
+    """The solver's kernel on the halves of full fields; tendencies filled."""
+    grid = params.grid
+    ev = _evaluate(halve(n.coeffs, grid), None if u is None else halve(u.coeffs, grid),
+                   params, drift, need_aux)
+    ev.rhs_n = fill(ev.rhs_n, grid)
+    ev.rhs_u = None if ev.rhs_u is None else fill(ev.rhs_u, grid)
+    return ev
+
+
 def random_state(grid, seed):
     """Hermitian density around 1 and a solenoidal velocity, full band."""
     n = random_smooth(grid, seed, band_limit=False)
@@ -128,9 +140,9 @@ def test_kernel_matches_full_complex_oracle(grid, shear, chemo, drift):
     if u is None and not chemo:
         # a passive scalar has no tendency: the solver steps it exactly
         with pytest.raises(ContractViolation, match="passive"):
-            _evaluate(n, u, params, drift, need_aux=False)
+            evaluate(n, u, params, drift, need_aux=False)
         return
-    ev = _evaluate(n, u, params, drift, need_aux=u is not None)
+    ev = evaluate(n, u, params, drift, need_aux=u is not None)
     rhs_n, rhs_u, max_u, max_chemo, q_neq_hat = oracle(n, u, params, drift)
     mask = off_nyquist(grid)
 
@@ -152,7 +164,7 @@ def test_kernel_matches_full_complex_oracle(grid, shear, chemo, drift):
 def test_k1_zero_plane_hermitian_in_band(grid):
     params = Params(grid=grid, amplitude=3.0, enable_velocity=grid.dim == 3)
     n, u = random_state(grid, seed=5)
-    ev = _evaluate(n, u, params, 0.37, need_aux=False)
+    ev = evaluate(n, u, params, 0.37, need_aux=False)
     mask = grid.dealias_mask()
     for out in (ev.rhs_n,) if u is None else (ev.rhs_n, ev.rhs_u):
         scale = np.max(np.abs(out * mask))
