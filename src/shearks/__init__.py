@@ -7,7 +7,6 @@ from .spectral import (
     SpectralField,
     derivative,
     forward_transform,
-    inverse_transform,
     laplacian,
     leray_project,
     solve_chemo,
@@ -23,7 +22,6 @@ __all__ = [
     "derivative",
     "forward_transform",
     "integrating_factor",
-    "inverse_transform",
     "laplacian",
     "leray_project",
     "solve_chemo",

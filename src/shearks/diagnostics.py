@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modes import split_bar_tilde, split_x, zero_mode
+from .modes import split_bar_tilde, zero_mode
 from .shear import frame_k_mesh
 from .spectral import (
     ContractViolation,
@@ -326,10 +326,8 @@ def ledger_update(ledger: EnergyLedger, state, params, tracker, n_vals: np.ndarr
     ledger.scalar_track("n_linf").observe(t, float(np.max(np.abs(n_vals))))
     weights = _norm_weights(grid, mesh)
 
-    n_neq = split_x(n)[1] if grid.dim == 3 else n
-    dxx_n = (1j * np.asarray(mesh[0])) ** 2 * n_neq.coeffs
-    if grid.dim == 2:
-        dxx_n = dxx_n * (np.abs(grid.k_mesh()[0]) > 0)  # fluctuation only
+    # (i k1)^2 is exactly zero on the k1 = 0 plane: this is the fluctuation alone
+    dxx_n = (1j * np.asarray(mesh[0])) ** 2 * n.coeffs
     _observe_field(ledger, "dxx_n_neq", ledger.wb, t, dxx_n, grid, weights)
 
     if state.u is None:

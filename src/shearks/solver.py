@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -322,14 +323,7 @@ def _step_operator(params: Params, frame: ShearFrame, t: float, dt: float):
         return apply, ShearFrame(frame.t_last_remap, drift)
 
     new_frame = ShearFrame(t_last_remap=t + dt, drift=drift - shift)
-    # one gather, built once per remap step: (i1, i2) -> (i1, k2_new % n2)
-    n2 = grid.shape[1]
-    k2_new = (grid.wavenumbers(1).astype(int)[None, :]
-              - grid.wavenumbers(0).astype(int)[:, None] * shift)
-    keep = np.abs(k2_new) <= n2 // 2 - 1  # the lone -n2/2 row stays empty: Hermitian band
-    lost = np.nonzero(~keep)
-    i1, i2 = np.nonzero(keep[: grid.shape[0] // 2 + 1])
-    dst = k2_new[i1, i2] % n2
+    i1, i2, dst, lost = _remap_gather(grid, shift)
 
     def apply(coeffs):
         scaled = coeffs * factor
@@ -339,6 +333,23 @@ def _step_operator(params: Params, frame: ShearFrame, t: float, dt: float):
         dropped = float(np.sum(fill(np.abs(scaled) ** 2, grid)[lead + lost]))
         return out, dropped * grid.volume
     return apply, new_frame
+
+
+@lru_cache(maxsize=32)
+def _remap_gather(grid: GridSpec, shift: int) -> tuple:
+    """The remap by shift as a gather, built once per (grid, shift) and
+    read-only: half-spectrum (i1, i2) -> (i1, dst), dst = k2_new % n2 with
+    k2_new = k2 - k1*shift, and ``lost``, the whole grid's modes moved
+    beyond |k2_new| <= n2/2 - 1, in row-major order."""
+    n2 = grid.shape[1]
+    k2_new = (grid.wavenumbers(1).astype(int)[None, :]
+              - grid.wavenumbers(0).astype(int)[:, None] * shift)
+    keep = np.abs(k2_new) <= n2 // 2 - 1  # the lone -n2/2 row stays empty: Hermitian band
+    i1, i2 = np.nonzero(keep[: grid.shape[0] // 2 + 1])
+    gather = (i1, i2, k2_new[i1, i2] % n2, np.nonzero(~keep))
+    for arr in (*gather[:3], *gather[3]):
+        arr.flags.writeable = False
+    return gather
 
 
 def _real_field(half: np.ndarray, grid: GridSpec, mesh=None) -> SpectralField:
@@ -433,7 +444,6 @@ def _row(state: State, params: Params, dt: float, status: str,
          dropped_frac: float, ledger, n_vals: np.ndarray) -> dict:
     """One series row; n_vals are the collocation values of state.n."""
     n, u = state.n, state.u
-    mesh = frame_k_mesh(params, state.frame.drift)
     row = {
         "t": state.t,
         "mass": _mass(n),
@@ -441,7 +451,8 @@ def _row(state: State, params: Params, dt: float, status: str,
         "n_linf": float(np.max(np.abs(n_vals))),
         "n_l2": l2_norm(n),
         "u_l2": l2_norm(u) if u is not None else 0.0,
-        "div_l2": l2_norm(divergence(u, k_mesh=mesh)) if u is not None else 0.0,
+        "div_l2": (l2_norm(divergence(u, k_mesh=frame_k_mesh(params, state.frame.drift)))
+                   if u is not None else 0.0),
         "dropped_energy": dropped_frac,
         "dt": dt,
         "status": status,

@@ -8,6 +8,9 @@ space with 2/3-rule dealiasing (cutoff floor(n/3) per axis) through real
 transforms halved along the streamwise axis x.  A solver step works on the
 k1 >= 0 half of each spectrum (``halve``), which holds the whole k1 = 0
 plane, and ``fill`` restores the conjugate k1 < 0 half once per field.
+Collocation values are read from that half too (``values_of``): one real
+inverse transform per sample.  The integer lattice of a grid is built once
+and shared read-only (``GridSpec.k_mesh``).
 """
 
 from __future__ import annotations
@@ -82,8 +85,12 @@ class GridSpec:
         return np.fft.fftfreq(n, d=1.0 / n)
 
     def k_mesh(self) -> list[np.ndarray]:
-        """Broadcastable integer wavevector components, one array per axis."""
-        return list(np.ix_(*[self.wavenumbers(a) for a in range(self.dim)]))
+        """Broadcastable integer wavevector components, one array per axis.
+
+        The arrays are the grid's cached lattice, shared by every caller and
+        read-only: writing to one raises ValueError.
+        """
+        return list(_k_mesh(self))
 
     def k_squared(self) -> np.ndarray:
         return _k_squared(self)
@@ -96,6 +103,14 @@ class GridSpec:
         if self.dim < 2:
             raise ValueError("no cross-section of a 1D grid")
         return GridSpec(self.shape[1:])
+
+
+@lru_cache(maxsize=32)
+def _k_mesh(grid: GridSpec) -> tuple[np.ndarray, ...]:
+    mesh = np.ix_(*[grid.wavenumbers(a) for a in range(grid.dim)])
+    for comp in mesh:
+        comp.flags.writeable = False
+    return mesh
 
 
 @lru_cache(maxsize=32)
@@ -174,12 +189,6 @@ def _n_components(grid: GridSpec, arr: np.ndarray) -> int:
     return 1 if arr.ndim == grid.dim else arr.shape[0]
 
 
-def _spatial_axes(F: SpectralField | RealField) -> tuple[int, ...]:
-    arr = F.coeffs if isinstance(F, SpectralField) else F.values
-    offset = arr.ndim - F.grid.dim
-    return tuple(range(offset, arr.ndim))
-
-
 def zeros(grid: GridSpec, components: int = 1) -> SpectralField:
     shape = grid.shape if components == 1 else (components, *grid.shape)
     return SpectralField(grid, np.zeros(shape, dtype=np.complex128))
@@ -204,17 +213,10 @@ def hermitize(F: SpectralField) -> SpectralField:
 # transforms
 
 def forward_transform(f: RealField) -> SpectralField:
-    """Collocation values -> Fourier coefficients (unitary pair with inverse)."""
-    axes = _spatial_axes(f)
+    """Collocation values -> Fourier coefficients; ``values_of`` inverts it."""
+    axes = tuple(range(f.values.ndim - f.grid.dim, f.values.ndim))
     coeffs = np.fft.fftn(f.values, axes=axes) / f.grid.size
     return SpectralField(f.grid, coeffs)
-
-
-def inverse_transform(F: SpectralField) -> RealField:
-    """Fourier coefficients -> collocation values (imaginary part discarded)."""
-    axes = _spatial_axes(F)
-    values = np.fft.ifftn(F.coeffs, axes=axes).real * F.grid.size
-    return RealField(F.grid, values)
 
 
 def halve(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -248,7 +250,17 @@ def fill(half: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def values_of(F: SpectralField) -> np.ndarray:
-    return inverse_transform(F).values
+    """Collocation values of a real field, by one real inverse transform of
+    its k1 >= 0 half.
+
+    The spectrum must be Hermitian, as every solver state is: the k1 < 0
+    half is not read, and only the Hermitian parts of the k1 = 0 and
+    k1 = n1/2 planes count.  Raises ContractViolation on non-finite values.
+    """
+    values = irfft_x(halve(F.coeffs, F.grid), F.grid)
+    if not np.all(np.isfinite(values)):
+        raise ContractViolation("RealField values must be finite")
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ Nothing here is called by ``shearks`` itself.  ``exact_passive_scalar`` is
 the closed-form passive-scalar semigroup; it writes its own exponent and its
 own relabelling, so it shares neither the integrating factor nor the
 propagator of the solver it checks.  ``from_values`` builds a spectral
-field from closed-form collocation values.  The collocation-grid norms are
+field from closed-form collocation values; ``inverse_transform`` is the
+full complex inverse transform, the reference of ``spectral.values_of``,
+which reads only the k1 >= 0 half.  The collocation-grid norms are
 the references the solver's sample rows and Parseval are checked against;
 ``pad_to`` re-samples a band-limited field on a finer grid, and
 ``free_energy_monotone`` grades a run's free-energy column.
@@ -72,6 +74,13 @@ def exact_passive_scalar(F: SpectralField, t: float, A: float, drift0: float = 0
 def from_values(grid: GridSpec, values: np.ndarray) -> SpectralField:
     """Spectral field of real collocation values."""
     return forward_transform(RealField(grid, np.asarray(values, dtype=float)))
+
+
+def inverse_transform(F: SpectralField) -> RealField:
+    """Collocation values by a full complex inverse transform of the whole
+    spectrum, imaginary part discarded."""
+    axes = tuple(range(F.coeffs.ndim - F.grid.dim, F.coeffs.ndim))
+    return RealField(F.grid, np.fft.ifftn(F.coeffs, axes=axes).real * F.grid.size)
 
 
 def l2_norm_values(f: RealField) -> float:

@@ -26,14 +26,19 @@ from shearks.spectral import (
     divergence,
     forward_transform,
     hermitize,
-    inverse_transform,
     l2_norm,
     laplacian,
     leray_project,
     solve_chemo,
 )
 
-from oracles import exact_passive_scalar, free_energy_monotone, from_values, l2_norm_values
+from oracles import (
+    exact_passive_scalar,
+    free_energy_monotone,
+    from_values,
+    inverse_transform,
+    l2_norm_values,
+)
 
 EIGHT_PI = 8.0 * np.pi
 MASS_3D = 0.8 * 16.0 * np.pi ** 2

@@ -315,6 +315,27 @@ class TestPassiveStep:
             assert not np.any(state.n.coeffs[nyquist])
         assert remaps >= 2
 
+    def test_cached_remap_gather_matches_full_spectrum_step(self):
+        grid = GridSpec((128, 128))
+        params = make_params(grid, enable_shear=True, enable_chemotaxis=False,
+                             amplitude=1e3, fixed_dt=0.05, dt_max=0.05, t_end=4.0)
+        solver._remap_gather.cache_clear()
+        ours = ref = make_state(grid, random_smooth(grid, seed=12))
+        remaps = 0
+        for _ in range(70):
+            ours, info = step(ours, params)
+            ref, ref_info = full_spectrum_step(ref, params)
+            remaps += ours.frame.t_last_remap == ours.t
+            assert vars(info) == vars(ref_info) and (ours.t, ours.frame) == (ref.t, ref.frame)
+            assert np.array_equal(ours.n.coeffs, ref.n.coeffs)
+        assert remaps == 3
+        built = solver._remap_gather.cache_info()
+        assert (built.misses, built.hits) == (1, 2)  # one gather for the three remaps
+        gather = solver._remap_gather(grid, 1)
+        for arr in (*gather[:3], *gather[3]):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
 
 class TestSelfConvergence:
     def test_second_order_in_dt(self):

@@ -13,7 +13,6 @@ from shearks.spectral import (
     divergence,
     forward_transform,
     hermitize,
-    inverse_transform,
     l2_norm,
     laplacian,
     leray_project,
@@ -23,7 +22,7 @@ from shearks.spectral import (
     zeros,
 )
 
-from oracles import from_values, l2_norm_values, linf_norm
+from oracles import from_values, inverse_transform, l2_norm_values, linf_norm
 
 GRID2 = GridSpec((32, 32))
 GRID3 = GridSpec((16, 16, 16))
@@ -62,6 +61,16 @@ class TestGridSpec:
     def test_cross_section(self):
         assert GRID3.cross_section().shape == (16, 16)
 
+    def test_k_mesh_is_one_read_only_lattice(self):
+        first, again = GRID3.k_mesh(), GridSpec((16, 16, 16)).k_mesh()
+        assert all(a is b for a, b in zip(first, again))
+        for axis, comp in enumerate(first):
+            with pytest.raises(ValueError):
+                comp[0] = 7.0
+            with pytest.raises(ValueError):
+                comp *= 2.0
+            assert np.array_equal(comp.ravel(), GRID3.wavenumbers(axis))
+
 
 class TestTransforms:
     def test_sin_x_single_mode_pair(self):
@@ -96,6 +105,43 @@ class TestTransforms:
         mirror = conj_reverse(F.coeffs, GRID3.dim)
         assert np.max(np.abs(F.coeffs - mirror)) < 1e-14 * np.max(np.abs(F.coeffs))
         assert abs(F.coeffs[0, 0, 0].imag) < 1e-14
+
+
+def full_band_hermitian(grid, seed, components=1):
+    """White spectrum over every stored mode, the x-Nyquist plane and the
+    lone -n/2 rows included, made Hermitian by hermitize."""
+    rng = np.random.default_rng(seed)
+    shape = grid.shape if components == 1 else (components, *grid.shape)
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return hermitize(SpectralField(grid, coeffs))
+
+
+class TestValuesOf:
+    """values_of reads the k1 >= 0 half with one real inverse transform."""
+
+    @pytest.mark.parametrize("grid", [GridSpec((16,)), GridSpec((32, 16)), GRID3],
+                             ids=["1d", "2d", "3d"])
+    @pytest.mark.parametrize("components", [1, 3])
+    def test_matches_full_complex_oracle(self, grid, components):
+        full = full_band_hermitian(grid, seed=31, components=components)
+        lead = (slice(None),) * (full.coeffs.ndim - grid.dim)
+        for axis, n in enumerate(grid.shape):  # x-Nyquist plane and lone -n/2 rows
+            assert np.any(full.coeffs[lead + (slice(None),) * axis + (n // 2,)])
+        for F in (full, random_real_field(grid, seed=32, components=components)):
+            want = inverse_transform(F).values
+            got = values_of(F)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("grid", [GridSpec((16,)), GridSpec((32, 16)), GRID3],
+                             ids=["1d", "2d", "3d"])
+    def test_non_finite_coefficient_raises(self, grid):
+        for bad in (np.nan, np.inf):
+            F = random_real_field(grid, seed=33)
+            F.coeffs[(1,) * grid.dim] = bad
+            with pytest.raises(ContractViolation, match="finite"), \
+                    np.errstate(invalid="ignore"):
+                values_of(F)
 
 
 class TestOperators:
