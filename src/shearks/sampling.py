@@ -11,6 +11,7 @@ from .spectral import (
     SpectralField,
     forward_transform,
     hermitize,
+    values_of,
 )
 
 
@@ -56,7 +57,7 @@ def positive_density(grid: GridSpec, seed: int, mass: float,
                      slope: float = 2.0, contrast: float = 1.0) -> SpectralField:
     """Strictly positive random density with the requested mass."""
     g = random_smooth(grid, seed, slope=slope)
-    vals = np.fft.ifftn(g.coeffs).real * grid.size
+    vals = values_of(g)
     vals = np.exp(contrast * vals / max(np.max(np.abs(vals)), 1e-300))
     F = forward_transform(RealField(grid, vals))
     total = F.coeffs[(0,) * grid.dim].real * grid.volume

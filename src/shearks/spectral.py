@@ -10,11 +10,16 @@ k1 >= 0 half of each spectrum (``halve``), which holds the whole k1 = 0
 plane, and ``fill`` restores the conjugate k1 < 0 half once per field.
 Collocation values are read from that half too (``values_of``): one real
 inverse transform per sample.  The integer lattice of a grid is built once
-and shared read-only (``GridSpec.k_mesh``).
+and shared read-only (``GridSpec.k_mesh``).  On 3D grids the real
+transforms run on two threads, bit-identical to numpy's serial ones.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -231,15 +236,117 @@ def _x_last(grid: GridSpec, ndim: int) -> tuple[int, ...]:
     return tuple(range(lead + 1, ndim)) + (lead,)
 
 
+# On 3D grids rfft_x and irfft_x split each transform over two threads; numpy's
+# FFTs release the GIL.  A stack of fields goes one field per task, a single
+# field in two slabs per pass: the y and z passes over halves of the k1 planes,
+# the x pass over halves of y.  Every piece makes the 1-D calls of numpy's
+# rfftn/irfftn in their axis order and writes with out= into arrays that the
+# calling thread allocated, so each line is transformed exactly as the serial
+# transform does it.  2D grids stay serial: at 128^2 two threads are slower.
+
+_FFT_THREADS = 2
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _fft_pool() -> ThreadPoolExecutor:
+    """The transform threads, started by the first 3D transform."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_FFT_THREADS, thread_name_prefix="shearks-fft")
+        return _pool
+
+
+def _forget_pool():
+    """A forked child inherits the executor but none of its threads."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run(tasks) -> None:
+    """Run every (fn, *args) on the pool and wait for all of them.
+
+    Each task runs in a copy of the caller's context, which carries numpy's
+    error state (np.errstate); the first task error is raised once every
+    task has finished writing.
+    """
+    pool = _fft_pool()
+    futures = [pool.submit(contextvars.copy_context().run, *task) for task in tasks]
+    wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _halves(n: int) -> tuple[slice, slice]:
+    return slice(0, (n + 1) // 2), slice((n + 1) // 2, n)
+
+
+def _inverse_yz(src: np.ndarray, tmp: np.ndarray):
+    np.fft.ifft(src, tmp.shape[-2], axis=-2, norm="forward", out=tmp)
+    np.fft.ifft(tmp, axis=-1, norm="forward", out=tmp)
+
+
+def _inverse_x(tmp: np.ndarray, out: np.ndarray):
+    np.fft.irfft(tmp, out.shape[-3], axis=-3, norm="forward", out=out)
+
+
+def _inverse(src: np.ndarray, tmp: np.ndarray, out: np.ndarray):
+    _inverse_yz(src, tmp)
+    _inverse_x(tmp, out)
+
+
+def _forward_x(src: np.ndarray, hat: np.ndarray):
+    np.fft.rfft(src, axis=-3, norm="forward", out=hat)
+
+
+def _forward_zy(hat: np.ndarray):
+    np.fft.fft(hat, axis=-1, norm="forward", out=hat)
+    np.fft.fft(hat, axis=-2, norm="forward", out=hat)
+
+
+def _forward(src: np.ndarray, hat: np.ndarray):
+    _forward_x(src, hat)
+    _forward_zy(hat)
+
+
 def irfft_x(half: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Collocation values of the real field whose k1 >= 0 half is given."""
-    shape = grid.shape[1:] + grid.shape[:1]
-    return np.fft.irfftn(half, s=shape, axes=_x_last(grid, half.ndim), norm="forward")
+    if grid.dim < 3:
+        shape = grid.shape[1:] + grid.shape[:1]
+        return np.fft.irfftn(half, s=shape, axes=_x_last(grid, half.ndim), norm="forward")
+    lead = half.shape[:-3]
+    tmp = np.empty(lead + half.shape[-3:-2] + grid.shape[1:], dtype=np.result_type(half, 1j))
+    out = np.empty(lead + grid.shape, dtype=np.result_type(half.real, 1.0))
+    fields = list(np.ndindex(lead))
+    if len(fields) != 1:
+        _run([(_inverse, half[i], tmp[i], out[i]) for i in fields])
+        return out
+    src, tmp1, out1 = half[fields[0]], tmp[fields[0]], out[fields[0]]
+    _run([(_inverse_yz, src[k], tmp1[k]) for k in _halves(src.shape[0])])
+    _run([(_inverse_x, tmp1[:, k], out1[:, k]) for k in _halves(grid.shape[1])])
+    return out
 
 
 def rfft_x(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """k1 >= 0 half of the spectrum of real collocation values."""
-    return np.fft.rfftn(values, axes=_x_last(grid, values.ndim), norm="forward")
+    if grid.dim < 3:
+        return np.fft.rfftn(values, axes=_x_last(grid, values.ndim), norm="forward")
+    n1, n2, n3 = values.shape[-3:]
+    lead = values.shape[:-3]
+    hat = np.empty(lead + (n1 // 2 + 1, n2, n3), dtype=np.result_type(values, 1j))
+    fields = list(np.ndindex(lead))
+    if len(fields) != 1:
+        _run([(_forward, values[i], hat[i]) for i in fields])
+        return hat
+    src, hat1 = values[fields[0]], hat[fields[0]]
+    _run([(_forward_x, src[:, k], hat1[:, k]) for k in _halves(n2)])
+    _run([(_forward_zy, hat1[k]) for k in _halves(n1 // 2 + 1)])
+    return hat
 
 
 def fill(half: np.ndarray, grid: GridSpec) -> np.ndarray:

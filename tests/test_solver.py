@@ -482,6 +482,19 @@ class TestSamples:
         assert [row["t"] for row in result.rows] == pytest.approx([0.0, 0.25])
         assert result.rows[-1]["status"] == "unresolved"
 
+    def test_floating_point_error_in_a_3d_transform_is_classified(self):
+        # finite coefficients whose values overflow: inf - inf inside the first
+        # sample's transform, on a worker thread, raises under invalid="raise"
+        n = gaussian_bump(GRID3, width=1.0, mass=4 * np.pi)
+        for k, c in (((1, 2, 3), 1e308), ((2, 1, 3), -1e308)):
+            n.coeffs[k] = n.coeffs[tuple(-i for i in k)] = c
+        state = make_state(GRID3, n, zeros(GRID3, components=3))
+        with np.errstate(over="ignore", invalid="raise"):
+            result = run(make_params(GRID3), state)
+        assert result.status == "unresolved" and result.rows == []
+        assert result.monitor.reason == "invalid value encountered in irfft"
+        assert result.monitor.t_event == 0.0
+
     @pytest.mark.parametrize("fixed_dt", [None, 0.01])
     def test_choose_dt_rejects_non_finite_speed(self, fixed_dt):
         params = make_params(GRID2, fixed_dt=fixed_dt)

@@ -1,8 +1,17 @@
 """Transforms, spectral calculus and norms on the torus."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from shearks import spectral
 from shearks.spectral import (
     ContractViolation,
     GridSpec,
@@ -12,10 +21,13 @@ from shearks.spectral import (
     derivative,
     divergence,
     forward_transform,
+    halve,
     hermitize,
+    irfft_x,
     l2_norm,
     laplacian,
     leray_project,
+    rfft_x,
     solve_chemo,
     spectral_energy,
     values_of,
@@ -142,6 +154,159 @@ class TestValuesOf:
             with pytest.raises(ContractViolation, match="finite"), \
                     np.errstate(invalid="ignore"):
                 values_of(F)
+
+
+def serial_irfft_x(half, grid):
+    """numpy's serial irfftn in irfft_x's axis order: y, z, then x."""
+    lead = half.ndim - grid.dim
+    axes = tuple(range(lead + 1, half.ndim)) + (lead,)
+    return np.fft.irfftn(half, s=grid.shape[1:] + grid.shape[:1], axes=axes, norm="forward")
+
+
+def serial_rfft_x(values, grid):
+    lead = values.ndim - grid.dim
+    axes = tuple(range(lead + 1, values.ndim)) + (lead,)
+    return np.fft.rfftn(values, axes=axes, norm="forward")
+
+
+def random_half(grid, lead, seed):
+    rng = np.random.default_rng(seed)
+    shape = lead + (grid.shape[0] // 2 + 1, *grid.shape[1:])
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def transform_in_forked_child(shape):
+    """Body of a forked child: one 3D transform, checked against numpy."""
+    grid = GridSpec(shape)
+    half = random_half(grid, (), seed=47)
+    if not np.array_equal(irfft_x(half, grid), serial_irfft_x(half, grid)):
+        sys.exit(3)
+
+
+# 25 k1 planes at 48^3; 9 at (16, 10, 12), which the slabs split unevenly
+THREAD_GRIDS = [GridSpec((48, 48, 48)), GridSpec((16, 10, 12))]
+
+
+class TestThreadedTransforms:
+    """3D rfft_x/irfft_x run on two threads and equal numpy's serial
+    rfftn/irfftn bit for bit; 2D stays serial."""
+
+    @pytest.mark.parametrize("grid", THREAD_GRIDS, ids=["48^3", "16x10x12"])
+    @pytest.mark.parametrize("lead", [(), (1,), (3,), (7,), (9,)],
+                             ids=["field", "stack1", "stack3", "stack7", "stack9"])
+    def test_bit_identical_to_numpy(self, grid, lead):
+        half = random_half(grid, lead, seed=41)
+        values = np.random.default_rng(42).standard_normal(lead + grid.shape)
+        assert np.array_equal(irfft_x(half, grid), serial_irfft_x(half, grid))
+        assert np.array_equal(rfft_x(values, grid), serial_rfft_x(values, grid))
+
+    @pytest.mark.parametrize("grid", THREAD_GRIDS, ids=["48^3", "16x10x12"])
+    def test_non_contiguous_inputs(self, grid):
+        full = full_band_hermitian(grid, seed=43, components=3).coeffs
+        pairs = np.stack([full, full[::-1]], axis=1)
+        halves = [halve(full, grid),                      # a view of three spectra
+                  halve(pairs[:, 0], grid),               # a slice like u_h[:, 0]
+                  halve(np.asfortranarray(full[1]), grid)]
+        values = np.random.default_rng(44).standard_normal((3, 2, *grid.shape))
+        fields = [values[:, 0], values[0, 1, :, ::-1], np.asfortranarray(values[1, 0])]
+        for half in halves:
+            assert not half.flags.c_contiguous
+            assert np.array_equal(irfft_x(half, grid), serial_irfft_x(half, grid))
+        for vals in fields:
+            assert not vals.flags.c_contiguous
+            assert np.array_equal(rfft_x(vals, grid), serial_rfft_x(vals, grid))
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["field", "stack"])
+    def test_workers_keep_the_callers_error_state(self, lead):
+        # an inf coefficient makes inf - inf inside the transform; a quiet NaN
+        # raises no floating-point flag in numpy's FFT, serial or threaded
+        grid = THREAD_GRIDS[1]
+        half = random_half(grid, lead, seed=45)
+        half[..., 1, 2, 3] = np.inf
+        values = np.random.default_rng(46).standard_normal(lead + grid.shape)
+        values[..., 1, 2, 3] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(invalid="ignore"):
+                assert not np.all(np.isfinite(irfft_x(half, grid)))
+                assert not np.all(np.isfinite(rfft_x(values, grid)))
+        with np.errstate(invalid="raise"):
+            for transform, serial, arr in ((irfft_x, serial_irfft_x, half),
+                                           (rfft_x, serial_rfft_x, values)):
+                with pytest.raises(FloatingPointError, match="invalid"):
+                    serial(arr, grid)
+                with pytest.raises(FloatingPointError, match="invalid"):
+                    transform(arr, grid)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs the fork start method")
+    def test_forked_child_transforms_after_the_parent(self):
+        grid = THREAD_GRIDS[1]
+        irfft_x(random_half(grid, (), seed=47), grid)  # the parent's threads now run
+        child = multiprocessing.get_context("fork").Process(
+            target=transform_in_forked_child, args=(grid.shape,))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("a 3D transform in a forked child hung")
+        assert child.exitcode == 0
+
+    def test_threads_start_at_the_first_3d_transform(self):
+        script = (
+            "import threading\n"
+            "import numpy as np\n"
+            "from shearks.sampling import gaussian_bump\n"
+            "from shearks.shear import ShearFrame\n"
+            "from shearks.solver import Params, State, run\n"
+            "from shearks.spectral import GridSpec, irfft_x, rfft_x, values_of\n"
+            "counts = [threading.active_count()]\n"
+            "grid = GridSpec((32, 32))\n"
+            "n = gaussian_bump(grid, width=1.0, mass=4 * np.pi)\n"
+            "run(Params(grid=grid, enable_velocity=False, t_end=0.1, dt_max=0.01,\n"
+            "           output_every=0.05), State(t=0.0, n=n, u=None, frame=ShearFrame()))\n"
+            "rfft_x(values_of(n), grid)\n"
+            "counts.append(threading.active_count())\n"
+            "irfft_x(np.zeros((9, 10, 12), dtype=complex), GridSpec((16, 10, 12)))\n"
+            "counts.append(threading.active_count())\n"
+            "print(*counts)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(spectral.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120, check=True)
+        at_import, after_2d, after_3d = map(int, done.stdout.split())
+        assert at_import == after_2d == 1
+        assert 2 <= after_3d <= 3
+
+    def test_concurrent_callers_share_one_pool(self):
+        grid = THREAD_GRIDS[1]
+        halves = [random_half(grid, lead, seed=48) for lead in ((), (3,))]
+        want = [serial_irfft_x(half, grid) for half in halves]
+        old = spectral._pool
+        spectral._forget_pool()
+        if old is not None:
+            old.shutdown()
+        mismatches = []
+
+        def call_many():
+            for _ in range(20):
+                for half, ref in zip(halves, want):
+                    if not np.array_equal(irfft_x(half, grid), ref):
+                        mismatches.append(half.shape)
+        callers = [threading.Thread(target=call_many) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert mismatches == []
+        workers = [t for t in threading.enumerate() if t.name.startswith("shearks-fft")]
+        assert 1 <= len(workers) <= 2
 
 
 class TestOperators:
