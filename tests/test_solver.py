@@ -492,7 +492,7 @@ class TestSamples:
         with np.errstate(over="ignore", invalid="raise"):
             result = run(make_params(GRID3), state)
         assert result.status == "unresolved" and result.rows == []
-        assert result.monitor.reason == "invalid value encountered in irfft"
+        assert "invalid value" in result.monitor.reason
         assert result.monitor.t_event == 0.0
 
     @pytest.mark.parametrize("fixed_dt", [None, 0.01])

@@ -192,8 +192,9 @@ class TestThreadedTransforms:
     rfftn/irfftn bit for bit; 2D stays serial."""
 
     @pytest.mark.parametrize("grid", THREAD_GRIDS, ids=["48^3", "16x10x12"])
-    @pytest.mark.parametrize("lead", [(), (1,), (3,), (7,), (9,)],
-                             ids=["field", "stack1", "stack3", "stack7", "stack9"])
+    @pytest.mark.parametrize("lead", [(), (1,), (3,), (6,), (7,), (9,), (2, 3)],
+                             ids=["field", "stack1", "stack3", "stack6", "stack7", "stack9",
+                                  "stack2x3"])
     def test_bit_identical_to_numpy(self, grid, lead):
         half = random_half(grid, lead, seed=41)
         values = np.random.default_rng(42).standard_normal(lead + grid.shape)
@@ -206,9 +207,11 @@ class TestThreadedTransforms:
         pairs = np.stack([full, full[::-1]], axis=1)
         halves = [halve(full, grid),                      # a view of three spectra
                   halve(pairs[:, 0], grid),               # a slice like u_h[:, 0]
+                  halve(full[1:], grid),                  # an even stack
                   halve(np.asfortranarray(full[1]), grid)]
         values = np.random.default_rng(44).standard_normal((3, 2, *grid.shape))
-        fields = [values[:, 0], values[0, 1, :, ::-1], np.asfortranarray(values[1, 0])]
+        fields = [values[:, 0], values[1:, 1], values[0, 1, :, ::-1],
+                  np.asfortranarray(values[1, 0])]
         for half in halves:
             assert not half.flags.c_contiguous
             assert np.array_equal(irfft_x(half, grid), serial_irfft_x(half, grid))
@@ -216,7 +219,7 @@ class TestThreadedTransforms:
             assert not vals.flags.c_contiguous
             assert np.array_equal(rfft_x(vals, grid), serial_rfft_x(vals, grid))
 
-    @pytest.mark.parametrize("lead", [(), (3,)], ids=["field", "stack"])
+    @pytest.mark.parametrize("lead", [(), (3,), (2,)], ids=["field", "stack", "even_stack"])
     def test_workers_keep_the_callers_error_state(self, lead):
         # an inf coefficient makes inf - inf inside the transform; a quiet NaN
         # raises no floating-point flag in numpy's FFT, serial or threaded
@@ -280,7 +283,7 @@ class TestThreadedTransforms:
 
     def test_concurrent_callers_share_one_pool(self):
         grid = THREAD_GRIDS[1]
-        halves = [random_half(grid, lead, seed=48) for lead in ((), (3,))]
+        halves = [random_half(grid, lead, seed=48) for lead in ((), (3,), (2,))]
         want = [serial_irfft_x(half, grid) for half in halves]
         old = spectral._pool
         spectral._forget_pool()
