@@ -4,7 +4,9 @@ Live diagnostics for the solver: the wall-normal vorticity and lap(u2),
 weighted space-time norm accumulators and the energy functionals built from
 them, the good/bad splitting of the streamwise zero-mode velocity via
 co-evolved cross-section PDEs, and the quasi-linear frame quantities kappa,
-rho1, rho2, W.
+rho1, rho2, W.  Both work on stacks: the tracker advances its three parts
+as one (3, ny, nz) spectrum, and the ledger sends its three kappa products
+through one 3D transform pair.
 """
 
 from __future__ import annotations
@@ -14,21 +16,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modes import split_bar_tilde, zero_mode
+from .modes import fluctuation_only, split_bar_tilde, zero_mode
 from .shear import frame_k_mesh
 from .spectral import (
     ContractViolation,
     GridSpec,
     SpectralField,
     _mesh_k2,
-    derivative,
     fill,
     halve,
     hermitize,
     irfft_x,
     rfft_x,
     sobolev_norm,
-    values_of,
 )
 
 
@@ -60,12 +60,24 @@ class KappaRho:
     rho2_values: np.ndarray
 
 
+def _yz_gradient_values(coeffs: np.ndarray, grid: GridSpec, k_mesh=None) -> np.ndarray:
+    """Values of (dy f, dz f), the derivatives along the grid's last two axes,
+    by one inverse transform; raises ContractViolation on non-finite values."""
+    mesh = grid.k_mesh() if k_mesh is None else list(k_mesh)
+    vals = irfft_x(halve(np.stack([1j * mesh[-2] * coeffs, 1j * mesh[-1] * coeffs]), grid),
+                   grid)
+    if not np.all(np.isfinite(vals)):
+        raise ContractViolation("RealField values must be finite")
+    return vals
+
+
 def _frame_slopes(U2: SpectralField, A: float) -> tuple[np.ndarray, np.ndarray]:
     """Values of dy(V), dz(V) for V = y + U2/A; aborts when min dy(V) < 1/2."""
     if U2.grid.dim != 2 or U2.components != 1:
         raise ContractViolation("U2 must be a scalar cross-section field")
-    vy = 1.0 + values_of(derivative(U2, 0)) / A
-    vz = values_of(derivative(U2, 1)) / A
+    dy, dz = _yz_gradient_values(U2.coeffs, U2.grid)
+    vy = 1.0 + dy / A
+    vz = dz / A
     if float(np.min(vy)) < 0.5:
         raise ContractViolation("dy(V) dropped below 1/2; quasi-linear frame invalid")
     return vy, vz
@@ -86,9 +98,7 @@ def compute_kappa_rho(U2: SpectralField, A: float) -> KappaRho:
     """
     vy, vz = _frame_slopes(U2, A)
     kv = vz / vy
-    kappa = SpectralField(U2.grid, fill(rfft_x(kv, U2.grid), U2.grid))
-    dyk = values_of(derivative(kappa, 0))
-    dzk = values_of(derivative(kappa, 1))
+    dyk, dzk = _yz_gradient_values(fill(rfft_x(kv, U2.grid), U2.grid), U2.grid)
     denom = 1.0 + kv ** 2
     r1 = (dyk + kv * dzk) / (vy * denom)
     r2 = (dzk - kv * dyk) / denom
@@ -101,10 +111,7 @@ def kappa_identity_residual(kr: KappaRho, u3: SpectralField, k_mesh=None) -> flo
     grad(kappa).grad(f) = rho1 grad(V).grad(f) + rho2 (dz - kappa dy) f,
     relative to the scale of the left-hand side.
     """
-    grid = u3.grid
-    mesh = grid.k_mesh() if k_mesh is None else list(k_mesh)
-    dy, dz = irfft_x(halve(np.stack([1j * mesh[grid.dim - 2] * u3.coeffs,
-                                     1j * mesh[grid.dim - 1] * u3.coeffs]), grid), grid)
+    dy, dz = _yz_gradient_values(u3.coeffs, u3.grid, k_mesh)
     lhs = kr.dy_kappa * dy + kr.dz_kappa * dz
     rhs = (kr.rho1_values * (kr.vy_values * dy + kr.vz_values * dz)
            + kr.rho2_values * (dz - kr.kappa_values * dy))
@@ -115,54 +122,60 @@ def kappa_identity_residual(kr: KappaRho, u3: SpectralField, k_mesh=None) -> flo
 # ---------------------------------------------------------------------------
 # co-evolved decomposition of the streamwise zero-mode velocity
 
+def _advect(uv, xv: np.ndarray, cross: GridSpec) -> np.ndarray:
+    """Dealiased spectrum of div((u2, u3) X) on the cross-section, from the
+    values uv = (u2, u3) and xv of X, one field or a stack of them."""
+    mesh = cross.k_mesh()
+    fy, fz = fill(rfft_x(np.stack([uv[0] * xv, uv[1] * xv]), cross), cross)
+    return (1j * mesh[0] * fy + 1j * mesh[1] * fz) * cross.dealias_mask()
+
+
 @dataclass
 class DecompositionTracker:
     """Splits u1_0 = G1 + B1 + B2 by integrating the three cross-section
     PDEs alongside the solver with the same scheme, stages and dealiasing:
     G1 carries the initial data and the non-zero-mode feedback, B1 the
     density forcing n0/A, B2 the lift-up source -u2_0.
+
+    The three are one (3, ny, nz) spectrum, ``parts``, advanced by one Heun
+    step with one advection per stage and one ``hermitize``; ``G1``, ``B1``
+    and ``B2`` are views of its rows.
     """
 
-    G1: SpectralField
-    B1: SpectralField
-    B2: SpectralField
+    parts: SpectralField
 
     @classmethod
     def start(cls, params, state) -> "DecompositionTracker":
-        g1 = zero_mode(state.u.component(0)).copy()
-        cross = g1.grid
-        zero = lambda: SpectralField(cross, np.zeros(cross.shape, dtype=np.complex128))
-        return cls(G1=g1, B1=zero(), B2=zero())
+        u1_0 = zero_mode(state.u.component(0))
+        parts = np.zeros((3, *u1_0.grid.shape), dtype=np.complex128)
+        parts[0] = u1_0.coeffs
+        return cls(SpectralField(u1_0.grid, parts))
+
+    G1 = property(lambda self: self.parts.component(0))
+    B1 = property(lambda self: self.parts.component(1))
+    B2 = property(lambda self: self.parts.component(2))
 
     @property
     def cross(self) -> GridSpec:
-        return self.G1.grid
+        return self.parts.grid
 
     def bad_part(self) -> SpectralField:
         """U2 = tilde(B2) + bar(B2) + bar(B1)."""
-        bar1, _ = split_bar_tilde(self.B1)
         out = self.B2.coeffs.copy()
-        out[(0,) * self.cross.dim] += bar1
+        out[(0,) * self.cross.dim] += split_bar_tilde(self.B1)[0]
         return SpectralField(self.cross, out)
 
-    def _stage_rhs(self, params, ev):
-        """Per-stage tendencies (G1, B1, B2) from the solver's aux fields."""
+    def _stage_rhs(self, parts: np.ndarray, A: float, ev) -> np.ndarray:
+        """Tendencies of a (G1, B1, B2) stack from one stage's aux fields."""
         cross = self.cross
-        A = params.A
         mask = cross.dealias_mask()
         mesh = cross.k_mesh()
-        u2v, u3v = ev.u_zero_vals[1], ev.u_zero_vals[2]
-
-        def advect(Xc):
-            xv = irfft_x(halve(Xc * mask, cross), cross)
-            fy, fz = fill(rfft_x(np.stack([u2v * xv, u3v * xv]), cross), cross)
-            return (1j * mesh[0] * fy + 1j * mesh[1] * fz) * mask
-
-        neq = (1j * mesh[0] * ev.q_neq_hat[0] + 1j * mesh[1] * ev.q_neq_hat[1]) * mask
-        r_g1 = -(advect(self.G1.coeffs) + neq) / A
-        r_b1 = -advect(self.B1.coeffs) / A + ev.n_zero.coeffs / A
-        r_b2 = -advect(self.B2.coeffs) / A - ev.u_zero[1].coeffs
-        return r_g1, r_b1, r_b2
+        rhs = _advect(ev.u_zero_vals[1:], irfft_x(halve(parts * mask, cross), cross), cross)
+        rhs[0] += (1j * mesh[0] * ev.q_neq_hat[0] + 1j * mesh[1] * ev.q_neq_hat[1]) * mask
+        rhs = -rhs / A
+        rhs[1] += ev.n_zero.coeffs / A
+        rhs[2] -= ev.u_zero[1].coeffs
+        return rhs
 
     def advance(self, params, dt, ev1, ev2):
         """One Heun step mirroring the solver's stages exactly.
@@ -172,35 +185,23 @@ class DecompositionTracker:
         """
         cross = self.cross
         heat = np.exp(-cross.k_squared() * dt / params.A)
-        r1 = self._stage_rhs(params, ev1)
-        pred = DecompositionTracker(
-            G1=SpectralField(cross, heat * (self.G1.coeffs + dt * r1[0])),
-            B1=SpectralField(cross, heat * (self.B1.coeffs + dt * r1[1])),
-            B2=SpectralField(cross, heat * (self.B2.coeffs + dt * r1[2])),
-        )
-        r2 = pred._stage_rhs(params, ev2)
-        self.G1 = hermitize(SpectralField(cross, heat * (self.G1.coeffs + 0.5 * dt * r1[0])
-                                          + 0.5 * dt * r2[0]))
-        self.B1 = hermitize(SpectralField(cross, heat * (self.B1.coeffs + 0.5 * dt * r1[1])
-                                          + 0.5 * dt * r2[1]))
-        self.B2 = hermitize(SpectralField(cross, heat * (self.B2.coeffs + 0.5 * dt * r1[2])
-                                          + 0.5 * dt * r2[2]))
+        parts = self.parts.coeffs
+        r1 = self._stage_rhs(parts, params.A, ev1)
+        r2 = self._stage_rhs(heat * (parts + dt * r1), params.A, ev2)
+        self.parts = hermitize(SpectralField(cross, heat * (parts + 0.5 * dt * r1)
+                                             + 0.5 * dt * r2))
 
     def du2_dt(self, params, state) -> SpectralField:
         """Time derivative of the bad part, assembled from the equations'
         right-hand sides rather than finite differences."""
         cross = self.cross
         A = params.A
-        mask = cross.dealias_mask()
-        mesh = cross.k_mesh()
-        u2_0, u3_0 = zero_mode(state.u.component(1)), zero_mode(state.u.component(2))
+        u_0 = zero_mode(state.u).coeffs
         n_0 = zero_mode(state.n)
-        u2v, u3v, b2v = irfft_x(halve(np.stack([u2_0.coeffs, u3_0.coeffs, self.B2.coeffs])
-                                      * mask, cross), cross)
-        fy, fz = fill(rfft_x(np.stack([u2v * b2v, u3v * b2v]), cross), cross)
-        adv = (1j * mesh[0] * fy + 1j * mesh[1] * fz) * mask
-        k2 = cross.k_squared()
-        out = (-k2 * self.B2.coeffs) / A - u2_0.coeffs - adv / A
+        u2v, u3v, b2v = irfft_x(halve(np.stack([u_0[1], u_0[2], self.B2.coeffs])
+                                      * cross.dealias_mask(), cross), cross)
+        adv = _advect((u2v, u3v), b2v, cross)
+        out = (-cross.k_squared() * self.B2.coeffs) / A - u_0[1] - adv / A
         out[(0,) * cross.dim] += n_0.coeffs[(0,) * cross.dim].real / A
         return SpectralField(cross, out)
 
@@ -327,8 +328,8 @@ def ledger_update(ledger: EnergyLedger, state, params, tracker, n_vals: np.ndarr
     weights = _norm_weights(grid, mesh)
 
     # (i k1)^2 is exactly zero on the k1 = 0 plane: this is the fluctuation alone
-    dxx_n = (1j * np.asarray(mesh[0])) ** 2 * n.coeffs
-    _observe_field(ledger, "dxx_n_neq", ledger.wb, t, dxx_n, grid, weights)
+    dxx = (1j * mesh[0]) ** 2
+    _observe_field(ledger, "dxx_n_neq", ledger.wb, t, dxx * n.coeffs, grid, weights)
 
     if state.u is None:
         return
@@ -341,8 +342,7 @@ def ledger_update(ledger: EnergyLedger, state, params, tracker, n_vals: np.ndarr
     ck2 = cross.k_squared()
     for name, f0 in (("u2_0", zero_mode(u.component(1))), ("u3_0", zero_mode(u.component(2)))):
         _observe_field(ledger, name, 0.0, t, f0.coeffs, cross, cweights)
-        grad = np.stack([1j * np.broadcast_to(cmesh[a], cross.shape) * f0.coeffs
-                         for a in range(2)])
+        grad = np.stack([1j * cmesh[a] * f0.coeffs for a in range(2)])
         _observe_field(ledger, "grad_" + name, 0.0, t, grad, cross, cweights)
         lap = -ck2 * f0.coeffs
         if name == "u2_0":
@@ -352,63 +352,58 @@ def ledger_update(ledger: EnergyLedger, state, params, tracker, n_vals: np.ndarr
             _observe_field(ledger, "wmin_lap_u3_0", 0.0, t, wmin * lap, cross, cweights)
 
     # X_a group: vorticity pair
-    u_neq = SpectralField(grid, u.coeffs.copy())
-    u_neq.coeffs[:, 0] = 0.0
+    u_neq = fluctuation_only(u)
     w2 = compute_omega2(u_neq, k_mesh=mesh)
     k2 = weights[0]
     _observe_field(ledger, "lap_u2_neq", ledger.wa, t, -k2 * u_neq.coeffs[1], grid, weights)
     for axis, name in ((0, "dx_w2_neq"), (1, "dy_w2_neq"), (2, "dz_w2_neq")):
-        d = 1j * np.broadcast_to(mesh[axis], grid.shape) * w2.coeffs
-        _observe_field(ledger, name, ledger.wa, t, d, grid, weights)
+        _observe_field(ledger, name, ledger.wa, t, 1j * mesh[axis] * w2.coeffs, grid, weights)
 
     # X_b group: streamwise-second-derivative fluctuations
-    dxx = (1j * np.asarray(mesh[0])) ** 2
     _observe_field(ledger, "dxx_u2_neq", ledger.wb, t, dxx * u_neq.coeffs[1], grid, weights)
     _observe_field(ledger, "dxx_u3_neq", ledger.wb, t, dxx * u_neq.coeffs[2], grid, weights)
     _observe_field(ledger, "lap_u3_neq", ledger.wb, t, -k2 * u_neq.coeffs[2], grid, weights)
 
-    # good-derivative and W quantities need the quasi-linear frame
-    kappa_vals = 0.0
+    # good derivatives (dz - kappa dy) u2, u3 and W = u2 + kappa u3 in the
+    # quasi-linear frame; without a frame kappa is zero
+    kappa = None
     if tracker is not None:
         try:
-            kappa_vals = kappa_values(tracker.bad_part(), params.A)
+            kappa = kappa_values(tracker.bad_part(), params.A)
         except ContractViolation:
-            kappa_vals = 0.0
-    def good_derivative(comp_coeffs):
-        dz = 1j * np.broadcast_to(mesh[2], grid.shape) * comp_coeffs
-        dy = 1j * np.broadcast_to(mesh[1], grid.shape) * comp_coeffs
-        if np.isscalar(kappa_vals) and kappa_vals == 0.0:
-            return dz
-        dy_phys = irfft_x(halve(dy, grid), grid)
-        prod = fill(rfft_x(kappa_vals[None, :, :] * dy_phys, grid), grid)
-        return dz - prod * grid.dealias_mask()
+            pass
+    good = 1j * mesh[2] * u_neq.coeffs[1:]
+    w_coeffs = u_neq.coeffs[1]
+    if kappa is not None:
+        # kappa dy u2, kappa dy u3 and kappa u3 through one transform pair; the
+        # stack is built on the k1 >= 0 half and scaled in place, because a
+        # stack of full spectra would be the largest transient of a 3D sample
+        half = halve(u_neq.coeffs, grid)
+        dy = 1j * halve(mesh[1], grid)
+        phys = irfft_x(np.stack([dy * half[1], dy * half[2], half[2]]), grid)
+        phys *= kappa
+        prods = rfft_x(phys, grid)
+        del phys
+        prods = fill(prods, grid)
+        prods *= grid.dealias_mask()
+        good -= prods[:2]
+        w_coeffs = w_coeffs + prods[2]
+        del prods
 
-    dx1 = 1j * np.asarray(mesh[0])
-    _observe_field(ledger, "dx_good_u2", ledger.wb, t,
-                   dx1 * good_derivative(u_neq.coeffs[1]), grid, weights)
-    _observe_field(ledger, "dx_good_u3", ledger.wb, t,
-                   dx1 * good_derivative(u_neq.coeffs[2]), grid, weights)
-
-    if np.isscalar(kappa_vals) and kappa_vals == 0.0:
-        w_coeffs = u_neq.coeffs[1]
-    else:
-        u3_phys = irfft_x(halve(u_neq.coeffs[2], grid), grid)
-        prod = fill(rfft_x(kappa_vals[None, :, :] * u3_phys, grid), grid)
-        w_coeffs = u_neq.coeffs[1] + prod * grid.dealias_mask()
-    grad_w = np.stack([1j * np.broadcast_to(mesh[a], grid.shape) * w_coeffs
-                       for a in range(3)])
+    dx1 = 1j * mesh[0]
+    _observe_field(ledger, "dx_good_u2", ledger.wb, t, dx1 * good[0], grid, weights)
+    _observe_field(ledger, "dx_good_u3", ledger.wb, t, dx1 * good[1], grid, weights)
+    grad_w = np.stack([1j * mesh[a] * w_coeffs for a in range(3)])
     _observe_field(ledger, "dx_grad_W", ledger.wb, t, dx1 * grad_w, grid, weights)
 
     # E_{1,2}: bad-part Sobolev budgets from the co-evolved fields
     if tracker is not None:
         U2 = tracker.bad_part()
-        ck2 = cross.k_squared()
         lap_u2_bad = SpectralField(cross, -ck2 * U2.coeffs)
         ledger.scalar_track("lapU2_h2_sup").observe(t, sobolev_norm(lap_u2_bad, 2))
-        grad_lap = np.stack([1j * np.broadcast_to(cmesh[a], cross.shape) * lap_u2_bad.coeffs
-                             for a in range(2)])
-        gl = SpectralField(cross, grad_lap)
-        ledger.scalar_track("gradlapU2_h2_int").observe(t, sobolev_norm(gl, 2) ** 2)
+        grad_lap = SpectralField(cross, np.stack([1j * cmesh[a] * lap_u2_bad.coeffs
+                                                  for a in range(2)]))
+        ledger.scalar_track("gradlapU2_h2_int").observe(t, sobolev_norm(grad_lap, 2) ** 2)
         dtu2 = tracker.du2_dt(params, state)
         ledger.scalar_track("dtU2_h2_sup").observe(t, sobolev_norm(dtu2, 2))
 

@@ -5,14 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ConfigError, RunConfig, params_of
-from .modes import zero_mode
-from .sampling import (
-    fluctuation_only,
-    gaussian_bump,
-    positive_density,
-    random_smooth,
-    solenoidal_zero_mode,
-)
+from .modes import fluctuation_only, zero_mode
+from .sampling import gaussian_bump, positive_density, random_smooth, solenoidal_zero_mode
 from .shear import ShearFrame
 from .solver import State
 from .spectral import GridSpec, SpectralField, hermitize, leray_project, sobolev_norm, zeros

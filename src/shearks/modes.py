@@ -20,16 +20,20 @@ def zero_mode(F: SpectralField) -> SpectralField:
     return SpectralField(F.grid.cross_section(), F.coeffs[take])
 
 
+def fluctuation_only(F: SpectralField) -> SpectralField:
+    """The non-zero mode of F: a copy with every k1 = 0 coefficient zeroed."""
+    out = F.coeffs.copy()
+    out[(slice(None),) * (out.ndim - F.grid.dim) + (0,)] = 0.0
+    return SpectralField(F.grid, out)
+
+
 def split_x(F: SpectralField) -> tuple[SpectralField, SpectralField]:
     """(zero mode on the cross-section grid, fluctuation on the full torus).
 
     Exact in spectral space: the zero mode collects the k1 = 0 plane, the
     fluctuation everything else.
     """
-    zero = zero_mode(F).copy()
-    fluct = F.coeffs.copy()
-    fluct[(slice(None),) * (F.coeffs.ndim - F.grid.dim) + (0,)] = 0.0
-    return zero, SpectralField(F.grid, fluct)
+    return zero_mode(F).copy(), fluctuation_only(F)
 
 
 def split_bar_tilde(f0: SpectralField) -> tuple[float, SpectralField]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .modes import fluctuation_only  # noqa: F401  (re-exported for test-field builders)
 from .spectral import (
     ContractViolation,
     GridSpec,
@@ -63,14 +64,6 @@ def positive_density(grid: GridSpec, seed: int, mass: float,
     total = F.coeffs[(0,) * grid.dim].real * grid.volume
     F.coeffs *= mass / total
     return F
-
-
-def fluctuation_only(F: SpectralField) -> SpectralField:
-    """Strip every k1 = 0 coefficient (pure non-zero-mode data)."""
-    out = F.coeffs.copy()
-    index = (slice(None),) * (out.ndim - F.grid.dim) + (0,)
-    out[index] = 0.0
-    return SpectralField(F.grid, out)
 
 
 def solenoidal_zero_mode(grid: GridSpec, seed: int, slope: float = 3.0) -> SpectralField:

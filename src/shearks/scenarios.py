@@ -14,8 +14,8 @@ from .config import ConfigError, RunConfig, grid_of, params_of
 from .diagnostics import compute_kappa_rho, kappa_identity_residual
 from .inequalities import check_elliptic, check_poincare, gns_ratio, loghls_scan
 from .initial import build_initial_state
-from .modes import split_x
-from .sampling import fluctuation_only, random_smooth
+from .modes import fluctuation_only
+from .sampling import random_smooth
 from .seriesio import read_checkpoint, write_checkpoint, write_series
 from .shear import ShearFrame
 from .solver import State, run
@@ -165,7 +165,7 @@ def _check_identities(cfg: RunConfig) -> dict:
         grad_max = float(np.max(np.abs(values_of(U2))))
         U2.coeffs *= 0.1 * A / max(grad_max, 1e-300)
         kr = compute_kappa_rho(U2, A)
-        u3 = split_x(random_smooth(grid3, seed=seed + 10_000))[1]
+        u3 = fluctuation_only(random_smooth(grid3, seed=seed + 10_000))
         worst = max(worst, kappa_identity_residual(kr, u3))
     return {"max_residual": worst, "samples": cfg.samples, "passed": worst <= 1e-10}
 

@@ -100,8 +100,13 @@ def state_from_bytes(data: bytes) -> tuple[State, float]:
         raise CheckpointError(f"bad magic {magic!r}")
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
+    if dim not in (2, 3):
+        raise CheckpointError(f"unsupported grid dimension {dim}")
     shape = (n1, n2, n3)[:dim]
-    grid = GridSpec(shape)
+    try:
+        grid = GridSpec(shape)
+    except ValueError as err:
+        raise CheckpointError(f"bad grid in header: {err}") from err
     block = 16 * grid.size
     body = payload[_HEADER.size:]
     if len(body) % block != 0:

@@ -186,7 +186,8 @@ class StageEval:
     The aux fields feed the decomposition tracker: raw zero modes for the
     forcing terms (k1 = 0 plane views; the solver adds them unmasked),
     physical values of the dealiased zero-mode velocities for the advection
-    products, and the fluctuation-product spectra (u_j,neq u_1,neq)_0.
+    products, one (3, ny, nz) stack, and the fluctuation-product spectra
+    (u_j,neq u_1,neq)_0 for j = 2, 3, one (2, ny, nz) stack.
     """
 
     rhs_n: np.ndarray
@@ -195,8 +196,8 @@ class StageEval:
     max_chemo: float
     n_zero: SpectralField | None = None
     u_zero: list[SpectralField] | None = None
-    u_zero_vals: list[np.ndarray] | None = None
-    q_neq_hat: list[np.ndarray] | None = None
+    u_zero_vals: np.ndarray | None = None
+    q_neq_hat: np.ndarray | None = None
 
 
 def tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: float, k_mesh,
@@ -267,9 +268,9 @@ def tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: float, 
         # the k1 = 0 plane of a half spectrum is complete: the zero modes are views
         cross = grid.cross_section()
         cmask = halve(cross.dealias_mask(), cross)
-        u_zero_vals = list(irfft_x(halve(u_h[:, 0], cross) * cmask, cross))
-        q_neq_hat = [uu[slot[j, 0]][0] - fill(rfft_x(u_zero_vals[j] * u_zero_vals[0], cross), cross)
-                     for j in (1, 2)]
+        u_zero_vals = irfft_x(halve(u_h[:, 0], cross) * cmask, cross)
+        q_neq_hat = (uu[[slot[1, 0], slot[2, 0]], 0]
+                     - fill(rfft_x(u_zero_vals[1:] * u_zero_vals[0], cross), cross))
         aux = {"n_zero": SpectralField(cross, n_h[0]),
                "u_zero": [SpectralField(cross, c) for c in u_h[:, 0]],
                "u_zero_vals": u_zero_vals, "q_neq_hat": q_neq_hat}

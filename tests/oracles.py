@@ -12,14 +12,19 @@ the references the solver's sample rows and Parseval are checked against;
 ``free_energy_monotone`` grades a run's free-energy column.
 ``full_spectrum_step`` is the coupled Heun step taken on whole spectra, the
 bit-for-bit reference of ``solver.step``, which works on k1 >= 0 halves.
+``PerFieldTracker`` advances G1, B1 and B2 one field at a time, the
+bit-for-bit reference of ``diagnostics.DecompositionTracker``, which
+advances them as one stack.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from shearks import solver
 from shearks.diagnostics import compute_omega2
+from shearks.modes import zero_mode
 from shearks.shear import REMAP_THRESHOLD, ShearFrame, effective_k_mesh, frame_k_mesh, \
     integrating_factor
 from shearks.spectral import (
@@ -274,3 +279,56 @@ def full_spectrum_step(state, params, t_stop=None, tracker=None):
             tracker.advance(params, dt, ev1, ev2)
     return (solver.State(t=state.t + dt, n=n_field, u=u_field, frame=new_frame),
             solver.StepInfo(dt=dt, dropped_n=dropped_n, dropped_u=dropped_u))
+
+
+@dataclass
+class PerFieldTracker:
+    """The decomposition tracker with one advection, one Heun line and one
+    ``hermitize`` per field: G1, B1 and B2 each take an inverse transform and
+    a forward transform of their two fluxes per stage."""
+
+    G1: SpectralField
+    B1: SpectralField
+    B2: SpectralField
+
+    @classmethod
+    def start(cls, params, state) -> "PerFieldTracker":
+        g1 = zero_mode(state.u.component(0)).copy()
+        cross = g1.grid
+        zero = lambda: SpectralField(cross, np.zeros(cross.shape, dtype=np.complex128))
+        return cls(G1=g1, B1=zero(), B2=zero())
+
+    def _stage_rhs(self, params, ev):
+        cross = self.G1.grid
+        A = params.A
+        mask = cross.dealias_mask()
+        mesh = cross.k_mesh()
+        u2v, u3v = ev.u_zero_vals[1], ev.u_zero_vals[2]
+
+        def advect(Xc):
+            xv = irfft_x(halve(Xc * mask, cross), cross)
+            fy, fz = fill(rfft_x(np.stack([u2v * xv, u3v * xv]), cross), cross)
+            return (1j * mesh[0] * fy + 1j * mesh[1] * fz) * mask
+
+        neq = (1j * mesh[0] * ev.q_neq_hat[0] + 1j * mesh[1] * ev.q_neq_hat[1]) * mask
+        r_g1 = -(advect(self.G1.coeffs) + neq) / A
+        r_b1 = -advect(self.B1.coeffs) / A + ev.n_zero.coeffs / A
+        r_b2 = -advect(self.B2.coeffs) / A - ev.u_zero[1].coeffs
+        return r_g1, r_b1, r_b2
+
+    def advance(self, params, dt, ev1, ev2):
+        cross = self.G1.grid
+        heat = np.exp(-cross.k_squared() * dt / params.A)
+        r1 = self._stage_rhs(params, ev1)
+        pred = PerFieldTracker(
+            G1=SpectralField(cross, heat * (self.G1.coeffs + dt * r1[0])),
+            B1=SpectralField(cross, heat * (self.B1.coeffs + dt * r1[1])),
+            B2=SpectralField(cross, heat * (self.B2.coeffs + dt * r1[2])),
+        )
+        r2 = pred._stage_rhs(params, ev2)
+        self.G1 = hermitize(SpectralField(cross, heat * (self.G1.coeffs + 0.5 * dt * r1[0])
+                                          + 0.5 * dt * r2[0]))
+        self.B1 = hermitize(SpectralField(cross, heat * (self.B1.coeffs + 0.5 * dt * r1[1])
+                                          + 0.5 * dt * r2[1]))
+        self.B2 = hermitize(SpectralField(cross, heat * (self.B2.coeffs + 0.5 * dt * r1[2])
+                                          + 0.5 * dt * r2[2]))

@@ -1,9 +1,12 @@
 """Vorticity diagnostics, energy ledger, decomposition tracker, kappa/rho."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from shearks.diagnostics import (
+    DecompositionTracker,
     EnergyLedger,
     compute_kappa_rho,
     compute_omega2,
@@ -260,6 +263,23 @@ class TestEnergyLedger:
         ledger = EnergyLedger(A=params.A)
         ledger_update(ledger, state, params, None, values_of(n))
         assert ledger.norms["lap_u2_neq"].sup_sq == pytest.approx(16 * np.pi ** 3, rel=1e-12)
+
+    def test_zero_bad_part_matches_no_tracker(self):
+        # a fresh tracker's bad part is zero, so kappa = 0 takes the frame's
+        # transform path; it must report what the path without a frame does
+        params = small_3d_params(track_energies=True, track_decomposition=True)
+        state = smooth_3d_state(seed=6)
+        tracker = DecompositionTracker.start(params, state)
+        assert not np.any(tracker.bad_part().coeffs)
+        reports = []
+        for tr in (tracker, None):
+            ledger = EnergyLedger(A=params.A)
+            for t in (0.0, 0.5):
+                ledger_update(ledger, replace(state, t=t), params, tr, values_of(state.n))
+            reports.append(energy_report(ledger))
+        for key in ("E21", "E22", "E3", "E4", "E51", "E52"):
+            assert reports[0][key] == reports[1][key], key
+        assert reports[0]["E52"] > 0.0
 
     def test_monotone_accumulators_on_run(self):
         params = small_3d_params(track_energies=True, track_decomposition=True,

@@ -1,6 +1,9 @@
 """Config parsing, series/checkpoint round-trips, scenarios and the CLI."""
 
 import math
+import struct
+import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ from shearks.cli import main as cli_main
 from shearks.config import ConfigError, grid_of, parse_config, params_of
 from shearks.scenarios import efold_time, run_resume, run_simulate
 from shearks.seriesio import (
+    _HEADER,
     CheckpointError,
     checkpoint_bytes,
     read_checkpoint,
@@ -183,6 +187,23 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="CRC"):
             state_from_bytes(bytes(raw))
 
+    @pytest.mark.parametrize("slot, value", [(3, 7), (2, 0), (2, 4)],
+                             ids=["n1=7", "dim=0", "dim=4"])
+    def test_bad_header_dims_are_checkpoint_errors(self, tmp_path, slot, value):
+        # a CRC-valid file whose header names a grid GridSpec rejects, or no
+        # grid; a density-only body passes the block-count check at dim = 4
+        raw = checkpoint_bytes(small_state(with_u=False), A=2.0)
+        header = list(_HEADER.unpack(raw[:_HEADER.size]))
+        header[slot] = value
+        payload = _HEADER.pack(*header) + raw[_HEADER.size:-4]
+        path = tmp_path / "bad.pksn"
+        path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
+        with pytest.raises(CheckpointError):
+            read_checkpoint(path)
+        conf = tmp_path / "run.conf"
+        conf.write_text(BASE_2D + f"out_dir = {tmp_path}/out\n")
+        assert cli_main(["resume", str(path), "--config", str(conf)]) == 4
+
 
 BASE_2D = """
 scenario = simulate
@@ -263,8 +284,11 @@ class TestSweepAndRateScenarios:
         summary = run_sweep_mass(cfg)
         assert [r["mass"] for r in summary["rows"]] == [3.0, 6.0]
         assert all(r["status"] == "suppressed" for r in summary["rows"])
-        assert (tmp_path / "sw" / "sweep.csv").exists()
-        assert (tmp_path / "sw" / "mass_3" / "series.csv").exists()
+        # the process pool writes the same bytes as the serial loop
+        run_sweep_mass(replace(cfg, workers=1, out_dir=f"{tmp_path}/serial"))
+        for name in ("sweep.csv", "mass_3/series.csv", "mass_6/series.csv"):
+            assert (tmp_path / "sw" / name).read_bytes() == \
+                (tmp_path / "serial" / name).read_bytes()
 
     def test_cli_sweep_verb(self, tmp_path, capsys):
         code = cli_main([

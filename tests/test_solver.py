@@ -1,6 +1,5 @@
 """Solver tendencies, stepping, conservation and run outcomes."""
 
-from copy import deepcopy
 from dataclasses import replace
 from pathlib import Path
 
@@ -38,6 +37,7 @@ from shearks.spectral import (
 )
 
 from oracles import (
+    PerFieldTracker,
     exact_passive_scalar,
     from_values,
     full_spectrum_step,
@@ -203,7 +203,8 @@ def assert_real_by_construction(F):
 
 class TestHalfSpectrumStep:
     """solver.step works on k1 >= 0 halves; on the states a run starts from
-    it equals the whole-spectrum step of tests/oracles.py bit for bit."""
+    it equals the whole-spectrum step of tests/oracles.py bit for bit, and
+    its stacked tracker equals the oracles' per-field tracker."""
 
     def compare(self, cfg, steps, track=False):
         params = params_of(cfg)
@@ -211,7 +212,7 @@ class TestHalfSpectrumStep:
         tr_ours = tr_ref = None
         if track:
             tr_ours = diagnostics.DecompositionTracker.start(params, ours)
-            tr_ref = deepcopy(tr_ours)
+            tr_ref = PerFieldTracker.start(params, ref)
         dropped = 0.0
         for _ in range(steps):
             ours, info = step(ours, params, tracker=tr_ours)
@@ -420,7 +421,7 @@ class TestSamples:
         def counting(F, _values_of=spectral.values_of):
             calls.append(F.grid.shape)
             return _values_of(F)
-        for module in (spectral, solver, inequalities, diagnostics):
+        for module in (spectral, solver, inequalities):
             monkeypatch.setattr(module, "values_of", counting)
         params = make_params(GRID2, t_end=0.5, output_every=0.05, dt_max=5e-3,
                              track_energies=True)
