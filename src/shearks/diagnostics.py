@@ -6,7 +6,8 @@ them, the good/bad splitting of the streamwise zero-mode velocity via
 co-evolved cross-section PDEs, and the quasi-linear frame quantities kappa,
 rho1, rho2, W.  Both work on stacks: the tracker advances its three parts
 as one (3, ny, nz) spectrum, and the ledger sends its three kappa products
-through one 3D transform pair.
+through one 3D transform pair.  The tracker's stages run on k_y >= 0
+halves, completed once per step like a solver step's.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from .spectral import (
     GridSpec,
     SpectralField,
     _mesh_k2,
+    complete_half,
     fill,
     halve,
-    hermitize,
     irfft_x,
+    over_k2,
     rfft_x,
     sobolev_norm,
 )
@@ -60,12 +62,12 @@ class KappaRho:
     rho2_values: np.ndarray
 
 
-def _yz_gradient_values(coeffs: np.ndarray, grid: GridSpec, k_mesh=None) -> np.ndarray:
+def _yz_gradient_values(half: np.ndarray, grid: GridSpec, k_mesh=None) -> np.ndarray:
     """Values of (dy f, dz f), the derivatives along the grid's last two axes,
-    by one inverse transform; raises ContractViolation on non-finite values."""
-    mesh = grid.k_mesh() if k_mesh is None else list(k_mesh)
-    vals = irfft_x(halve(np.stack([1j * mesh[-2] * coeffs, 1j * mesh[-1] * coeffs]), grid),
-                   grid)
+    by one inverse transform of the k1 >= 0 half of f's spectrum; raises
+    ContractViolation on non-finite values."""
+    mesh = [halve(m, grid) for m in (grid.k_mesh() if k_mesh is None else k_mesh)]
+    vals = irfft_x(np.stack([1j * mesh[-2] * half, 1j * mesh[-1] * half]), grid)
     if not np.all(np.isfinite(vals)):
         raise ContractViolation("RealField values must be finite")
     return vals
@@ -75,7 +77,7 @@ def _frame_slopes(U2: SpectralField, A: float) -> tuple[np.ndarray, np.ndarray]:
     """Values of dy(V), dz(V) for V = y + U2/A; aborts when min dy(V) < 1/2."""
     if U2.grid.dim != 2 or U2.components != 1:
         raise ContractViolation("U2 must be a scalar cross-section field")
-    dy, dz = _yz_gradient_values(U2.coeffs, U2.grid)
+    dy, dz = _yz_gradient_values(halve(U2.coeffs, U2.grid), U2.grid)
     vy = 1.0 + dy / A
     vz = dz / A
     if float(np.min(vy)) < 0.5:
@@ -98,7 +100,7 @@ def compute_kappa_rho(U2: SpectralField, A: float) -> KappaRho:
     """
     vy, vz = _frame_slopes(U2, A)
     kv = vz / vy
-    dyk, dzk = _yz_gradient_values(fill(rfft_x(kv, U2.grid), U2.grid), U2.grid)
+    dyk, dzk = _yz_gradient_values(rfft_x(kv, U2.grid), U2.grid)
     denom = 1.0 + kv ** 2
     r1 = (dyk + kv * dzk) / (vy * denom)
     r2 = (dzk - kv * dyk) / denom
@@ -111,7 +113,7 @@ def kappa_identity_residual(kr: KappaRho, u3: SpectralField, k_mesh=None) -> flo
     grad(kappa).grad(f) = rho1 grad(V).grad(f) + rho2 (dz - kappa dy) f,
     relative to the scale of the left-hand side.
     """
-    dy, dz = _yz_gradient_values(u3.coeffs, u3.grid, k_mesh)
+    dy, dz = _yz_gradient_values(halve(u3.coeffs, u3.grid), u3.grid, k_mesh)
     lhs = kr.dy_kappa * dy + kr.dz_kappa * dz
     rhs = (kr.rho1_values * (kr.vy_values * dy + kr.vz_values * dz)
            + kr.rho2_values * (dz - kr.kappa_values * dy))
@@ -123,11 +125,11 @@ def kappa_identity_residual(kr: KappaRho, u3: SpectralField, k_mesh=None) -> flo
 # co-evolved decomposition of the streamwise zero-mode velocity
 
 def _advect(uv, xv: np.ndarray, cross: GridSpec) -> np.ndarray:
-    """Dealiased spectrum of div((u2, u3) X) on the cross-section, from the
-    values uv = (u2, u3) and xv of X, one field or a stack of them."""
-    mesh = cross.k_mesh()
-    fy, fz = fill(rfft_x(np.stack([uv[0] * xv, uv[1] * xv]), cross), cross)
-    return (1j * mesh[0] * fy + 1j * mesh[1] * fz) * cross.dealias_mask()
+    """Dealiased k_y >= 0 half spectrum of div((u2, u3) X) on the cross-section,
+    from the values uv = (u2, u3) and xv of X, one field or a stack of them."""
+    mesh = [halve(m, cross) for m in cross.k_mesh()]
+    fy, fz = rfft_x(np.stack([uv[0] * xv, uv[1] * xv]), cross)
+    return (1j * mesh[0] * fy + 1j * mesh[1] * fz) * halve(cross.dealias_mask(), cross)
 
 
 @dataclass
@@ -138,8 +140,8 @@ class DecompositionTracker:
     density forcing n0/A, B2 the lift-up source -u2_0.
 
     The three are one (3, ny, nz) spectrum, ``parts``, advanced by one Heun
-    step with one advection per stage and one ``hermitize``; ``G1``, ``B1``
-    and ``B2`` are views of its rows.
+    step on its k_y >= 0 half with one advection per stage, then completed
+    once; ``G1``, ``B1`` and ``B2`` are full-spectrum views of its rows.
     """
 
     parts: SpectralField
@@ -166,15 +168,15 @@ class DecompositionTracker:
         return SpectralField(self.cross, out)
 
     def _stage_rhs(self, parts: np.ndarray, A: float, ev) -> np.ndarray:
-        """Tendencies of a (G1, B1, B2) stack from one stage's aux fields."""
+        """Tendencies of a (G1, B1, B2) half stack from one stage's aux fields."""
         cross = self.cross
-        mask = cross.dealias_mask()
-        mesh = cross.k_mesh()
-        rhs = _advect(ev.u_zero_vals[1:], irfft_x(halve(parts * mask, cross), cross), cross)
+        mask = halve(cross.dealias_mask(), cross)
+        mesh = [halve(m, cross) for m in cross.k_mesh()]
+        rhs = _advect(ev.u_zero_vals[1:], irfft_x(parts * mask, cross), cross)
         rhs[0] += (1j * mesh[0] * ev.q_neq_hat[0] + 1j * mesh[1] * ev.q_neq_hat[1]) * mask
         rhs = -rhs / A
-        rhs[1] += ev.n_zero.coeffs / A
-        rhs[2] -= ev.u_zero[1].coeffs
+        rhs[1] += ev.n_zero / A
+        rhs[2] -= ev.u_zero[1]
         return rhs
 
     def advance(self, params, dt, ev1, ev2):
@@ -184,26 +186,26 @@ class DecompositionTracker:
         k1 = 0 plane of the solver's propagator.
         """
         cross = self.cross
-        heat = np.exp(-cross.k_squared() * dt / params.A)
-        parts = self.parts.coeffs
+        heat = np.exp(-halve(cross.k_squared(), cross) * dt / params.A)
+        parts = halve(self.parts.coeffs, cross)
         r1 = self._stage_rhs(parts, params.A, ev1)
         r2 = self._stage_rhs(heat * (parts + dt * r1), params.A, ev2)
-        self.parts = hermitize(SpectralField(cross, heat * (parts + 0.5 * dt * r1)
-                                             + 0.5 * dt * r2))
+        new = heat * (parts + 0.5 * dt * r1) + 0.5 * dt * r2
+        self.parts = SpectralField(cross, fill(complete_half(new, cross), cross))
 
     def du2_dt(self, params, state) -> SpectralField:
         """Time derivative of the bad part, assembled from the equations'
         right-hand sides rather than finite differences."""
         cross = self.cross
         A = params.A
-        u_0 = zero_mode(state.u).coeffs
-        n_0 = zero_mode(state.n)
-        u2v, u3v, b2v = irfft_x(halve(np.stack([u_0[1], u_0[2], self.B2.coeffs])
-                                      * cross.dealias_mask(), cross), cross)
+        u_0 = halve(zero_mode(state.u).coeffs, cross)
+        b2 = halve(self.B2.coeffs, cross)
+        u2v, u3v, b2v = irfft_x(np.stack([u_0[1], u_0[2], b2])
+                                * halve(cross.dealias_mask(), cross), cross)
         adv = _advect((u2v, u3v), b2v, cross)
-        out = (-cross.k_squared() * self.B2.coeffs) / A - u_0[1] - adv / A
-        out[(0,) * cross.dim] += n_0.coeffs[(0,) * cross.dim].real / A
-        return SpectralField(cross, out)
+        out = (-halve(cross.k_squared(), cross) * b2) / A - u_0[1] - adv / A
+        out[(0,) * cross.dim] += state.n.coeffs[(0,) * params.grid.dim].real / A
+        return SpectralField(cross, fill(out, cross))
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +295,7 @@ class EnergyLedger:
 def _norm_weights(grid: GridSpec, mesh) -> tuple[np.ndarray, np.ndarray]:
     """|k|^2 and the pressure weight k1^2/|k|^2 (zero at k = 0) on the grid."""
     k2 = _mesh_k2(mesh)
-    k1sq = np.broadcast_to(np.asarray(mesh[0]) ** 2, grid.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pres = np.where(k2 > 0, k1sq / np.where(k2 > 0, k2, 1.0), 0.0)
-    return k2, pres
+    return k2, over_k2(np.broadcast_to(np.asarray(mesh[0]) ** 2, grid.shape), k2)
 
 
 def _norm_pieces(coeffs: np.ndarray, grid: GridSpec, weights) -> tuple[float, float, float]:

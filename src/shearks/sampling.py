@@ -1,4 +1,6 @@
-"""Reproducible test-field generators shared by the bench and the harness."""
+"""Reproducible test-field generators shared by the bench and the harness;
+``random_smooth`` completes its own half spectrum, so it is real by
+construction."""
 
 from __future__ import annotations
 
@@ -10,25 +12,29 @@ from .spectral import (
     GridSpec,
     RealField,
     SpectralField,
+    complete_half,
+    fill,
     forward_transform,
-    hermitize,
+    halve,
+    l2_norm,
+    rfft_x,
+    total_mass,
     values_of,
 )
 
 
 def random_smooth(grid: GridSpec, seed: int, slope: float = 2.0,
-                  components: int = 1, band_limit: bool = True) -> SpectralField:
-    """Random real field with |fhat(k)| ~ |k|^-slope, zero mean, unit L2."""
+                  components: int = 1) -> SpectralField:
+    """Random real field inside the 2/3-rule band with |fhat(k)| ~ |k|^-slope,
+    zero mean and unit L2."""
     rng = np.random.default_rng(seed)
     shape = grid.shape if components == 1 else (components, *grid.shape)
-    raw = forward_transform(RealField(grid, rng.standard_normal(shape)))
-    k2 = grid.k_squared()
-    amp = np.where(k2 > 0, (k2 + 1.0) ** (-slope / 2.0), 0.0)
-    coeffs = raw.coeffs * amp
-    if band_limit:
-        coeffs = coeffs * grid.dealias_mask()
-    F = hermitize(SpectralField(grid, coeffs))
-    norm = np.sqrt(grid.volume * np.sum(np.abs(F.coeffs) ** 2))
+    half = rfft_x(rng.standard_normal(shape), grid)
+    k2 = halve(grid.k_squared(), grid)
+    half *= np.where(k2 > 0, (k2 + 1.0) ** (-slope / 2.0), 0.0)
+    half *= halve(grid.dealias_mask(), grid)
+    F = SpectralField(grid, fill(complete_half(half, grid), grid))
+    norm = l2_norm(F)
     if norm > 0:
         F.coeffs /= norm
     return F
@@ -49,8 +55,7 @@ def gaussian_bump(grid: GridSpec, width: float, center=None, mass: float = 1.0) 
             acc += np.exp(-((d + 2 * np.pi * image) ** 2) / (2 * width ** 2))
         vals = vals * acc
     F = forward_transform(RealField(grid, vals))
-    total = F.coeffs[(0,) * grid.dim].real * grid.volume
-    F.coeffs *= mass / total
+    F.coeffs *= mass / total_mass(F)
     return F
 
 
@@ -61,8 +66,7 @@ def positive_density(grid: GridSpec, seed: int, mass: float,
     vals = values_of(g)
     vals = np.exp(contrast * vals / max(np.max(np.abs(vals)), 1e-300))
     F = forward_transform(RealField(grid, vals))
-    total = F.coeffs[(0,) * grid.dim].real * grid.volume
-    F.coeffs *= mass / total
+    F.coeffs *= mass / total_mass(F)
     return F
 
 
@@ -76,9 +80,7 @@ def solenoidal_zero_mode(grid: GridSpec, seed: int, slope: float = 3.0) -> Spect
     cross = grid.cross_section()
     psi = random_smooth(cross, seed, slope=slope)
     ky, kz = cross.k_mesh()
-    u2 = 1j * np.broadcast_to(kz, cross.shape) * psi.coeffs
-    u3 = -1j * np.broadcast_to(ky, cross.shape) * psi.coeffs
     out = np.zeros((3, *grid.shape), dtype=np.complex128)
-    out[1, 0] = u2
-    out[2, 0] = u3
+    out[1, 0] = 1j * kz * psi.coeffs
+    out[2, 0] = -1j * ky * psi.coeffs
     return SpectralField(grid, out)

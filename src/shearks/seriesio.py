@@ -2,6 +2,7 @@
 
 The CSV column order is frozen so downstream tooling never guesses; floats
 are written with 17 significant digits so a file round-trip is lossless.
+Only checkpoints are read back here; a series is read by its consumers.
 
 Checkpoint layout (little-endian):
     magic 'PKSN' | version u32 = 1 | dim u8 | n_modes u32[3]
@@ -22,7 +23,7 @@ import numpy as np
 
 from .shear import ShearFrame
 from .solver import SERIES_COLUMNS, State
-from .spectral import GridSpec, SpectralField
+from .spectral import GridSpec, SpectralField, total_mass
 
 MAGIC = b"PKSN"
 FORMAT_VERSION = 1
@@ -49,28 +50,12 @@ def write_series(path, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
-def read_series(path) -> list[dict]:
-    lines = Path(path).read_text().strip().splitlines()
-    header = lines[0].split(",")
-    if header != list(SERIES_COLUMNS):
-        raise CheckpointError(f"unexpected series header in {path}")
-    rows = []
-    for line in lines[1:]:
-        vals = line.split(",")
-        row = {}
-        for key, raw in zip(SERIES_COLUMNS, vals):
-            row[key] = raw if key == "status" else float(raw)
-        rows.append(row)
-    return rows
-
-
 def checkpoint_bytes(state: State, A: float) -> bytes:
     grid = state.n.grid
     n_modes = list(grid.shape) + [0] * (3 - grid.dim)
-    mass = float(state.n.coeffs[(0,) * grid.dim].real * grid.volume)
     header = _HEADER.pack(
         MAGIC, FORMAT_VERSION, grid.dim, *n_modes,
-        state.t, A, state.frame.drift, state.frame.t_last_remap, mass,
+        state.t, A, state.frame.drift, state.frame.t_last_remap, total_mass(state.n),
     )
     blocks = [np.ascontiguousarray(state.n.coeffs, dtype=np.complex128).tobytes()]
     if state.u is not None:
@@ -117,8 +102,7 @@ def state_from_bytes(data: bytes) -> tuple[State, float]:
     arrays = [np.frombuffer(body[i * block:(i + 1) * block], dtype=np.complex128)
               .reshape(shape).copy() for i in range(n_blocks)]
     n = SpectralField(grid, arrays[0])
-    got_mass = float(n.coeffs[(0,) * dim].real * grid.volume)
-    if not np.isclose(got_mass, mass, rtol=1e-12, atol=1e-12):
+    if not np.isclose(total_mass(n), mass, rtol=1e-12, atol=1e-12):
         raise CheckpointError("stored mass disagrees with coefficients")
     u = None
     if n_blocks > 1:

@@ -2,7 +2,8 @@
 
 State variables are the cell density n and (in 3D) the velocity perturbation
 u around the Couette background, both stored as full spectra in a common
-shear frame; a step works on their k1 >= 0 halves and fills each once.  The
+shear frame; a step works on their k1 >= 0 halves and completes each once
+(``_real_field``), the way initial states are completed too.  The
 stiff anisotropic linear part (Couette advection + diffusion) is integrated
 exactly by the per-mode integrating factor of the shear frame; every
 nonlinear and coupling term is advanced explicitly with Heun's method, and
@@ -29,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import diagnostics
-from .inequalities import free_energy
+from .inequalities import free_energy, is_positive
 from .modes import zero_mode
 from .shear import REMAP_THRESHOLD, ShearFrame, frame_k_mesh, integrating_factor
 from .spectral import (
@@ -37,15 +38,18 @@ from .spectral import (
     GridSpec,
     SpectralField,
     _mesh_k2,
+    complete_half,
     divergence,
     fill,
     halve,
-    hermitize,
+    hermitize,  # noqa: F401  (pinned by benchmarks/tests/test_bench_spans.py, ROADMAP item 2)
     irfft_x,
     l2_norm,
     leray_coeffs,
+    over_k2,
     rfft_x,
     spectral_energy,
+    total_mass,
     values_of,
 )
 
@@ -183,19 +187,20 @@ class BlowupMonitor:
 class StageEval:
     """One explicit evaluation, rhs_n and rhs_u as k1 >= 0 half spectra.
 
-    The aux fields feed the decomposition tracker: raw zero modes for the
-    forcing terms (k1 = 0 plane views; the solver adds them unmasked),
-    physical values of the dealiased zero-mode velocities for the advection
-    products, one (3, ny, nz) stack, and the fluctuation-product spectra
-    (u_j,neq u_1,neq)_0 for j = 2, 3, one (2, ny, nz) stack.
+    The aux fields feed the decomposition tracker, spectra as k_y >= 0
+    halves on the cross-section: raw zero modes n_0 and u_0 for the forcing
+    terms (k1 = 0 plane views; the tracker adds them unmasked), physical
+    values of the dealiased zero-mode velocities for the advection products,
+    one (3, ny, nz) stack, and the fluctuation-product spectra
+    (u_j,neq u_1,neq)_0 for j = 2, 3.
     """
 
     rhs_n: np.ndarray
     rhs_u: np.ndarray | None
     max_u: float
     max_chemo: float
-    n_zero: SpectralField | None = None
-    u_zero: list[SpectralField] | None = None
+    n_zero: np.ndarray | None = None
+    u_zero: np.ndarray | None = None
     u_zero_vals: np.ndarray | None = None
     q_neq_hat: np.ndarray | None = None
 
@@ -228,7 +233,7 @@ def tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: float, 
     if u_h is not None:
         np.multiply(u_h, dmask, out=spec[:n_u])
     if chemotaxis:
-        c_h = np.where(k2 > 0.0, n_h / np.where(k2 > 0.0, k2, 1.0), 0.0)  # lap c = -(n - mean n)
+        c_h = over_k2(n_h, k2)  # lap c = -(n - mean n)
         for a in range(grid.dim):
             np.multiply(1j * mesh[a] * c_h, dmask, out=spec[n_u + a])
     phys = irfft_x(spec, grid)
@@ -259,7 +264,7 @@ def tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: float, 
         rhs[0] += n_h / A - u_h[1]
         rhs_u = leray_coeffs(rhs, mesh)
         if tilt:
-            base = np.where(k2 > 0, (1j * mesh[0]) * u_h[1] / np.where(k2 > 0, -k2, 1.0), 0.0)
+            base = over_k2((1j * mesh[0]) * u_h[1], k2, sign=-1.0)  # lap^-1 dx u2
             rhs_u += np.stack([1j * mesh[a] * base for a in range(grid.dim)])
     rhs_n = (-1.0 / A) * sum(1j * mesh[a] * flux_hat[a] for a in range(grid.dim)) * dmask
 
@@ -267,12 +272,11 @@ def tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: float, 
     if need_aux and u_h is not None:
         # the k1 = 0 plane of a half spectrum is complete: the zero modes are views
         cross = grid.cross_section()
-        cmask = halve(cross.dealias_mask(), cross)
-        u_zero_vals = irfft_x(halve(u_h[:, 0], cross) * cmask, cross)
-        q_neq_hat = (uu[[slot[1, 0], slot[2, 0]], 0]
-                     - fill(rfft_x(u_zero_vals[1:] * u_zero_vals[0], cross), cross))
-        aux = {"n_zero": SpectralField(cross, n_h[0]),
-               "u_zero": [SpectralField(cross, c) for c in u_h[:, 0]],
+        u_zero = halve(u_h[:, 0], cross)
+        u_zero_vals = irfft_x(u_zero * halve(cross.dealias_mask(), cross), cross)
+        q_neq_hat = (halve(uu[[slot[1, 0], slot[2, 0]], 0], cross)
+                     - rfft_x(u_zero_vals[1:] * u_zero_vals[0], cross))
+        aux = {"n_zero": halve(n_h[0], cross), "u_zero": u_zero,
                "u_zero_vals": u_zero_vals, "q_neq_hat": q_neq_hat}
     return StageEval(rhs_n=rhs_n, rhs_u=rhs_u, max_u=max_u, max_chemo=max_chemo, **aux)
 
@@ -373,15 +377,11 @@ def _remap_gather(grid: GridSpec, shift: int) -> tuple:
 
 
 def _real_field(half: np.ndarray, grid: GridSpec, mesh=None) -> SpectralField:
-    """The real field of a step's k1 >= 0 half spectrum, filled once: in place,
-    the lone -n/2 rows are zeroed (odd-in-k operators are ill-defined there),
-    the k1 = 0 plane, complete in the half, is symmetrized, and a velocity is
-    then Leray-projected on the half mesh, which keeps both."""
-    lead = half.ndim - grid.dim
-    for axis, n in enumerate(grid.shape):
-        half[(slice(None),) * (lead + axis) + (n // 2,)] = 0.0
-    plane = (slice(None),) * lead + (0,)
-    half[plane] = hermitize(SpectralField(grid.cross_section(), half[plane])).coeffs
+    """The real field of a k1 >= 0 half spectrum, filled once: the half is
+    completed in place (``complete_half``) and a velocity then Leray-projected
+    on the half mesh, which keeps the completion.  Step outputs and initial
+    states both end here."""
+    complete_half(half, grid)
     if mesh is not None:
         half = leray_coeffs(half, mesh)
     return SpectralField(grid, fill(half, grid))
@@ -456,17 +456,13 @@ class RunResult:
     dropped_u: float = 0.0          # velocity energy dropped at remaps (absolute)
 
 
-def _mass(n: SpectralField) -> float:
-    return float(n.coeffs[(0,) * n.grid.dim].real * n.grid.volume)
-
-
 def _row(state: State, params: Params, dt: float, status: str,
          dropped_frac: float, ledger, n_vals: np.ndarray) -> dict:
     """One series row; n_vals are the collocation values of state.n."""
     n, u = state.n, state.u
     row = {
         "t": state.t,
-        "mass": _mass(n),
+        "mass": total_mass(n),
         "n_min": float(np.min(n_vals)),
         "n_linf": float(np.max(np.abs(n_vals))),
         "n_l2": l2_norm(n),
@@ -482,7 +478,7 @@ def _row(state: State, params: Params, dt: float, status: str,
         row[key] = energies.get(key, 0.0)
     n0 = zero_mode(n) if params.grid.dim == 3 else n
     n0_vals = values_of(n0) if params.grid.dim == 3 else n_vals
-    row["free_energy"] = free_energy(n0, n0_vals) if np.min(n0_vals) > 0.0 else float("nan")
+    row["free_energy"] = free_energy(n0, n0_vals) if is_positive(n0_vals) else float("nan")
     return row
 
 
@@ -509,7 +505,7 @@ def run(params: Params, init: State, on_sample=None) -> RunResult:
         monitor.abort(state.t, reason)
         return RunResult(status=monitor.status, rows=[], final_state=state, params=params,
                          monitor=monitor)
-    mass0 = _mass(state.n)
+    mass0 = total_mass(state.n)
     fluct0 = spectral_energy(state.n) - state.n.grid.volume * (mass0 / state.n.grid.volume) ** 2
     fluct0 = max(fluct0, 1e-300)
 
@@ -573,7 +569,7 @@ def run(params: Params, init: State, on_sample=None) -> RunResult:
                         pos_floor=pos_floor,
                     )
                 # relative mass drift is a hard invariant on every accepted run
-                if abs(_mass(state.n) - mass0) > 1e-8 * max(abs(mass0), 1.0):
+                if abs(total_mass(state.n) - mass0) > 1e-8 * max(abs(mass0), 1.0):
                     monitor.abort(state.t, "mass conservation violated")
                 t_prev_sample = state.t
                 emit(last_dt, n_vals)

@@ -3,15 +3,15 @@
 Fields are stored as full complex spectra with the normalization
 f = sum_k fhat(k) e^{i k.x}, i.e. the forward transform divides by the
 number of grid points so that fhat(k) = |T|^-d * integral f e^{-i k.x}.
-Real fields are kept Hermitian-symmetric; products are formed in physical
-space with 2/3-rule dealiasing (cutoff floor(n/3) per axis) through real
-transforms halved along the streamwise axis x.  A solver step works on the
-k1 >= 0 half of each spectrum (``halve``), which holds the whole k1 = 0
-plane, and ``fill`` restores the conjugate k1 < 0 half once per field.
-Collocation values are read from that half too (``values_of``): one real
-inverse transform per sample.  The integer lattice of a grid is built once
-and shared read-only (``GridSpec.k_mesh``).  On 3D grids the real
-transforms run on two threads, bit-identical to numpy's serial ones.
+Products are formed in physical space with 2/3-rule dealiasing (cutoff
+floor(n/3) per axis) through one real transform pair halved along x
+(``rfft_x``, ``irfft_x``).  Every real field is made from the k1 >= 0 half
+of its spectrum, which holds the whole k1 = 0 plane: ``complete_half``
+makes the half that of a real field and ``fill`` writes the k1 < 0 half.
+Collocation values are read from the half too (``values_of``).  The integer
+lattice of a grid is built once and shared read-only (``GridSpec.k_mesh``).
+On 3D grids the real transforms run on two threads, bit-identical to
+numpy's serial ones.
 """
 
 from __future__ import annotations
@@ -214,14 +214,32 @@ def hermitize(F: SpectralField) -> SpectralField:
     return SpectralField(F.grid, sym)
 
 
+def complete_half(half: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Make a k1 >= 0 half spectrum that of a real field, in place: zero the
+    lone -n/2 rows (odd-in-k operators are ill-defined there) and symmetrize
+    the k1 = 0 plane, which the half holds whole.  ``fill`` completes it."""
+    lead = half.ndim - grid.dim
+    for axis, n in enumerate(grid.shape):
+        half[(slice(None),) * (lead + axis) + (n // 2,)] = 0.0
+    plane = (slice(None),) * lead + (0,)
+    if grid.dim == 1:  # the plane is the mean alone
+        half[plane] = half[plane].real
+    else:
+        half[plane] = hermitize(SpectralField(grid.cross_section(), half[plane])).coeffs
+    return half
+
+
+def total_mass(F: SpectralField) -> float:
+    """Integral of a scalar field over the torus, from its k = 0 coefficient."""
+    return float(F.coeffs[(0,) * F.grid.dim].real * F.grid.volume)
+
+
 # ---------------------------------------------------------------------------
 # transforms
 
 def forward_transform(f: RealField) -> SpectralField:
     """Collocation values -> Fourier coefficients; ``values_of`` inverts it."""
-    axes = tuple(range(f.values.ndim - f.grid.dim, f.values.ndim))
-    coeffs = np.fft.fftn(f.values, axes=axes) / f.grid.size
-    return SpectralField(f.grid, coeffs)
+    return SpectralField(f.grid, fill(rfft_x(f.values, f.grid), f.grid))
 
 
 def halve(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -417,6 +435,12 @@ def divergence(u: SpectralField, k_mesh=None) -> SpectralField:
     return SpectralField(u.grid, out)
 
 
+def over_k2(x, k2: np.ndarray, sign: float = 1.0) -> np.ndarray:
+    """x / (sign |k|^2) off k = 0 and 0 at k = 0, behind every inverse
+    Laplacian: sign = -1 gives lap^-1 x, sign = 1 the mean-free c, -lap c = x."""
+    return np.where(k2 > 0.0, x / np.where(k2 > 0.0, sign * k2, 1.0), 0.0)
+
+
 def solve_chemo(n: SpectralField, k_mesh=None) -> SpectralField:
     """Chemoattractant c with lap(c) = -(n - mean n) and mean(c) = 0.
 
@@ -427,7 +451,7 @@ def solve_chemo(n: SpectralField, k_mesh=None) -> SpectralField:
         raise ContractViolation("solve_chemo expects a scalar density")
     k2 = _mesh_k2(_mesh(n, k_mesh))
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.where(k2 > 0.0, n.coeffs / np.where(k2 > 0.0, k2, 1.0), 0.0)
+        c = over_k2(n.coeffs, k2)
     return SpectralField(n.grid, c)
 
 
@@ -443,7 +467,7 @@ def leray_coeffs(coeffs: np.ndarray, mesh) -> np.ndarray:
     k2 = _mesh_k2(mesh)
     kdotu = sum(mesh[a] * coeffs[a] for a in range(len(mesh)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        kdotu = np.where(k2 > 0.0, kdotu / np.where(k2 > 0.0, k2, 1.0), 0.0)
+        kdotu = over_k2(kdotu, k2)
     out = coeffs.copy()
     for a in range(len(mesh)):
         out[a] -= mesh[a] * kdotu

@@ -12,19 +12,26 @@ the references the solver's sample rows and Parseval are checked against;
 ``free_energy_monotone`` grades a run's free-energy column.
 ``full_spectrum_step`` is the coupled Heun step taken on whole spectra, the
 bit-for-bit reference of ``solver.step``, which works on k1 >= 0 halves.
-``PerFieldTracker`` advances G1, B1 and B2 one field at a time, the
-bit-for-bit reference of ``diagnostics.DecompositionTracker``, which
-advances them as one stack.
+``PerFieldTracker`` advances G1, B1 and B2 one field at a time on whole
+cross-section spectra, the bit-for-bit reference of
+``diagnostics.DecompositionTracker``, which advances them as one stack of
+k_y >= 0 halves.  ``complex_forward_transform`` is the full complex FFT,
+the reference of ``spectral.forward_transform``, which takes one real
+transform.  ``full_band_hermitian`` is a real field over every stored mode,
+outside the 2/3 band too, which ``sampling.random_smooth`` never makes.
+``read_series`` reads a run's ``series.csv`` back.
 """
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from shearks import solver
 from shearks.diagnostics import compute_omega2
 from shearks.modes import zero_mode
+from shearks.seriesio import CheckpointError
 from shearks.shear import REMAP_THRESHOLD, ShearFrame, effective_k_mesh, frame_k_mesh, \
     integrating_factor
 from shearks.spectral import (
@@ -37,6 +44,7 @@ from shearks.spectral import (
     halve,
     hermitize,
     irfft_x,
+    l2_norm,
     leray_project,
     rfft_x,
     values_of,
@@ -79,6 +87,46 @@ def exact_passive_scalar(F: SpectralField, t: float, A: float, drift0: float = 0
 def from_values(grid: GridSpec, values: np.ndarray) -> SpectralField:
     """Spectral field of real collocation values."""
     return forward_transform(RealField(grid, np.asarray(values, dtype=float)))
+
+
+def complex_forward_transform(f: RealField) -> SpectralField:
+    """Fourier coefficients by a full complex transform over every spatial
+    axis; leading axes are kept."""
+    axes = tuple(range(f.values.ndim - f.grid.dim, f.values.ndim))
+    return SpectralField(f.grid, np.fft.fftn(f.values, axes=axes) / f.grid.size)
+
+
+def full_band_hermitian(grid, seed, components=1, slope=None):
+    """White spectrum over every stored mode, the x-Nyquist plane and the
+    lone -n/2 rows included, made Hermitian by hermitize.  With a slope it
+    is weighted like ``sampling.random_smooth``: |fhat(k)| ~ |k|^-slope,
+    zero mean and unit L2."""
+    rng = np.random.default_rng(seed)
+    shape = grid.shape if components == 1 else (components, *grid.shape)
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if slope is not None:
+        k2 = grid.k_squared()
+        coeffs *= np.where(k2 > 0, (k2 + 1.0) ** (-slope / 2.0), 0.0)
+    F = hermitize(SpectralField(grid, coeffs))
+    if slope is not None:
+        F.coeffs /= l2_norm(F)
+    return F
+
+
+def read_series(path) -> list[dict]:
+    """The rows of a series file, floats parsed and status kept as text;
+    raises CheckpointError when the header is not ``solver.SERIES_COLUMNS``."""
+    lines = Path(path).read_text().strip().splitlines()
+    header = lines[0].split(",")
+    if header != list(solver.SERIES_COLUMNS):
+        raise CheckpointError(f"unexpected series header in {path}")
+    rows = []
+    for line in lines[1:]:
+        row = {}
+        for key, raw in zip(solver.SERIES_COLUMNS, line.split(",")):
+            row[key] = raw if key == "status" else float(raw)
+        rows.append(row)
+    return rows
 
 
 def inverse_transform(F: SpectralField) -> RealField:
@@ -284,8 +332,10 @@ def full_spectrum_step(state, params, t_stop=None, tracker=None):
 @dataclass
 class PerFieldTracker:
     """The decomposition tracker with one advection, one Heun line and one
-    ``hermitize`` per field: G1, B1 and B2 each take an inverse transform and
-    a forward transform of their two fluxes per stage."""
+    ``hermitize`` per field, on whole cross-section spectra: G1, B1 and B2
+    each take an inverse transform and a forward transform of their two
+    fluxes per stage, and the stage's k_y >= 0 aux halves are read through
+    ``fill``."""
 
     G1: SpectralField
     B1: SpectralField
@@ -310,10 +360,11 @@ class PerFieldTracker:
             fy, fz = fill(rfft_x(np.stack([u2v * xv, u3v * xv]), cross), cross)
             return (1j * mesh[0] * fy + 1j * mesh[1] * fz) * mask
 
-        neq = (1j * mesh[0] * ev.q_neq_hat[0] + 1j * mesh[1] * ev.q_neq_hat[1]) * mask
+        q_neq = fill(ev.q_neq_hat, cross)
+        neq = (1j * mesh[0] * q_neq[0] + 1j * mesh[1] * q_neq[1]) * mask
         r_g1 = -(advect(self.G1.coeffs) + neq) / A
-        r_b1 = -advect(self.B1.coeffs) / A + ev.n_zero.coeffs / A
-        r_b2 = -advect(self.B2.coeffs) / A - ev.u_zero[1].coeffs
+        r_b1 = -advect(self.B1.coeffs) / A + fill(ev.n_zero, cross) / A
+        r_b2 = -advect(self.B2.coeffs) / A - fill(ev.u_zero[1], cross)
         return r_g1, r_b1, r_b2
 
     def advance(self, params, dt, ev1, ev2):

@@ -38,6 +38,7 @@ from oracles import (
     from_values,
     inverse_transform,
     l2_norm_values,
+    read_series,
 )
 
 EIGHT_PI = 8.0 * np.pi
@@ -267,8 +268,6 @@ def test_c07_conservation(suppression_run, sweep_result, passive_runs):
     m0 = rows[0]["mass"]
     worst_mass = max(worst_mass, max(abs(r["mass"] - m0) for r in rows) / m0)
     worst_div = max(r["div_l2"] / max(r["u_l2"], 1e-300) for r in rows)
-    from shearks.seriesio import read_series
-
     for r in sweep_result["rows"]:
         series = read_series(r["series"])
         sm0 = series[0]["mass"]

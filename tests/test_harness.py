@@ -17,7 +17,6 @@ from shearks.seriesio import (
     CheckpointError,
     checkpoint_bytes,
     read_checkpoint,
-    read_series,
     state_from_bytes,
     write_checkpoint,
     write_series,
@@ -25,6 +24,7 @@ from shearks.seriesio import (
 from shearks.shear import ShearFrame
 from shearks.solver import SERIES_COLUMNS, State
 from shearks.spectral import GridSpec
+from oracles import read_series
 from test_spectral import random_real_field
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -142,6 +142,12 @@ class TestSeriesIO:
         for a, b in zip(rows, back):
             for key in SERIES_COLUMNS:
                 assert a[key] == b[key]  # 17 significant digits: lossless
+
+    def test_reader_rejects_a_foreign_header(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("t,mass\n0,1\n")
+        with pytest.raises(CheckpointError, match="header"):
+            read_series(path)
 
 
 def small_state(seed=0, with_u=True):

@@ -9,6 +9,7 @@ from shearks.inequalities import (
     check_elliptic,
     check_poincare,
     free_energy,
+    is_positive,
     gns_ratio,
     gns_theta,
     loghls_functional,
@@ -82,6 +83,23 @@ class TestFreeEnergy:
         n = from_values(GRID2, np.cos(y) + np.zeros(GRID2.shape))  # has zeros
         with pytest.raises(ContractViolation):
             free_energy(n)
+
+    def test_positive_up_to_round_off(self):
+        vals = np.full(GRID2.shape, 2.0)
+        assert is_positive(vals)
+        vals[3, 4] = -1e-15  # a Gaussian's tail after a transform round trip
+        assert is_positive(vals)
+        vals[3, 4] = -1e-9
+        assert not is_positive(vals)
+        assert not is_positive(np.zeros(GRID2.shape))
+
+    def test_round_off_negative_value_adds_zero(self):
+        n = from_values(GRID2, np.full(GRID2.shape, 1.7))
+        vals = np.full(GRID2.shape, 1.7)
+        vals[3, 4] = 0.0
+        at_zero = free_energy(n, vals)
+        vals[3, 4] = -1e-15
+        assert math.isfinite(at_zero) and free_energy(n, vals) == at_zero
 
     def test_translation_and_axis_invariance(self):
         n = gaussian_bump(GRID2, width=0.8, mass=4 * np.pi, center=(2.0, 4.0))

@@ -40,6 +40,7 @@ from oracles import (
     PerFieldTracker,
     exact_passive_scalar,
     from_values,
+    full_band_hermitian,
     full_spectrum_step,
     linf_norm,
     min_principle_check,
@@ -201,6 +202,29 @@ def assert_real_by_construction(F):
     assert np.array_equal(F.coeffs, spectral.conj_reverse(F.coeffs, F.grid.dim))
 
 
+class TestInitialStates:
+    """Initial states are completed like step outputs: real by construction."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("init_kind", ["gaussian", "random"])
+    def test_density(self, dim, init_kind):
+        cfg = parse_config(f"dim = {dim}\nnx = 16\nny = 16\nnz = {16 if dim == 3 else 0}\n"
+                           f"enable_velocity = false\nmass = 10\ninit_kind = {init_kind}\n"
+                           "init_seed = 4\n")
+        n = build_initial_state(cfg).n
+        assert_real_by_construction(n)
+        assert spectral.total_mass(n) == pytest.approx(10.0, rel=1e-12)
+
+    @pytest.mark.parametrize("u_kind", ["zero_mode", "random"])
+    def test_velocity(self, u_kind):
+        cfg = parse_config(f"dim = 3\nnx = 16\nny = 16\nnz = 16\nmass = 10\nu_kind = {u_kind}\n"
+                           "u_eps = 0.01\nu_amplitude = 0.05\nu_seed = 5\n")
+        u = build_initial_state(cfg).u
+        assert_real_by_construction(u)
+        assert l2_norm(divergence(u)) <= 1e-14 * l2_norm(u)
+        assert np.any(u.coeffs[:, 0]) and np.any(u.coeffs[:, 1:]) == (u_kind == "random")
+
+
 class TestHalfSpectrumStep:
     """solver.step works on k1 >= 0 halves; on the states a run starts from
     it equals the whole-spectrum step of tests/oracles.py bit for bit, and
@@ -273,7 +297,7 @@ class TestPassiveStep:
     """A passive step is the exact propagator applied once."""
 
     def test_no_evaluation_and_no_symmetrization(self, monkeypatch):
-        calls = {"_evaluate": 0, "hermitize": 0}
+        calls = {"_evaluate": 0, "complete_half": 0}
         for name in calls:
             def counting(*args, _name=name, _orig=getattr(solver, name), **kw):
                 calls[_name] += 1
@@ -288,10 +312,10 @@ class TestPassiveStep:
             state, info = step(state, params)
             assert np.array_equal(state.n.coeffs, fill(want, GRID2)) and state.frame == frame
             assert info.dt == 0.3 and info.dropped_n == dropped
-        assert calls == {"_evaluate": 0, "hermitize": 0}
-        # the counters do see a chemotaxis step: two evaluations, one symmetrization
+        assert calls == {"_evaluate": 0, "complete_half": 0}
+        # the counters do see a chemotaxis step: two evaluations, one completion
         step(state, replace(params, enable_chemotaxis=True))
-        assert calls == {"_evaluate": 2, "hermitize": 1}
+        assert calls == {"_evaluate": 2, "complete_half": 1}
 
     def test_fixed_dt_is_not_clipped_without_t_stop(self):
         params = make_params(GRID2, enable_shear=True, enable_chemotaxis=False,
@@ -304,7 +328,7 @@ class TestPassiveStep:
         grid = GridSpec((128, 128))
         params = make_params(grid, enable_shear=True, enable_chemotaxis=False,
                              amplitude=1e3, fixed_dt=0.05, dt_max=0.05, t_end=3.0)
-        f = random_smooth(grid, seed=11, band_limit=False)
+        f = full_band_hermitian(grid, seed=11, slope=2.0)
         nyquist = (np.abs(grid.k_mesh()[0]) == 64) | (np.abs(grid.k_mesh()[1]) == 64)
         f.coeffs[nyquist] = 0.0
         assert np.array_equal(f.coeffs, spectral.conj_reverse(f.coeffs, 2))

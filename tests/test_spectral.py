@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from shearks import spectral
+from shearks.sampling import random_smooth
 from shearks.spectral import (
     ContractViolation,
     GridSpec,
@@ -34,7 +36,14 @@ from shearks.spectral import (
     zeros,
 )
 
-from oracles import from_values, inverse_transform, l2_norm_values, linf_norm
+from oracles import (
+    complex_forward_transform,
+    from_values,
+    full_band_hermitian,
+    inverse_transform,
+    l2_norm_values,
+    linf_norm,
+)
 
 GRID2 = GridSpec((32, 32))
 GRID3 = GridSpec((16, 16, 16))
@@ -118,14 +127,27 @@ class TestTransforms:
         assert np.max(np.abs(F.coeffs - mirror)) < 1e-14 * np.max(np.abs(F.coeffs))
         assert abs(F.coeffs[0, 0, 0].imag) < 1e-14
 
+    @pytest.mark.parametrize("grid", [GridSpec((16,)), GridSpec((32, 16)), GRID3],
+                             ids=["1d", "2d", "3d"])
+    @pytest.mark.parametrize("components", [1, 3])
+    def test_random_smooth_real_by_construction(self, grid, components):
+        F = random_smooth(grid, seed=49, components=components)
+        assert np.array_equal(F.coeffs, conj_reverse(F.coeffs, grid.dim))
+        assert l2_norm(F) == pytest.approx(1.0, rel=1e-14)
+        assert not np.any(F.coeffs[..., ~grid.dealias_mask()])
 
-def full_band_hermitian(grid, seed, components=1):
-    """White spectrum over every stored mode, the x-Nyquist plane and the
-    lone -n/2 rows included, made Hermitian by hermitize."""
-    rng = np.random.default_rng(seed)
-    shape = grid.shape if components == 1 else (components, *grid.shape)
-    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return hermitize(SpectralField(grid, coeffs))
+    @pytest.mark.parametrize("grid", [GridSpec((16,)), GridSpec((32, 16)), GRID3,
+                                      GridSpec((48, 48, 48))],
+                             ids=["1d", "2d", "3d", "3d-threaded"])
+    @pytest.mark.parametrize("lead", [(), (1,), (2,), (3,)],
+                             ids=["field", "stack1", "stack2", "stack3"])
+    def test_forward_matches_complex_oracle(self, grid, lead):
+        # forward_transform is one real transform filled by conjugate symmetry
+        values = np.random.default_rng(48).standard_normal(lead + grid.shape)
+        got = forward_transform(RealField(grid, values)).coeffs
+        want = complex_forward_transform(RealField(grid, values)).coeffs
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 class TestValuesOf:
@@ -437,3 +459,22 @@ class TestNorms:
             quad = l2_norm_values(inverse_transform(F))
             spec = l2_norm(F)
             assert abs(quad - spec) <= 1e-10 * spec
+
+
+class TestSourceGuard:
+    """The package keeps one real transform pair and one place that
+    completes a real spectrum."""
+
+    SOURCES = sorted(Path(spectral.__file__).parent.glob("*.py"))
+
+    def test_no_complex_multidimensional_fft(self):
+        call = re.compile(r"\b(?:fftn|ifftn|fft2|ifft2)\s*\(")
+        hits = [f"{path.name}:{i}" for path in self.SOURCES
+                for i, line in enumerate(path.read_text().splitlines(), 1) if call.search(line)]
+        assert self.SOURCES and not hits
+
+    def test_hermitize_is_called_only_in_spectral(self):
+        call = re.compile(r"\bhermitize\(")
+        hits = [f"{path.name}:{i}" for path in self.SOURCES if path.name != "spectral.py"
+                for i, line in enumerate(path.read_text().splitlines(), 1) if call.search(line)]
+        assert not hits

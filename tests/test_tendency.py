@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from shearks.modes import split_x
-from shearks.sampling import random_smooth
 from shearks.shear import effective_k_mesh
 from shearks.solver import Params, _evaluate
 from shearks.spectral import (
@@ -26,6 +25,8 @@ from shearks.spectral import (
     halve,
     leray_project,
 )
+
+from oracles import full_band_hermitian
 
 GRID2 = GridSpec((32, 24))
 GRID3 = GridSpec((16, 12, 20))
@@ -94,11 +95,11 @@ def evaluate(n, u, params, drift, need_aux):
 
 def random_state(grid, seed):
     """Hermitian density around 1 and a solenoidal velocity, full band."""
-    n = random_smooth(grid, seed, band_limit=False)
+    n = full_band_hermitian(grid, seed, slope=2.0)
     n.coeffs[(0,) * grid.dim] = 1.0
     if grid.dim == 2:
         return n, None
-    u = leray_project(random_smooth(grid, seed + 1, components=3, band_limit=False))
+    u = leray_project(full_band_hermitian(grid, seed + 1, components=3, slope=2.0))
     u.coeffs *= 0.3
     return n, u
 
@@ -155,9 +156,11 @@ def test_kernel_matches_full_complex_oracle(grid, shear, chemo, drift):
         return
     assert_close(ev.rhs_u, rhs_u, mask)
     assert_mirror_exact(ev.rhs_u, grid)
-    for got, want in zip(ev.q_neq_hat, q_neq_hat):
-        assert_close(got, want, off_nyquist(grid.cross_section()))
-    assert np.array_equal(ev.n_zero.coeffs, split_x(n)[0].coeffs)
+    cross = grid.cross_section()
+    for got, want in zip(fill(ev.q_neq_hat, cross), q_neq_hat):
+        assert_close(got, want, off_nyquist(cross))
+    assert np.array_equal(ev.n_zero, halve(split_x(n)[0].coeffs, cross))
+    assert np.array_equal(ev.u_zero, halve(split_x(u)[0].coeffs, cross))
 
 
 @pytest.mark.parametrize("grid", [GRID2, GRID3])
