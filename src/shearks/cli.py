@@ -75,7 +75,8 @@ def main(argv=None) -> int:
         return 4
 
     if args.verb == "simulate" or args.verb == "resume":
-        print(f"status = {summary['status']}  t_final = {summary['t_final']:.6g}  "
+        reason = f" ({summary['reason']})" if summary["reason"] else ""
+        print(f"status = {summary['status']}{reason}  t_final = {summary['t_final']:.6g}  "
               f"dropped_u = {summary['dropped_u']:.3e}  series = {summary['series']}")
     elif args.verb == "sweep-mass":
         for row in summary["rows"]:

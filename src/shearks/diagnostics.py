@@ -1,13 +1,15 @@
 """Everything the suppression analysis measures during a run.
 
-Live diagnostics for the solver: the wall-normal vorticity and lap(u2),
-weighted space-time norm accumulators and the energy functionals built from
-them, the good/bad splitting of the streamwise zero-mode velocity via
-co-evolved cross-section PDEs, and the quasi-linear frame quantities kappa,
-rho1, rho2, W.  Both work on stacks: the tracker advances its three parts
-as one (3, ny, nz) spectrum, and the ledger sends its three kappa products
-through one 3D transform pair.  The tracker's stages run on k_y >= 0
-halves, completed once per step like a solver step's.
+Live diagnostics for the solver: weighted space-time norm tracks and the
+energy functionals built from them, the good/bad splitting of the
+streamwise zero-mode velocity via co-evolved cross-section PDEs, and the
+quasi-linear frame quantities kappa, rho1, rho2, W.  Neither builds a full
+spectrum.  The tracker advances its three parts as one (3, ny, nz) stack,
+its stages on k_y >= 0 halves, completed once per step like a solver
+step's.  The ledger sums each norm over the k1 >= 0 half of the field it
+measures, weighted by the half's multiplicities in the full spectrum
+(``spectral.parseval_weights``), and sends its three kappa products through
+one 3D real transform pair.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modes import fluctuation_only, split_bar_tilde, zero_mode
+from .modes import split_bar_tilde, zero_mode
 from .shear import frame_k_mesh
 from .spectral import (
     ContractViolation,
@@ -29,21 +31,10 @@ from .spectral import (
     halve,
     irfft_x,
     over_k2,
+    parseval_weights,
     rfft_x,
     sobolev_norm,
 )
-
-
-# ---------------------------------------------------------------------------
-# vorticity diagnostics
-
-def compute_omega2(u: SpectralField, k_mesh=None) -> SpectralField:
-    """Wall-normal vorticity dz(u1) - dx(u3)."""
-    if u.grid.dim != 3 or u.components != 3:
-        raise ContractViolation("omega2 needs a 3-component 3D velocity")
-    mesh = u.grid.k_mesh() if k_mesh is None else list(k_mesh)
-    w = 1j * mesh[2] * u.coeffs[0] - 1j * mesh[0] * u.coeffs[2]
-    return SpectralField(u.grid, w)
 
 
 # ---------------------------------------------------------------------------
@@ -212,48 +203,36 @@ class DecompositionTracker:
 # weighted space-time norm accumulators and energy functionals
 
 @dataclass
-class TrackedNorm:
-    """Accumulators realizing one ||.||_{X_w} / ||.||_{Y_0} budget."""
+class Track:
+    """One weighted space-time budget: every value observed at t is scaled
+    by exp(2 weight t); the track keeps the sup over samples of the first
+    scaled value and the trapezoid time integral of each.  A norm track
+    observes (|f|^2, |grad f|^2[, |grad lap^-1 dx f|^2]) integrals, a scalar
+    track one value at weight 0."""
 
-    weight: float
-    sup_sq: float = 0.0
-    int_l2: float = 0.0
-    int_grad: float = 0.0
-    int_pres: float = 0.0
+    weight: float = 0.0
+    sup: float = 0.0
+    ints: list = field(default_factory=list)
     prev: tuple | None = None
 
-    def observe(self, t: float, l2_sq: float, grad_sq: float, pres_sq: float):
+    def observe(self, t: float, *values: float):
         w = math.exp(2.0 * self.weight * t)
-        vals = (w * l2_sq, w * grad_sq, w * pres_sq)
-        self.sup_sq = max(self.sup_sq, vals[0])
-        if self.prev is not None:
+        vals = tuple(w * v for v in values)
+        self.sup = max(self.sup, vals[0])
+        if self.prev is None:
+            self.ints = [0.0] * len(vals)
+        else:
             t0, p = self.prev
             h = 0.5 * (t - t0)
-            self.int_l2 += h * (p[0] + vals[0])
-            self.int_grad += h * (p[1] + vals[1])
-            self.int_pres += h * (p[2] + vals[2])
+            self.ints = [i + h * (a + b) for i, a, b in zip(self.ints, p, vals)]
         self.prev = (t, vals)
 
     def x_norm(self, A: float) -> float:
-        return math.sqrt(self.sup_sq + self.int_pres
-                         + self.int_l2 / A ** (1.0 / 3.0) + self.int_grad / A)
+        int_l2, int_grad, int_pres = self.ints
+        return math.sqrt(self.sup + int_pres + int_l2 / A ** (1.0 / 3.0) + int_grad / A)
 
     def y0_norm(self, A: float) -> float:
-        return math.sqrt(self.sup_sq + self.int_grad / A)
-
-
-@dataclass
-class ScalarTrack:
-    sup: float = 0.0
-    integral: float = 0.0
-    prev: tuple | None = None
-
-    def observe(self, t: float, value: float):
-        self.sup = max(self.sup, value)
-        if self.prev is not None:
-            t0, v0 = self.prev
-            self.integral += 0.5 * (t - t0) * (v0 + value)
-        self.prev = (t, value)
+        return math.sqrt(self.sup + self.ints[1] / A)
 
 
 @dataclass
@@ -270,18 +249,12 @@ class EnergyLedger:
     B_WEIGHT = 0.08
 
     A: float
-    norms: dict = field(default_factory=dict)
-    scalars: dict = field(default_factory=dict)
+    tracks: dict = field(default_factory=dict)
 
-    def norm_track(self, name: str, weight: float) -> TrackedNorm:
-        if name not in self.norms:
-            self.norms[name] = TrackedNorm(weight=weight)
-        return self.norms[name]
-
-    def scalar_track(self, name: str) -> ScalarTrack:
-        if name not in self.scalars:
-            self.scalars[name] = ScalarTrack()
-        return self.scalars[name]
+    def track(self, name: str, weight: float = 0.0) -> Track:
+        if name not in self.tracks:
+            self.tracks[name] = Track(weight=weight)
+        return self.tracks[name]
 
     @property
     def wa(self) -> float:
@@ -292,149 +265,137 @@ class EnergyLedger:
         return self.B_WEIGHT * self.A ** (-1.0 / 3.0)
 
 
-def _norm_weights(grid: GridSpec, mesh) -> tuple[np.ndarray, np.ndarray]:
-    """|k|^2 and the pressure weight k1^2/|k|^2 (zero at k = 0) on the grid."""
-    k2 = _mesh_k2(mesh)
-    return k2, over_k2(np.broadcast_to(np.asarray(mesh[0]) ** 2, grid.shape), k2)
-
-
-def _norm_pieces(coeffs: np.ndarray, grid: GridSpec, weights) -> tuple[float, float, float]:
-    """(|f|^2, |grad f|^2, |grad lap^-1 dx f|^2) integrals from the spectrum;
-    weights are the grid's ``_norm_weights``."""
-    e = np.abs(coeffs) ** 2
-    if coeffs.ndim > grid.dim:
-        e = np.sum(e, axis=tuple(range(coeffs.ndim - grid.dim)))
-    k2, pres = weights
-    vol = grid.volume
-    return (float(vol * np.sum(e)), float(vol * np.sum(k2 * e)),
-            float(vol * np.sum(pres * e)))
-
-
-def _observe_field(ledger: EnergyLedger, name: str, weight: float, t: float,
-                   coeffs: np.ndarray, grid: GridSpec, weights):
-    ledger.norm_track(name, weight).observe(t, *_norm_pieces(coeffs, grid, weights))
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real ** 2 + z.imag ** 2
 
 
 def ledger_update(ledger: EnergyLedger, state, params, tracker, n_vals: np.ndarray):
-    """Advance every accumulator with the current sample; n_vals are the
-    collocation values of state.n."""
+    """Advance every track with the current sample; n_vals are the
+    collocation values of state.n.
+
+    Every norm is a sum over the k1 >= 0 half, weighted by ``parseval_weights``,
+    of |multiplier|^2 |f|^2 for one of a few base fields f: n, u2 and u3
+    fluctuations, the omega2 fluctuation, the two good derivatives and W,
+    and on the cross-section u2_0 and u3_0.
+    """
     t = state.t
     grid = params.grid
-    n = state.n
-    mesh = frame_k_mesh(params, state.frame.drift)
+    vol = grid.volume
+    ledger.track("n_linf").observe(t, float(np.max(np.abs(n_vals))))
 
-    ledger.scalar_track("n_linf").observe(t, float(np.max(np.abs(n_vals))))
-    weights = _norm_weights(grid, mesh)
+    mesh = [halve(m, grid) for m in frame_k_mesh(params, state.frame.drift)]
+    k1 = mesh[0]
+    k2 = _mesh_k2(mesh)
+    pres = over_k2(k1 ** 2, k2)  # |grad lap^-1 dx f|^2 = k1^2 / |k|^2 |f|^2
+    # the fluctuation is the half off its k1 = 0 plane
+    w_neq = np.where(k1 != 0.0, parseval_weights(grid), 0.0)
 
-    # (i k1)^2 is exactly zero on the k1 = 0 plane: this is the fluctuation alone
-    dxx = (1j * mesh[0]) ** 2
-    _observe_field(ledger, "dxx_n_neq", ledger.wb, t, dxx * n.coeffs, grid, weights)
+    def observe_x(name, weight, e):
+        """e: Parseval-weighted |f|^2 of the tracked field on the half."""
+        ledger.track(name, weight).observe(t, vol * float(np.sum(e)),
+                                           vol * float(np.sum(k2 * e)),
+                                           vol * float(np.sum(pres * e)))
+
+    dxx2 = k1 ** 4
+    observe_x("dxx_n_neq", ledger.wb, dxx2 * w_neq * _abs2(halve(state.n.coeffs, grid)))
 
     if state.u is None:
         return
-    u = state.u
+    u_h = halve(state.u.coeffs, grid)
+    ky, kz = mesh[1], mesh[2]
     cross = grid.cross_section()
-    cmesh = cross.k_mesh()
-    cweights = _norm_weights(cross, cmesh)
-
-    # Y0 group: zero-mode velocities and their derivatives
-    ck2 = cross.k_squared()
-    for name, f0 in (("u2_0", zero_mode(u.component(1))), ("u3_0", zero_mode(u.component(2)))):
-        _observe_field(ledger, name, 0.0, t, f0.coeffs, cross, cweights)
-        grad = np.stack([1j * cmesh[a] * f0.coeffs for a in range(2)])
-        _observe_field(ledger, "grad_" + name, 0.0, t, grad, cross, cweights)
-        lap = -ck2 * f0.coeffs
-        if name == "u2_0":
-            _observe_field(ledger, "lap_u2_0", 0.0, t, lap, cross, cweights)
-        else:
-            wmin = min(math.sqrt(params.A ** (-2.0 / 3.0) + t / params.A), 1.0)
-            _observe_field(ledger, "wmin_lap_u3_0", 0.0, t, wmin * lap, cross, cweights)
-
-    # X_a group: vorticity pair
-    u_neq = fluctuation_only(u)
-    w2 = compute_omega2(u_neq, k_mesh=mesh)
-    k2 = weights[0]
-    _observe_field(ledger, "lap_u2_neq", ledger.wa, t, -k2 * u_neq.coeffs[1], grid, weights)
-    for axis, name in ((0, "dx_w2_neq"), (1, "dy_w2_neq"), (2, "dz_w2_neq")):
-        _observe_field(ledger, name, ledger.wa, t, 1j * mesh[axis] * w2.coeffs, grid, weights)
-
-    # X_b group: streamwise-second-derivative fluctuations
-    _observe_field(ledger, "dxx_u2_neq", ledger.wb, t, dxx * u_neq.coeffs[1], grid, weights)
-    _observe_field(ledger, "dxx_u3_neq", ledger.wb, t, dxx * u_neq.coeffs[2], grid, weights)
-    _observe_field(ledger, "lap_u3_neq", ledger.wb, t, -k2 * u_neq.coeffs[2], grid, weights)
+    U2 = tracker.bad_part() if tracker is not None else None
 
     # good derivatives (dz - kappa dy) u2, u3 and W = u2 + kappa u3 in the
-    # quasi-linear frame; without a frame kappa is zero
+    # quasi-linear frame; without a frame kappa is zero.  kappa dy u2,
+    # kappa dy u3 and kappa u3 go through one transform pair
+    good = 1j * kz * u_h[1:]
+    w_h = u_h[1]
     kappa = None
-    if tracker is not None:
+    if U2 is not None:
         try:
-            kappa = kappa_values(tracker.bad_part(), params.A)
+            kappa = kappa_values(U2, params.A)
         except ContractViolation:
             pass
-    good = 1j * mesh[2] * u_neq.coeffs[1:]
-    w_coeffs = u_neq.coeffs[1]
     if kappa is not None:
-        # kappa dy u2, kappa dy u3 and kappa u3 through one transform pair; the
-        # stack is built on the k1 >= 0 half and scaled in place, because a
-        # stack of full spectra would be the largest transient of a 3D sample
-        half = halve(u_neq.coeffs, grid)
-        dy = 1j * halve(mesh[1], grid)
-        phys = irfft_x(np.stack([dy * half[1], dy * half[2], half[2]]), grid)
+        flucts = np.stack([1j * ky * u_h[1], 1j * ky * u_h[2], u_h[2]])
+        flucts[:, 0] = 0.0
+        phys = irfft_x(flucts, grid)
+        del flucts
         phys *= kappa
         prods = rfft_x(phys, grid)
         del phys
-        prods = fill(prods, grid)
-        prods *= grid.dealias_mask()
+        prods *= halve(grid.dealias_mask(), grid)
         good -= prods[:2]
-        w_coeffs = w_coeffs + prods[2]
+        w_h = w_h + prods[2]
         del prods
+    dx2 = k1 ** 2
+    observe_x("dx_good_u2", ledger.wb, dx2 * w_neq * _abs2(good[0]))
+    observe_x("dx_good_u3", ledger.wb, dx2 * w_neq * _abs2(good[1]))
+    observe_x("dx_grad_W", ledger.wb, dx2 * k2 * w_neq * _abs2(w_h))
 
-    dx1 = 1j * mesh[0]
-    _observe_field(ledger, "dx_good_u2", ledger.wb, t, dx1 * good[0], grid, weights)
-    _observe_field(ledger, "dx_good_u3", ledger.wb, t, dx1 * good[1], grid, weights)
-    grad_w = np.stack([1j * mesh[a] * w_coeffs for a in range(3)])
-    _observe_field(ledger, "dx_grad_W", ledger.wb, t, dx1 * grad_w, grid, weights)
+    # X_a group: vorticity pair; X_b group: streamwise-second-derivative
+    # fluctuations
+    k4 = k2 ** 2
+    e_u2 = w_neq * _abs2(u_h[1])
+    observe_x("lap_u2_neq", ledger.wa, k4 * e_u2)
+    observe_x("dxx_u2_neq", ledger.wb, dxx2 * e_u2)
+    e_u3 = w_neq * _abs2(u_h[2])
+    observe_x("dxx_u3_neq", ledger.wb, dxx2 * e_u3)
+    observe_x("lap_u3_neq", ledger.wb, k4 * e_u3)
+    e_w2 = w_neq * _abs2(1j * kz * u_h[0] - 1j * k1 * u_h[2])
+    for k, name in ((k1, "dx_w2_neq"), (ky, "dy_w2_neq"), (kz, "dz_w2_neq")):
+        observe_x(name, ledger.wa, k ** 2 * e_w2)
+
+    # Y0 group: zero-mode velocities and their derivatives, |k|^2p |f|^2
+    # moments on the cross-section's k_y >= 0 half
+    ck2 = halve(cross.k_squared(), cross)
+    e_0 = parseval_weights(cross) * _abs2(halve(u_h[1:, 0], cross))
+    wmin2 = min(params.A ** (-2.0 / 3.0) + t / params.A, 1.0)
+    for name, lap, e, scale in (("u2_0", "lap_u2_0", e_0[0], 1.0),
+                                ("u3_0", "wmin_lap_u3_0", e_0[1], wmin2)):
+        m = [cross.volume * float(np.sum(ck2 ** p * e)) for p in range(4)]
+        ledger.track(name).observe(t, m[0], m[1])
+        ledger.track("grad_" + name).observe(t, m[1], m[2])
+        ledger.track(lap).observe(t, scale * m[2], scale * m[3])
 
     # E_{1,2}: bad-part Sobolev budgets from the co-evolved fields
-    if tracker is not None:
-        U2 = tracker.bad_part()
-        lap_u2_bad = SpectralField(cross, -ck2 * U2.coeffs)
-        ledger.scalar_track("lapU2_h2_sup").observe(t, sobolev_norm(lap_u2_bad, 2))
+    if U2 is not None:
+        cmesh = cross.k_mesh()
+        lap_u2_bad = SpectralField(cross, -cross.k_squared() * U2.coeffs)
+        ledger.track("lapU2_h2_sup").observe(t, sobolev_norm(lap_u2_bad, 2))
         grad_lap = SpectralField(cross, np.stack([1j * cmesh[a] * lap_u2_bad.coeffs
                                                   for a in range(2)]))
-        ledger.scalar_track("gradlapU2_h2_int").observe(t, sobolev_norm(grad_lap, 2) ** 2)
+        ledger.track("gradlapU2_h2_int").observe(t, sobolev_norm(grad_lap, 2) ** 2)
         dtu2 = tracker.du2_dt(params, state)
-        ledger.scalar_track("dtU2_h2_sup").observe(t, sobolev_norm(dtu2, 2))
+        ledger.track("dtU2_h2_sup").observe(t, sobolev_norm(dtu2, 2))
 
 
 def energy_report(ledger: EnergyLedger) -> dict:
     """Reassemble the tracked functionals; absent quantities report zero."""
     A = ledger.A
+    tracks = ledger.tracks
 
     def xnorm(name):
-        tr = ledger.norms.get(name)
-        return tr.x_norm(A) if tr else 0.0
+        return tracks[name].x_norm(A) if name in tracks else 0.0
 
     def ynorm(name):
-        tr = ledger.norms.get(name)
-        return tr.y0_norm(A) if tr else 0.0
+        return tracks[name].y0_norm(A) if name in tracks else 0.0
 
-    def ssup(name):
-        tr = ledger.scalars.get(name)
-        return tr.sup if tr else 0.0
+    def sup(name):
+        return tracks[name].sup if name in tracks else 0.0
 
-    def sint(name):
-        tr = ledger.scalars.get(name)
-        return tr.integral if tr else 0.0
+    def integral(name):
+        return tracks[name].ints[0] if name in tracks else 0.0
 
     e11 = (ynorm("u2_0") + ynorm("u3_0") + ynorm("grad_u2_0") + ynorm("grad_u3_0")
            + ynorm("lap_u2_0") + ynorm("wmin_lap_u3_0"))
-    e12 = (ssup("lapU2_h2_sup") + math.sqrt(sint("gradlapU2_h2_int")) / math.sqrt(A)) / A \
-        + ssup("dtU2_h2_sup")
+    e12 = (sup("lapU2_h2_sup") + math.sqrt(integral("gradlapU2_h2_int")) / math.sqrt(A)) / A \
+        + sup("dtU2_h2_sup")
     e21 = xnorm("dxx_n_neq")
     e22 = (xnorm("lap_u2_neq") + xnorm("dx_w2_neq")
            + (xnorm("dy_w2_neq") + xnorm("dz_w2_neq")) / A ** (1.0 / 3.0))
-    e3 = ssup("n_linf")
+    e3 = sup("n_linf")
     e4 = xnorm("dxx_u2_neq") + xnorm("dxx_u3_neq")
     e51 = xnorm("lap_u3_neq") / A ** (2.0 / 3.0)
     e52 = (xnorm("dxx_u2_neq") + xnorm("dx_good_u2")

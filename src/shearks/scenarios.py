@@ -60,6 +60,8 @@ def run_resume(cfg: RunConfig, checkpoint_path) -> dict:
         raise ConfigError("resume: checkpoint grid does not match config grid")
     if not math.isclose(A, cfg.A, rel_tol=1e-12):
         raise ConfigError(f"resume: checkpoint A = {A} differs from config A = {cfg.A}")
+    if (state.u is not None) != params_of(cfg).enable_velocity:
+        raise ConfigError("resume: checkpoint velocity blocks disagree with enable_velocity")
     return run_simulate(cfg, init=state, series_name="series_resume.csv")
 
 

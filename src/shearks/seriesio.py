@@ -15,13 +15,14 @@ Checkpoints are self-describing: reading needs no configuration.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from pathlib import Path
 
 import numpy as np
 
-from .shear import ShearFrame
+from .shear import REMAP_THRESHOLD, ShearFrame
 from .solver import SERIES_COLUMNS, State
 from .spectral import GridSpec, SpectralField, total_mass
 
@@ -87,6 +88,10 @@ def state_from_bytes(data: bytes) -> tuple[State, float]:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     if dim not in (2, 3):
         raise CheckpointError(f"unsupported grid dimension {dim}")
+    if not all(math.isfinite(v) for v in (t, A, drift, t_last)):
+        raise CheckpointError("non-finite t, A, drift or t_last_remap in header")
+    if abs(drift) > REMAP_THRESHOLD:
+        raise CheckpointError(f"drift {drift} beyond remap threshold")
     shape = (n1, n2, n3)[:dim]
     try:
         grid = GridSpec(shape)
@@ -97,7 +102,7 @@ def state_from_bytes(data: bytes) -> tuple[State, float]:
     if len(body) % block != 0:
         raise CheckpointError("payload length inconsistent with header dims")
     n_blocks = len(body) // block
-    if n_blocks not in (1, 1 + dim):
+    if n_blocks not in ((1,) if dim == 2 else (1, 4)):  # 2D runs carry no velocity
         raise CheckpointError(f"unexpected number of field blocks: {n_blocks}")
     arrays = [np.frombuffer(body[i * block:(i + 1) * block], dtype=np.complex128)
               .reshape(shape).copy() for i in range(n_blocks)]

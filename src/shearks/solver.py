@@ -47,6 +47,7 @@ from .spectral import (
     l2_norm,
     leray_coeffs,
     over_k2,
+    parseval_weights,
     rfft_x,
     spectral_energy,
     total_mass,
@@ -431,11 +432,12 @@ def step(state: State, params: Params, t_stop: float | None = None,
 
 
 def tail_ratio(n: SpectralField, params: Params, drift: float) -> float:
-    """Fraction of fluctuation energy at |k_eff| in the top third of the band."""
+    """Fraction of fluctuation energy at |k_eff| in the top third of the band,
+    summed over the k1 >= 0 half with its Parseval weights."""
     grid = params.grid
-    k2 = _mesh_k2(frame_k_mesh(params, drift))
+    k2 = _mesh_k2([halve(m, grid) for m in frame_k_mesh(params, drift)])
     kcut = min(grid.dealias_cutoff(a) for a in range(grid.dim))
-    e = np.abs(n.coeffs) ** 2
+    e = parseval_weights(grid) * np.abs(halve(n.coeffs, grid)) ** 2
     e[(0,) * grid.dim] = 0.0
     total = float(np.sum(e))
     if total == 0.0:

@@ -8,10 +8,12 @@ floor(n/3) per axis) through one real transform pair halved along x
 (``rfft_x``, ``irfft_x``).  Every real field is made from the k1 >= 0 half
 of its spectrum, which holds the whole k1 = 0 plane: ``complete_half``
 makes the half that of a real field and ``fill`` writes the k1 < 0 half.
-Collocation values are read from the half too (``values_of``).  The integer
-lattice of a grid is built once and shared read-only (``GridSpec.k_mesh``).
-On 3D grids the real transforms run on two threads, bit-identical to
-numpy's serial ones.
+Collocation values are read from the half too (``values_of``), and so are
+the energy ledger's and the tail monitor's spectral sums, each half mode
+counted with its multiplicity in the full spectrum (``parseval_weights``).
+The integer lattice of a grid is built once and shared read-only
+(``GridSpec.k_mesh``).  On 3D grids the real transforms run on two threads,
+bit-identical to numpy's serial ones.
 """
 
 from __future__ import annotations
@@ -376,6 +378,20 @@ def fill(half: np.ndarray, grid: GridSpec) -> np.ndarray:
     lead = half.ndim - grid.dim
     mirror = half[(slice(None),) * lead + (slice(grid.shape[0] // 2 - 1, 0, -1),)]
     return np.concatenate([half, conj_reverse(mirror, grid.dim - 1)], axis=lead)
+
+
+@lru_cache(maxsize=32)
+def parseval_weights(grid: GridSpec) -> np.ndarray:
+    """Multiplicity of each k1 >= 0 half mode in the full spectrum: 1 on the
+    k1 = 0 plane and on the lone -n1/2 plane, 2 elsewhere, shaped to
+    broadcast against a half (leading axes too).  For a real field,
+    sum(w m |half|^2) is the full spectrum's sum(m |coeffs|^2) for any m
+    even in k.  Cached and read-only."""
+    w = np.full(grid.shape[0] // 2 + 1, 2.0)
+    w[0] = w[-1] = 1.0
+    w = w.reshape(w.shape + (1,) * (grid.dim - 1))
+    w.flags.writeable = False
+    return w
 
 
 def values_of(F: SpectralField) -> np.ndarray:

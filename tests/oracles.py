@@ -19,7 +19,11 @@ k_y >= 0 halves.  ``complex_forward_transform`` is the full complex FFT,
 the reference of ``spectral.forward_transform``, which takes one real
 transform.  ``full_band_hermitian`` is a real field over every stored mode,
 outside the 2/3 band too, which ``sampling.random_smooth`` never makes.
-``read_series`` reads a run's ``series.csv`` back.
+``read_series`` reads a run's ``series.csv`` back.  ``compute_omega2`` is
+the wall-normal vorticity of a full spectrum, which ``residual_omega2``
+uses.  ``full_spectrum_ledger`` is the energy ledger summed over whole
+spectra, the reference of ``diagnostics.ledger_update``, which sums
+Parseval-weighted k1 >= 0 halves.
 """
 
 import math
@@ -29,8 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from shearks import solver
-from shearks.diagnostics import compute_omega2
-from shearks.modes import zero_mode
+from shearks.diagnostics import kappa_values
+from shearks.modes import fluctuation_only, zero_mode
 from shearks.seriesio import CheckpointError
 from shearks.shear import REMAP_THRESHOLD, ShearFrame, effective_k_mesh, frame_k_mesh, \
     integrating_factor
@@ -39,6 +43,7 @@ from shearks.spectral import (
     GridSpec,
     RealField,
     SpectralField,
+    _mesh_k2,
     fill,
     forward_transform,
     halve,
@@ -46,7 +51,9 @@ from shearks.spectral import (
     irfft_x,
     l2_norm,
     leray_project,
+    over_k2,
     rfft_x,
+    sobolev_norm,
     values_of,
 )
 
@@ -199,6 +206,15 @@ def min_principle_check(rows: list, nbar: float, A: float,
     return True
 
 
+def compute_omega2(u: SpectralField, k_mesh=None) -> SpectralField:
+    """Wall-normal vorticity dz(u1) - dx(u3)."""
+    if u.grid.dim != 3 or u.components != 3:
+        raise ContractViolation("omega2 needs a 3-component 3D velocity")
+    mesh = u.grid.k_mesh() if k_mesh is None else list(k_mesh)
+    w = 1j * mesh[2] * u.coeffs[0] - 1j * mesh[0] * u.coeffs[2]
+    return SpectralField(u.grid, w)
+
+
 def residual_omega2(state_before, state_after, params) -> float:
     """L2 residual of the omega2 evolution equation across one step.
 
@@ -327,6 +343,123 @@ def full_spectrum_step(state, params, t_stop=None, tracker=None):
             tracker.advance(params, dt, ev1, ev2)
     return (solver.State(t=state.t + dt, n=n_field, u=u_field, frame=new_frame),
             solver.StepInfo(dt=dt, dropped_n=dropped_n, dropped_u=dropped_u))
+
+
+def _norm_weights(grid: GridSpec, mesh) -> tuple[np.ndarray, np.ndarray]:
+    """|k|^2 and the pressure weight k1^2/|k|^2 (zero at k = 0) on the grid."""
+    k2 = _mesh_k2(mesh)
+    return k2, over_k2(np.broadcast_to(np.asarray(mesh[0]) ** 2, grid.shape), k2)
+
+
+def _norm_pieces(coeffs: np.ndarray, grid: GridSpec, weights) -> tuple[float, float, float]:
+    """(|f|^2, |grad f|^2, |grad lap^-1 dx f|^2) integrals from the spectrum;
+    weights are the grid's ``_norm_weights``."""
+    e = np.abs(coeffs) ** 2
+    if coeffs.ndim > grid.dim:
+        e = np.sum(e, axis=tuple(range(coeffs.ndim - grid.dim)))
+    k2, pres = weights
+    vol = grid.volume
+    return (float(vol * np.sum(e)), float(vol * np.sum(k2 * e)),
+            float(vol * np.sum(pres * e)))
+
+
+def _observe_field(ledger, name: str, weight: float, t: float,
+                   coeffs: np.ndarray, grid: GridSpec, weights):
+    ledger.track(name, weight).observe(t, *_norm_pieces(coeffs, grid, weights))
+
+
+def full_spectrum_ledger(ledger, state, params, tracker, n_vals: np.ndarray):
+    """``diagnostics.ledger_update`` on whole spectra, into the same
+    ``EnergyLedger``: each norm is summed over the full grid from a full
+    complex spectrum of its field, the Y0 tracks observe the pressure piece
+    too, and the bad part is formed twice."""
+    t = state.t
+    grid = params.grid
+    n = state.n
+    mesh = frame_k_mesh(params, state.frame.drift)
+
+    ledger.track("n_linf").observe(t, float(np.max(np.abs(n_vals))))
+    weights = _norm_weights(grid, mesh)
+
+    # (i k1)^2 is exactly zero on the k1 = 0 plane: this is the fluctuation alone
+    dxx = (1j * mesh[0]) ** 2
+    _observe_field(ledger, "dxx_n_neq", ledger.wb, t, dxx * n.coeffs, grid, weights)
+
+    if state.u is None:
+        return
+    u = state.u
+    cross = grid.cross_section()
+    cmesh = cross.k_mesh()
+    cweights = _norm_weights(cross, cmesh)
+
+    # Y0 group: zero-mode velocities and their derivatives
+    ck2 = cross.k_squared()
+    for name, f0 in (("u2_0", zero_mode(u.component(1))), ("u3_0", zero_mode(u.component(2)))):
+        _observe_field(ledger, name, 0.0, t, f0.coeffs, cross, cweights)
+        grad = np.stack([1j * cmesh[a] * f0.coeffs for a in range(2)])
+        _observe_field(ledger, "grad_" + name, 0.0, t, grad, cross, cweights)
+        lap = -ck2 * f0.coeffs
+        if name == "u2_0":
+            _observe_field(ledger, "lap_u2_0", 0.0, t, lap, cross, cweights)
+        else:
+            wmin = min(math.sqrt(params.A ** (-2.0 / 3.0) + t / params.A), 1.0)
+            _observe_field(ledger, "wmin_lap_u3_0", 0.0, t, wmin * lap, cross, cweights)
+
+    # X_a group: vorticity pair
+    u_neq = fluctuation_only(u)
+    w2 = compute_omega2(u_neq, k_mesh=mesh)
+    k2 = weights[0]
+    _observe_field(ledger, "lap_u2_neq", ledger.wa, t, -k2 * u_neq.coeffs[1], grid, weights)
+    for axis, name in ((0, "dx_w2_neq"), (1, "dy_w2_neq"), (2, "dz_w2_neq")):
+        _observe_field(ledger, name, ledger.wa, t, 1j * mesh[axis] * w2.coeffs, grid, weights)
+
+    # X_b group: streamwise-second-derivative fluctuations
+    _observe_field(ledger, "dxx_u2_neq", ledger.wb, t, dxx * u_neq.coeffs[1], grid, weights)
+    _observe_field(ledger, "dxx_u3_neq", ledger.wb, t, dxx * u_neq.coeffs[2], grid, weights)
+    _observe_field(ledger, "lap_u3_neq", ledger.wb, t, -k2 * u_neq.coeffs[2], grid, weights)
+
+    # good derivatives (dz - kappa dy) u2, u3 and W = u2 + kappa u3 in the
+    # quasi-linear frame; without a frame kappa is zero
+    kappa = None
+    if tracker is not None:
+        try:
+            kappa = kappa_values(tracker.bad_part(), params.A)
+        except ContractViolation:
+            pass
+    good = 1j * mesh[2] * u_neq.coeffs[1:]
+    w_coeffs = u_neq.coeffs[1]
+    if kappa is not None:
+        # kappa dy u2, kappa dy u3 and kappa u3 through one transform pair; the
+        # stack is built on the k1 >= 0 half and scaled in place, because a
+        # stack of full spectra would be the largest transient of a 3D sample
+        half = halve(u_neq.coeffs, grid)
+        dy = 1j * halve(mesh[1], grid)
+        phys = irfft_x(np.stack([dy * half[1], dy * half[2], half[2]]), grid)
+        phys *= kappa
+        prods = rfft_x(phys, grid)
+        del phys
+        prods = fill(prods, grid)
+        prods *= grid.dealias_mask()
+        good -= prods[:2]
+        w_coeffs = w_coeffs + prods[2]
+        del prods
+
+    dx1 = 1j * mesh[0]
+    _observe_field(ledger, "dx_good_u2", ledger.wb, t, dx1 * good[0], grid, weights)
+    _observe_field(ledger, "dx_good_u3", ledger.wb, t, dx1 * good[1], grid, weights)
+    grad_w = np.stack([1j * mesh[a] * w_coeffs for a in range(3)])
+    _observe_field(ledger, "dx_grad_W", ledger.wb, t, dx1 * grad_w, grid, weights)
+
+    # E_{1,2}: bad-part Sobolev budgets from the co-evolved fields
+    if tracker is not None:
+        U2 = tracker.bad_part()
+        lap_u2_bad = SpectralField(cross, -ck2 * U2.coeffs)
+        ledger.track("lapU2_h2_sup").observe(t, sobolev_norm(lap_u2_bad, 2))
+        grad_lap = SpectralField(cross, np.stack([1j * cmesh[a] * lap_u2_bad.coeffs
+                                                  for a in range(2)]))
+        ledger.track("gradlapU2_h2_int").observe(t, sobolev_norm(grad_lap, 2) ** 2)
+        dtu2 = tracker.du2_dt(params, state)
+        ledger.track("dtU2_h2_sup").observe(t, sobolev_norm(dtu2, 2))
 
 
 @dataclass

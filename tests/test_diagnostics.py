@@ -1,20 +1,24 @@
 """Vorticity diagnostics, energy ledger, decomposition tracker, kappa/rho."""
 
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from shearks import diagnostics
+from shearks.config import params_of, parse_config
 from shearks.diagnostics import (
     DecompositionTracker,
     EnergyLedger,
     compute_kappa_rho,
-    compute_omega2,
     energy_report,
     kappa_identity_residual,
     kappa_values,
     ledger_update,
 )
+from shearks.initial import build_initial_state
 from shearks.modes import split_bar_tilde, split_x
 from shearks.sampling import gaussian_bump, random_smooth
 from shearks.shear import ShearFrame
@@ -29,8 +33,9 @@ from shearks.spectral import (
     zeros,
 )
 
-from oracles import from_values, residual_omega2
+from oracles import compute_omega2, from_values, full_spectrum_ledger, residual_omega2
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 GRID3 = GridSpec((16, 16, 16))
 CROSS = GridSpec((32, 32))
 
@@ -234,24 +239,24 @@ class TestEnergyLedger:
     def test_static_unweighted_accumulators(self):
         # constant field, weight 0: sup stays fixed, time integral grows linearly
         ledger = EnergyLedger(A=1.0)
-        tr = ledger.norm_track("q", weight=0.0)
+        tr = ledger.track("q", weight=0.0)
         l2sq = 2 * np.pi ** 2  # ||sin x||^2
         for t in (0.0, 0.5, 1.0, 1.5, 2.0):
             tr.observe(t, l2sq, l2sq, 0.0)
-        assert tr.sup_sq == pytest.approx(l2sq)
-        assert tr.int_l2 == pytest.approx(2.0 * l2sq, rel=1e-12)
+        assert tr.sup == pytest.approx(l2sq)
+        assert tr.ints[0] == pytest.approx(2.0 * l2sq, rel=1e-12)
 
     def test_weighted_cancellation(self):
         # field decaying exactly like e^{-wt}: weighted sup accumulator constant
         ledger = EnergyLedger(A=1000.0)
         w = ledger.wa
-        tr = ledger.norm_track("q", weight=w)
+        tr = ledger.track("q", weight=w)
         base = 3.7
         sups = []
         for t in np.linspace(0.0, 5.0, 11):
             val = base * np.exp(-2.0 * w * t)
             tr.observe(t, val, 0.0, 0.0)
-            sups.append(tr.sup_sq)
+            sups.append(tr.sup)
         assert max(sups) - min(sups) <= 1e-8 * base
 
     def test_lap_u2_term_hand_value(self):
@@ -262,7 +267,7 @@ class TestEnergyLedger:
         state = State(t=0.0, n=n, u=u, frame=ShearFrame())
         ledger = EnergyLedger(A=params.A)
         ledger_update(ledger, state, params, None, values_of(n))
-        assert ledger.norms["lap_u2_neq"].sup_sq == pytest.approx(16 * np.pi ** 3, rel=1e-12)
+        assert ledger.tracks["lap_u2_neq"].sup == pytest.approx(16 * np.pi ** 3, rel=1e-12)
 
     def test_zero_bad_part_matches_no_tracker(self):
         # a fresh tracker's bad part is zero, so kappa = 0 takes the frame's
@@ -292,3 +297,45 @@ class TestEnergyLedger:
         assert rows[-1]["E3"] > 0.0
         assert rows[-1]["E22"] > 0.0
         assert rows[-1]["E52"] > 0.0
+
+    def test_half_ledger_matches_full_spectrum_oracle(self, monkeypatch):
+        # a coupled 16^3 run with the tracker, remapped once near t = 1
+        params = small_3d_params(track_energies=True, track_decomposition=True,
+                                 t_end=1.6, output_every=0.1)
+        ref = EnergyLedger(A=params.A)
+        reports, epochs = [], set()
+
+        def both(ledger, state, params, tracker, n_vals):
+            ledger_update(ledger, state, params, tracker, n_vals)
+            full_spectrum_ledger(ref, state, params, tracker, n_vals)
+            reports.append((energy_report(ledger), energy_report(ref)))
+            epochs.add(state.frame.t_last_remap)
+        monkeypatch.setattr(diagnostics, "ledger_update", both)
+        result = run(params, smooth_3d_state(seed=7, u_scale=0.3))
+        assert result.status == "suppressed" and len(reports) == 17 and len(epochs) == 2
+        for new, old in reports:
+            assert new["E3"] == old["E3"] and new["E12"] == old["E12"]
+            for key, value in old.items():
+                assert abs(new[key] - value) <= 1e-13 * abs(value), key
+        assert all(value > 0.0 for value in reports[-1][1].values())
+
+    def test_ledger_transient_below_twelve_full_fields(self):
+        # tracemalloc peak of one sample above live memory, 24^3 coupled state
+        cfg = parse_config((CONFIGS / "suppression_3d.conf").read_text()
+                           + "\nnx = 24\nny = 24\nnz = 24\n")
+        params = params_of(cfg)
+        state = build_initial_state(cfg)
+        tracker = DecompositionTracker.start(params, state)
+        for _ in range(3):
+            state, _ = step(state, params, tracker=tracker)
+        ledger = EnergyLedger(A=params.A)
+        n_vals = values_of(state.n)
+        ledger_update(ledger, state, params, tracker, n_vals)  # caches and transform threads
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            ledger_update(ledger, state, params, tracker, n_vals)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 16 * params.grid.size

@@ -193,11 +193,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="CRC"):
             state_from_bytes(bytes(raw))
 
-    @pytest.mark.parametrize("slot, value", [(3, 7), (2, 0), (2, 4)],
-                             ids=["n1=7", "dim=0", "dim=4"])
+    @pytest.mark.parametrize("slot, value", [(3, 7), (2, 0), (2, 4), (8, 5.0), (8, math.nan),
+                                             (6, math.nan), (7, math.inf), (9, math.nan)],
+                             ids=["n1=7", "dim=0", "dim=4", "drift=5", "drift=nan", "t=nan",
+                                  "A=inf", "t_last_remap=nan"])
     def test_bad_header_dims_are_checkpoint_errors(self, tmp_path, slot, value):
         # a CRC-valid file whose header names a grid GridSpec rejects, or no
-        # grid; a density-only body passes the block-count check at dim = 4
+        # grid, or a time, amplitude or frame no run can start from; a
+        # density-only body passes the block-count check at dim = 4
         raw = checkpoint_bytes(small_state(with_u=False), A=2.0)
         header = list(_HEADER.unpack(raw[:_HEADER.size]))
         header[slot] = value
@@ -209,6 +212,44 @@ class TestCheckpoint:
         conf = tmp_path / "run.conf"
         conf.write_text(BASE_2D + f"out_dir = {tmp_path}/out\n")
         assert cli_main(["resume", str(path), "--config", str(conf)]) == 4
+
+
+    def test_2d_velocity_blocks_are_checkpoint_errors(self, tmp_path):
+        # 2D runs carry no velocity: n plus two components is not a 2D state
+        grid = GridSpec((32, 32))
+        state = State(t=0.5, n=random_real_field(grid, seed=3),
+                      u=random_real_field(grid, seed=4, components=2), frame=ShearFrame())
+        path = tmp_path / "uv2d.pksn"
+        write_checkpoint(path, state, A=1.0)
+        with pytest.raises(CheckpointError, match="field blocks"):
+            read_checkpoint(path)
+        conf = tmp_path / "run.conf"
+        conf.write_text(BASE_2D + f"out_dir = {tmp_path}/out\n")
+        assert cli_main(["resume", str(path), "--config", str(conf)]) == 4
+
+    @pytest.mark.parametrize("with_u, velocity", [(False, "true"), (True, "false")])
+    def test_resume_velocity_must_match_config(self, tmp_path, with_u, velocity):
+        path = tmp_path / "c.pksn"
+        write_checkpoint(path, small_state(with_u=with_u), A=2.0)
+        text = BASE_3D + f"enable_velocity = {velocity}\nout_dir = {tmp_path}/out\n"
+        with pytest.raises(ConfigError, match="enable_velocity"):
+            run_resume(parse_config(text), path)
+        conf = tmp_path / "run.conf"
+        conf.write_text(text)
+        assert cli_main(["resume", str(path), "--config", str(conf)]) == 2
+        assert not (tmp_path / "out" / "series_resume.csv").exists()
+
+
+BASE_3D = """
+scenario = simulate
+dim = 3
+nx = 16
+ny = 16
+nz = 16
+A = 2.0
+mass = 1.0
+t_end = 2.5
+"""
 
 
 BASE_2D = """
@@ -337,7 +378,7 @@ class TestCLI:
                          "--t_end", "0.1"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "status = suppressed" in out
+        assert "status = suppressed  t_final = " in out  # no reason on a suppressed run
 
     def test_config_error_exit_code(self, tmp_path):
         conf = tmp_path / "bad.conf"
@@ -361,6 +402,24 @@ class TestCLI:
             "--track_energies", "false", "--out_dir", str(tmp_path / "bad"),
         ])
         assert code == 3
+
+    def test_status_line_names_the_reason(self, tmp_path, capsys):
+        # an unsheared 2D collapse at mass 60 > 8 pi: the run loses positivity
+        # at its first sample, and resuming from there ends in blow-up
+        conf = tmp_path / "run.conf"
+        conf.write_text(BASE_2D)
+        flags = ["--mass", "60.0", "--init_width", "0.5", "--output_every", "0.02"]
+        code = cli_main(["simulate", "--config", str(conf), *flags,
+                         "--out_dir", str(tmp_path / "one")])
+        status = read_series(tmp_path / "one" / "series.csv")[-1]["status"]
+        out = capsys.readouterr().out
+        assert code == 3 and status == "unresolved"
+        assert "status = unresolved (negative density " in out
+        code = cli_main(["resume", str(tmp_path / "one" / "final.pksn"), "--config", str(conf),
+                         *flags, "--out_dir", str(tmp_path / "two")])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "status = blowup (density lost positivity during growth" in out
 
     def test_check_verb(self, tmp_path, capsys):
         code = cli_main(["check", "--suite", "poincare", "--samples", "5",

@@ -21,6 +21,7 @@ from shearks.solver import (
     choose_dt,
     run,
     step,
+    tail_ratio,
     tendency,
 )
 from shearks.spectral import (
@@ -459,6 +460,20 @@ class TestSamples:
             assert row["n_min"] == min_value(state.n)
             assert row["n_linf"] == linf_norm(state.n)
             assert row["free_energy"] == free_energy(state.n)
+
+    def test_tail_ratio_reads_the_half(self):
+        # the full-spectrum sum over sheared states, across a remap
+        params = make_params(GRID2, enable_shear=True, enable_chemotaxis=False,
+                             amplitude=10.0, dt_max=0.05)
+        state = make_state(GRID2, random_smooth(GRID2, seed=5, slope=1.0))
+        for _ in range(30):
+            state, _ = step(state, params)
+            e = np.abs(state.n.coeffs) ** 2
+            e[0, 0] = 0.0
+            k2 = spectral._mesh_k2(frame_k_mesh(params, state.frame.drift))
+            full = np.sum(e[k2 >= (2.0 * GRID2.dealias_cutoff(0) / 3.0) ** 2]) / np.sum(e)
+            assert tail_ratio(state.n, params, state.frame.drift) == pytest.approx(full, rel=1e-14)
+        assert state.frame.t_last_remap > 0.0
 
     def test_velocity_band_exit_energy_reported(self, tmp_path):
         text = (CONFIGS / "suppression_3d.conf").read_text()

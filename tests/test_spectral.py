@@ -29,6 +29,7 @@ from shearks.spectral import (
     l2_norm,
     laplacian,
     leray_project,
+    parseval_weights,
     rfft_x,
     solve_chemo,
     spectral_energy,
@@ -459,6 +460,29 @@ class TestNorms:
             quad = l2_norm_values(inverse_transform(F))
             spec = l2_norm(F)
             assert abs(quad - spec) <= 1e-10 * spec
+
+
+class TestParsevalWeights:
+    @pytest.mark.parametrize("shape, components", [((16,), 1), ((16, 12), 1), ((8, 10, 12), 1),
+                                                   ((16, 12), 3), ((8, 10, 12), 2)])
+    def test_half_sums_equal_full_sums(self, shape, components):
+        grid = GridSpec(shape)
+        F = full_band_hermitian(grid, seed=sum(shape) + components, components=components)
+        lead = (slice(None),) * (F.coeffs.ndim - grid.dim)
+        assert np.all(F.coeffs[lead + (shape[0] // 2,)] != 0.0)  # the lone -n1/2 plane
+        k2 = grid.k_squared()
+        w = parseval_weights(grid)
+        for m in (np.ones(shape), k2, grid.k_mesh()[0] ** 2 * k2):
+            full = np.sum(m * np.abs(F.coeffs) ** 2)
+            half = np.sum(w * halve(m, grid) * np.abs(halve(F.coeffs, grid)) ** 2)
+            assert abs(half - full) <= 1e-14 * full
+
+    def test_cached_and_read_only(self):
+        w = parseval_weights(GridSpec((16, 12)))
+        assert w is parseval_weights(GridSpec((16, 12)))
+        assert w.ravel().tolist() == [1.0] + [2.0] * 7 + [1.0]
+        with pytest.raises(ValueError):
+            w[1] = 1.0
 
 
 class TestSourceGuard:
