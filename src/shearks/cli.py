@@ -1,10 +1,11 @@
 """Command-line entry point.
 
-Verbs: simulate, sweep-mass, rate, check, resume.  Every verb takes
---config FILE plus any number of --key value overrides, which are applied
-after the file's own assignments (same key = value grammar, so unknown keys
-are still rejected).  Exit codes: 0 success, 2 config error, 3 numerical
-abort (unresolved), 4 I/O error.
+Verbs: simulate, sweep-mass, rate, check, resume, inspect.  Every verb but
+inspect takes --config FILE plus any number of --key value overrides, which
+are applied after the file's own assignments (same key = value grammar, so
+unknown keys are still rejected).  ``inspect FILE.pksn`` checks a
+checkpoint's CRC and prints its header, mass and L2 norms.  Exit codes: 0
+success, 2 config error, 3 numerical abort (unresolved), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from pathlib import Path
 
 from .config import ConfigError, parse_config
 from .scenarios import dispatch
-from .seriesio import CheckpointError
+from .seriesio import CheckpointError, read_checkpoint
+from .spectral import l2_norm, total_mass
 
 VERBS = {
     "simulate": "simulate",
@@ -38,6 +40,23 @@ def _collect_overrides(extras: list[str]) -> list[str]:
     return lines
 
 
+def _inspect(path: Path) -> int:
+    """Print a checkpoint's header, mass and L2 norms once its CRC checks."""
+    try:
+        state, A = read_checkpoint(path)
+    except CheckpointError as err:
+        print(f"i/o error: {err}", file=sys.stderr)
+        return 4
+    grid = state.n.grid
+    print(f"dim = {grid.dim}  grid = {'x'.join(map(str, grid.shape))}  t = {state.t:.17g}  "
+          f"A = {A:.17g}  drift = {state.frame.drift:.17g}  "
+          f"t_last_remap = {state.frame.t_last_remap:.17g}")
+    u_l2 = l2_norm(state.u) if state.u is not None else 0.0
+    print(f"mass = {total_mass(state.n):.17g}  n_l2 = {l2_norm(state.n):.17g}  "
+          f"u_l2 = {u_l2:.17g}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="shearks",
@@ -50,8 +69,14 @@ def main(argv=None) -> int:
                        help="key = value configuration file")
         if verb == "resume":
             p.add_argument("checkpoint", type=Path)
+    sub.add_parser("inspect").add_argument("checkpoint", type=Path)
 
     args, extras = parser.parse_known_args(argv)
+    if args.verb == "inspect":
+        if extras:
+            print(f"config error: inspect takes no overrides, got {extras}", file=sys.stderr)
+            return 2
+        return _inspect(args.checkpoint)
     try:
         text = args.config.read_text() if args.config else ""
     except OSError as err:

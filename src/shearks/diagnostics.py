@@ -9,7 +9,7 @@ its stages on k_y >= 0 halves, completed once per step like a solver
 step's.  The ledger sums each norm over the k1 >= 0 half of the field it
 measures, weighted by the half's multiplicities in the full spectrum
 (``spectral.parseval_weights``), and sends its three kappa products through
-one 3D real transform pair.
+one 3D inverse transform and one band forward transform (``rfft_band``).
 """
 
 from __future__ import annotations
@@ -26,12 +26,16 @@ from .spectral import (
     GridSpec,
     SpectralField,
     _mesh_k2,
+    band_of,
     complete_half,
     fill,
     halve,
+    irfft_band,
     irfft_x,
     over_k2,
     parseval_weights,
+    place,
+    rfft_band,
     rfft_x,
     sobolev_norm,
 )
@@ -115,12 +119,18 @@ def kappa_identity_residual(kr: KappaRho, u3: SpectralField, k_mesh=None) -> flo
 # ---------------------------------------------------------------------------
 # co-evolved decomposition of the streamwise zero-mode velocity
 
+def _box_mesh(cross: GridSpec) -> list[np.ndarray]:
+    """The cross-section's wavevectors on its band box (``band_of``)."""
+    return [band_of(halve(m, cross), cross) for m in cross.k_mesh()]
+
+
 def _advect(uv, xv: np.ndarray, cross: GridSpec) -> np.ndarray:
-    """Dealiased k_y >= 0 half spectrum of div((u2, u3) X) on the cross-section,
-    from the values uv = (u2, u3) and xv of X, one field or a stack of them."""
-    mesh = [halve(m, cross) for m in cross.k_mesh()]
-    fy, fz = rfft_x(np.stack([uv[0] * xv, uv[1] * xv]), cross)
-    return (1j * mesh[0] * fy + 1j * mesh[1] * fz) * halve(cross.dealias_mask(), cross)
+    """Band box of div((u2, u3) X) on the cross-section, the dealiased
+    product, from the values uv = (u2, u3) and xv of X, one field or a stack
+    of them."""
+    mesh = _box_mesh(cross)
+    fy, fz = rfft_band(np.stack([uv[0] * xv, uv[1] * xv]), cross)
+    return 1j * mesh[0] * fy + 1j * mesh[1] * fz
 
 
 @dataclass
@@ -161,11 +171,11 @@ class DecompositionTracker:
     def _stage_rhs(self, parts: np.ndarray, A: float, ev) -> np.ndarray:
         """Tendencies of a (G1, B1, B2) half stack from one stage's aux fields."""
         cross = self.cross
-        mask = halve(cross.dealias_mask(), cross)
-        mesh = [halve(m, cross) for m in cross.k_mesh()]
-        rhs = _advect(ev.u_zero_vals[1:], irfft_x(parts * mask, cross), cross)
-        rhs[0] += (1j * mesh[0] * ev.q_neq_hat[0] + 1j * mesh[1] * ev.q_neq_hat[1]) * mask
-        rhs = -rhs / A
+        mesh = _box_mesh(cross)
+        adv = _advect(ev.u_zero_vals[1:], irfft_band(band_of(parts, cross), cross), cross)
+        q = band_of(ev.q_neq_hat, cross)
+        adv[0] += 1j * mesh[0] * q[0] + 1j * mesh[1] * q[1]
+        rhs = -place(adv, cross) / A
         rhs[1] += ev.n_zero / A
         rhs[2] -= ev.u_zero[1]
         return rhs
@@ -191,9 +201,8 @@ class DecompositionTracker:
         A = params.A
         u_0 = halve(zero_mode(state.u).coeffs, cross)
         b2 = halve(self.B2.coeffs, cross)
-        u2v, u3v, b2v = irfft_x(np.stack([u_0[1], u_0[2], b2])
-                                * halve(cross.dealias_mask(), cross), cross)
-        adv = _advect((u2v, u3v), b2v, cross)
+        u2v, u3v, b2v = irfft_band(band_of(np.stack([u_0[1], u_0[2], b2]), cross), cross)
+        adv = place(_advect((u2v, u3v), b2v, cross), cross)
         out = (-halve(cross.k_squared(), cross) * b2) / A - u_0[1] - adv / A
         out[(0,) * cross.dim] += state.n.coeffs[(0,) * params.grid.dim].real / A
         return SpectralField(cross, fill(out, cross))
@@ -323,9 +332,9 @@ def ledger_update(ledger: EnergyLedger, state, params, tracker, n_vals: np.ndarr
         phys = irfft_x(flucts, grid)
         del flucts
         phys *= kappa
-        prods = rfft_x(phys, grid)
+        prods = rfft_band(phys, grid)
         del phys
-        prods *= halve(grid.dealias_mask(), grid)
+        prods = place(prods, grid)
         good -= prods[:2]
         w_h = w_h + prods[2]
         del prods

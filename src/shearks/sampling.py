@@ -12,12 +12,14 @@ from .spectral import (
     GridSpec,
     RealField,
     SpectralField,
+    band_of,
     complete_half,
     fill,
     forward_transform,
     halve,
     l2_norm,
-    rfft_x,
+    place,
+    rfft_band,
     total_mass,
     values_of,
 )
@@ -29,11 +31,10 @@ def random_smooth(grid: GridSpec, seed: int, slope: float = 2.0,
     zero mean and unit L2."""
     rng = np.random.default_rng(seed)
     shape = grid.shape if components == 1 else (components, *grid.shape)
-    half = rfft_x(rng.standard_normal(shape), grid)
-    k2 = halve(grid.k_squared(), grid)
-    half *= np.where(k2 > 0, (k2 + 1.0) ** (-slope / 2.0), 0.0)
-    half *= halve(grid.dealias_mask(), grid)
-    F = SpectralField(grid, fill(complete_half(half, grid), grid))
+    box = rfft_band(rng.standard_normal(shape), grid)
+    k2 = band_of(halve(grid.k_squared(), grid), grid)
+    box *= np.where(k2 > 0, (k2 + 1.0) ** (-slope / 2.0), 0.0)
+    F = SpectralField(grid, fill(complete_half(place(box, grid), grid), grid))
     norm = l2_norm(F)
     if norm > 0:
         F.coeffs /= norm

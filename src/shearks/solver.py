@@ -38,16 +38,20 @@ from .spectral import (
     GridSpec,
     SpectralField,
     _mesh_k2,
+    band_of,
     complete_half,
     divergence,
     fill,
     halve,
     hermitize,  # noqa: F401  (pinned by benchmarks/tests/test_bench_spans.py, ROADMAP item 2)
-    irfft_x,
+    irfft_band,
+    k2_guard,
     l2_norm,
     leray_coeffs,
     over_k2,
     parseval_weights,
+    place,
+    rfft_band,
     rfft_x,
     spectral_energy,
     total_mass,
@@ -215,71 +219,84 @@ def tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: float, 
     tilting frame) when tilt is set.  Products are dealiased, forcing terms
     raw; rhs_n conserves mass to round-off and rhs_u is divergence-free for
     the given wavevectors.  n_h, u_h and both tendencies are k1 >= 0 half
-    spectra (``halve``); k_mesh is the grid's whole mesh.  A passive scalar
-    (no velocity, no chemotaxis) has no tendency: ``step`` takes the
-    propagator alone, and asking for one raises ContractViolation.
+    spectra (``halve``); k_mesh is the grid's whole mesh.  The dealiased
+    parts (c, grad c, the u x u and flux divergences) are formed on the
+    2/3-rule band box (``band_of``) and its transform pair, and placed into
+    the half where the raw terms join them.  A passive scalar (no velocity,
+    no chemotaxis) has no tendency: ``step`` takes the propagator alone, and
+    asking for one raises ContractViolation.
     """
     if u_h is None and not chemotaxis:
         raise ContractViolation("a passive scalar has no explicit tendency")
     mesh = [halve(m, grid) for m in k_mesh]
     k2 = _mesh_k2(mesh)
-    dmask = halve(grid.dealias_mask(), grid)
+    box_mesh = [band_of(m, grid) for m in mesh]
     n_u = 0 if u_h is None else grid.dim
-    n_phys = irfft_x(n_h * dmask, grid)
+    n_box = band_of(n_h, grid)
+    n_phys = irfft_band(n_box, grid)
     # u and grad c go through one inverse transform, u_i u_j (i <= j) and the
-    # flux through one forward transform each; every stack is filled in place
-    # and holds at most six fields: 7- and 9-field stacks at 48^3 raised the
-    # process's peak RSS by 4-6 MB through the allocator's retained heap
-    spec = np.empty((n_u + (grid.dim if chemotaxis else 0), *n_h.shape), dtype=np.complex128)
+    # flux through one forward transform each; every stack holds at most six
+    # fields: 7- and 9-field stacks at 48^3 raised the process's peak RSS by
+    # 4-6 MB through the allocator's retained heap
+    spec = np.empty((n_u + (grid.dim if chemotaxis else 0), *n_box.shape), dtype=np.complex128)
     if u_h is not None:
-        np.multiply(u_h, dmask, out=spec[:n_u])
+        spec[:n_u] = band_of(u_h, grid)
     if chemotaxis:
-        c_h = over_k2(n_h, k2)  # lap c = -(n - mean n)
+        c_box = over_k2(n_box, band_of(k2, grid))  # lap c = -(n - mean n)
         for a in range(grid.dim):
-            np.multiply(1j * mesh[a] * c_h, dmask, out=spec[n_u + a])
-    phys = irfft_x(spec, grid)
+            np.multiply(1j * box_mesh[a], c_box, out=spec[n_u + a])
+    phys = irfft_band(spec, grid)
     del spec
     u_phys, grad_c = phys[:n_u], phys[n_u:]
     max_u = float(np.max(np.abs(u_phys))) if n_u else 0.0
     max_chemo = float(np.max(np.abs(grad_c))) if chemotaxis else 0.0
-    pairs = [(i, j) for i in range(n_u) for j in range(i, n_u)]
-    slot = {p: s for s, (i, j) in enumerate(pairs) for p in ((i, j), (j, i))}
-    if pairs:
-        prods = np.empty((len(pairs), *grid.shape))
-        for s, (i, j) in enumerate(pairs):
-            np.multiply(u_phys[i], u_phys[j], out=prods[s])
-        uu = rfft_x(prods, grid)
-        del prods
     if n_u and chemotaxis:
         flux = u_phys + grad_c
         flux *= n_phys
     else:
         flux = (u_phys if n_u else grad_c) * n_phys
-    del phys, u_phys, grad_c, n_phys
-    flux_hat = rfft_x(flux, grid)
+    # u_i u_j (i <= j, u is 3D) take no new stack: the cross products
+    # overwrite grad c (a copy of u without chemotaxis), then each u_i u_i
+    # overwrites its u_i
+    prods = None if u_h is None else phys if chemotaxis else np.concatenate([phys, phys])
+    del phys, n_phys, u_phys, grad_c
+    flux_box = rfft_band(flux, grid)
     del flux
+    aux = need_aux and u_h is not None
     rhs_u = None
     if u_h is not None:
-        rhs = np.stack([(-1.0 / A) * sum(1j * mesh[j] * uu[slot[j, i]] for j in range(grid.dim))
-                        * dmask for i in range(grid.dim)])
+        slot = {}
+        for s, (i, j) in zip((3, 4, 5, 0, 1, 2), ((0, 1), (0, 2), (1, 2), (0, 0), (1, 1), (2, 2))):
+            np.multiply(prods[i], prods[j], out=prods[s])
+            slot[i, j] = slot[j, i] = s
+        # the tracker reads the whole k1 = 0 plane of u_j u_1
+        uu_plane0 = np.empty((6, *grid.shape[1:]), dtype=np.complex128) if aux else None
+        uu = rfft_band(prods, grid, uu_plane0)
+        del prods
+        rhs = place(np.stack([(-1.0 / A) * sum(1j * box_mesh[j] * uu[slot[j, i]]
+                                               for j in range(grid.dim))
+                              for i in range(grid.dim)]), grid)
         rhs[0] += n_h / A - u_h[1]
-        rhs_u = leray_coeffs(rhs, mesh)
+        guard = k2_guard(k2)
+        rhs_u = leray_coeffs(rhs, mesh, guard)
         if tilt:
-            base = over_k2((1j * mesh[0]) * u_h[1], k2, sign=-1.0)  # lap^-1 dx u2
-            rhs_u += np.stack([1j * mesh[a] * base for a in range(grid.dim)])
-    rhs_n = (-1.0 / A) * sum(1j * mesh[a] * flux_hat[a] for a in range(grid.dim)) * dmask
+            base = over_k2((1j * mesh[0]) * u_h[1], guard, sign=-1.0)  # lap^-1 dx u2
+            for a in range(grid.dim):
+                rhs_u[a] += 1j * mesh[a] * base
+    rhs_n = place((-1.0 / A) * sum(1j * box_mesh[a] * flux_box[a] for a in range(grid.dim)),
+                  grid)
 
-    aux = {}
-    if need_aux and u_h is not None:
+    fields = {}
+    if aux:
         # the k1 = 0 plane of a half spectrum is complete: the zero modes are views
         cross = grid.cross_section()
         u_zero = halve(u_h[:, 0], cross)
-        u_zero_vals = irfft_x(u_zero * halve(cross.dealias_mask(), cross), cross)
-        q_neq_hat = (halve(uu[[slot[1, 0], slot[2, 0]], 0], cross)
+        u_zero_vals = irfft_band(band_of(u_zero, cross), cross)
+        q_neq_hat = (halve(uu_plane0[[slot[1, 0], slot[2, 0]]], cross)
                      - rfft_x(u_zero_vals[1:] * u_zero_vals[0], cross))
-        aux = {"n_zero": halve(n_h[0], cross), "u_zero": u_zero,
-               "u_zero_vals": u_zero_vals, "q_neq_hat": q_neq_hat}
-    return StageEval(rhs_n=rhs_n, rhs_u=rhs_u, max_u=max_u, max_chemo=max_chemo, **aux)
+        fields = {"n_zero": halve(n_h[0], cross), "u_zero": u_zero,
+                  "u_zero_vals": u_zero_vals, "q_neq_hat": q_neq_hat}
+    return StageEval(rhs_n=rhs_n, rhs_u=rhs_u, max_u=max_u, max_chemo=max_chemo, **fields)
 
 
 def _evaluate(n_h: np.ndarray, u_h: np.ndarray | None, params: Params,

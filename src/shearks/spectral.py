@@ -3,9 +3,13 @@
 Fields are stored as full complex spectra with the normalization
 f = sum_k fhat(k) e^{i k.x}, i.e. the forward transform divides by the
 number of grid points so that fhat(k) = |T|^-d * integral f e^{-i k.x}.
-Products are formed in physical space with 2/3-rule dealiasing (cutoff
-floor(n/3) per axis) through one real transform pair halved along x
-(``rfft_x``, ``irfft_x``).  Every real field is made from the k1 >= 0 half
+Real transforms are halved along x (``rfft_x``, ``irfft_x``).  Products
+are formed in physical space with 2/3-rule dealiasing (cutoff floor(n/3)
+per axis) through the band pair (``irfft_band``, ``rfft_band``): the same
+1-D transforms on only the lines that the band box reaches (k1 in 0..K1,
+each further k_a in 0..K_a and n_a-K_a..n_a-1), bit for bit the full pair
+with the band mask applied.  ``band_of`` cuts the box out of a half and
+``place`` puts it back.  Every real field is made from the k1 >= 0 half
 of its spectrum, which holds the whole k1 = 0 plane: ``complete_half``
 makes the half that of a real field and ``fill`` writes the k1 < 0 half.
 Collocation values are read from the half too (``values_of``), and so are
@@ -19,6 +23,7 @@ bit-identical to numpy's serial ones.
 from __future__ import annotations
 
 import contextvars
+import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -256,16 +261,25 @@ def _x_last(grid: GridSpec, ndim: int) -> tuple[int, ...]:
     return tuple(range(lead + 1, ndim)) + (lead,)
 
 
-# On 3D grids rfft_x and irfft_x split each transform in two, one half per
+# On 3D grids the real transforms split each transform in two, one half per
 # thread; numpy's FFTs release the GIL.  A stack with an even number of fields
 # is split into two half stacks, each transformed whole.  A bare field, or an
 # odd stack, is split in two slabs per pass: the y and z passes over halves of
-# the k1 planes, the x pass over halves of y.  At 48^3 half stacks beat slabs
-# on 6-field stacks, and slabs beat a 2:1 field split on 3-field ones.  Every
-# piece makes the 1-D calls of numpy's rfftn/irfftn in their axis order and
-# writes with out= into arrays that the calling thread allocated, so each line
-# is transformed exactly as the serial transform does it.  2D grids stay
-# serial: at 128^2 two threads are slower.
+# the k1 planes they run on, the x pass over halves of y.  At 48^3 half
+# stacks beat slabs on 6-field stacks, and slabs beat a 2:1 field split on
+# 3-field ones.  Every piece makes the 1-D calls of numpy's rfftn/irfftn in
+# their axis order and writes with out= into arrays that the calling thread
+# allocated, so each line is transformed exactly as the serial transform does
+# it.  2D grids stay serial: at 128^2 two threads are slower.
+#
+# The band pair (irfft_band, rfft_band) makes the same calls on fewer lines.
+# A field dealiased by the 2/3 rule is zero off its band box, so the inverse
+# runs its y pass only on the lines with k1 <= K1 and k3 in the band and its
+# z pass only on the planes k1 <= K1; the forward runs the x pass on every
+# line, the z pass on the planes k1 <= K1 and the y pass on the band's z
+# columns, and keeps the box.  numpy transforms each line on its own, so
+# every band value is bit for bit that of the full pair with the band mask
+# applied (FFT pruning).  The full pair is the case with no line left out.
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
@@ -310,8 +324,13 @@ def _halves(n: int) -> tuple[slice, slice]:
     return slice(0, (n + 1) // 2), slice((n + 1) // 2, n)
 
 
-def _inverse_yz(src: np.ndarray, tmp: np.ndarray):
-    np.fft.ifft(src, tmp.shape[-2], axis=-2, norm="forward", out=tmp)
+_EVERY_COLUMN = (slice(None),)  # the z columns of an unpruned y pass
+
+
+def _inverse_yz(src: np.ndarray, tmp: np.ndarray, zruns):
+    """y pass from src into tmp on the z columns zruns, then z pass in place."""
+    for z in zruns:
+        np.fft.ifft(src[..., z], tmp.shape[-2], axis=-2, norm="forward", out=tmp[..., z])
     np.fft.ifft(tmp, axis=-1, norm="forward", out=tmp)
 
 
@@ -319,8 +338,8 @@ def _inverse_x(tmp: np.ndarray, out: np.ndarray):
     np.fft.irfft(tmp, out.shape[-3], axis=-3, norm="forward", out=out)
 
 
-def _inverse(src: np.ndarray, tmp: np.ndarray, out: np.ndarray):
-    _inverse_yz(src, tmp)
+def _inverse(src: np.ndarray, tmp: np.ndarray, out: np.ndarray, planes: slice, zruns):
+    _inverse_yz(src[..., planes, :, :], tmp[..., planes, :, :], zruns)
     _inverse_x(tmp, out)
 
 
@@ -328,18 +347,49 @@ def _forward_x(src: np.ndarray, hat: np.ndarray):
     np.fft.rfft(src, axis=-3, norm="forward", out=hat)
 
 
-def _forward_zy(hat: np.ndarray):
+def _forward_zy(hat: np.ndarray, zruns):
+    """z pass in place, then y pass in place on the z columns zruns."""
     np.fft.fft(hat, axis=-1, norm="forward", out=hat)
-    np.fft.fft(hat, axis=-2, norm="forward", out=hat)
+    for z in zruns:
+        np.fft.fft(hat[..., z], axis=-2, norm="forward", out=hat[..., z])
 
 
-def _forward(src: np.ndarray, hat: np.ndarray):
+def _forward(src: np.ndarray, hat: np.ndarray, planes: slice, zruns):
     _forward_x(src, hat)
-    _forward_zy(hat)
+    _forward_zy(hat[..., planes, :, :], zruns)
 
 
 def _even_stack(lead: tuple[int, ...]) -> bool:
     return len(lead) > 0 and lead[0] % 2 == 0
+
+
+def _irfft3(src: np.ndarray, tmp: np.ndarray, grid: GridSpec, planes: slice,
+            zruns) -> np.ndarray:
+    """3D inverse: y pass on the z columns zruns and z pass, from src into tmp
+    on the k1 planes ``planes`` (src may be tmp), then x over all of tmp."""
+    lead = tmp.shape[:-3]
+    out = np.empty(lead + grid.shape, dtype=np.result_type(tmp.real, 1.0))
+    if _even_stack(lead):
+        _run([(_inverse, src[k], tmp[k], out[k], planes, zruns) for k in _halves(lead[0])])
+        return out
+    _run([(_inverse_yz, src[..., k, :, :], tmp[..., k, :, :], zruns)
+          for k in _halves(planes.stop)])
+    _run([(_inverse_x, tmp[..., k, :], out[..., k, :]) for k in _halves(grid.shape[1])])
+    return out
+
+
+def _rfft3(values: np.ndarray, grid: GridSpec, planes: slice, zruns) -> np.ndarray:
+    """3D forward: x on every line, z on the k1 planes 0..planes.stop-1 and y
+    on their z columns zruns; the other modes hold partial transforms."""
+    n1, n2, n3 = values.shape[-3:]
+    lead = values.shape[:-3]
+    hat = np.empty(lead + (n1 // 2 + 1, n2, n3), dtype=np.result_type(values, 1j))
+    if _even_stack(lead):
+        _run([(_forward, values[k], hat[k], planes, zruns) for k in _halves(lead[0])])
+        return hat
+    _run([(_forward_x, values[..., k, :], hat[..., k, :]) for k in _halves(n2)])
+    _run([(_forward_zy, hat[..., k, :, :], zruns) for k in _halves(planes.stop)])
+    return hat
 
 
 def irfft_x(half: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -347,30 +397,100 @@ def irfft_x(half: np.ndarray, grid: GridSpec) -> np.ndarray:
     if grid.dim < 3:
         shape = grid.shape[1:] + grid.shape[:1]
         return np.fft.irfftn(half, s=shape, axes=_x_last(grid, half.ndim), norm="forward")
-    lead = half.shape[:-3]
-    tmp = np.empty(lead + half.shape[-3:-2] + grid.shape[1:], dtype=np.result_type(half, 1j))
-    out = np.empty(lead + grid.shape, dtype=np.result_type(half.real, 1.0))
-    if _even_stack(lead):
-        _run([(_inverse, half[k], tmp[k], out[k]) for k in _halves(lead[0])])
-        return out
-    _run([(_inverse_yz, half[..., k, :, :], tmp[..., k, :, :]) for k in _halves(half.shape[-3])])
-    _run([(_inverse_x, tmp[..., k, :], out[..., k, :]) for k in _halves(grid.shape[1])])
-    return out
+    tmp = np.empty(half.shape[:-3] + half.shape[-3:-2] + grid.shape[1:],
+                   dtype=np.result_type(half, 1j))
+    return _irfft3(half, tmp, grid, slice(0, half.shape[-3]), _EVERY_COLUMN)
 
 
 def rfft_x(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """k1 >= 0 half of the spectrum of real collocation values."""
     if grid.dim < 3:
         return np.fft.rfftn(values, axes=_x_last(grid, values.ndim), norm="forward")
-    n1, n2, n3 = values.shape[-3:]
-    lead = values.shape[:-3]
-    hat = np.empty(lead + (n1 // 2 + 1, n2, n3), dtype=np.result_type(values, 1j))
-    if _even_stack(lead):
-        _run([(_forward, values[k], hat[k]) for k in _halves(lead[0])])
-        return hat
-    _run([(_forward_x, values[..., k, :], hat[..., k, :]) for k in _halves(n2)])
-    _run([(_forward_zy, hat[..., k, :, :]) for k in _halves(n1 // 2 + 1)])
-    return hat
+    return _rfft3(values, grid, slice(0, grid.shape[0] // 2 + 1), _EVERY_COLUMN)
+
+
+# ---------------------------------------------------------------------------
+# the 2/3-rule band box
+
+def band_shape(grid: GridSpec) -> tuple[int, ...]:
+    """Shape of a band box: k1 in 0..K1 and every further k_a in its two
+    wrap-around runs 0..K_a and n_a-K_a..n_a-1, K_a = dealias_cutoff(a)."""
+    return ((grid.dealias_cutoff(0) + 1,)
+            + tuple(2 * grid.dealias_cutoff(a) + 1 for a in range(1, grid.dim)))
+
+
+def _runs(grid: GridSpec, axis: int) -> tuple[slice, slice]:
+    """The band's two wrap-around runs along an axis past the first."""
+    n, K = grid.shape[axis], grid.dealias_cutoff(axis)
+    return slice(0, K + 1), slice(n - K, n)
+
+
+def _box_pieces(grid: GridSpec, shape: tuple[int, ...]):
+    """(half index, box index) pairs that copy a band box run by run, for
+    spatial shape ``shape``; an axis of length 1 is copied whole."""
+    per_axis = []
+    for axis, n in enumerate(shape):
+        K = grid.dealias_cutoff(axis)
+        if n == 1:
+            per_axis.append([(slice(None), slice(None))])
+        elif axis == 0:
+            per_axis.append([(slice(0, K + 1), slice(None))])
+        else:
+            lo, hi = _runs(grid, axis)
+            per_axis.append([(lo, slice(0, K + 1)), (hi, slice(K + 1, 2 * K + 1))])
+    for piece in itertools.product(*per_axis):
+        yield (..., *(h for h, _ in piece)), (..., *(b for _, b in piece))
+
+
+def band_of(arr: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The band box of a k1 >= 0 half, a copy; leading axes are kept, and an
+    axis of length 1 (a broadcast mesh component) stays of length 1."""
+    lead, shape = arr.shape[:arr.ndim - grid.dim], arr.shape[arr.ndim - grid.dim:]
+    box = np.empty(lead + tuple(1 if n == 1 else b for n, b in zip(shape, band_shape(grid))),
+                   dtype=arr.dtype)
+    for h, b in _box_pieces(grid, shape):
+        box[b] = arr[h]
+    return box
+
+
+def place(box: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The k1 >= 0 half whose band box is box and whose other modes are 0."""
+    shape = (grid.shape[0] // 2 + 1,) + grid.shape[1:]
+    half = np.zeros(box.shape[:box.ndim - grid.dim] + shape, dtype=np.result_type(box, 1j))
+    for h, b in _box_pieces(grid, shape):
+        half[h] = box[b]
+    return half
+
+
+def irfft_band(box: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Collocation values of the real field whose k1 >= 0 half is
+    ``place(box)``: ``irfft_x`` of that half bit for bit, on fewer lines."""
+    half = place(box, grid)
+    planes = slice(0, box.shape[box.ndim - grid.dim])
+    if grid.dim == 3:
+        return _irfft3(half, half, grid, planes, _runs(grid, 2))
+    if grid.dim == 2:
+        np.fft.ifft(half[..., planes, :], axis=-1, norm="forward", out=half[..., planes, :])
+    return np.fft.irfft(half, grid.shape[0], axis=-grid.dim, norm="forward")
+
+
+def rfft_band(values: np.ndarray, grid: GridSpec, plane0: np.ndarray | None = None) -> np.ndarray:
+    """Band box of the spectrum of real collocation values: ``rfft_x(values)``
+    on the box bit for bit, from fewer lines.  In 3D, plane0 (leading axes as
+    values', then n2 x n3), when given, also receives the whole k1 = 0 plane."""
+    planes = slice(0, grid.dealias_cutoff(0) + 1)
+    if grid.dim == 3:
+        lo, hi = _runs(grid, 2)
+        hat = _rfft3(values, grid, planes, (lo, hi))
+        if plane0 is not None:  # the y pass on the plane's other z columns
+            rest = slice(lo.stop, hi.start)
+            np.fft.fft(hat[..., 0, :, rest], axis=-2, norm="forward", out=hat[..., 0, :, rest])
+            plane0[...] = hat[..., 0, :, :]
+    else:
+        hat = np.fft.rfft(values, axis=-grid.dim, norm="forward")
+        if grid.dim == 2:
+            np.fft.fft(hat[..., planes, :], axis=-1, norm="forward", out=hat[..., planes, :])
+    return band_of(hat, grid)
 
 
 def fill(half: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -451,10 +571,19 @@ def divergence(u: SpectralField, k_mesh=None) -> SpectralField:
     return SpectralField(u.grid, out)
 
 
-def over_k2(x, k2: np.ndarray, sign: float = 1.0) -> np.ndarray:
+def k2_guard(k2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The guard of ``over_k2`` for one |k|^2, to build once and reuse:
+    where |k|^2 > 0, and |k|^2 with 1 at k = 0."""
+    pos = k2 > 0.0
+    return pos, np.where(pos, k2, 1.0)
+
+
+def over_k2(x, k2, sign: float = 1.0) -> np.ndarray:
     """x / (sign |k|^2) off k = 0 and 0 at k = 0, behind every inverse
-    Laplacian: sign = -1 gives lap^-1 x, sign = 1 the mean-free c, -lap c = x."""
-    return np.where(k2 > 0.0, x / np.where(k2 > 0.0, sign * k2, 1.0), 0.0)
+    Laplacian: sign = -1 gives lap^-1 x, sign = 1 the mean-free c, -lap c = x.
+    k2 is |k|^2 or its ``k2_guard``."""
+    pos, safe = k2_guard(k2) if isinstance(k2, np.ndarray) else k2
+    return np.where(pos, x / (safe if sign == 1.0 else sign * safe), 0.0)
 
 
 def solve_chemo(n: SpectralField, k_mesh=None) -> SpectralField:
@@ -475,19 +604,19 @@ def leray_project(u: SpectralField, k_mesh=None) -> SpectralField:
     """Orthogonal projection onto divergence-free fields; k = 0 unchanged."""
     if u.components != u.grid.dim:
         raise ContractViolation("leray_project expects a dim-component vector field")
-    return SpectralField(u.grid, leray_coeffs(u.coeffs, _mesh(u, k_mesh)))
+    return SpectralField(u.grid, leray_coeffs(u.coeffs.copy(), _mesh(u, k_mesh)))
 
 
-def leray_coeffs(coeffs: np.ndarray, mesh) -> np.ndarray:
-    """leray_project on a bare component array, e.g. a k1 >= 0 half spectrum."""
-    k2 = _mesh_k2(mesh)
+def leray_coeffs(coeffs: np.ndarray, mesh, k2=None) -> np.ndarray:
+    """leray_project on a bare component array, e.g. a k1 >= 0 half spectrum,
+    in place (coeffs is returned); k2 is the mesh's |k|^2 or its
+    ``k2_guard``, built when not given."""
     kdotu = sum(mesh[a] * coeffs[a] for a in range(len(mesh)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        kdotu = over_k2(kdotu, k2)
-    out = coeffs.copy()
+        kdotu = over_k2(kdotu, _mesh_k2(mesh) if k2 is None else k2)
     for a in range(len(mesh)):
-        out[a] -= mesh[a] * kdotu
-    return out
+        coeffs[a] -= mesh[a] * kdotu
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

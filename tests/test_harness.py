@@ -23,7 +23,7 @@ from shearks.seriesio import (
 )
 from shearks.shear import ShearFrame
 from shearks.solver import SERIES_COLUMNS, State
-from shearks.spectral import GridSpec
+from shearks.spectral import GridSpec, l2_norm, total_mass
 from oracles import read_series
 from test_spectral import random_real_field
 
@@ -420,6 +420,32 @@ class TestCLI:
         out = capsys.readouterr().out
         assert code == 0
         assert "status = blowup (density lost positivity during growth" in out
+
+    @pytest.mark.parametrize("with_u", [True, False])
+    def test_inspect_verb(self, tmp_path, capsys, with_u):
+        state = small_state(with_u=with_u)
+        path = tmp_path / "c.pksn"
+        write_checkpoint(path, state, A=50.0)
+        assert cli_main(["inspect", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == ("dim = 3  grid = 16x16x16  t = 2.25  A = 50  drift = 0.25  "
+                          "t_last_remap = 1.5")
+        u_l2 = l2_norm(state.u) if with_u else 0.0
+        assert out[1] == (f"mass = {total_mass(state.n):.17g}  n_l2 = {l2_norm(state.n):.17g}  "
+                          f"u_l2 = {u_l2:.17g}")
+        # a flipped bit, a truncated file and a missing one exit 4, as resume
+        raw = bytearray(path.read_bytes())
+        raw[100] ^= 0xFF
+        bad = tmp_path / "bad.pksn"
+        bad.write_bytes(bytes(raw))
+        for target, message in ((bad, "checkpoint CRC mismatch"),
+                                (tmp_path / "absent.pksn", "cannot read checkpoint")):
+            assert cli_main(["inspect", str(target)]) == 4
+            assert capsys.readouterr().err.startswith(f"i/o error: {message}")
+        bad.write_bytes(bytes(raw[:40]))
+        assert cli_main(["inspect", str(bad)]) == 4
+        assert capsys.readouterr().err == "i/o error: checkpoint truncated\n"
+        assert cli_main(["inspect", str(path), "--t_end", "1"]) == 2
 
     def test_check_verb(self, tmp_path, capsys):
         code = cli_main(["check", "--suite", "poincare", "--samples", "5",

@@ -19,17 +19,22 @@ from shearks.spectral import (
     GridSpec,
     RealField,
     SpectralField,
+    band_of,
+    band_shape,
     conj_reverse,
     derivative,
     divergence,
     forward_transform,
     halve,
     hermitize,
+    irfft_band,
     irfft_x,
     l2_norm,
     laplacian,
     leray_project,
     parseval_weights,
+    place,
+    rfft_band,
     rfft_x,
     solve_chemo,
     spectral_energy,
@@ -333,6 +338,107 @@ class TestThreadedTransforms:
         assert mismatches == []
         workers = [t for t in threading.enumerate() if t.name.startswith("shearks-fft")]
         assert 1 <= len(workers) <= 2
+
+
+# 48^3 and 16x10x12 run threaded, 24^3 has sides divisible by 3, 2D and 1D
+# grids stay serial
+BAND_GRIDS = THREAD_GRIDS + [GridSpec((24, 24, 24)), GridSpec((128, 128)), GridSpec((32, 24)),
+                             GridSpec((16,))]
+BAND_IDS = ["48^3", "16x10x12", "24^3", "128^2", "32x24", "16"]
+
+
+def masked_half(grid, lead, seed):
+    return random_half(grid, lead, seed) * halve(grid.dealias_mask(), grid)
+
+
+class TestBandPair:
+    """irfft_band/rfft_band transform the 2/3-rule band box alone: in the band
+    they equal the full pair with the band mask applied bit for bit, and off
+    it they are exactly zero."""
+
+    @pytest.mark.parametrize("grid", BAND_GRIDS, ids=BAND_IDS)
+    @pytest.mark.parametrize("lead", [(), (3,), (6,)], ids=["field", "stack3", "stack6"])
+    def test_equals_the_masked_full_pair(self, grid, lead):
+        mask = halve(grid.dealias_mask(), grid)
+        half = masked_half(grid, lead, seed=51)
+        box = band_of(half, grid)
+        assert box.shape == lead + band_shape(grid)
+        assert np.array_equal(place(box, grid), half)
+        got = irfft_band(box, grid)
+        assert got.tobytes() == irfft_x(half, grid).tobytes()
+        values = np.random.default_rng(52).standard_normal(lead + grid.shape)
+        full = rfft_x(values, grid)
+        box = rfft_band(values, grid)
+        assert box.tobytes() == band_of(full, grid).tobytes()
+        placed = place(box, grid)
+        assert np.array_equal(placed, full * mask)
+        assert not np.any(placed[..., ~mask])
+
+    @pytest.mark.parametrize("grid", THREAD_GRIDS + [GridSpec((24, 24, 24))],
+                             ids=["48^3", "16x10x12", "24^3"])
+    @pytest.mark.parametrize("lead", [(), (3,), (6,)], ids=["field", "stack3", "stack6"])
+    def test_whole_k1_zero_plane(self, grid, lead):
+        values = np.random.default_rng(53).standard_normal(lead + grid.shape)
+        plane0 = np.empty(lead + grid.shape[1:], dtype=complex)
+        box = rfft_band(values, grid, plane0)
+        full = rfft_x(values, grid)
+        assert box.tobytes() == band_of(full, grid).tobytes()
+        assert plane0.tobytes() == full[..., 0, :, :].tobytes()
+
+    @pytest.mark.parametrize("grid", [THREAD_GRIDS[1], GridSpec((32, 24))], ids=["3d", "2d"])
+    def test_non_contiguous_inputs(self, grid):
+        mask = halve(grid.dealias_mask(), grid)
+        halves = masked_half(grid, (3, 2), seed=54)
+        boxes = band_of(halves, grid)
+        for box in (boxes[:, 0], boxes[1:, 1], np.asfortranarray(boxes[2, 0]),
+                    boxes[0, 1, ..., ::-1]):
+            assert not box.flags.c_contiguous
+            want = irfft_x(place(np.ascontiguousarray(box), grid), grid)
+            assert irfft_band(box, grid).tobytes() == want.tobytes()
+        values = np.random.default_rng(55).standard_normal((3, 2, *grid.shape))
+        for vals in (values[:, 0], values[1:, 1], np.asfortranarray(values[1, 0]),
+                     values[0, 1, ::-1]):
+            assert not vals.flags.c_contiguous
+            want = band_of(rfft_x(np.ascontiguousarray(vals), grid) * mask, grid)
+            assert rfft_band(vals, grid).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2,)], ids=["field", "stack", "even_stack"])
+    def test_workers_keep_the_callers_error_state(self, lead):
+        # an inf in the band makes inf - inf inside the transform
+        grid = THREAD_GRIDS[1]
+        box = band_of(masked_half(grid, lead, seed=56), grid)
+        box[..., 1, 2, 3] = np.inf
+        values = np.random.default_rng(57).standard_normal(lead + grid.shape)
+        values[..., 1, 2, 3] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(invalid="ignore"):
+                assert not np.all(np.isfinite(irfft_band(box, grid)))
+                assert not np.all(np.isfinite(rfft_band(values, grid)))
+        with np.errstate(invalid="raise"):
+            for transform, arr in ((irfft_band, box), (rfft_band, values)):
+                with pytest.raises(FloatingPointError, match="invalid"):
+                    transform(arr, grid)
+
+    def test_numpy_transforms_each_line_on_its_own(self):
+        # the band pair and the two-thread split both rest on this: numpy's
+        # 1-D FFT of some lines equals those lines of the whole batch, bit
+        # for bit, whatever the batch's shape and strides
+        rng = np.random.default_rng(58)
+        z = rng.standard_normal((3, 17, 48, 48)) + 1j * rng.standard_normal((3, 17, 48, 48))
+        x = rng.standard_normal((48, 48, 48))
+        subsets = [np.s_[..., 0:9, :, :], np.s_[..., 5:17, :, 33:48], np.s_[1:, ::2, :, 3::5],
+                   np.s_[2, 4, :, :]]
+        for fn in (np.fft.fft, np.fft.ifft):
+            whole = fn(z, axis=-2, norm="forward")
+            for sub in subsets:
+                assert fn(z[sub], axis=-2, norm="forward").tobytes() == whole[sub].tobytes()
+        whole = np.fft.rfft(x, axis=0, norm="forward")
+        back = np.fft.irfft(whole, 48, axis=0, norm="forward")
+        for sub in (np.s_[:, 0:24, :], np.s_[:, ::3, 5:40], np.s_[:, 7, :]):
+            assert np.fft.rfft(x[sub], axis=0, norm="forward").tobytes() == whole[sub].tobytes()
+            assert (np.fft.irfft(whole[sub], 48, axis=0, norm="forward").tobytes()
+                    == back[sub].tobytes())
 
 
 class TestOperators:

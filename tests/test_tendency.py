@@ -1,4 +1,5 @@
-"""The half-spectrum tendency kernel against an independent full-complex oracle.
+"""The half-spectrum tendency kernel against an independent full-complex oracle,
+and its band-box assembly against the masked assembly of tests/oracles.py.
 
 The oracle below is the tendency assembly written directly on full complex
 spectra with complex FFTs: every product has all d^2 components and every
@@ -8,14 +9,25 @@ k1 < 0 half by conjugate symmetry (``fill``), the two agree to round-off on
 every mode off the lone Nyquist rows (|k_a| = n_a/2).  On those rows, all outside the 2/3 band, they
 legitimately differ: there the effective wavevector is not odd in k, and the
 oracle leaves a non-Hermitian residue that the kernel does not produce.
+
+The kernel forms its dealiased parts on the 2/3-rule band box; the masked
+assembly (``oracles.masked_tendency``) forms them on whole halves and
+multiplies by the band mask.  The two agree with == on every mode and bit
+for bit on band modes: off the band the mask leaves zeros of either sign.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from shearks import solver
+from shearks.config import params_of, parse_config
+from shearks.diagnostics import DecompositionTracker
+from shearks.initial import build_initial_state
 from shearks.modes import split_x
 from shearks.shear import effective_k_mesh
-from shearks.solver import Params, _evaluate
+from shearks.solver import Params, _evaluate, step
 from shearks.spectral import (
     ContractViolation,
     GridSpec,
@@ -26,7 +38,9 @@ from shearks.spectral import (
     leray_project,
 )
 
-from oracles import full_band_hermitian
+from oracles import full_band_hermitian, masked_evaluate
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 GRID2 = GridSpec((32, 24))
 GRID3 = GridSpec((16, 12, 20))
@@ -173,3 +187,66 @@ def test_k1_zero_plane_hermitian_in_band(grid):
         scale = np.max(np.abs(out * mask))
         defect = np.max(np.abs((out - conj_reverse(out, grid.dim)) * mask))
         assert defect <= 1e-13 * scale
+
+
+def same_bits(got, want):
+    """Bit for bit: equal values and equal sign bits (no NaN here)."""
+    return (np.array_equal(got, want)
+            and np.array_equal(np.signbit(got.real), np.signbit(want.real))
+            and np.array_equal(np.signbit(got.imag), np.signbit(want.imag)))
+
+
+# sides 24 (divisible by 3) and 32 (not); 2D chemotaxis, 3D coupled with the
+# tilt at three drifts, and 3D chemotaxis alone
+MASKED_CASES = [(side, dim, velocity, drift) for side in (24, 32)
+                for dim, velocity, drift in ((2, False, 0.37), (3, True, 0.0), (3, True, 0.37),
+                                             (3, True, -0.8), (3, False, 0.37))]
+
+
+@pytest.mark.parametrize("side,dim,velocity,drift", MASKED_CASES)
+def test_band_box_equals_masked_assembly(side, dim, velocity, drift):
+    grid = GridSpec((side,) * dim)
+    params = Params(grid=grid, amplitude=7.0, enable_velocity=velocity)
+    n, u = random_state(grid, seed=23)
+    n_h = halve(n.coeffs, grid)
+    u_h = halve(u.coeffs, grid) if velocity else None
+    ev = _evaluate(n_h, u_h, params, drift, need_aux=velocity)
+    ref = masked_evaluate(n_h, u_h, params, drift, need_aux=velocity)
+    band = halve(grid.dealias_mask(), grid)
+    for name in ("rhs_n", "rhs_u"):
+        got, want = getattr(ev, name), getattr(ref, name)
+        if want is None:
+            assert got is None and not velocity
+            continue
+        assert np.array_equal(got, want)
+        assert same_bits(got[..., band], want[..., band])
+    assert (ev.max_u, ev.max_chemo) == (ref.max_u, ref.max_chemo)
+    for name in ("n_zero", "u_zero", "u_zero_vals", "q_neq_hat"):
+        got, want = getattr(ev, name), getattr(ref, name)
+        assert (got is None) == (want is None) == (not velocity)
+        if want is not None:
+            assert same_bits(got, want)
+
+
+def test_tracked_coupled_run_equals_masked_assembly(monkeypatch):
+    cfg = parse_config((CONFIGS / "suppression_3d.conf").read_text()
+                       + "\nnx = 16\nny = 16\nnz = 16\n")
+    params = params_of(cfg)
+
+    def twenty_steps():
+        state = build_initial_state(cfg)
+        tracker = DecompositionTracker.start(params, state)
+        out = []
+        for _ in range(20):
+            state, info = step(state, params, tracker=tracker)
+            out.append((state, vars(info), tracker.parts.coeffs))
+        return out
+
+    ours = twenty_steps()
+    monkeypatch.setattr(solver, "_evaluate", masked_evaluate)
+    for (state, info, parts), (ref, ref_info, ref_parts) in zip(ours, twenty_steps()):
+        assert info == ref_info
+        assert (state.t, state.frame) == (ref.t, ref.frame)
+        assert np.array_equal(state.n.coeffs, ref.n.coeffs)
+        assert np.array_equal(state.u.coeffs, ref.u.coeffs)
+        assert np.array_equal(parts, ref_parts)
