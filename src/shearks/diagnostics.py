@@ -57,11 +57,11 @@ class KappaRho:
     rho2_values: np.ndarray
 
 
-def _yz_gradient_values(half: np.ndarray, grid: GridSpec, k_mesh=None) -> np.ndarray:
+def _yz_gradient_values(half: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Values of (dy f, dz f), the derivatives along the grid's last two axes,
     by one inverse transform of the k1 >= 0 half of f's spectrum; raises
     ContractViolation on non-finite values."""
-    mesh = [halve(m, grid) for m in (grid.k_mesh() if k_mesh is None else k_mesh)]
+    mesh = [halve(m, grid) for m in grid.k_mesh()]
     vals = irfft_x(np.stack([1j * mesh[-2] * half, 1j * mesh[-1] * half]), grid)
     if not np.all(np.isfinite(vals)):
         raise ContractViolation("RealField values must be finite")
@@ -103,12 +103,12 @@ def compute_kappa_rho(U2: SpectralField, A: float) -> KappaRho:
                     rho1_values=r1, rho2_values=r2)
 
 
-def kappa_identity_residual(kr: KappaRho, u3: SpectralField, k_mesh=None) -> float:
+def kappa_identity_residual(kr: KappaRho, u3: SpectralField) -> float:
     """Max-norm residual of
     grad(kappa).grad(f) = rho1 grad(V).grad(f) + rho2 (dz - kappa dy) f,
     relative to the scale of the left-hand side.
     """
-    dy, dz = _yz_gradient_values(halve(u3.coeffs, u3.grid), u3.grid, k_mesh)
+    dy, dz = _yz_gradient_values(halve(u3.coeffs, u3.grid), u3.grid)
     lhs = kr.dy_kappa * dy + kr.dz_kappa * dz
     rhs = (kr.rho1_values * (kr.vy_values * dy + kr.vz_values * dz)
            + kr.rho2_values * (dz - kr.kappa_values * dy))
@@ -173,7 +173,7 @@ class DecompositionTracker:
         cross = self.cross
         mesh = _box_mesh(cross)
         adv = _advect(ev.u_zero_vals[1:], irfft_band(band_of(parts, cross), cross), cross)
-        q = band_of(ev.q_neq_hat, cross)
+        q = ev.q_neq_hat
         adv[0] += 1j * mesh[0] * q[0] + 1j * mesh[1] * q[1]
         rhs = -place(adv, cross) / A
         rhs[1] += ev.n_zero / A

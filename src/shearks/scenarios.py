@@ -60,8 +60,12 @@ def run_resume(cfg: RunConfig, checkpoint_path) -> dict:
         raise ConfigError("resume: checkpoint grid does not match config grid")
     if not math.isclose(A, cfg.A, rel_tol=1e-12):
         raise ConfigError(f"resume: checkpoint A = {A} differs from config A = {cfg.A}")
-    if (state.u is not None) != params_of(cfg).enable_velocity:
+    params = params_of(cfg)
+    if (state.u is not None) != params.enable_velocity:
         raise ConfigError("resume: checkpoint velocity blocks disagree with enable_velocity")
+    if state.frame.drift != 0.0 and not params.enable_shear:
+        # an unsheared run reads the integer lattice and would ignore the drift
+        raise ConfigError(f"resume: checkpoint drift {state.frame.drift} needs enable_shear")
     return run_simulate(cfg, init=state, series_name="series_resume.csv")
 
 

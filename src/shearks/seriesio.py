@@ -74,14 +74,17 @@ def write_checkpoint(path, state: State, A: float):
 
 
 def state_from_bytes(data: bytes) -> tuple[State, float]:
-    if len(data) < _HEADER.size + 4:
+    """Decode a checkpoint.  The CRC, the header and the blocks are read
+    through one memoryview of data; n and the velocity stack are each copied
+    once, so the decoded arrays are writable and share no memory with data."""
+    view = memoryview(data)
+    if len(view) < _HEADER.size + 4:
         raise CheckpointError("checkpoint truncated")
-    payload, crc_raw = data[:-4], data[-4:]
-    (expected,) = struct.unpack("<I", crc_raw)
+    payload = view[:-4]
+    (expected,) = struct.unpack("<I", view[-4:])
     if zlib.crc32(payload) != expected:
         raise CheckpointError("checkpoint CRC mismatch")
-    magic, version, dim, n1, n2, n3, t, A, drift, t_last, mass = _HEADER.unpack(
-        payload[: _HEADER.size])
+    magic, version, dim, n1, n2, n3, t, A, drift, t_last, mass = _HEADER.unpack_from(payload)
     if magic != MAGIC:
         raise CheckpointError(f"bad magic {magic!r}")
     if version != FORMAT_VERSION:
@@ -98,20 +101,19 @@ def state_from_bytes(data: bytes) -> tuple[State, float]:
     except ValueError as err:
         raise CheckpointError(f"bad grid in header: {err}") from err
     block = 16 * grid.size
-    body = payload[_HEADER.size:]
-    if len(body) % block != 0:
+    body = len(payload) - _HEADER.size
+    if body % block != 0:
         raise CheckpointError("payload length inconsistent with header dims")
-    n_blocks = len(body) // block
+    n_blocks = body // block
     if n_blocks not in ((1,) if dim == 2 else (1, 4)):  # 2D runs carry no velocity
         raise CheckpointError(f"unexpected number of field blocks: {n_blocks}")
-    arrays = [np.frombuffer(body[i * block:(i + 1) * block], dtype=np.complex128)
-              .reshape(shape).copy() for i in range(n_blocks)]
-    n = SpectralField(grid, arrays[0])
+    coeffs = np.frombuffer(payload, dtype=np.complex128, offset=_HEADER.size)
+    n = SpectralField(grid, coeffs[:grid.size].reshape(shape).copy())
     if not np.isclose(total_mass(n), mass, rtol=1e-12, atol=1e-12):
         raise CheckpointError("stored mass disagrees with coefficients")
     u = None
     if n_blocks > 1:
-        u = SpectralField(grid, np.stack(arrays[1:]))
+        u = SpectralField(grid, coeffs[grid.size:].reshape((n_blocks - 1, *shape)).copy())
     frame = ShearFrame(t_last_remap=t_last, drift=drift)
     return State(t=t, n=n, u=u, frame=frame), A
 

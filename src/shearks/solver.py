@@ -52,7 +52,6 @@ from .spectral import (
     parseval_weights,
     place,
     rfft_band,
-    rfft_x,
     spectral_energy,
     total_mass,
     values_of,
@@ -197,7 +196,8 @@ class StageEval:
     terms (k1 = 0 plane views; the tracker adds them unmasked), physical
     values of the dealiased zero-mode velocities for the advection products,
     one (3, ny, nz) stack, and the fluctuation-product spectra
-    (u_j,neq u_1,neq)_0 for j = 2, 3.
+    (u_j,neq u_1,neq)_0 for j = 2, 3 on the cross-section's band box
+    (``band_of``), the only modes the tracker's dealiased advection reads.
     """
 
     rhs_n: np.ndarray
@@ -269,9 +269,7 @@ def tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: float, 
         for s, (i, j) in zip((3, 4, 5, 0, 1, 2), ((0, 1), (0, 2), (1, 2), (0, 0), (1, 1), (2, 2))):
             np.multiply(prods[i], prods[j], out=prods[s])
             slot[i, j] = slot[j, i] = s
-        # the tracker reads the whole k1 = 0 plane of u_j u_1
-        uu_plane0 = np.empty((6, *grid.shape[1:]), dtype=np.complex128) if aux else None
-        uu = rfft_band(prods, grid, uu_plane0)
+        uu = rfft_band(prods, grid)
         del prods
         rhs = place(np.stack([(-1.0 / A) * sum(1j * box_mesh[j] * uu[slot[j, i]]
                                                for j in range(grid.dim))
@@ -292,8 +290,9 @@ def tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: float, 
         cross = grid.cross_section()
         u_zero = halve(u_h[:, 0], cross)
         u_zero_vals = irfft_band(band_of(u_zero, cross), cross)
-        q_neq_hat = (halve(uu_plane0[[slot[1, 0], slot[2, 0]]], cross)
-                     - rfft_x(u_zero_vals[1:] * u_zero_vals[0], cross))
+        # the cross-section's band box is rows k2 = 0..K2 of the k1 = 0 plane
+        q_neq_hat = (uu[[slot[1, 0], slot[2, 0]], 0, :cross.dealias_cutoff(0) + 1]
+                     - rfft_band(u_zero_vals[1:] * u_zero_vals[0], cross))
         fields = {"n_zero": halve(n_h[0], cross), "u_zero": u_zero,
                   "u_zero_vals": u_zero_vals, "q_neq_hat": q_neq_hat}
     return StageEval(rhs_n=rhs_n, rhs_u=rhs_u, max_u=max_u, max_chemo=max_chemo, **fields)

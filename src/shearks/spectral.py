@@ -16,8 +16,10 @@ Collocation values are read from the half too (``values_of``), and so are
 the energy ledger's and the tail monitor's spectral sums, each half mode
 counted with its multiplicity in the full spectrum (``parseval_weights``).
 The integer lattice of a grid is built once and shared read-only
-(``GridSpec.k_mesh``).  On 3D grids the real transforms run on two threads,
-bit-identical to numpy's serial ones.
+(``GridSpec.k_mesh``).  In every dimension the real transforms are one pair
+of passes of numpy's 1-D FFTs, bit-identical to numpy's rfftn/irfftn; on
+3D grids they run on two threads.  The operators act on the integer
+lattice; only ``divergence`` and ``leray_coeffs`` take a sheared mesh.
 """
 
 from __future__ import annotations
@@ -107,9 +109,6 @@ class GridSpec:
     def k_squared(self) -> np.ndarray:
         return _k_squared(self)
 
-    def dealias_mask(self) -> np.ndarray:
-        return _dealias_mask(self)
-
     def cross_section(self) -> "GridSpec":
         """Grid of the (d-1)-dimensional cross-section normal to axis 0."""
         if self.dim < 2:
@@ -128,14 +127,6 @@ def _k_mesh(grid: GridSpec) -> tuple[np.ndarray, ...]:
 @lru_cache(maxsize=32)
 def _k_squared(grid: GridSpec) -> np.ndarray:
     return _mesh_k2(grid.k_mesh())
-
-
-@lru_cache(maxsize=32)
-def _dealias_mask(grid: GridSpec) -> np.ndarray:
-    mask = np.ones(grid.shape, dtype=bool)
-    for axis, comp in enumerate(grid.k_mesh()):
-        mask &= np.abs(comp) <= grid.dealias_cutoff(axis)
-    return mask
 
 
 @dataclass
@@ -255,22 +246,21 @@ def halve(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     return coeffs[lead + (slice(0, grid.shape[0] // 2 + 1),)]
 
 
-def _x_last(grid: GridSpec, ndim: int) -> tuple[int, ...]:
-    """Spatial axes with x last: numpy's real FFTs halve their last axis."""
-    lead = ndim - grid.dim
-    return tuple(range(lead + 1, ndim)) + (lead,)
-
-
+# Every real transform, in every dimension, is one pass pair of numpy's own
+# 1-D FFTs in the axis order of numpy's rfftn/irfftn: the forward runs rfft
+# along x, then fft along each further axis; the inverse runs ifft along each
+# further axis into a fresh array, then irfft along x.  2D and 1D grids stay
+# serial: at 128^2 two threads are slower.
+#
 # On 3D grids the real transforms split each transform in two, one half per
 # thread; numpy's FFTs release the GIL.  A stack with an even number of fields
 # is split into two half stacks, each transformed whole.  A bare field, or an
 # odd stack, is split in two slabs per pass: the y and z passes over halves of
 # the k1 planes they run on, the x pass over halves of y.  At 48^3 half
 # stacks beat slabs on 6-field stacks, and slabs beat a 2:1 field split on
-# 3-field ones.  Every piece makes the 1-D calls of numpy's rfftn/irfftn in
-# their axis order and writes with out= into arrays that the calling thread
-# allocated, so each line is transformed exactly as the serial transform does
-# it.  2D grids stay serial: at 128^2 two threads are slower.
+# 3-field ones.  Every piece makes the pass pair's 1-D calls and writes with
+# out= into arrays that the calling thread allocated, so each line is
+# transformed exactly as the serial transform does it.
 #
 # The band pair (irfft_band, rfft_band) makes the same calls on fewer lines.
 # A field dealiased by the 2/3 rule is zero off its band box, so the inverse
@@ -363,10 +353,15 @@ def _even_stack(lead: tuple[int, ...]) -> bool:
     return len(lead) > 0 and lead[0] % 2 == 0
 
 
-def _irfft3(src: np.ndarray, tmp: np.ndarray, grid: GridSpec, planes: slice,
-            zruns) -> np.ndarray:
-    """3D inverse: y pass on the z columns zruns and z pass, from src into tmp
-    on the k1 planes ``planes`` (src may be tmp), then x over all of tmp."""
+def _irfft(src: np.ndarray, tmp: np.ndarray, grid: GridSpec, planes: slice,
+           zruns) -> np.ndarray:
+    """Inverse of a k1 >= 0 half: the passes past x from src into tmp on the
+    k1 planes ``planes`` (src may be tmp; in 3D the y pass on the z columns
+    zruns, then the z pass), then x over all of tmp."""
+    if grid.dim < 3:  # serial; a 1D inverse is the x pass alone, on src = tmp
+        if grid.dim == 2:
+            np.fft.ifft(src[..., planes, :], axis=-1, norm="forward", out=tmp[..., planes, :])
+        return np.fft.irfft(tmp, grid.shape[0], axis=-grid.dim, norm="forward")
     lead = tmp.shape[:-3]
     out = np.empty(lead + grid.shape, dtype=np.result_type(tmp.real, 1.0))
     if _even_stack(lead):
@@ -378,9 +373,15 @@ def _irfft3(src: np.ndarray, tmp: np.ndarray, grid: GridSpec, planes: slice,
     return out
 
 
-def _rfft3(values: np.ndarray, grid: GridSpec, planes: slice, zruns) -> np.ndarray:
-    """3D forward: x on every line, z on the k1 planes 0..planes.stop-1 and y
-    on their z columns zruns; the other modes hold partial transforms."""
+def _rfft(values: np.ndarray, grid: GridSpec, planes: slice, zruns) -> np.ndarray:
+    """Forward to a k1 >= 0 half: x on every line, then the passes past x on
+    the k1 planes ``planes`` (in 3D the z pass, then the y pass on the z
+    columns zruns); the other modes hold partial transforms."""
+    if grid.dim < 3:  # serial
+        hat = np.fft.rfft(values, axis=-grid.dim, norm="forward")
+        if grid.dim == 2:
+            np.fft.fft(hat[..., planes, :], axis=-1, norm="forward", out=hat[..., planes, :])
+        return hat
     n1, n2, n3 = values.shape[-3:]
     lead = values.shape[:-3]
     hat = np.empty(lead + (n1 // 2 + 1, n2, n3), dtype=np.result_type(values, 1j))
@@ -394,19 +395,13 @@ def _rfft3(values: np.ndarray, grid: GridSpec, planes: slice, zruns) -> np.ndarr
 
 def irfft_x(half: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Collocation values of the real field whose k1 >= 0 half is given."""
-    if grid.dim < 3:
-        shape = grid.shape[1:] + grid.shape[:1]
-        return np.fft.irfftn(half, s=shape, axes=_x_last(grid, half.ndim), norm="forward")
-    tmp = np.empty(half.shape[:-3] + half.shape[-3:-2] + grid.shape[1:],
-                   dtype=np.result_type(half, 1j))
-    return _irfft3(half, tmp, grid, slice(0, half.shape[-3]), _EVERY_COLUMN)
+    tmp = half if grid.dim == 1 else np.empty(half.shape, dtype=np.result_type(half, 1j))
+    return _irfft(half, tmp, grid, slice(0, half.shape[-grid.dim]), _EVERY_COLUMN)
 
 
 def rfft_x(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """k1 >= 0 half of the spectrum of real collocation values."""
-    if grid.dim < 3:
-        return np.fft.rfftn(values, axes=_x_last(grid, values.ndim), norm="forward")
-    return _rfft3(values, grid, slice(0, grid.shape[0] // 2 + 1), _EVERY_COLUMN)
+    return _rfft(values, grid, slice(0, grid.shape[0] // 2 + 1), _EVERY_COLUMN)
 
 
 # ---------------------------------------------------------------------------
@@ -466,31 +461,16 @@ def irfft_band(box: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Collocation values of the real field whose k1 >= 0 half is
     ``place(box)``: ``irfft_x`` of that half bit for bit, on fewer lines."""
     half = place(box, grid)
-    planes = slice(0, box.shape[box.ndim - grid.dim])
-    if grid.dim == 3:
-        return _irfft3(half, half, grid, planes, _runs(grid, 2))
-    if grid.dim == 2:
-        np.fft.ifft(half[..., planes, :], axis=-1, norm="forward", out=half[..., planes, :])
-    return np.fft.irfft(half, grid.shape[0], axis=-grid.dim, norm="forward")
+    zruns = _runs(grid, 2) if grid.dim == 3 else _EVERY_COLUMN
+    return _irfft(half, half, grid, slice(0, box.shape[box.ndim - grid.dim]), zruns)
 
 
-def rfft_band(values: np.ndarray, grid: GridSpec, plane0: np.ndarray | None = None) -> np.ndarray:
+def rfft_band(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Band box of the spectrum of real collocation values: ``rfft_x(values)``
-    on the box bit for bit, from fewer lines.  In 3D, plane0 (leading axes as
-    values', then n2 x n3), when given, also receives the whole k1 = 0 plane."""
+    on the box bit for bit, from fewer lines."""
     planes = slice(0, grid.dealias_cutoff(0) + 1)
-    if grid.dim == 3:
-        lo, hi = _runs(grid, 2)
-        hat = _rfft3(values, grid, planes, (lo, hi))
-        if plane0 is not None:  # the y pass on the plane's other z columns
-            rest = slice(lo.stop, hi.start)
-            np.fft.fft(hat[..., 0, :, rest], axis=-2, norm="forward", out=hat[..., 0, :, rest])
-            plane0[...] = hat[..., 0, :, :]
-    else:
-        hat = np.fft.rfft(values, axis=-grid.dim, norm="forward")
-        if grid.dim == 2:
-            np.fft.fft(hat[..., planes, :], axis=-1, norm="forward", out=hat[..., planes, :])
-    return band_of(hat, grid)
+    zruns = _runs(grid, 2) if grid.dim == 3 else _EVERY_COLUMN
+    return band_of(_rfft(values, grid, planes, zruns), grid)
 
 
 def fill(half: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -531,13 +511,9 @@ def values_of(F: SpectralField) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # differential operators
 #
-# Every operator takes an optional k_mesh so that callers working in a
-# sheared (drifting-wavevector) frame can supply effective wavevectors; the
-# default is the grid's integer lattice.
-
-def _mesh(F: SpectralField, k_mesh) -> list[np.ndarray]:
-    return F.grid.k_mesh() if k_mesh is None else list(k_mesh)
-
+# The operators act on the grid's integer lattice.  ``divergence`` also takes
+# the effective wavevectors of a sheared (drifting) frame, and
+# ``leray_coeffs`` takes any mesh.
 
 def _mesh_k2(mesh) -> np.ndarray:
     """|k|^2 on the broadcast shape of the wavevector components, summed in
@@ -548,23 +524,21 @@ def _mesh_k2(mesh) -> np.ndarray:
     return k2
 
 
-def derivative(F: SpectralField, axis: int, k_mesh=None) -> SpectralField:
+def derivative(F: SpectralField, axis: int) -> SpectralField:
     """Spectral partial derivative along one axis."""
     if not 0 <= axis < F.grid.dim:
         raise ContractViolation(f"axis {axis} out of range for dim {F.grid.dim}")
-    k = _mesh(F, k_mesh)[axis]
-    return SpectralField(F.grid, 1j * k * F.coeffs)
+    return SpectralField(F.grid, 1j * F.grid.k_mesh()[axis] * F.coeffs)
 
 
-def laplacian(F: SpectralField, k_mesh=None) -> SpectralField:
-    k2 = _mesh_k2(_mesh(F, k_mesh))
-    return SpectralField(F.grid, -k2 * F.coeffs)
+def laplacian(F: SpectralField) -> SpectralField:
+    return SpectralField(F.grid, -F.grid.k_squared() * F.coeffs)
 
 
 def divergence(u: SpectralField, k_mesh=None) -> SpectralField:
     if u.components != u.grid.dim:
         raise ContractViolation("divergence expects a dim-component vector field")
-    mesh = _mesh(u, k_mesh)
+    mesh = u.grid.k_mesh() if k_mesh is None else k_mesh
     out = np.zeros(u.grid.shape, dtype=np.complex128)
     for a in range(u.grid.dim):
         out += 1j * mesh[a] * u.coeffs[a]
@@ -586,7 +560,7 @@ def over_k2(x, k2, sign: float = 1.0) -> np.ndarray:
     return np.where(pos, x / (safe if sign == 1.0 else sign * safe), 0.0)
 
 
-def solve_chemo(n: SpectralField, k_mesh=None) -> SpectralField:
+def solve_chemo(n: SpectralField) -> SpectralField:
     """Chemoattractant c with lap(c) = -(n - mean n) and mean(c) = 0.
 
     Coefficient-wise c_hat(k) = n_hat(k)/|k|^2 for k != 0; the k = 0 gauge is
@@ -594,17 +568,16 @@ def solve_chemo(n: SpectralField, k_mesh=None) -> SpectralField:
     """
     if n.components != 1:
         raise ContractViolation("solve_chemo expects a scalar density")
-    k2 = _mesh_k2(_mesh(n, k_mesh))
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = over_k2(n.coeffs, k2)
+        c = over_k2(n.coeffs, n.grid.k_squared())
     return SpectralField(n.grid, c)
 
 
-def leray_project(u: SpectralField, k_mesh=None) -> SpectralField:
+def leray_project(u: SpectralField) -> SpectralField:
     """Orthogonal projection onto divergence-free fields; k = 0 unchanged."""
     if u.components != u.grid.dim:
         raise ContractViolation("leray_project expects a dim-component vector field")
-    return SpectralField(u.grid, leray_coeffs(u.coeffs.copy(), _mesh(u, k_mesh)))
+    return SpectralField(u.grid, leray_coeffs(u.coeffs.copy(), u.grid.k_mesh()))
 
 
 def leray_coeffs(coeffs: np.ndarray, mesh, k2=None) -> np.ndarray:
@@ -631,8 +604,7 @@ def l2_norm(F: SpectralField) -> float:
     return float(np.sqrt(spectral_energy(F)))
 
 
-def sobolev_norm(F: SpectralField, order: int, k_mesh=None) -> float:
+def sobolev_norm(F: SpectralField, order: int) -> float:
     """H^s norm with Bessel weights (1 + |k|^2)^s."""
-    k2 = _mesh_k2(_mesh(F, k_mesh))
-    w = (1.0 + k2) ** order * np.abs(F.coeffs) ** 2
+    w = (1.0 + F.grid.k_squared()) ** order * np.abs(F.coeffs) ** 2
     return float(np.sqrt(F.grid.volume * np.sum(w)))

@@ -19,7 +19,9 @@ k_y >= 0 halves.  ``complex_forward_transform`` is the full complex FFT,
 the reference of ``spectral.forward_transform``, which takes one real
 transform.  ``full_band_hermitian`` is a real field over every stored mode,
 outside the 2/3 band too, which ``sampling.random_smooth`` never makes.
-``read_series`` reads a run's ``series.csv`` back.  ``compute_omega2`` is
+``read_series`` reads a run's ``series.csv`` back.  ``dealias_mask`` is
+the 2/3-rule band as a full-spectrum mask, which the masked references
+multiply by; ``solver`` never forms it.  ``compute_omega2`` is
 the wall-normal vorticity of a full spectrum, which ``residual_omega2``
 uses.  ``full_spectrum_ledger`` is the energy ledger summed over whole
 spectra, the reference of ``diagnostics.ledger_update``, which sums
@@ -31,6 +33,7 @@ of ``solver.tendency``, which transforms and assembles the band box alone.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +50,7 @@ from shearks.spectral import (
     RealField,
     SpectralField,
     _mesh_k2,
+    band_of,
     fill,
     forward_transform,
     halve,
@@ -54,12 +58,22 @@ from shearks.spectral import (
     irfft_x,
     l2_norm,
     leray_coeffs,
-    leray_project,
     over_k2,
+    place,
     rfft_x,
     sobolev_norm,
     values_of,
 )
+
+
+@lru_cache(maxsize=32)
+def dealias_mask(grid: GridSpec) -> np.ndarray:
+    """The 2/3-rule band as a full-spectrum mask: |k_a| <= dealias_cutoff(a)
+    on every axis."""
+    mask = np.ones(grid.shape, dtype=bool)
+    for axis, comp in enumerate(grid.k_mesh()):
+        mask &= np.abs(comp) <= grid.dealias_cutoff(axis)
+    return mask
 
 
 def exact_passive_scalar(F: SpectralField, t: float, A: float, drift0: float = 0.0):
@@ -253,7 +267,7 @@ def residual_omega2(state_before, state_after, params) -> float:
     w_mid = compute_omega2(u_mid, k_mesh=mesh)
 
     # u . grad u1 and u . grad u3, pseudo-spectral at the midpoint
-    dmask = grid.dealias_mask()
+    dmask = dealias_mask(grid)
     u_phys = irfft_x(halve(u_mid.coeffs * dmask, grid), grid)
     adv = []
     for comp in (0, 2):
@@ -309,7 +323,7 @@ def full_spectrum_step(state, params, t_stop=None, tracker=None):
 
     Each tendency is filled to a full spectrum, the propagator runs over
     both halves, and each output is symmetrized by ``hermitize`` over the
-    whole grid, the velocity then projected by ``leray_project``.  The
+    whole grid, the velocity then Leray-projected (``leray_coeffs``).  The
     tendency kernel itself is shared: it is graded on its own in
     ``test_tendency.py``.
     """
@@ -341,8 +355,8 @@ def full_spectrum_step(state, params, t_stop=None, tracker=None):
     u_field, dropped_u = None, 0.0
     if u is not None:
         u_new, dropped_u = apply_op(u + 0.5 * dt * ev1.rhs_u)
-        u_field = leray_project(hermitize(SpectralField(grid, u_new + 0.5 * dt * ev2.rhs_u)),
-                                k_mesh=frame_k_mesh(params, new_frame.drift))
+        u_sym = hermitize(SpectralField(grid, u_new + 0.5 * dt * ev2.rhs_u)).coeffs
+        u_field = SpectralField(grid, leray_coeffs(u_sym, frame_k_mesh(params, new_frame.drift)))
         if tracker is not None:
             tracker.advance(params, dt, ev1, ev2)
     return (solver.State(t=state.t + dt, n=n_field, u=u_field, frame=new_frame),
@@ -369,7 +383,7 @@ def masked_tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: 
         raise ContractViolation("a passive scalar has no explicit tendency")
     mesh = [halve(m, grid) for m in k_mesh]
     k2 = _mesh_k2(mesh)
-    dmask = halve(grid.dealias_mask(), grid)
+    dmask = halve(dealias_mask(grid), grid)
     n_u = 0 if u_h is None else grid.dim
     n_phys = irfft_x(n_h * dmask, grid)
     # u and grad c go through one inverse transform, u_i u_j (i <= j) and the
@@ -420,9 +434,9 @@ def masked_tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: 
         # the k1 = 0 plane of a half spectrum is complete: the zero modes are views
         cross = grid.cross_section()
         u_zero = halve(u_h[:, 0], cross)
-        u_zero_vals = irfft_x(u_zero * halve(cross.dealias_mask(), cross), cross)
-        q_neq_hat = (halve(uu[[slot[1, 0], slot[2, 0]], 0], cross)
-                     - rfft_x(u_zero_vals[1:] * u_zero_vals[0], cross))
+        u_zero_vals = irfft_x(u_zero * halve(dealias_mask(cross), cross), cross)
+        q_neq_hat = band_of(halve(uu[[slot[1, 0], slot[2, 0]], 0], cross)
+                            - rfft_x(u_zero_vals[1:] * u_zero_vals[0], cross), cross)
         aux = {"n_zero": halve(n_h[0], cross), "u_zero": u_zero,
                "u_zero_vals": u_zero_vals, "q_neq_hat": q_neq_hat}
     return solver.StageEval(rhs_n=rhs_n, rhs_u=rhs_u, max_u=max_u, max_chemo=max_chemo, **aux)
@@ -529,7 +543,7 @@ def full_spectrum_ledger(ledger, state, params, tracker, n_vals: np.ndarray):
         prods = rfft_x(phys, grid)
         del phys
         prods = fill(prods, grid)
-        prods *= grid.dealias_mask()
+        prods *= dealias_mask(grid)
         good -= prods[:2]
         w_coeffs = w_coeffs + prods[2]
         del prods
@@ -574,7 +588,7 @@ class PerFieldTracker:
     def _stage_rhs(self, params, ev):
         cross = self.G1.grid
         A = params.A
-        mask = cross.dealias_mask()
+        mask = dealias_mask(cross)
         mesh = cross.k_mesh()
         u2v, u3v = ev.u_zero_vals[1], ev.u_zero_vals[2]
 
@@ -583,7 +597,7 @@ class PerFieldTracker:
             fy, fz = fill(rfft_x(np.stack([u2v * xv, u3v * xv]), cross), cross)
             return (1j * mesh[0] * fy + 1j * mesh[1] * fz) * mask
 
-        q_neq = fill(ev.q_neq_hat, cross)
+        q_neq = fill(place(ev.q_neq_hat, cross), cross)
         neq = (1j * mesh[0] * q_neq[0] + 1j * mesh[1] * q_neq[1]) * mask
         r_g1 = -(advect(self.G1.coeffs) + neq) / A
         r_b1 = -advect(self.B1.coeffs) / A + fill(ev.n_zero, cross) / A

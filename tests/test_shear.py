@@ -10,7 +10,7 @@ from shearks.shear import ShearFrame, _shear_exponent, effective_wavevector, int
 from shearks.solver import Params, _step_operator
 from shearks.spectral import GridSpec, SpectralField, fill, halve, l2_norm, values_of, zeros
 
-from oracles import exact_passive_scalar, from_values
+from oracles import dealias_mask, exact_passive_scalar, from_values
 from test_spectral import random_real_field
 
 GRID2 = GridSpec((64, 64))
@@ -242,7 +242,7 @@ def measured_efold_rate(A, grid):
     coeffs = F.coeffs * np.where(k2 > 0, (1.0 + k2) ** -1.0, 0.0)
     kx = grid.k_mesh()[0]
     coeffs = np.where(np.abs(kx) > 0, coeffs, 0.0)  # strip the zero mode
-    coeffs *= grid.dealias_mask()
+    coeffs *= dealias_mask(grid)
     from shearks.spectral import hermitize
 
     F = hermitize(SpectralField(grid, coeffs))

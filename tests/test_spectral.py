@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from shearks import spectral
+from shearks.config import parse_config
 from shearks.sampling import random_smooth
+from shearks.scenarios import run_simulate
 from shearks.spectral import (
     ContractViolation,
     GridSpec,
@@ -44,6 +46,7 @@ from shearks.spectral import (
 
 from oracles import (
     complex_forward_transform,
+    dealias_mask,
     from_values,
     full_band_hermitian,
     inverse_transform,
@@ -51,6 +54,7 @@ from oracles import (
     linf_norm,
 )
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 GRID2 = GridSpec((32, 32))
 GRID3 = GridSpec((16, 16, 16))
 
@@ -63,7 +67,7 @@ def random_real_field(grid, seed=0, components=1, slope=2.0):
     F = forward_transform(RealField(grid, raw))
     k2 = grid.k_squared()
     amp = np.where(k2 > 0, (k2 + 1.0) ** (-slope / 2.0), 0.0)
-    F = SpectralField(grid, F.coeffs * amp * grid.dealias_mask())
+    F = SpectralField(grid, F.coeffs * amp * dealias_mask(grid))
     return hermitize(F)
 
 
@@ -140,7 +144,7 @@ class TestTransforms:
         F = random_smooth(grid, seed=49, components=components)
         assert np.array_equal(F.coeffs, conj_reverse(F.coeffs, grid.dim))
         assert l2_norm(F) == pytest.approx(1.0, rel=1e-14)
-        assert not np.any(F.coeffs[..., ~grid.dealias_mask()])
+        assert not np.any(F.coeffs[..., ~dealias_mask(grid)])
 
     @pytest.mark.parametrize("grid", [GridSpec((16,)), GridSpec((32, 16)), GRID3,
                                       GridSpec((48, 48, 48))],
@@ -197,6 +201,14 @@ def serial_rfft_x(values, grid):
     return np.fft.rfftn(values, axes=axes, norm="forward")
 
 
+def run_script(script: str) -> str:
+    """stdout of a fresh interpreter that runs script with this package importable."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(spectral.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120, check=True).stdout
+
+
 def random_half(grid, lead, seed):
     rng = np.random.default_rng(seed)
     shape = lead + (grid.shape[0] // 2 + 1, *grid.shape[1:])
@@ -213,21 +225,26 @@ def transform_in_forked_child(shape):
 
 # 25 k1 planes at 48^3; 9 at (16, 10, 12), which the slabs split unevenly
 THREAD_GRIDS = [GridSpec((48, 48, 48)), GridSpec((16, 10, 12))]
+# 2D and 1D grids take the same pass pair on one thread
+SERIAL_AND_THREAD_GRIDS = THREAD_GRIDS + [GridSpec((128, 128)), GridSpec((32, 24)),
+                                          GridSpec((16,))]
 
 
 class TestThreadedTransforms:
     """3D rfft_x/irfft_x run on two threads and equal numpy's serial
-    rfftn/irfftn bit for bit; 2D stays serial."""
+    rfftn/irfftn bit for bit; 2D and 1D stay serial and equal them too."""
 
-    @pytest.mark.parametrize("grid", THREAD_GRIDS, ids=["48^3", "16x10x12"])
+    @pytest.mark.parametrize("grid", SERIAL_AND_THREAD_GRIDS,
+                             ids=["48^3", "16x10x12", "128^2", "32x24", "16"])
     @pytest.mark.parametrize("lead", [(), (1,), (3,), (6,), (7,), (9,), (2, 3)],
                              ids=["field", "stack1", "stack3", "stack6", "stack7", "stack9",
                                   "stack2x3"])
     def test_bit_identical_to_numpy(self, grid, lead):
         half = random_half(grid, lead, seed=41)
         values = np.random.default_rng(42).standard_normal(lead + grid.shape)
-        assert np.array_equal(irfft_x(half, grid), serial_irfft_x(half, grid))
-        assert np.array_equal(rfft_x(values, grid), serial_rfft_x(values, grid))
+        assert irfft_x(half, grid).tobytes() == serial_irfft_x(half, grid).tobytes()
+        assert rfft_x(values, grid).tobytes() == serial_rfft_x(values, grid).tobytes()
+        assert np.array_equal(half, random_half(grid, lead, seed=41))  # input untouched
 
     @pytest.mark.parametrize("grid", THREAD_GRIDS, ids=["48^3", "16x10x12"])
     def test_non_contiguous_inputs(self, grid):
@@ -301,11 +318,7 @@ class TestThreadedTransforms:
             "irfft_x(np.zeros((9, 10, 12), dtype=complex), GridSpec((16, 10, 12)))\n"
             "counts.append(threading.active_count())\n"
             "print(*counts)\n")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(spectral.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=env, timeout=120, check=True)
-        at_import, after_2d, after_3d = map(int, done.stdout.split())
+        at_import, after_2d, after_3d = map(int, run_script(script).split())
         assert at_import == after_2d == 1
         assert 2 <= after_3d <= 3
 
@@ -348,7 +361,7 @@ BAND_IDS = ["48^3", "16x10x12", "24^3", "128^2", "32x24", "16"]
 
 
 def masked_half(grid, lead, seed):
-    return random_half(grid, lead, seed) * halve(grid.dealias_mask(), grid)
+    return random_half(grid, lead, seed) * halve(dealias_mask(grid), grid)
 
 
 class TestBandPair:
@@ -359,7 +372,7 @@ class TestBandPair:
     @pytest.mark.parametrize("grid", BAND_GRIDS, ids=BAND_IDS)
     @pytest.mark.parametrize("lead", [(), (3,), (6,)], ids=["field", "stack3", "stack6"])
     def test_equals_the_masked_full_pair(self, grid, lead):
-        mask = halve(grid.dealias_mask(), grid)
+        mask = halve(dealias_mask(grid), grid)
         half = masked_half(grid, lead, seed=51)
         box = band_of(half, grid)
         assert box.shape == lead + band_shape(grid)
@@ -374,20 +387,9 @@ class TestBandPair:
         assert np.array_equal(placed, full * mask)
         assert not np.any(placed[..., ~mask])
 
-    @pytest.mark.parametrize("grid", THREAD_GRIDS + [GridSpec((24, 24, 24))],
-                             ids=["48^3", "16x10x12", "24^3"])
-    @pytest.mark.parametrize("lead", [(), (3,), (6,)], ids=["field", "stack3", "stack6"])
-    def test_whole_k1_zero_plane(self, grid, lead):
-        values = np.random.default_rng(53).standard_normal(lead + grid.shape)
-        plane0 = np.empty(lead + grid.shape[1:], dtype=complex)
-        box = rfft_band(values, grid, plane0)
-        full = rfft_x(values, grid)
-        assert box.tobytes() == band_of(full, grid).tobytes()
-        assert plane0.tobytes() == full[..., 0, :, :].tobytes()
-
     @pytest.mark.parametrize("grid", [THREAD_GRIDS[1], GridSpec((32, 24))], ids=["3d", "2d"])
     def test_non_contiguous_inputs(self, grid):
-        mask = halve(grid.dealias_mask(), grid)
+        mask = halve(dealias_mask(grid), grid)
         halves = masked_half(grid, (3, 2), seed=54)
         boxes = band_of(halves, grid)
         for box in (boxes[:, 0], boxes[1:, 1], np.asfortranarray(boxes[2, 0]),
@@ -535,17 +537,17 @@ class TestLeray:
 class TestDealias:
     def test_low_modes_identity(self):
         F = random_real_field(GRID2, seed=8)  # already band-limited
-        assert np.array_equal(F.coeffs * GRID2.dealias_mask(), F.coeffs)
+        assert np.array_equal(F.coeffs * dealias_mask(GRID2), F.coeffs)
 
     def test_high_mode_zeroed(self):
         F = zeros(GRID2)
         F.coeffs[GRID2.shape[0] // 2 - 1, 0] = 1.0
-        assert np.max(np.abs(F.coeffs * GRID2.dealias_mask())) == 0.0
+        assert np.max(np.abs(F.coeffs * dealias_mask(GRID2))) == 0.0
 
     def test_energy_nonincreasing(self):
         rng = np.random.default_rng(9)
         F = hermitize(forward_transform(RealField(GRID2, rng.standard_normal(GRID2.shape))))
-        masked = SpectralField(GRID2, F.coeffs * GRID2.dealias_mask())
+        masked = SpectralField(GRID2, F.coeffs * dealias_mask(GRID2))
         assert spectral_energy(masked) <= spectral_energy(F)
 
 
@@ -608,3 +610,33 @@ class TestSourceGuard:
         hits = [f"{path.name}:{i}" for path in self.SOURCES if path.name != "spectral.py"
                 for i, line in enumerate(path.read_text().splitlines(), 1) if call.search(line)]
         assert not hits
+
+    def test_package_imports_no_scipy(self):
+        # scipy.fft is no backend here: importing it raises the peak RSS that
+        # the benchmark gates
+        loaded = run_script(
+            "import importlib, pkgutil, sys\n"
+            "import shearks\n"
+            "names = [m.name for m in pkgutil.iter_modules(shearks.__path__)]\n"
+            "for name in names:\n"
+            "    importlib.import_module('shearks.' + name)\n"
+            "print(len(names), *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        assert loaded.split() == [str(len(self.SOURCES) - 1)]  # every module but __init__
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_runs_make_no_n_dimensional_fft(self, monkeypatch, tmp_path, dim):
+        # every transform is a pass pair of 1-D FFTs; a 3D run here has the
+        # velocity, the tracker, the ledger and a checkpoint
+        def refuse(*args, **kwargs):
+            raise AssertionError("an n-dimensional FFT was called")
+
+        for name in ("fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, refuse)
+        if dim == 2:
+            text = ("dim = 2\nnx = 32\nny = 32\nmass = 6.0\ninit_width = 1.0\n"
+                    "t_end = 0.1\ndt_max = 0.01\noutput_every = 0.05\n")
+        else:
+            text = (CONFIGS / "suppression_3d.conf").read_text() + (
+                "\nnx = 16\nny = 16\nnz = 16\nt_end = 0.2\noutput_every = 0.1\n")
+        summary = run_simulate(parse_config(text + f"out_dir = {tmp_path}\n"))
+        assert summary["rows"] == 3
