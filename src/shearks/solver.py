@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import diagnostics
+from . import diagnostics, spectral
 from .inequalities import free_energy, is_positive
 from .modes import zero_mode
 from .shear import REMAP_THRESHOLD, ShearFrame, frame_k_mesh, integrating_factor
@@ -38,10 +38,14 @@ from .spectral import (
     GridSpec,
     SpectralField,
     _mesh_k2,
+    _put,
+    _take,
     band_of,
+    band_shape,
     complete_half,
     divergence,
     fill,
+    fill_planes,
     halve,
     hermitize,  # noqa: F401  (pinned by benchmarks/tests/test_bench_spans.py, ROADMAP item 2)
     irfft_band,
@@ -49,9 +53,11 @@ from .spectral import (
     l2_norm,
     leray_coeffs,
     over_k2,
+    over_slabs,
     parseval_weights,
-    place,
     rfft_band,
+    rfft_bands,
+    slab,
     spectral_energy,
     total_mass,
     values_of,
@@ -210,6 +216,18 @@ class StageEval:
     q_neq_hat: np.ndarray | None = None
 
 
+def _put_divergence(out: np.ndarray, terms, ik, A: float, grid: GridSpec):
+    """-(1/A) sum_j i k_j terms[j] on the band box, placed into the half out;
+    ik holds i k_j on the box."""
+    _put((-1.0 / A) * sum(ik[j] * terms[j] for j in range(grid.dim)), out, grid)
+
+
+# u_i u_j (i <= j) in their stack order; the cross products (slots 3-5) are
+# formed first, for they overwrite grad c, then the squares overwrite u
+_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+_SLOT = {(i, j): t for t, (a, b) in enumerate(_PAIRS) for i, j in ((a, b), (b, a))}
+
+
 def tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: float, k_mesh,
              chemotaxis: bool = True, tilt: bool = False,
              need_aux: bool = False) -> StageEval:
@@ -222,76 +240,87 @@ def tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: float, 
     spectra (``halve``); k_mesh is the grid's whole mesh.  The dealiased
     parts (c, grad c, the u x u and flux divergences) are formed on the
     2/3-rule band box (``band_of``) and its transform pair, and placed into
-    the half where the raw terms join them.  A passive scalar (no velocity,
-    no chemotaxis) has no tendency: ``step`` takes the propagator alone, and
-    asking for one raises ContractViolation.
+    the half where the raw terms join them.  On 3D grids the products run
+    on x slabs, the box divergences one task per output field and the raw
+    terms on k1 slabs, all through spectral's work queue.  A passive scalar
+    (no velocity, no chemotaxis) has no tendency: ``step`` takes the
+    propagator alone, and asking for one raises ContractViolation.
     """
     if u_h is None and not chemotaxis:
         raise ContractViolation("a passive scalar has no explicit tendency")
     mesh = [halve(m, grid) for m in k_mesh]
-    k2 = _mesh_k2(mesh)
     box_mesh = [band_of(m, grid) for m in mesh]
+    ik = [1j * m for m in box_mesh]
     n_u = 0 if u_h is None else grid.dim
-    n_box = band_of(n_h, grid)
-    n_phys = irfft_band(n_box, grid)
-    # u and grad c go through one inverse transform, u_i u_j (i <= j) and the
-    # flux through one forward transform each; every stack holds at most six
-    # fields: 7- and 9-field stacks at 48^3 raised the process's peak RSS by
-    # 4-6 MB through the allocator's retained heap
-    spec = np.empty((n_u + (grid.dim if chemotaxis else 0), *n_box.shape), dtype=np.complex128)
+    # n, u and grad c go through one inverse transform, the flux and u_i u_j
+    # (i <= j) through one forward transform
+    spec = np.empty((1 + n_u + (grid.dim if chemotaxis else 0), *band_shape(grid)),
+                    dtype=np.complex128)
+    _take(n_h, spec[0], grid)
     if u_h is not None:
-        spec[:n_u] = band_of(u_h, grid)
+        _take(u_h, spec[1:1 + n_u], grid)
     if chemotaxis:
-        c_box = over_k2(n_box, band_of(k2, grid))  # lap c = -(n - mean n)
+        c_box = over_k2(spec[0], _mesh_k2(box_mesh))  # lap c = -(n - mean n)
         for a in range(grid.dim):
-            np.multiply(1j * box_mesh[a], c_box, out=spec[n_u + a])
+            np.multiply(ik[a], c_box, out=spec[1 + n_u + a])
     phys = irfft_band(spec, grid)
     del spec
-    u_phys, grad_c = phys[:n_u], phys[n_u:]
-    max_u = float(np.max(np.abs(u_phys))) if n_u else 0.0
-    max_chemo = float(np.max(np.abs(grad_c))) if chemotaxis else 0.0
-    if n_u and chemotaxis:
-        flux = u_phys + grad_c
-        flux *= n_phys
-    else:
-        flux = (u_phys if n_u else grad_c) * n_phys
-    # u_i u_j (i <= j, u is 3D) take no new stack: the cross products
-    # overwrite grad c (a copy of u without chemotaxis), then each u_i u_i
-    # overwrites its u_i
-    prods = None if u_h is None else phys if chemotaxis else np.concatenate([phys, phys])
-    del phys, n_phys, u_phys, grad_c
-    flux_box = rfft_band(flux, grid)
-    del flux
-    aux = need_aux and u_h is not None
-    rhs_u = None
+    n_phys, u_phys, grad_c = phys[0], phys[1:1 + n_u], phys[1 + n_u:]
+    flux = np.empty((grid.dim, *grid.shape))
+    # with chemotaxis u_i u_j take no new stack: they overwrite u and grad c
+    prods = None if u_h is None else phys[1:] if chemotaxis else np.empty((6, *grid.shape))
+    maxima = []
+
+    def products(s):  # on x planes s
+        u, g, n = (slab(f, s, grid) for f in (u_phys, grad_c, n_phys))
+        f = slab(flux, s, grid)
+        maxima.append((float(np.max(np.abs(u))) if n_u else 0.0,
+                       float(np.max(np.abs(g))) if chemotaxis else 0.0))
+        if n_u and chemotaxis:
+            np.add(u, g, out=f)
+            f *= n
+        else:
+            np.multiply(u if n_u else g, n, out=f)
+        if prods is not None:
+            p = slab(prods, s, grid)
+            for t in (3, 4, 5, 0, 1, 2):
+                np.multiply(u[_PAIRS[t][0]], u[_PAIRS[t][1]], out=p[t])
+    over_slabs(products, grid.shape[0], grid)
+    max_u, max_chemo = (float(m) for m in np.max(np.array(maxima), axis=0))
+    flux_box, uu = (rfft_band(flux, grid), None) if prods is None else \
+        rfft_bands([flux, prods], grid)
+    del phys, n_phys, u_phys, grad_c, flux, prods
+    rhs_n = np.zeros(n_h.shape, dtype=np.complex128)
+    rhs_u = None if u_h is None else np.zeros(u_h.shape, dtype=np.complex128)
+    # the box divergences, one task per output field, then the raw terms, the
+    # projection and the tilt on k1 slabs of the half
+    fluxes = [(rhs_n, [flux_box[a] for a in range(grid.dim)])]
     if u_h is not None:
-        slot = {}
-        for s, (i, j) in zip((3, 4, 5, 0, 1, 2), ((0, 1), (0, 2), (1, 2), (0, 0), (1, 1), (2, 2))):
-            np.multiply(prods[i], prods[j], out=prods[s])
-            slot[i, j] = slot[j, i] = s
-        uu = rfft_band(prods, grid)
-        del prods
-        rhs = place(np.stack([(-1.0 / A) * sum(1j * box_mesh[j] * uu[slot[j, i]]
-                                               for j in range(grid.dim))
-                              for i in range(grid.dim)]), grid)
-        rhs[0] += n_h / A - u_h[1]
-        guard = k2_guard(k2)
-        rhs_u = leray_coeffs(rhs, mesh, guard)
+        fluxes += [(rhs_u[i], [uu[_SLOT[j, i]] for j in range(grid.dim)])
+                   for i in range(grid.dim)]
+    spectral._drain([(_put_divergence, out, terms, ik, A, grid) for out, terms in fluxes], grid)
+
+    def raw(s):  # on k1 planes s
+        m = [slab(c, s, grid) for c in mesh]
+        rhs, u2 = slab(rhs_u, s, grid), slab(u_h[1], s, grid)
+        rhs[0] += slab(n_h, s, grid) / A - u2
+        guard = k2_guard(_mesh_k2(m))
+        leray_coeffs(rhs, m, guard)
         if tilt:
-            base = over_k2((1j * mesh[0]) * u_h[1], guard, sign=-1.0)  # lap^-1 dx u2
+            base = over_k2((1j * m[0]) * u2, guard, sign=-1.0)  # lap^-1 dx u2
             for a in range(grid.dim):
-                rhs_u[a] += 1j * mesh[a] * base
-    rhs_n = place((-1.0 / A) * sum(1j * box_mesh[a] * flux_box[a] for a in range(grid.dim)),
-                  grid)
+                rhs[a] += 1j * m[a] * base
+    if u_h is not None:
+        over_slabs(raw, n_h.shape[0], grid)
 
     fields = {}
-    if aux:
+    if need_aux and u_h is not None:
         # the k1 = 0 plane of a half spectrum is complete: the zero modes are views
         cross = grid.cross_section()
         u_zero = halve(u_h[:, 0], cross)
         u_zero_vals = irfft_band(band_of(u_zero, cross), cross)
         # the cross-section's band box is rows k2 = 0..K2 of the k1 = 0 plane
-        q_neq_hat = (uu[[slot[1, 0], slot[2, 0]], 0, :cross.dealias_cutoff(0) + 1]
+        q_neq_hat = (uu[[_SLOT[1, 0], _SLOT[2, 0]], 0, :cross.dealias_cutoff(0) + 1]
                      - rfft_band(u_zero_vals[1:] * u_zero_vals[0], cross))
         fields = {"n_zero": halve(n_h[0], cross), "u_zero": u_zero,
                   "u_zero_vals": u_zero_vals, "q_neq_hat": q_neq_hat}
@@ -339,15 +368,17 @@ class StepInfo:
 def _step_operator(params: Params, frame: ShearFrame, t: float, dt: float):
     """The exact shear + diffusion propagator over [t, t+dt], and the new frame.
 
-    Returns ``apply(half) -> (half, dropped energy)`` for the k1 >= 0 half
-    spectrum (``halve``) of every field of the step, leading component axes
-    included.  Each mode is damped by the closed-form integrating factor of
-    its drifting wavevector.  Once the drift reaches REMAP_THRESHOLD the
-    coefficients are relabelled (Rogallo remap): index k2 moves to
-    k2 - k1*shift with shift = rint(drift), within its k1 row, which keeps
-    the physical wavevector, and modes moved beyond |k2| <= n2/2 - 1 are
-    dropped.  The dropped energy is that of the whole spectrum, summed over
-    the whole grid's lost modes in their row-major order.
+    Returns ``apply(base, rhs=None, h=0.0, after=None, lost=True) -> (half,
+    dropped energy)``: the propagator of base + h*rhs, plus h*after, for k1 >=
+    0 half spectra (``halve``) with leading component axes, formed on k1
+    slabs (``over_slabs``).  Each mode is damped by the closed-form
+    integrating factor of its drifting wavevector.  Once the drift reaches
+    REMAP_THRESHOLD the coefficients are relabelled (Rogallo remap): index k2
+    moves to k2 - k1*shift with shift = rint(drift), within its k1 row,
+    which keeps the physical wavevector, and modes moved beyond |k2| <=
+    n2/2 - 1 are dropped.  The dropped energy is that of the whole spectrum,
+    summed over the whole grid's lost modes in their row-major order; with
+    lost cleared it is not summed and reads 0.0.
     """
     grid, A = params.grid, params.A
     if params.enable_shear:
@@ -359,19 +390,36 @@ def _step_operator(params: Params, frame: ShearFrame, t: float, dt: float):
         factor = np.exp(-halve(grid.k_squared(), grid) * dt / A)
         drift, shift = frame.drift, 0
     if shift == 0:
-        def apply(coeffs):
-            return coeffs * factor, 0.0
-        return apply, ShearFrame(frame.t_last_remap, drift)
+        new_frame = ShearFrame(frame.t_last_remap, drift)
+    else:
+        new_frame = ShearFrame(t_last_remap=t + dt, drift=drift - shift)
+        i1, i2, dst, lost_rows = _remap_gather(grid, shift)
 
-    new_frame = ShearFrame(t_last_remap=t + dt, drift=drift - shift)
-    i1, i2, dst, lost = _remap_gather(grid, shift)
+    def apply(base, rhs=None, h=0.0, after=None, lost=True):
+        out = (np.empty if shift == 0 else np.zeros)(base.shape, dtype=np.complex128)
+        power = np.empty(base.shape) if lost and shift else None
+        lead = (slice(None),) * (base.ndim - grid.dim)
 
-    def apply(coeffs):
-        scaled = coeffs * factor
-        lead = (slice(None),) * (scaled.ndim - grid.dim)
-        out = np.zeros_like(scaled)
-        out[lead + (i1, dst)] = scaled[lead + (i1, i2)]
-        dropped = float(np.sum(fill(np.abs(scaled) ** 2, grid)[lead + lost]))
+        def propagate(s):  # on k1 planes s; a remap moves modes within their row
+            x = slab(base, s, grid)
+            if rhs is not None:
+                x = x + h * slab(rhs, s, grid)
+            o = slab(out, s, grid)
+            if shift == 0:
+                np.multiply(x, slab(factor, s, grid), out=o)
+            else:
+                scaled = x * slab(factor, s, grid)
+                p, q = np.searchsorted(i1, (s.start, s.stop))
+                rows = i1[p:q]
+                o[lead + (rows - s.start, dst[p:q])] = scaled[lead + (rows - s.start, i2[p:q])]
+                if power is not None:
+                    np.square(np.abs(scaled), out=slab(power, s, grid))
+            if after is not None:
+                o += h * slab(after, s, grid)
+        over_slabs(propagate, base.shape[base.ndim - grid.dim], grid)
+        if power is None:
+            return out, 0.0
+        dropped = float(np.sum(fill(power, grid)[lead + lost_rows]))
         return out, dropped * grid.volume
     return apply, new_frame
 
@@ -380,8 +428,8 @@ def _step_operator(params: Params, frame: ShearFrame, t: float, dt: float):
 def _remap_gather(grid: GridSpec, shift: int) -> tuple:
     """The remap by shift as a gather, built once per (grid, shift) and
     read-only: half-spectrum (i1, i2) -> (i1, dst), dst = k2_new % n2 with
-    k2_new = k2 - k1*shift, and ``lost``, the whole grid's modes moved
-    beyond |k2_new| <= n2/2 - 1, in row-major order."""
+    k2_new = k2 - k1*shift, in row-major order, and ``lost``, the whole
+    grid's modes moved beyond |k2_new| <= n2/2 - 1, in row-major order."""
     n2 = grid.shape[1]
     k2_new = (grid.wavenumbers(1).astype(int)[None, :]
               - grid.wavenumbers(0).astype(int)[:, None] * shift)
@@ -396,12 +444,17 @@ def _remap_gather(grid: GridSpec, shift: int) -> tuple:
 def _real_field(half: np.ndarray, grid: GridSpec, mesh=None) -> SpectralField:
     """The real field of a k1 >= 0 half spectrum, filled once: the half is
     completed in place (``complete_half``) and a velocity then Leray-projected
-    on the half mesh, which keeps the completion.  Step outputs and initial
-    states both end here."""
+    on the half mesh, which keeps the completion; the projection and the fill
+    run on k1 slabs.  Step outputs and initial states both end here."""
     complete_half(half, grid)
-    if mesh is not None:
-        half = leray_coeffs(half, mesh)
-    return SpectralField(grid, fill(half, grid))
+    full = np.empty(half.shape[:half.ndim - grid.dim] + grid.shape, dtype=half.dtype)
+
+    def finish(s):  # on k1 planes s
+        if mesh is not None:
+            leray_coeffs(slab(half, s, grid), [slab(m, s, grid) for m in mesh])
+        fill_planes(half, full, grid, s)
+    over_slabs(finish, half.shape[half.ndim - grid.dim], grid)
+    return SpectralField(grid, full)
 
 
 def step(state: State, params: Params, t_stop: float | None = None,
@@ -409,7 +462,8 @@ def step(state: State, params: Params, t_stop: float | None = None,
     """Advance one Heun step composed with the exact shear propagator.
 
     Runs on the k1 >= 0 halves of n and u and fills each output once
-    (``_real_field``); without t_stop the step is not clipped.
+    (``_real_field``); without t_stop the step is not clipped.  The remap's
+    dropped energy is summed for the corrector alone.
     A passive scalar has a zero tendency, so its step is the propagator
     alone, applied once and not symmetrized: the propagator keeps a
     Hermitian spectrum Hermitian bit for bit (its factor is even in k, its
@@ -428,18 +482,17 @@ def step(state: State, params: Params, t_stop: float | None = None,
         return (State(t=state.t + dt, n=SpectralField(grid, fill(n_new, grid)), u=None,
                       frame=new_frame), StepInfo(dt=dt, dropped_n=dropped_n))
 
-    n_pred, _ = apply_op(n_h + dt * ev1.rhs_n)
-    u_pred = None if u_h is None else apply_op(u_h + dt * ev1.rhs_u)[0]
+    n_pred, _ = apply_op(n_h, ev1.rhs_n, dt, lost=False)
+    u_pred = None if u_h is None else apply_op(u_h, ev1.rhs_u, dt, lost=False)[0]
     ev2 = _evaluate(n_pred, u_pred, params, new_frame.drift, tracker is not None)
     if tracker is not None and u_h is not None:
         tracker.advance(params, dt, ev1, ev2)
 
-    n_new, dropped_n = apply_op(n_h + 0.5 * dt * ev1.rhs_n)
-    n_new += 0.5 * dt * ev2.rhs_n
+    h = 0.5 * dt
+    n_new, dropped_n = apply_op(n_h, ev1.rhs_n, h, ev2.rhs_n)
     u_field, dropped_u = None, 0.0
     if u_h is not None:
-        u_new, dropped_u = apply_op(u_h + 0.5 * dt * ev1.rhs_u)
-        u_new += 0.5 * dt * ev2.rhs_u
+        u_new, dropped_u = apply_op(u_h, ev1.rhs_u, h, ev2.rhs_u)
         mesh = [halve(m, grid) for m in frame_k_mesh(params, new_frame.drift)]
         u_field = _real_field(u_new, grid, mesh)
 
@@ -485,7 +538,7 @@ def _row(state: State, params: Params, dt: float, status: str,
         "n_linf": float(np.max(np.abs(n_vals))),
         "n_l2": l2_norm(n),
         "u_l2": l2_norm(u) if u is not None else 0.0,
-        "div_l2": (l2_norm(divergence(u, k_mesh=frame_k_mesh(params, state.frame.drift)))
+        "div_l2": (l2_norm(divergence(u, frame_k_mesh(params, state.frame.drift)))
                    if u is not None else 0.0),
         "dropped_energy": dropped_frac,
         "dt": dt,

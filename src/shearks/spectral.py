@@ -17,9 +17,13 @@ the energy ledger's and the tail monitor's spectral sums, each half mode
 counted with its multiplicity in the full spectrum (``parseval_weights``).
 The integer lattice of a grid is built once and shared read-only
 (``GridSpec.k_mesh``).  In every dimension the real transforms are one pair
-of passes of numpy's 1-D FFTs, bit-identical to numpy's rfftn/irfftn; on
-3D grids they run on two threads.  The operators act on the integer
-lattice; only ``divergence`` and ``leray_coeffs`` take a sheared mesh.
+of passes of numpy's 1-D FFTs, bit-identical to numpy's rfftn/irfftn.  On
+3D grids of more than 32^3 points the fields of a stack, the stacks of a
+batch (``rfft_bands``) and the k1 or x slabs of a mode-local stage
+(``over_slabs``) are tasks of one work queue that the caller and one pool
+thread drain (``_drain``), bit for bit the serial result.  The operators
+act on the grid's integer lattice; ``divergence`` and ``leray_coeffs`` take
+the wavevectors they work on, the lattice or a sheared frame's.
 """
 
 from __future__ import annotations
@@ -197,13 +201,17 @@ def zeros(grid: GridSpec, components: int = 1) -> SpectralField:
     return SpectralField(grid, np.zeros(shape, dtype=np.complex128))
 
 
-def conj_reverse(coeffs: np.ndarray, dim: int) -> np.ndarray:
-    """conj(coeffs) sampled at -k, the Hermitian mirror of the spectrum."""
-    axes = tuple(range(coeffs.ndim - dim, coeffs.ndim))
-    out = coeffs
-    for ax in axes:
-        out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
-    return np.conj(out)
+def conj_reverse(coeffs: np.ndarray, dim: int, out: np.ndarray | None = None) -> np.ndarray:
+    """conj(coeffs) sampled at -k, the Hermitian mirror of the spectrum over
+    its last dim axes, written into out when given: index 0 of an axis stays,
+    and 1..n-1 read n-1..1."""
+    out = np.empty(coeffs.shape, dtype=coeffs.dtype) if out is None else out
+    lead = (slice(None),) * (coeffs.ndim - dim)
+    runs = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
+    for piece in itertools.product(runs, repeat=dim):
+        np.conj(coeffs[lead + tuple(src for _, src in piece)],
+                out=out[lead + tuple(dst for dst, _ in piece)])
+    return out
 
 
 def hermitize(F: SpectralField) -> SpectralField:
@@ -249,18 +257,7 @@ def halve(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
 # Every real transform, in every dimension, is one pass pair of numpy's own
 # 1-D FFTs in the axis order of numpy's rfftn/irfftn: the forward runs rfft
 # along x, then fft along each further axis; the inverse runs ifft along each
-# further axis into a fresh array, then irfft along x.  2D and 1D grids stay
-# serial: at 128^2 two threads are slower.
-#
-# On 3D grids the real transforms split each transform in two, one half per
-# thread; numpy's FFTs release the GIL.  A stack with an even number of fields
-# is split into two half stacks, each transformed whole.  A bare field, or an
-# odd stack, is split in two slabs per pass: the y and z passes over halves of
-# the k1 planes they run on, the x pass over halves of y.  At 48^3 half
-# stacks beat slabs on 6-field stacks, and slabs beat a 2:1 field split on
-# 3-field ones.  Every piece makes the pass pair's 1-D calls and writes with
-# out= into arrays that the calling thread allocated, so each line is
-# transformed exactly as the serial transform does it.
+# further axis into a fresh array, then irfft along x.
 #
 # The band pair (irfft_band, rfft_band) makes the same calls on fewer lines.
 # A field dealiased by the 2/3 rule is zero off its band box, so the inverse
@@ -270,18 +267,32 @@ def halve(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
 # columns, and keeps the box.  numpy transforms each line on its own, so
 # every band value is bit for bit that of the full pair with the band mask
 # applied (FFT pruning).  The full pair is the case with no line left out.
+#
+# Work on 3D grids of more than 32^3 points runs on two threads through one
+# queue (``_drain``): a transform makes one task per field, that field's
+# whole pass pair, and a mode-local stage (``over_slabs``) one task per slab
+# of k1 or x planes.  The caller and one pool thread take the tasks in turn,
+# so neither waits on a fixed share of the other's; numpy's FFTs and large
+# ufuncs release the GIL.  A lone task, a bare field's transform for one,
+# runs on the caller, and smaller 3D grids and every 2D and 1D grid run each
+# stack and stage whole on the caller: there two threads are slower (at
+# 128^2 too).  A task writes with out= into arrays that the caller
+# allocated, or into its own temporaries, and numpy transforms each line and
+# computes each element on its own, so every result is bit for bit the
+# serial one.
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
+_SLABS = 4  # tasks of a slab stage on two threads
+_SERIAL_UP_TO = 32 ** 3  # grid points up to which 3D work runs on the caller alone
 
 
-def _fft_pool() -> ThreadPoolExecutor:
-    """The transform threads, started by the first 3D transform."""
+def _helper() -> ThreadPoolExecutor:
+    """The one pool thread, started by the first drain of two or more tasks."""
     global _pool
     with _pool_lock:
         if _pool is None:
-            # every split is two-way (_halves): one thread per half
-            _pool = ThreadPoolExecutor(2, thread_name_prefix="shearks-fft")
+            _pool = ThreadPoolExecutor(1, thread_name_prefix="shearks-fft")
         return _pool
 
 
@@ -295,113 +306,150 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _run(tasks) -> None:
-    """Run every (fn, *args) on the pool and wait for all of them.
+def _threaded(grid: GridSpec) -> bool:
+    """Whether a grid's work runs on two threads: 3D grids of more than
+    32^3 points.  On smaller grids the handoffs between the threads cost
+    more than they save.  Median coupled, tracked steps on two threads
+    against one, alternating in one process: 13.7 against 8.7 ms at 16^3,
+    19.5 against 17.1 ms at 32^3, 23.0 against 23.9 ms at 36^3 and 41.1
+    against 65.0 ms at 48^3."""
+    return grid.dim == 3 and grid.size > _SERIAL_UP_TO
 
-    Each task runs in a copy of the caller's context, which carries numpy's
-    error state (np.errstate); the first task error is raised once every
-    task has finished writing.
+
+def _drain(tasks: list, grid: GridSpec) -> None:
+    """Run every task (fn, *args) of ``tasks``.
+
+    On a ``_threaded`` grid the caller and one pool thread take the tasks in
+    turn from one shared iterator; the pool thread runs its tasks in a copy
+    of the caller's context, which carries numpy's error state
+    (np.errstate).  After an error no further task starts, and the first
+    error (an interrupt or exit before it) is raised once both threads have
+    stopped writing.  A lone task, and every task of another grid, runs on
+    the caller in order.
     """
-    pool = _fft_pool()
-    futures = [pool.submit(contextvars.copy_context().run, *task) for task in tasks]
-    wait(futures)
-    for future in futures:
-        future.result()
+    if len(tasks) < 2 or not _threaded(grid):
+        for fn, *args in tasks:
+            fn(*args)
+        return
+    queue, lock, errors = iter(tasks), threading.Lock(), []
+
+    def take():
+        while True:
+            with lock:
+                task = None if errors else next(queue, None)
+            if task is None:
+                return
+            try:
+                task[0](*task[1:])
+            except BaseException as err:  # raised on the caller below
+                with lock:
+                    errors.append(err)
+
+    helper = _helper().submit(contextvars.copy_context().run, take)
+    take()
+    if not helper.cancel():  # the pool thread has started: wait for it
+        wait([helper])
+    if errors:  # an interrupt or exit outranks the first error
+        raise next((err for err in errors if not isinstance(err, Exception)), errors[0])
 
 
-def _halves(n: int) -> tuple[slice, slice]:
-    """The two halves of an axis of length n."""
-    return slice(0, (n + 1) // 2), slice((n + 1) // 2, n)
+def over_slabs(fn, n: int, grid: GridSpec) -> None:
+    """fn(s) for slices s that cut range(n) into slabs: _SLABS slabs through
+    one ``_drain`` on a ``_threaded`` grid, the whole range on the caller on
+    others.  fn must touch only its own slab of every array it writes."""
+    if not _threaded(grid):
+        fn(slice(0, n))
+        return
+    pieces = min(_SLABS, n)
+    edges = [n * i // pieces for i in range(pieces + 1)]
+    _drain([(fn, slice(a, b)) for a, b in zip(edges, edges[1:])], grid)
+
+
+def slab(arr: np.ndarray, s: slice, grid: GridSpec) -> np.ndarray:
+    """The planes s along the first spatial axis of arr (k1 or x), a view with
+    leading axes kept; a broadcast axis of length 1 is returned whole."""
+    axis = arr.ndim - grid.dim
+    return arr if arr.shape[axis] == 1 else arr[(slice(None),) * axis + (s,)]
+
+
+def _shares(arr: np.ndarray, grid: GridSpec) -> list:
+    """Index of each transform task's share of a stack: one field each on a
+    ``_threaded`` grid, the whole stack on others."""
+    return list(np.ndindex(*arr.shape[:arr.ndim - grid.dim])) if _threaded(grid) else [...]
+
+
+def _half_shape(arr: np.ndarray, grid: GridSpec) -> tuple[int, ...]:
+    """Shape of the k1 >= 0 half of a stack like arr, leading axes kept."""
+    return arr.shape[:arr.ndim - grid.dim] + (grid.shape[0] // 2 + 1,) + grid.shape[1:]
 
 
 _EVERY_COLUMN = (slice(None),)  # the z columns of an unpruned y pass
 
 
-def _inverse_yz(src: np.ndarray, tmp: np.ndarray, zruns):
-    """y pass from src into tmp on the z columns zruns, then z pass in place."""
-    for z in zruns:
-        np.fft.ifft(src[..., z], tmp.shape[-2], axis=-2, norm="forward", out=tmp[..., z])
-    np.fft.ifft(tmp, axis=-1, norm="forward", out=tmp)
+def _inverse(src, out, grid: GridSpec, planes: slice, zruns, boxed: bool):
+    """Inverse of one share into out: src is a k1 >= 0 half or, when boxed,
+    a band box placed into a zeroed half first.  The passes past x run on
+    the k1 planes ``planes`` (in 3D the y pass on the z columns zruns, then
+    the z pass), then x over the whole half."""
+    if boxed:
+        tmp = np.zeros(_half_shape(src, grid), dtype=np.result_type(src, 1j))
+        _put(src, tmp, grid)
+        src = tmp
+    elif grid.dim > 1:
+        tmp = np.empty(src.shape, dtype=np.result_type(src, 1j))
+    else:  # a 1D inverse is the x pass alone
+        tmp = src
+    if grid.dim == 3:
+        sub, part = src[..., planes, :, :], tmp[..., planes, :, :]
+        for z in zruns:
+            np.fft.ifft(sub[..., z], grid.shape[1], axis=-2, norm="forward", out=part[..., z])
+        np.fft.ifft(part, axis=-1, norm="forward", out=part)
+    elif grid.dim == 2:
+        np.fft.ifft(src[..., planes, :], axis=-1, norm="forward", out=tmp[..., planes, :])
+    np.fft.irfft(tmp, grid.shape[0], axis=-grid.dim, norm="forward", out=out)
 
 
-def _inverse_x(tmp: np.ndarray, out: np.ndarray):
-    np.fft.irfft(tmp, out.shape[-3], axis=-3, norm="forward", out=out)
+def _forward(values, hat, box, grid: GridSpec, planes: slice, zruns):
+    """Forward of one share into hat, a k1 >= 0 half: x on every line, then
+    the passes past x on the k1 planes ``planes`` (in 3D the z pass, then the
+    y pass on the z columns zruns).  When hat is None the half is a
+    temporary and its band box is copied into box."""
+    if hat is None:
+        hat = np.empty(_half_shape(values, grid), dtype=np.result_type(values, 1j))
+    np.fft.rfft(values, axis=-grid.dim, norm="forward", out=hat)
+    if grid.dim == 3:
+        part = hat[..., planes, :, :]
+        np.fft.fft(part, axis=-1, norm="forward", out=part)
+        for z in zruns:
+            np.fft.fft(part[..., z], axis=-2, norm="forward", out=part[..., z])
+    elif grid.dim == 2:
+        np.fft.fft(hat[..., planes, :], axis=-1, norm="forward", out=hat[..., planes, :])
+    if box is not None:
+        _take(hat, box, grid)
 
 
-def _inverse(src: np.ndarray, tmp: np.ndarray, out: np.ndarray, planes: slice, zruns):
-    _inverse_yz(src[..., planes, :, :], tmp[..., planes, :, :], zruns)
-    _inverse_x(tmp, out)
-
-
-def _forward_x(src: np.ndarray, hat: np.ndarray):
-    np.fft.rfft(src, axis=-3, norm="forward", out=hat)
-
-
-def _forward_zy(hat: np.ndarray, zruns):
-    """z pass in place, then y pass in place on the z columns zruns."""
-    np.fft.fft(hat, axis=-1, norm="forward", out=hat)
-    for z in zruns:
-        np.fft.fft(hat[..., z], axis=-2, norm="forward", out=hat[..., z])
-
-
-def _forward(src: np.ndarray, hat: np.ndarray, planes: slice, zruns):
-    _forward_x(src, hat)
-    _forward_zy(hat[..., planes, :, :], zruns)
-
-
-def _even_stack(lead: tuple[int, ...]) -> bool:
-    return len(lead) > 0 and lead[0] % 2 == 0
-
-
-def _irfft(src: np.ndarray, tmp: np.ndarray, grid: GridSpec, planes: slice,
-           zruns) -> np.ndarray:
-    """Inverse of a k1 >= 0 half: the passes past x from src into tmp on the
-    k1 planes ``planes`` (src may be tmp; in 3D the y pass on the z columns
-    zruns, then the z pass), then x over all of tmp."""
-    if grid.dim < 3:  # serial; a 1D inverse is the x pass alone, on src = tmp
-        if grid.dim == 2:
-            np.fft.ifft(src[..., planes, :], axis=-1, norm="forward", out=tmp[..., planes, :])
-        return np.fft.irfft(tmp, grid.shape[0], axis=-grid.dim, norm="forward")
-    lead = tmp.shape[:-3]
-    out = np.empty(lead + grid.shape, dtype=np.result_type(tmp.real, 1.0))
-    if _even_stack(lead):
-        _run([(_inverse, src[k], tmp[k], out[k], planes, zruns) for k in _halves(lead[0])])
-        return out
-    _run([(_inverse_yz, src[..., k, :, :], tmp[..., k, :, :], zruns)
-          for k in _halves(planes.stop)])
-    _run([(_inverse_x, tmp[..., k, :], out[..., k, :]) for k in _halves(grid.shape[1])])
+def _irfft(src: np.ndarray, grid: GridSpec, zruns, boxed: bool) -> np.ndarray:
+    """Inverse of a stack of halves, or of band boxes, share by share."""
+    out = np.empty(src.shape[:src.ndim - grid.dim] + grid.shape,
+                   dtype=np.result_type(src.real, 1.0))
+    planes = slice(0, src.shape[src.ndim - grid.dim])
+    _drain([(_inverse, src[i], out[i], grid, planes, zruns, boxed)
+            for i in _shares(src, grid)], grid)
     return out
-
-
-def _rfft(values: np.ndarray, grid: GridSpec, planes: slice, zruns) -> np.ndarray:
-    """Forward to a k1 >= 0 half: x on every line, then the passes past x on
-    the k1 planes ``planes`` (in 3D the z pass, then the y pass on the z
-    columns zruns); the other modes hold partial transforms."""
-    if grid.dim < 3:  # serial
-        hat = np.fft.rfft(values, axis=-grid.dim, norm="forward")
-        if grid.dim == 2:
-            np.fft.fft(hat[..., planes, :], axis=-1, norm="forward", out=hat[..., planes, :])
-        return hat
-    n1, n2, n3 = values.shape[-3:]
-    lead = values.shape[:-3]
-    hat = np.empty(lead + (n1 // 2 + 1, n2, n3), dtype=np.result_type(values, 1j))
-    if _even_stack(lead):
-        _run([(_forward, values[k], hat[k], planes, zruns) for k in _halves(lead[0])])
-        return hat
-    _run([(_forward_x, values[..., k, :], hat[..., k, :]) for k in _halves(n2)])
-    _run([(_forward_zy, hat[..., k, :, :], zruns) for k in _halves(planes.stop)])
-    return hat
 
 
 def irfft_x(half: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Collocation values of the real field whose k1 >= 0 half is given."""
-    tmp = half if grid.dim == 1 else np.empty(half.shape, dtype=np.result_type(half, 1j))
-    return _irfft(half, tmp, grid, slice(0, half.shape[-grid.dim]), _EVERY_COLUMN)
+    return _irfft(half, grid, _EVERY_COLUMN, False)
 
 
 def rfft_x(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """k1 >= 0 half of the spectrum of real collocation values."""
-    return _rfft(values, grid, slice(0, grid.shape[0] // 2 + 1), _EVERY_COLUMN)
+    hat = np.empty(_half_shape(values, grid), dtype=np.result_type(values, 1j))
+    planes = slice(0, grid.shape[0] // 2 + 1)
+    _drain([(_forward, values[i], hat[i], None, grid, planes, _EVERY_COLUMN)
+            for i in _shares(values, grid)], grid)
+    return hat
 
 
 # ---------------------------------------------------------------------------
@@ -443,41 +491,74 @@ def band_of(arr: np.ndarray, grid: GridSpec) -> np.ndarray:
     lead, shape = arr.shape[:arr.ndim - grid.dim], arr.shape[arr.ndim - grid.dim:]
     box = np.empty(lead + tuple(1 if n == 1 else b for n, b in zip(shape, band_shape(grid))),
                    dtype=arr.dtype)
-    for h, b in _box_pieces(grid, shape):
-        box[b] = arr[h]
+    _take(arr, box, grid)
     return box
+
+
+def _take(half: np.ndarray, box: np.ndarray, grid: GridSpec):
+    """Copy the band of a k1 >= 0 half into a band box."""
+    for h, b in _box_pieces(grid, half.shape[half.ndim - grid.dim:]):
+        box[b] = half[h]
+
+
+def _put(box: np.ndarray, half: np.ndarray, grid: GridSpec):
+    """Copy a band box into the band of a k1 >= 0 half, or of planes of one."""
+    for h, b in _box_pieces(grid, half.shape[half.ndim - grid.dim:]):
+        half[h] = box[b]
 
 
 def place(box: np.ndarray, grid: GridSpec) -> np.ndarray:
     """The k1 >= 0 half whose band box is box and whose other modes are 0."""
-    shape = (grid.shape[0] // 2 + 1,) + grid.shape[1:]
-    half = np.zeros(box.shape[:box.ndim - grid.dim] + shape, dtype=np.result_type(box, 1j))
-    for h, b in _box_pieces(grid, shape):
-        half[h] = box[b]
+    half = np.zeros(_half_shape(box, grid), dtype=np.result_type(box, 1j))
+    _put(box, half, grid)
     return half
+
+
+def rfft_bands(stacks, grid: GridSpec) -> list[np.ndarray]:
+    """``rfft_band`` of every stack of a sequence, all in one drain."""
+    planes = slice(0, grid.dealias_cutoff(0) + 1)
+    zruns = _runs(grid, 2) if grid.dim == 3 else _EVERY_COLUMN
+    boxes, tasks = [], []
+    for values in stacks:
+        lead = values.shape[:values.ndim - grid.dim]
+        box = np.empty(lead + band_shape(grid), dtype=np.result_type(values, 1j))
+        tasks += [(_forward, values[i], None, box[i], grid, planes, zruns)
+                  for i in _shares(values, grid)]
+        boxes.append(box)
+    _drain(tasks, grid)
+    return boxes
 
 
 def irfft_band(box: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Collocation values of the real field whose k1 >= 0 half is
     ``place(box)``: ``irfft_x`` of that half bit for bit, on fewer lines."""
-    half = place(box, grid)
-    zruns = _runs(grid, 2) if grid.dim == 3 else _EVERY_COLUMN
-    return _irfft(half, half, grid, slice(0, box.shape[box.ndim - grid.dim]), zruns)
+    return _irfft(box, grid, _runs(grid, 2) if grid.dim == 3 else _EVERY_COLUMN, True)
 
 
 def rfft_band(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Band box of the spectrum of real collocation values: ``rfft_x(values)``
     on the box bit for bit, from fewer lines."""
-    planes = slice(0, grid.dealias_cutoff(0) + 1)
-    zruns = _runs(grid, 2) if grid.dim == 3 else _EVERY_COLUMN
-    return band_of(_rfft(values, grid, planes, zruns), grid)
+    return rfft_bands([values], grid)[0]
 
 
 def fill(half: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Full spectrum from its k1 >= 0 half via coeff(-k) = conj(coeff(k))."""
-    lead = half.ndim - grid.dim
-    mirror = half[(slice(None),) * lead + (slice(grid.shape[0] // 2 - 1, 0, -1),)]
-    return np.concatenate([half, conj_reverse(mirror, grid.dim - 1)], axis=lead)
+    out = np.empty(half.shape[:half.ndim - grid.dim] + grid.shape, dtype=half.dtype)
+    over_slabs(lambda s: fill_planes(half, out, grid, s), grid.shape[0] // 2 + 1, grid)
+    return out
+
+
+def fill_planes(half: np.ndarray, out: np.ndarray, grid: GridSpec, s: slice):
+    """The rows of the full spectrum out that the k1 >= 0 half's planes s
+    give: those planes, and their mirror images at -k1 (planes 0 and n1/2
+    have none)."""
+    lead = (slice(None),) * (half.ndim - grid.dim)
+    n1 = grid.shape[0]
+    out[lead + (s,)] = half[lead + (s,)]
+    a, b = max(s.start, 1), min(s.stop, n1 // 2)
+    if a < b:
+        conj_reverse(half[lead + (slice(b - 1, a - 1, -1),)], grid.dim - 1,
+                     out=out[lead + (slice(n1 - b + 1, n1 - a + 1),)])
 
 
 @lru_cache(maxsize=32)
@@ -511,9 +592,9 @@ def values_of(F: SpectralField) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # differential operators
 #
-# The operators act on the grid's integer lattice.  ``divergence`` also takes
-# the effective wavevectors of a sheared (drifting) frame, and
-# ``leray_coeffs`` takes any mesh.
+# The operators act on the grid's integer lattice.  ``divergence`` takes its
+# wavevectors, the lattice or a sheared (drifting) frame's effective mesh,
+# and ``leray_coeffs`` takes any mesh.
 
 def _mesh_k2(mesh) -> np.ndarray:
     """|k|^2 on the broadcast shape of the wavevector components, summed in
@@ -535,13 +616,14 @@ def laplacian(F: SpectralField) -> SpectralField:
     return SpectralField(F.grid, -F.grid.k_squared() * F.coeffs)
 
 
-def divergence(u: SpectralField, k_mesh=None) -> SpectralField:
+def divergence(u: SpectralField, k_mesh) -> SpectralField:
+    """div u on the wavevectors k_mesh: the grid's lattice
+    (``GridSpec.k_mesh``) or a sheared frame's effective mesh."""
     if u.components != u.grid.dim:
         raise ContractViolation("divergence expects a dim-component vector field")
-    mesh = u.grid.k_mesh() if k_mesh is None else k_mesh
     out = np.zeros(u.grid.shape, dtype=np.complex128)
     for a in range(u.grid.dim):
-        out += 1j * mesh[a] * u.coeffs[a]
+        out += 1j * k_mesh[a] * u.coeffs[a]
     return SpectralField(u.grid, out)
 
 

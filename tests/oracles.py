@@ -76,6 +76,13 @@ def dealias_mask(grid: GridSpec) -> np.ndarray:
     return mask
 
 
+def serial_drain(tasks, grid: GridSpec):
+    """``spectral._drain`` with every task run on the caller, in order: the
+    serial reference of the two-thread work queue."""
+    for fn, *args in tasks:
+        fn(*args)
+
+
 def exact_passive_scalar(F: SpectralField, t: float, A: float, drift0: float = 0.0):
     """Exact solution of df/dt + y df/dx = (1/A) lap f after time t, mode by mode.
 

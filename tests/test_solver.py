@@ -46,6 +46,7 @@ from oracles import (
     linf_norm,
     min_principle_check,
     min_value,
+    serial_drain,
 )
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -133,7 +134,7 @@ class TestRhsVelocity:
         n = random_smooth(GRID3, seed=3)
         u = leray_project(random_smooth(GRID3, seed=4, components=3))
         out = SpectralField(GRID3, fill(rhs(n, u, A=1.5, chemotaxis=False).rhs_u, GRID3))
-        assert l2_norm(divergence(out)) <= 1e-12 * max(l2_norm(out), 1e-30)
+        assert l2_norm(divergence(out, GRID3.k_mesh())) <= 1e-12 * max(l2_norm(out), 1e-30)
 
 
 class TestStep:
@@ -222,7 +223,7 @@ class TestInitialStates:
                            "u_eps = 0.01\nu_amplitude = 0.05\nu_seed = 5\n")
         u = build_initial_state(cfg).u
         assert_real_by_construction(u)
-        assert l2_norm(divergence(u)) <= 1e-14 * l2_norm(u)
+        assert l2_norm(divergence(u, u.grid.k_mesh())) <= 1e-14 * l2_norm(u)
         assert np.any(u.coeffs[:, 0]) and np.any(u.coeffs[:, 1:]) == (u_kind == "random")
 
 
@@ -274,6 +275,72 @@ class TestHalfSpectrumStep:
                                   "enable_velocity = false\nenable_shear = true\n")
         final, dropped = self.compare(cfg, steps=40)
         assert final.frame.t_last_remap >= 5.0 and dropped > 0.0
+
+
+def suppression_cfg(shape):
+    text = (CONFIGS / "suppression_3d.conf").read_text()
+    return parse_config(text + "\nnx = {}\nny = {}\nnz = {}\n".format(*shape))
+
+
+@pytest.mark.usefixtures("threads_on_small_grids")
+class TestDrainedStep:
+    """A 3D step runs its transforms and its k1- and x-slab stages through
+    spectral._drain on two threads; run with every task on the caller, the
+    same steps give the same bytes."""
+
+    @staticmethod
+    def trajectory(shape, steps):
+        cfg = suppression_cfg(shape)
+        params = params_of(cfg)
+        state = build_initial_state(cfg)
+        tracker = diagnostics.DecompositionTracker.start(params, state)
+        evaluate, seen = solver._evaluate, []
+
+        def recording(*args, **kw):
+            ev = evaluate(*args, **kw)
+            seen.append([None if v is None else np.asarray(v).tobytes()
+                         for v in vars(ev).values()])
+            return ev
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_evaluate", recording)
+            for _ in range(steps):
+                state, info = step(state, params, tracker=tracker)
+                seen.append([np.asarray(x).tobytes() for x in (
+                    state.n.coeffs, state.u.coeffs, state.t, state.frame.drift,
+                    state.frame.t_last_remap, info.dt, info.dropped_n, info.dropped_u)])
+        seen.append([getattr(tracker, name).coeffs.tobytes() for name in ("G1", "B1", "B2")])
+        return state, seen
+
+    # 16x10x12 has 9 k1 planes and 16 x planes, which the slabs split unevenly
+    @pytest.mark.parametrize("shape", [(16, 16, 16), (16, 10, 12)], ids=["16^3", "16x10x12"])
+    def test_drained_equals_serial_bit_for_bit(self, shape, monkeypatch):
+        final, drained = self.trajectory(shape, steps=25)
+        assert final.frame.t_last_remap > 0.0  # the run crossed a remap
+        monkeypatch.setattr(spectral, "_drain", serial_drain)
+        _, serial = self.trajectory(shape, steps=25)
+        assert len(drained) == len(serial) == 2 * 25 + 25 + 1
+        for got, want in zip(drained, serial):
+            assert got == want
+
+    def test_only_the_corrector_sums_the_remap_loss(self, monkeypatch):
+        # a remap step fills the |scaled|^2 of the corrector's n and u once
+        # each to sum their lost modes; the predictor sums nothing, and a step
+        # without a remap fills no spectrum
+        cfg = suppression_cfg((16, 16, 16))
+        params = params_of(cfg)
+        state = build_initial_state(cfg)
+        fill_, calls = solver.fill, []
+        monkeypatch.setattr(solver, "fill",
+                            lambda half, grid: calls.append(half.dtype) or fill_(half, grid))
+        fills = {True: set(), False: set()}
+        for _ in range(25):
+            before, calls[:] = state.frame.t_last_remap, []
+            state, info = step(state, params)
+            remapped = state.frame.t_last_remap != before
+            fills[remapped].add(len(calls))
+            assert (info.dropped_n > 0.0) == remapped and (info.dropped_u > 0.0) == remapped
+            assert all(dtype == np.float64 for dtype in calls)
+        assert fills == {True: {2}, False: {0}}
 
 
 class TestPassiveScalarOracle:
@@ -524,7 +591,8 @@ class TestSamples:
 
     def test_floating_point_error_in_a_3d_transform_is_classified(self):
         # finite coefficients whose values overflow: inf - inf inside the first
-        # sample's transform, on a worker thread, raises under invalid="raise"
+        # sample's transform, a bare field's on the caller, raises under
+        # invalid="raise"
         n = gaussian_bump(GRID3, width=1.0, mass=4 * np.pi)
         for k, c in (((1, 2, 3), 1e308), ((2, 1, 3), -1e308)):
             n.coeffs[k] = n.coeffs[tuple(-i for i in k)] = c
@@ -532,6 +600,20 @@ class TestSamples:
         with np.errstate(over="ignore", invalid="raise"):
             result = run(make_params(GRID3), state)
         assert result.status == "unresolved" and result.rows == []
+        assert "invalid value" in result.monitor.reason
+        assert result.monitor.t_event == 0.0
+
+    @pytest.mark.usefixtures("threads_on_small_grids")
+    def test_floating_point_error_in_a_drained_stage_is_classified(self):
+        # u's values overflow inside the tendency's batched inverse transform,
+        # whose field tasks either thread may run: the first step raises
+        n = gaussian_bump(GRID3, width=1.0, mass=4 * np.pi)
+        u = zeros(GRID3, components=3)
+        for k, c in (((1, 2, 3), 1e308), ((2, 1, 3), -1e308)):
+            u.coeffs[0][k] = u.coeffs[0][tuple(-i for i in k)] = c
+        with np.errstate(over="ignore", invalid="raise"):
+            result = run(make_params(GRID3), make_state(GRID3, n, u))
+        assert result.status == "unresolved" and len(result.rows) == 1
         assert "invalid value" in result.monitor.reason
         assert result.monitor.t_event == 0.0
 

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -29,14 +30,17 @@ from shearks.spectral import (
     forward_transform,
     halve,
     hermitize,
+    fill,
     irfft_band,
     irfft_x,
     l2_norm,
     laplacian,
     leray_project,
+    over_slabs,
     parseval_weights,
     place,
     rfft_band,
+    rfft_bands,
     rfft_x,
     solve_chemo,
     spectral_energy,
@@ -52,6 +56,7 @@ from oracles import (
     inverse_transform,
     l2_norm_values,
     linf_norm,
+    serial_drain,
 )
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -216,23 +221,27 @@ def random_half(grid, lead, seed):
 
 
 def transform_in_forked_child(shape):
-    """Body of a forked child: one 3D transform, checked against numpy."""
+    """Body of a forked child: one 3D transform of a stack, checked against
+    numpy."""
     grid = GridSpec(shape)
-    half = random_half(grid, (), seed=47)
+    half = random_half(grid, (3,), seed=47)
     if not np.array_equal(irfft_x(half, grid), serial_irfft_x(half, grid)):
         sys.exit(3)
 
 
-# 25 k1 planes at 48^3; 9 at (16, 10, 12), which the slabs split unevenly
+# 25 k1 planes at 48^3; 9 at (16, 10, 12), which the slabs split unevenly;
+# the classes that take THREAD_GRIDS run every 3D grid on two threads
 THREAD_GRIDS = [GridSpec((48, 48, 48)), GridSpec((16, 10, 12))]
 # 2D and 1D grids take the same pass pair on one thread
 SERIAL_AND_THREAD_GRIDS = THREAD_GRIDS + [GridSpec((128, 128)), GridSpec((32, 24)),
                                           GridSpec((16,))]
 
 
+@pytest.mark.usefixtures("threads_on_small_grids")
 class TestThreadedTransforms:
-    """3D rfft_x/irfft_x run on two threads and equal numpy's serial
-    rfftn/irfftn bit for bit; 2D and 1D stay serial and equal them too."""
+    """3D rfft_x/irfft_x transform a stack's fields on two threads and equal
+    numpy's serial rfftn/irfftn bit for bit; 2D and 1D stay serial and equal
+    them too."""
 
     @pytest.mark.parametrize("grid", SERIAL_AND_THREAD_GRIDS,
                              ids=["48^3", "16x10x12", "128^2", "32x24", "16"])
@@ -289,7 +298,7 @@ class TestThreadedTransforms:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs the fork start method")
     def test_forked_child_transforms_after_the_parent(self):
         grid = THREAD_GRIDS[1]
-        irfft_x(random_half(grid, (), seed=47), grid)  # the parent's threads now run
+        irfft_x(random_half(grid, (3,), seed=47), grid)  # the parent's pool thread now runs
         child = multiprocessing.get_context("fork").Process(
             target=transform_in_forked_child, args=(grid.shape,))
         child.start()
@@ -315,12 +324,19 @@ class TestThreadedTransforms:
             "           output_every=0.05), State(t=0.0, n=n, u=None, frame=ShearFrame()))\n"
             "rfft_x(values_of(n), grid)\n"
             "counts.append(threading.active_count())\n"
-            "irfft_x(np.zeros((9, 10, 12), dtype=complex), GridSpec((16, 10, 12)))\n"
+            "irfft_x(np.zeros((3, 17, 32, 32), dtype=complex), GridSpec((32, 32, 32)))\n"
+            "counts.append(threading.active_count())\n"
+            "irfft_x(np.zeros((19, 36, 36), dtype=complex), GridSpec((36, 36, 36)))\n"
+            "counts.append(threading.active_count())\n"
+            "irfft_x(np.zeros((3, 19, 36, 36), dtype=complex), GridSpec((36, 36, 36)))\n"
             "counts.append(threading.active_count())\n"
             "print(*counts)\n")
-        at_import, after_2d, after_3d = map(int, run_script(script).split())
-        assert at_import == after_2d == 1
-        assert 2 <= after_3d <= 3
+        at_import, after_2d, after_32, after_field, after_stack = map(
+            int, run_script(script).split())
+        # a stack on 32^3 points and a bare field run on the caller; a stack
+        # on a larger 3D grid starts the one pool thread
+        assert at_import == after_2d == after_32 == after_field == 1
+        assert after_stack == 2
 
     def test_concurrent_callers_share_one_pool(self):
         grid = THREAD_GRIDS[1]
@@ -350,10 +366,10 @@ class TestThreadedTransforms:
         assert not any(caller.is_alive() for caller in callers)
         assert mismatches == []
         workers = [t for t in threading.enumerate() if t.name.startswith("shearks-fft")]
-        assert 1 <= len(workers) <= 2
+        assert len(workers) == 1
 
 
-# 48^3 and 16x10x12 run threaded, 24^3 has sides divisible by 3, 2D and 1D
+# the 3D grids run threaded here, 24^3 has sides divisible by 3, 2D and 1D
 # grids stay serial
 BAND_GRIDS = THREAD_GRIDS + [GridSpec((24, 24, 24)), GridSpec((128, 128)), GridSpec((32, 24)),
                              GridSpec((16,))]
@@ -364,6 +380,7 @@ def masked_half(grid, lead, seed):
     return random_half(grid, lead, seed) * halve(dealias_mask(grid), grid)
 
 
+@pytest.mark.usefixtures("threads_on_small_grids")
 class TestBandPair:
     """irfft_band/rfft_band transform the 2/3-rule band box alone: in the band
     they equal the full pair with the band mask applied bit for bit, and off
@@ -422,6 +439,38 @@ class TestBandPair:
                 with pytest.raises(FloatingPointError, match="invalid"):
                     transform(arr, grid)
 
+    @pytest.mark.parametrize("bad", [0, 2], ids=["first_stack", "last_stack"])
+    def test_a_batch_keeps_the_callers_error_state(self, bad):
+        grid = THREAD_GRIDS[1]
+        rng = np.random.default_rng(57)
+        values = [rng.standard_normal(lead + grid.shape) for lead in ((3,), (), (6,))]
+        values[bad][..., 1, 2, 3] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(invalid="ignore"):
+                assert not np.all(np.isfinite(rfft_bands(values, grid)[bad]))
+        with np.errstate(invalid="raise"):
+            with pytest.raises(FloatingPointError, match="invalid"):
+                rfft_bands(values, grid)
+
+    @pytest.mark.parametrize("grid", BAND_GRIDS[:2] + [GridSpec((32, 24))],
+                             ids=["48^3", "16x10x12", "32x24"])
+    def test_batch_equals_separate_serial_calls(self, grid, monkeypatch):
+        # stacks of 1, 3, 6, 7 and 9 fields: the tendency sends 7 fields
+        # through one inverse and a 3- and a 6-field stack through one forward
+        leads = [(1,), (3,), (6,), (7,), (9,)]
+        boxes = [band_of(masked_half(grid, lead, seed=60 + k), grid)
+                 for k, lead in enumerate(leads)]
+        rng = np.random.default_rng(61)
+        values = [rng.standard_normal(lead + grid.shape) for lead in leads]
+        got = [irfft_band(box, grid) for box in boxes] + rfft_bands(values, grid)
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_drain", serial_drain)
+            want = ([irfft_band(box, grid) for box in boxes]
+                    + [rfft_band(vals, grid) for vals in values])
+        for ours, serial in zip(got, want, strict=True):
+            assert ours.shape == serial.shape and ours.tobytes() == serial.tobytes()
+
     def test_numpy_transforms_each_line_on_its_own(self):
         # the band pair and the two-thread split both rest on this: numpy's
         # 1-D FFT of some lines equals those lines of the whole batch, bit
@@ -441,6 +490,78 @@ class TestBandPair:
             assert np.fft.rfft(x[sub], axis=0, norm="forward").tobytes() == whole[sub].tobytes()
             assert (np.fft.irfft(whole[sub], 48, axis=0, norm="forward").tobytes()
                     == back[sub].tobytes())
+
+
+def on_pool_thread() -> bool:
+    return threading.current_thread().name.startswith("shearks-fft")
+
+
+class TestDrain:
+    """spectral._drain: the caller and one pool thread take a 3D stage's
+    tasks from one queue; errors reach the caller once both have stopped."""
+
+    def test_grids_up_to_32_cubed_run_whole_on_the_caller(self):
+        for grid, pieces in ((GridSpec((32, 32, 32)), 1), (GridSpec((32, 32, 34)), 4),
+                             (GridSpec((128, 128)), 1)):
+            seen = []
+            over_slabs(lambda s: seen.append((s, threading.current_thread())), 17, grid)
+            assert len(seen) == pieces
+            if pieces == 1:
+                assert seen == [(slice(0, 17), threading.current_thread())]
+
+    @pytest.mark.usefixtures("threads_on_small_grids")
+    def test_slabs_cover_the_range_once(self):
+        for grid, n, pieces in ((GridSpec((48, 48, 48)), 25, 4), (THREAD_GRIDS[1], 9, 4),
+                                (GridSpec((16, 10, 12)), 3, 3), (GRID2, 17, 1)):
+            seen = []
+            over_slabs(seen.append, n, grid)
+            assert len(seen) == pieces
+            assert sorted(i for s in seen for i in range(n)[s]) == list(range(n))
+
+    @pytest.mark.usefixtures("threads_on_small_grids")
+    def test_a_pool_thread_error_reaches_the_caller(self):
+        # the caller holds its first slab until the pool thread has taken
+        # one, which makes inf - inf under the caller's invalid="raise"
+        taken, ran = threading.Event(), []
+
+        def stage(s):
+            if not on_pool_thread():
+                assert taken.wait(timeout=60)
+                return
+            ran.append(s)
+            taken.set()
+            np.subtract(np.full(4, np.inf), np.inf)
+        with np.errstate(invalid="raise"):
+            with pytest.raises(FloatingPointError, match="invalid"):
+                over_slabs(stage, 9, THREAD_GRIDS[1])
+        assert len(ran) == 1  # no task starts after the error
+
+    @pytest.mark.usefixtures("threads_on_small_grids")
+    def test_the_caller_raises_after_the_pool_thread_stops(self):
+        started, finished = threading.Event(), []
+
+        def stage(s):
+            if on_pool_thread():
+                started.set()
+                time.sleep(0.2)
+                finished.append(s)
+            else:
+                assert started.wait(timeout=60)
+                raise ValueError("caller's slab")
+        with pytest.raises(ValueError, match="caller's slab"):
+            over_slabs(stage, 9, THREAD_GRIDS[1])
+        assert len(finished) == 1
+
+    @pytest.mark.usefixtures("threads_on_small_grids")
+    def test_fill_equals_one_concatenation(self):
+        # the k1 < 0 half in one piece: the mirror planes n1/2-1..1, reversed
+        for grid in (GridSpec((48, 48, 48)), THREAD_GRIDS[1], GRID2, GridSpec((16,))):
+            for lead in ((), (3,)):
+                half = random_half(grid, lead, seed=62)
+                axis = half.ndim - grid.dim
+                mirror = half[(slice(None),) * axis + (slice(grid.shape[0] // 2 - 1, 0, -1),)]
+                want = np.concatenate([half, conj_reverse(mirror, grid.dim - 1)], axis=axis)
+                assert fill(half, grid).tobytes() == want.tobytes()
 
 
 class TestOperators:
@@ -528,7 +649,7 @@ class TestLeray:
     def test_projector_properties(self):
         u = random_real_field(GRID3, seed=6, components=3)
         p = leray_project(u)
-        assert l2_norm(divergence(p)) <= 1e-12 * l2_norm(u)
+        assert l2_norm(divergence(p, GRID3.k_mesh())) <= 1e-12 * l2_norm(u)
         pp = leray_project(p)
         assert np.max(np.abs(pp.coeffs - p.coeffs)) < 1e-13
         assert l2_norm(p) <= l2_norm(u) + 1e-14
