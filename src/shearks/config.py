@@ -1,16 +1,20 @@
-"""Plain key = value run configuration.
+"""Plain key = value run configuration: the one run schema.
 
 One flat namespace, '#' comments, unknown keys rejected, later assignments
-win (the CLI appends its overrides below the file's text).  Scenario-level
-requirements are checked here; the physical and numerical parameters are
-checked once, by the solver's ``Params``, which validation builds.
+win (the CLI appends its overrides below the file's text).  A ``RunConfig``
+is also what the solver reads: ``params_of`` resolves its two
+velocity-dependent defaults and makes the checks every run needs, and
+``validate_config`` adds the scenario requirements and the ranges of the
+other keys, so that no value reaches a run that would crash it or pass
+vacuously.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 
-from .solver import Params
 from .spectral import GridSpec
 
 SCENARIOS = ("simulate", "sweep_mass", "rate_fit", "check")
@@ -40,12 +44,15 @@ def _parse_optional_float(s: str):
 
 @dataclass
 class RunConfig:
+    """The one run schema: every key of a config file, and, as ``params_of``
+    returns it, the parameters the solver reads."""
+
     scenario: str = "simulate"
     dim: int = 2
     nx: int = 64
     ny: int = 64
     nz: int = 0
-    A: float = 1.0
+    A: float = 1.0                       # Couette amplitude; diffusivity is 1/A
     enable_shear: bool = True
     enable_chemotaxis: bool = True
     enable_velocity: bool | None = None   # defaults to (dim == 3)
@@ -68,8 +75,8 @@ class RunConfig:
     init_seed: int = 0
     init_slope: float = 2.0
 
-    # initial velocity
-    u_kind: str = "none"
+    # initial velocity: the zero-mode pair when u_eps > 0, the fluctuation
+    # when u_amplitude > 0
     u_eps: float = 0.0
     u_seed: int = 1
     u_amplitude: float = 0.0   # non-zero-mode scale
@@ -80,6 +87,16 @@ class RunConfig:
     workers: int = 1
     suite: str = "all"
     samples: int = 100
+
+    @property
+    def grid(self) -> GridSpec:
+        """The collocation grid of dim, nx, ny (and nz in 3D), one instance per shape."""
+        return _grid(self.dim, self.nx, self.ny, self.nz)
+
+
+@lru_cache(maxsize=32)
+def _grid(dim: int, nx: int, ny: int, nz: int) -> GridSpec:
+    return GridSpec((nx, ny) if dim == 2 else (nx, ny, nz))
 
 
 _CONVERTERS = {
@@ -124,13 +141,12 @@ def parse_config(text: str) -> RunConfig:
 def validate_config(cfg: RunConfig):
     if cfg.scenario not in SCENARIOS:
         raise ConfigError(f"scenario must be one of {SCENARIOS}, got {cfg.scenario!r}")
-    if cfg.dim not in (2, 3):
-        raise ConfigError(f"dim must be 2 or 3, got {cfg.dim}")
     sizes = [("nx", cfg.nx), ("ny", cfg.ny)] + ([("nz", cfg.nz)] if cfg.dim == 3 else [])
     for name, n in sizes:
         if n < 8 or n % 2 != 0:
             raise ConfigError(f"{name}: n_modes must be even and >= 8, got {n}")
-    if cfg.scenario == "simulate" and cfg.mass <= 0:
+    # written as "not (x > bound)" so that a nan is rejected too
+    if cfg.scenario == "simulate" and not cfg.mass > 0:
         raise ConfigError("mass: required positive for simulate runs")
     if cfg.scenario == "sweep_mass" and not cfg.masses:
         raise ConfigError("masses: sweep_mass needs a nonempty mass list")
@@ -140,28 +156,45 @@ def validate_config(cfg: RunConfig):
         raise ConfigError(f"suite: must be one of {CHECK_SUITES}, got {cfg.suite!r}")
     if cfg.init_kind not in ("gaussian", "random"):
         raise ConfigError(f"init_kind: unknown kind {cfg.init_kind!r}")
-    if cfg.u_kind not in ("none", "zero_mode", "random"):
-        raise ConfigError(f"u_kind: unknown kind {cfg.u_kind!r}")
+    if not cfg.init_width > 0:
+        raise ConfigError(f"init_width: must be positive, got {cfg.init_width}")
+    if not all(m > 0 for m in cfg.masses):
+        raise ConfigError(f"masses: every mass must be positive, got {cfg.masses}")
+    if not all(a >= 1 for a in cfg.a_values):
+        raise ConfigError(f"a_values: every shear amplitude must be >= 1, got {cfg.a_values}")
+    for key in ("u_eps", "u_amplitude", "checkpoint_every"):
+        if not getattr(cfg, key) >= 0:
+            raise ConfigError(f"{key}: must be >= 0, got {getattr(cfg, key)}")
     if cfg.workers < 1:
         raise ConfigError("workers: must be >= 1")
-    params_of(cfg)  # the solver parameters carry the physical checks
+    if cfg.samples < 1:
+        raise ConfigError(f"samples: must be >= 1, got {cfg.samples}")
+    params_of(cfg)  # the checks every run makes
 
 
 def grid_of(cfg: RunConfig) -> GridSpec:
-    shape = (cfg.nx, cfg.ny) if cfg.dim == 2 else (cfg.nx, cfg.ny, cfg.nz)
-    return GridSpec(shape)
+    return cfg.grid
 
 
-def params_of(cfg: RunConfig) -> Params:
-    """Solver parameters: every Params field RunConfig shares by name, plus
-    the grid, A as the amplitude and the two velocity-dependent defaults."""
-    shared = {f.name for f in fields(RunConfig)}
-    kw = {f.name: getattr(cfg, f.name) for f in fields(Params) if f.name in shared}
+def params_of(cfg: RunConfig) -> RunConfig:
+    """A run's parameters: cfg with enable_velocity (default dim == 3) and
+    track_decomposition (default: velocity runs) resolved, once the values a
+    run reads are checked; a bad one raises ConfigError naming its key."""
     velocity = cfg.enable_velocity if cfg.enable_velocity is not None else cfg.dim == 3
     track_dec = cfg.track_decomposition if cfg.track_decomposition is not None else velocity
-    kw.update(grid=grid_of(cfg), amplitude=cfg.A, enable_velocity=velocity,
-              track_decomposition=track_dec and velocity)
-    try:
-        return Params(**kw)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    if cfg.dim not in (2, 3):
+        raise ConfigError(f"dim: must be 2 or 3, got {cfg.dim}")
+    if not cfg.A >= 1.0:
+        raise ConfigError(f"A: shear amplitude A must be >= 1, got {cfg.A}")
+    if cfg.dim == 2 and velocity:
+        raise ConfigError("enable_velocity: 2D mode drops the fluid; the fluid needs dim = 3")
+    if not 0 < cfg.t_end < math.inf:
+        raise ConfigError(f"t_end: must be positive and finite, got {cfg.t_end}")
+    for key in ("dt_max", "output_every"):
+        if not getattr(cfg, key) > 0:
+            raise ConfigError(f"{key}: must be positive, got {getattr(cfg, key)}")
+    if cfg.fixed_dt is not None and not cfg.fixed_dt > 0:
+        raise ConfigError(f"fixed_dt: must be positive or none, got {cfg.fixed_dt}")
+    if not cfg.drop_tol >= 0:
+        raise ConfigError(f"drop_tol: must be >= 0, got {cfg.drop_tol}")
+    return replace(cfg, enable_velocity=velocity, track_decomposition=track_dec and velocity)

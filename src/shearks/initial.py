@@ -23,8 +23,10 @@ def build_density(cfg: RunConfig, grid: GridSpec) -> SpectralField:
 
 
 def build_velocity(cfg: RunConfig, grid: GridSpec) -> SpectralField:
+    """The solenoidal zero-mode pair when u_eps > 0 plus the Leray-projected
+    fluctuation when u_amplitude > 0; zero when both are 0."""
     u = zeros(grid, components=3)
-    if cfg.u_kind in ("zero_mode", "random") and cfg.u_eps > 0:
+    if cfg.u_eps > 0:
         # solenoidal x-independent (u2, u3) with ||u2_0||_H2 + ||u3_0||_H1 = u_eps
         u0 = solenoidal_zero_mode(grid, seed=cfg.u_seed, slope=3.0)
         size = (sobolev_norm(zero_mode(u0.component(1)), 2)
@@ -32,7 +34,7 @@ def build_velocity(cfg: RunConfig, grid: GridSpec) -> SpectralField:
         if size > 0:
             u0.coeffs *= cfg.u_eps / size
         u.coeffs += u0.coeffs
-    if cfg.u_kind == "random" and cfg.u_amplitude > 0:
+    if cfg.u_amplitude > 0:
         fluct = fluctuation_only(random_smooth(grid, seed=cfg.u_seed + 1000,
                                                slope=3.0, components=3))
         fluct = leray_project(fluct)

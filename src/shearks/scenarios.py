@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, grid_of, params_of
+from .config import ConfigError, RunConfig, params_of
 from .diagnostics import compute_kappa_rho, kappa_identity_residual
 from .inequalities import check_elliptic, check_poincare, gns_ratio, loghls_scan
 from .initial import build_initial_state
@@ -56,7 +56,7 @@ def run_simulate(cfg: RunConfig, init: State | None = None,
 
 def run_resume(cfg: RunConfig, checkpoint_path) -> dict:
     state, A = read_checkpoint(checkpoint_path)
-    if state.n.grid.shape != grid_of(cfg).shape:
+    if state.n.grid != cfg.grid:
         raise ConfigError("resume: checkpoint grid does not match config grid")
     if not math.isclose(A, cfg.A, rel_tol=1e-12):
         raise ConfigError(f"resume: checkpoint A = {A} differs from config A = {cfg.A}")
@@ -128,7 +128,7 @@ def run_rate_fit(cfg: RunConfig) -> dict:
     time; the dropped fraction is reported per amplitude and the tail gate
     is irrelevant for a passive transit.
     """
-    grid = grid_of(cfg)
+    grid = cfg.grid
     per_a = []
     for A in cfg.a_values:
         horizon = max(cfg.t_end, 4.0 * A ** (1.0 / 3.0))

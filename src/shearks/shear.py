@@ -6,7 +6,7 @@ index k represents the physical wavevector (k1, k2 - k1*drift, k3).  In this
 frame advection is exact bookkeeping and diffusion reduces to a closed-form
 integrating factor per mode.  Only k1 and k2 enter the sheared part, so the
 factor separates into a (k1, k2) plane and, in 3D, a k3 line.  This module
-holds the frame, the effective wavevector and that factor.  The propagator
+holds the frame, the frame's wavevectors and that factor.  The propagator
 that applies it, and relabels the coefficients (Rogallo remap) once |drift|
 reaches REMAP_THRESHOLD, is ``solver._step_operator``.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import ContractViolation, GridSpec
+from .spectral import ContractViolation
 
 REMAP_THRESHOLD = 1.0
 
@@ -34,29 +34,17 @@ class ShearFrame:
             raise ContractViolation(f"drift {self.drift} beyond remap threshold")
 
 
-def effective_wavevector(k, drift: float):
-    """Physical wavevector of a mode stored at integer index k.
+def frame_k_mesh(params, drift: float) -> list[np.ndarray]:
+    """Wavevectors of a run's fields at this drift, broadcastable over its grid.
 
-    Only the second component is sheared: (k1, k2 - k1*drift, k3, ...).
-    Accepts scalars or arrays per component.
+    With ``params.enable_shear`` a mode stored at integer index k is the
+    physical (k1, k2 - k1*drift, k3): only the second component is sheared.
+    Otherwise they are the grid's integer lattice.
     """
-    k = [np.asarray(c, dtype=float) for c in k]
-    if len(k) >= 2:
+    k = params.grid.k_mesh()
+    if params.enable_shear:
         k[1] = k[1] - k[0] * drift
     return k
-
-
-def effective_k_mesh(grid: GridSpec, drift: float) -> list[np.ndarray]:
-    """Broadcastable effective wavevector components for a whole grid."""
-    return effective_wavevector(grid.k_mesh(), drift)
-
-
-def frame_k_mesh(params, drift: float) -> list[np.ndarray]:
-    """Wavevectors of a run's fields at this drift: the effective mesh when
-    ``params.enable_shear``, the grid's integer lattice otherwise."""
-    if params.enable_shear:
-        return effective_k_mesh(params.grid, drift)
-    return params.grid.k_mesh()
 
 
 def _shear_exponent(k1, k2, dt: float, drift0: float):

@@ -30,6 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import diagnostics, spectral
+from .config import RunConfig
 from .inequalities import free_energy, is_positive
 from .modes import zero_mode
 from .shear import REMAP_THRESHOLD, ShearFrame, frame_k_mesh, integrating_factor
@@ -76,40 +77,6 @@ STATUS_UNRESOLVED = "unresolved"
 
 CFL = 0.4        # explicit speeds may cross this fraction of a cell per step
 DT_MIN = 1e-12   # a step below this aborts the run as unresolved
-
-
-@dataclass
-class Params:
-    """Physical and numerical parameters of one run."""
-
-    grid: GridSpec
-    amplitude: float = 1.0          # Couette amplitude A; diffusivity is 1/A
-    enable_shear: bool = True
-    enable_chemotaxis: bool = True
-    enable_velocity: bool = True
-    t_end: float = 10.0
-    dt_max: float = 0.05
-    fixed_dt: float | None = None
-    monitor_positivity: bool = True
-    monitor_tail: bool = True
-    drop_tol: float = 1e-6
-    track_decomposition: bool = False
-    track_energies: bool = True
-    output_every: float = 0.5
-
-    def __post_init__(self):
-        if self.grid.dim not in (2, 3):
-            raise ValueError("runs need a 2D or 3D grid")
-        if self.amplitude < 1.0:
-            raise ValueError("shear amplitude A must be >= 1")
-        if self.grid.dim == 2 and self.enable_velocity:
-            raise ValueError("2D mode drops the fluid; enable_velocity needs dim = 3")
-        if self.t_end <= 0 or self.dt_max <= 0 or self.output_every <= 0:
-            raise ValueError("t_end, dt_max and output_every must be positive")
-
-    @property
-    def A(self) -> float:
-        return self.amplitude
 
 
 @dataclass
@@ -327,13 +294,13 @@ def tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: float, 
     return StageEval(rhs_n=rhs_n, rhs_u=rhs_u, max_u=max_u, max_chemo=max_chemo, **fields)
 
 
-def _evaluate(n_h: np.ndarray, u_h: np.ndarray | None, params: Params,
+def _evaluate(n_h: np.ndarray, u_h: np.ndarray | None, params: RunConfig,
               drift: float, need_aux: bool) -> StageEval:
     return tendency(n_h, u_h, params.grid, params.A, frame_k_mesh(params, drift),
                     params.enable_chemotaxis, tilt=params.enable_shear, need_aux=need_aux)
 
 
-def choose_dt(params: Params, ev: StageEval | None, t_remaining: float) -> float:
+def choose_dt(params: RunConfig, ev: StageEval | None, t_remaining: float) -> float:
     """CFL-limited step from the explicit velocities; shear is exempt.
 
     ev is None when the step has no explicit term (zero speeds).  A
@@ -365,7 +332,7 @@ class StepInfo:
     dropped_u: float = 0.0
 
 
-def _step_operator(params: Params, frame: ShearFrame, t: float, dt: float):
+def _step_operator(params: RunConfig, frame: ShearFrame, t: float, dt: float):
     """The exact shear + diffusion propagator over [t, t+dt], and the new frame.
 
     Returns ``apply(base, rhs=None, h=0.0, after=None, lost=True) -> (half,
@@ -457,7 +424,7 @@ def _real_field(half: np.ndarray, grid: GridSpec, mesh=None) -> SpectralField:
     return SpectralField(grid, full)
 
 
-def step(state: State, params: Params, t_stop: float | None = None,
+def step(state: State, params: RunConfig, t_stop: float | None = None,
          tracker: "diagnostics.DecompositionTracker | None" = None) -> tuple[State, StepInfo]:
     """Advance one Heun step composed with the exact shear propagator.
 
@@ -500,7 +467,7 @@ def step(state: State, params: Params, t_stop: float | None = None,
     return new_state, StepInfo(dt=dt, dropped_n=dropped_n, dropped_u=dropped_u)
 
 
-def tail_ratio(n: SpectralField, params: Params, drift: float) -> float:
+def tail_ratio(n: SpectralField, params: RunConfig, drift: float) -> float:
     """Fraction of fluctuation energy at |k_eff| in the top third of the band,
     summed over the k1 >= 0 half with its Parseval weights."""
     grid = params.grid
@@ -519,7 +486,7 @@ class RunResult:
     status: str
     rows: list
     final_state: State
-    params: Params
+    params: RunConfig
     monitor: BlowupMonitor
     ledger: "diagnostics.EnergyLedger | None" = None
     tracker: "diagnostics.DecompositionTracker | None" = None
@@ -527,7 +494,7 @@ class RunResult:
     dropped_u: float = 0.0          # velocity energy dropped at remaps (absolute)
 
 
-def _row(state: State, params: Params, dt: float, status: str,
+def _row(state: State, params: RunConfig, dt: float, status: str,
          dropped_frac: float, ledger, n_vals: np.ndarray) -> dict:
     """One series row; n_vals are the collocation values of state.n."""
     n, u = state.n, state.u
@@ -560,7 +527,7 @@ def _non_finite(state: State) -> str:
     return f"non-finite {' and '.join(bad)} coefficients" if bad else ""
 
 
-def run(params: Params, init: State, on_sample=None) -> RunResult:
+def run(params: RunConfig, init: State, on_sample=None) -> RunResult:
     """Integrate to t_end or until the blow-up monitor fires.
 
     on_sample, when given, is called with (state, row) at every emitted

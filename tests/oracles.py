@@ -29,21 +29,23 @@ Parseval-weighted k1 >= 0 halves.  ``masked_tendency`` is the tendency
 assembled on whole k1 >= 0 halves with every dealiased product multiplied by
 the 2/3-rule mask, the bit-for-bit reference (up to the sign of exact zeros)
 of ``solver.tendency``, which transforms and assembles the band box alone.
+``run_params`` is no oracle: it is how every test builds a run's parameters
+on a test grid, through ``config.params_of`` like the program itself.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from shearks import solver
+from shearks.config import RunConfig, params_of
 from shearks.diagnostics import kappa_values
 from shearks.modes import fluctuation_only, zero_mode
 from shearks.seriesio import CheckpointError
-from shearks.shear import REMAP_THRESHOLD, ShearFrame, effective_k_mesh, frame_k_mesh, \
-    integrating_factor
+from shearks.shear import REMAP_THRESHOLD, ShearFrame, frame_k_mesh, integrating_factor
 from shearks.spectral import (
     ContractViolation,
     GridSpec,
@@ -64,6 +66,14 @@ from shearks.spectral import (
     sobolev_norm,
     values_of,
 )
+
+
+def run_params(grid: GridSpec, **kw) -> RunConfig:
+    """``params_of`` of a RunConfig on grid's shape with the keys kw; the
+    fluid is on in 3D and off in 2D, and the tracker off, unless kw says."""
+    cfg = RunConfig(dim=grid.dim, **dict(zip(("nx", "ny", "nz"), grid.shape)),
+                    enable_velocity=grid.dim == 3, track_decomposition=False)
+    return params_of(replace(cfg, **kw))
 
 
 @lru_cache(maxsize=32)
@@ -258,14 +268,12 @@ def residual_omega2(state_before, state_after, params) -> float:
     grid = params.grid
     A = params.A
     drift_mid = 0.5 * (sb.frame.drift + sa.frame.drift)
-    mesh = effective_k_mesh(grid, drift_mid) if params.enable_shear else grid.k_mesh()
+    mesh = frame_k_mesh(params, drift_mid)
 
     u_mid = SpectralField(grid, 0.5 * (sb.u.coeffs + sa.u.coeffs))
     n_mid = SpectralField(grid, 0.5 * (sb.n.coeffs + sa.n.coeffs))
-    w_before = compute_omega2(sb.u, k_mesh=effective_k_mesh(grid, sb.frame.drift)
-                              if params.enable_shear else None)
-    w_after = compute_omega2(sa.u, k_mesh=effective_k_mesh(grid, sa.frame.drift)
-                             if params.enable_shear else None)
+    w_before = compute_omega2(sb.u, k_mesh=frame_k_mesh(params, sb.frame.drift))
+    w_after = compute_omega2(sa.u, k_mesh=frame_k_mesh(params, sa.frame.drift))
     fd = (w_after.coeffs - w_before.coeffs) / dt
 
     k2 = np.zeros(grid.shape)

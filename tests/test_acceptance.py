@@ -18,7 +18,7 @@ from shearks.sampling import fluctuation_only, gaussian_bump, random_smooth
 from shearks.scenarios import run_rate_fit, run_resume, run_simulate, run_sweep_mass
 from shearks.seriesio import checkpoint_bytes, state_from_bytes
 from shearks.shear import ShearFrame
-from shearks.solver import Params, State, run, step
+from shearks.solver import State, run, step
 from shearks.spectral import (
     GridSpec,
     RealField,
@@ -39,6 +39,7 @@ from oracles import (
     inverse_transform,
     l2_norm_values,
     read_series,
+    run_params,
 )
 
 EIGHT_PI = 8.0 * np.pi
@@ -67,7 +68,6 @@ def suppression_run(tmp_path_factory):
         A = 1e4
         mass = {MASS_3D}
         init_width = 0.5
-        u_kind = random
         u_eps = 0.01
         u_amplitude = 0.05
         u_seed = 11
@@ -124,10 +124,10 @@ def passive_runs():
 
     out = {}
     for A in (1.0, 1e2, 1e4):
-        params = Params(grid=grid, amplitude=A, enable_shear=True,
-                        enable_chemotaxis=False, enable_velocity=False,
-                        t_end=10.0, dt_max=0.25, output_every=2.5,
-                        track_energies=False, monitor_tail=False)
+        params = run_params(grid, A=A, enable_shear=True,
+                            enable_chemotaxis=False, enable_velocity=False,
+                            t_end=10.0, dt_max=0.25, output_every=2.5,
+                            track_energies=False, monitor_tail=False)
         result = run(params, State(t=0.0, n=f0.copy(), u=None, frame=ShearFrame()))
         exact, drift, _ = exact_passive_scalar(f0, t=10.0, A=A)
         out[A] = (result, exact, drift)
@@ -199,10 +199,10 @@ def test_c04_zero_mode_heat_decay():
     A, t_end = 50.0, 25.0
     _, y = grid.coordinate_mesh()
     f0 = from_values(grid, np.sin(y) + np.zeros(grid.shape))
-    params = Params(grid=grid, amplitude=A, enable_shear=True,
-                    enable_chemotaxis=False, enable_velocity=False,
-                    t_end=t_end, dt_max=0.25, output_every=5.0,
-                    track_energies=False, monitor_tail=False)
+    params = run_params(grid, A=A, enable_shear=True,
+                        enable_chemotaxis=False, enable_velocity=False,
+                        t_end=t_end, dt_max=0.25, output_every=5.0,
+                        track_energies=False, monitor_tail=False)
     result = run(params, State(t=0.0, n=f0.copy(), u=None, frame=ShearFrame()))
     rows = result.rows
     rate = -math.log(rows[-1]["n_l2"] / rows[0]["n_l2"]) / rows[-1]["t"]
@@ -348,9 +348,9 @@ def test_c11_self_convergence():
     n = gaussian_bump(grid, width=1.0, mass=0.5 * EIGHT_PI)
 
     def final(dt):
-        params = Params(grid=grid, amplitude=1.0, enable_shear=False,
-                        enable_velocity=False, t_end=0.2, fixed_dt=dt,
-                        dt_max=dt, output_every=0.2, track_energies=False)
+        params = run_params(grid, A=1.0, enable_shear=False,
+                            enable_velocity=False, t_end=0.2, fixed_dt=dt,
+                            dt_max=dt, output_every=0.2, track_energies=False)
         state = State(t=0.0, n=n.copy(), u=None, frame=ShearFrame())
         while state.t < 0.2 - 1e-12:
             state, _ = step(state, params, t_stop=0.2)

@@ -2,6 +2,7 @@
 
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from shearks.initial import build_initial_state
 from shearks.modes import split_bar_tilde, split_x
 from shearks.sampling import gaussian_bump, random_smooth
 from shearks.shear import ShearFrame
-from shearks.solver import Params, State, run, step
+from shearks.solver import State, run, step
 from shearks.spectral import (
     ContractViolation,
     GridSpec,
@@ -33,7 +34,7 @@ from shearks.spectral import (
     zeros,
 )
 
-from oracles import compute_omega2, from_values, full_spectrum_ledger, residual_omega2
+from oracles import compute_omega2, from_values, full_spectrum_ledger, residual_omega2, run_params
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 GRID3 = GridSpec((16, 16, 16))
@@ -70,14 +71,11 @@ class TestVorticity:
             compute_omega2(zeros(GridSpec((16, 16)), components=2))
 
 
-def small_3d_params(**kw):
-    # 16^3 is too coarse for the spectral-tail gate; these tests target
-    # decomposition and residual fidelity, not blow-up detection
-    defaults = dict(amplitude=8.0, enable_shear=True, enable_velocity=True,
-                    t_end=1.0, dt_max=0.01, output_every=0.2,
-                    track_energies=False, monitor_tail=False)
-    defaults.update(kw)
-    return Params(grid=GRID3, **defaults)
+# 16^3 is too coarse for the spectral-tail gate; these tests target
+# decomposition and residual fidelity, not blow-up detection
+sheared_3d_params = partial(run_params, GRID3, A=8.0, enable_shear=True, t_end=1.0,
+                            dt_max=0.01, output_every=0.2, track_energies=False,
+                            monitor_tail=False)
 
 
 def smooth_3d_state(seed=0, u_scale=0.05):
@@ -89,7 +87,7 @@ def smooth_3d_state(seed=0, u_scale=0.05):
 
 class TestResidualOmega2:
     def test_equilibrium_zero_residual(self):
-        params = small_3d_params(fixed_dt=1e-3)
+        params = sheared_3d_params(fixed_dt=1e-3)
         n = from_values(GRID3, np.full(GRID3.shape, 1.0))
         state = State(t=0.0, n=n, u=zeros(GRID3, components=3), frame=ShearFrame())
         after, _ = step(state, params)
@@ -98,7 +96,7 @@ class TestResidualOmega2:
     def test_second_order_in_dt(self):
         resids = []
         for dt in (4e-3, 2e-3, 1e-3):
-            params = small_3d_params(fixed_dt=dt)
+            params = sheared_3d_params(fixed_dt=dt)
             state = smooth_3d_state()
             after, _ = step(state, params)
             resids.append(residual_omega2(state, after, params))
@@ -106,7 +104,7 @@ class TestResidualOmega2:
         assert min(orders) >= 1.8
 
     def test_grid_mismatch_rejected(self):
-        params = small_3d_params(fixed_dt=1e-3)
+        params = sheared_3d_params(fixed_dt=1e-3)
         state = smooth_3d_state()
         other = State(t=0.1, n=zeros(GridSpec((8, 8, 8))),
                       u=zeros(GridSpec((8, 8, 8)), components=3), frame=ShearFrame())
@@ -159,8 +157,8 @@ class TestKappaRho:
 
 class TestDecompositionTracker:
     def test_sum_matches_u1_zero_mode(self):
-        params = small_3d_params(track_decomposition=True, track_energies=False,
-                                 fixed_dt=5e-3, t_end=0.5, output_every=0.1)
+        params = sheared_3d_params(track_decomposition=True, track_energies=False,
+                                   fixed_dt=5e-3, t_end=0.5, output_every=0.1)
         state = smooth_3d_state(seed=2, u_scale=0.05)
         result = run(params, state)
         assert result.status == "suppressed"
@@ -174,8 +172,8 @@ class TestDecompositionTracker:
         assert diff <= 1e-11 * max(l2_norm(u1_0), 1e-30)
 
     def test_bar_b1_exact_linear_growth(self):
-        params = small_3d_params(track_decomposition=True, fixed_dt=5e-3,
-                                 t_end=0.5, output_every=0.1)
+        params = sheared_3d_params(track_decomposition=True, fixed_dt=5e-3,
+                                   t_end=0.5, output_every=0.1)
         state = smooth_3d_state(seed=3)
         nbar = state.n.coeffs[0, 0, 0].real
         result = run(params, state)
@@ -183,8 +181,8 @@ class TestDecompositionTracker:
         assert split_bar_tilde(result.tracker.B1)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_bar_b2_tracks_mean_u2(self):
-        params = small_3d_params(track_decomposition=True, fixed_dt=5e-3,
-                                 t_end=0.4, output_every=0.1)
+        params = sheared_3d_params(track_decomposition=True, fixed_dt=5e-3,
+                                   t_end=0.4, output_every=0.1)
         state = smooth_3d_state(seed=4)
         ubar2 = 0.02
         state.u.coeffs[1, 0, 0, 0] = ubar2  # constant mean of u2
@@ -196,8 +194,8 @@ class TestDecompositionTracker:
 
     def test_pure_forcing_case(self):
         # n constant, u = 0: B1 = (nbar/A) t exactly, G1 = B2 = 0
-        params = small_3d_params(track_decomposition=True, fixed_dt=2e-3,
-                                 t_end=0.2, output_every=0.05)
+        params = sheared_3d_params(track_decomposition=True, fixed_dt=2e-3,
+                                   t_end=0.2, output_every=0.05)
         n = from_values(GRID3, np.full(GRID3.shape, 2.0))
         state = State(t=0.0, n=n, u=zeros(GRID3, components=3), frame=ShearFrame())
         result = run(params, state)
@@ -209,8 +207,8 @@ class TestDecompositionTracker:
 
     def test_g1_is_heat_flow_of_initial_streamwise_mode(self):
         # n constant and only a u1 zero mode present: G1 undergoes pure heat decay
-        params = small_3d_params(track_decomposition=True, fixed_dt=2e-3,
-                                 t_end=0.2, output_every=0.05)
+        params = sheared_3d_params(track_decomposition=True, fixed_dt=2e-3,
+                                   t_end=0.2, output_every=0.05)
         n = from_values(GRID3, np.full(GRID3.shape, 1.0))
         _, y, _ = GRID3.coordinate_mesh()
         u = zeros(GRID3, components=3)
@@ -261,7 +259,7 @@ class TestEnergyLedger:
 
     def test_lap_u2_term_hand_value(self):
         # u2 = sin(x + z) has |k|^2 = 2, so ||lap u2||^2 = 4 ||u2||^2 = 16 pi^3
-        params = small_3d_params(enable_shear=False, track_energies=True)
+        params = sheared_3d_params(enable_shear=False, track_energies=True)
         n = from_values(GRID3, np.full(GRID3.shape, 1.0))
         u = vec_field(GRID3, fy=lambda x, y, z: np.sin(x + z))
         state = State(t=0.0, n=n, u=u, frame=ShearFrame())
@@ -272,7 +270,7 @@ class TestEnergyLedger:
     def test_zero_bad_part_matches_no_tracker(self):
         # a fresh tracker's bad part is zero, so kappa = 0 takes the frame's
         # transform path; it must report what the path without a frame does
-        params = small_3d_params(track_energies=True, track_decomposition=True)
+        params = sheared_3d_params(track_energies=True, track_decomposition=True)
         state = smooth_3d_state(seed=6)
         tracker = DecompositionTracker.start(params, state)
         assert not np.any(tracker.bad_part().coeffs)
@@ -287,8 +285,8 @@ class TestEnergyLedger:
         assert reports[0]["E52"] > 0.0
 
     def test_monotone_accumulators_on_run(self):
-        params = small_3d_params(track_energies=True, track_decomposition=True,
-                                 fixed_dt=5e-3, t_end=0.4, output_every=0.05)
+        params = sheared_3d_params(track_energies=True, track_decomposition=True,
+                                   fixed_dt=5e-3, t_end=0.4, output_every=0.05)
         state = smooth_3d_state(seed=5)
         rows = run(params, state).rows
         for key in ("E3", "E21", "E11"):
@@ -300,8 +298,8 @@ class TestEnergyLedger:
 
     def test_half_ledger_matches_full_spectrum_oracle(self, monkeypatch):
         # a coupled 16^3 run with the tracker, remapped once near t = 1
-        params = small_3d_params(track_energies=True, track_decomposition=True,
-                                 t_end=1.6, output_every=0.1)
+        params = sheared_3d_params(track_energies=True, track_decomposition=True,
+                                   t_end=1.6, output_every=0.1)
         ref = EnergyLedger(A=params.A)
         reports, epochs = [], set()
 

@@ -1,17 +1,18 @@
 """Config parsing, series/checkpoint round-trips, scenarios and the CLI."""
 
 import math
+import re
 import struct
 import tracemalloc
 import zlib
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from shearks.cli import main as cli_main
-from shearks.config import ConfigError, grid_of, parse_config, params_of
+from shearks.config import ConfigError, RunConfig, grid_of, parse_config, params_of
 from shearks.scenarios import efold_time, run_resume, run_simulate
 from shearks.seriesio import (
     _HEADER,
@@ -51,7 +52,8 @@ class TestParseConfig:
                                       "a_weight = 0.05", "b_weight = 0.08",
                                       "init_center = 3.14, 3.14", "init_amplitude = 1.0",
                                       "init_file = final.pksn", "u_slope = 3.0",
-                                      "loghls_mass = 12.56", "init_kind = file"])
+                                      "loghls_mass = 12.56", "init_kind = file",
+                                      "u_kind = random"])
     def test_fixed_numerics_are_not_keys(self, line):
         key, value = line.split(" = ")
         message = (f"init_kind: unknown kind '{value}'" if key == "init_kind"
@@ -73,6 +75,11 @@ class TestParseConfig:
             parse_config("scenario = sweep_mass\nmass = 1.0")
         with pytest.raises(ConfigError, match="a_values"):
             parse_config("scenario = rate_fit")
+
+    def test_endless_run_rejected(self):
+        # t_end = inf would step until a blow-up, and write nothing before it
+        with pytest.raises(ConfigError, match="t_end: must be positive and finite"):
+            parse_config("scenario = simulate\nmass = 1\nt_end = inf")
 
     @pytest.mark.parametrize("init_kind", ["gaussian", "random"])
     def test_simulate_needs_positive_mass(self, init_kind):
@@ -111,7 +118,6 @@ class TestParseConfig:
             init_width = 0.5
             init_seed = 0
             init_slope = 2.0
-            u_kind = random
             u_eps = 0.01
             u_seed = 1
             u_amplitude = 0.05
@@ -124,6 +130,14 @@ class TestParseConfig:
         cfg = parse_config(text)
         params_ok = params_of(cfg)
         assert params_ok.fixed_dt == 0.001
+
+    def test_readme_lists_every_key_once(self):
+        text = (CONFIGS.parent / "README.md").read_text()
+        table = text.split("| group | keys |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+        # the keys column, without the parenthesised notes on values
+        keys = [key for row in table.splitlines()
+                for key in re.findall(r"`(\w+)`", re.sub(r"\([^()]*\)", "", row.split("|", 2)[2]))]
+        assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
 
 
 class TestSeriesIO:
@@ -433,6 +447,28 @@ class TestCLI:
         conf = tmp_path / "bad.conf"
         conf.write_text("nx = 63\nmass = 1.0")
         assert cli_main(["simulate", "--config", str(conf)]) == 2
+
+    @pytest.mark.parametrize("argv,key", [
+        (["check", "--suite", "gns", "--samples", "0"], "samples"),
+        (["check", "--suite", "elliptic", "--samples", "0"], "samples"),
+        (["simulate", "--mass", "nan"], "mass"),
+        (["simulate", "--mass", "1", "--init_width", "0"], "init_width"),
+        (["sweep-mass", "--masses", "12.566 0"], "masses"),
+        (["simulate", "--mass", "1", "--fixed_dt", "0"], "fixed_dt"),
+        (["simulate", "--mass", "1", "--drop_tol", "-1"], "drop_tol"),
+        (["rate", "--a_values", "1e2 0.5"], "a_values"),
+        (["simulate", "--mass", "1", "--u_eps", "-0.01"], "u_eps"),
+        (["simulate", "--mass", "1", "--u_amplitude", "-0.05"], "u_amplitude"),
+        (["simulate", "--mass", "1", "--checkpoint_every", "-1"], "checkpoint_every"),
+    ], ids=["gns-samples", "elliptic-samples", "mass", "init_width", "masses", "fixed_dt",
+            "drop_tol", "a_values", "u_eps", "u_amplitude", "checkpoint_every"])
+    def test_bad_value_exits_2_naming_the_key(self, tmp_path, capsys, argv, key):
+        # none may crash, pass vacuously, abort as a numerical failure or run
+        # the earlier members of a list before it is refused
+        small = ["--nx", "16", "--ny", "16", "--t_end", "0.05", "--out_dir", str(tmp_path)]
+        assert cli_main(argv + small) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+        assert not any(tmp_path.iterdir())
 
     def test_unknown_override_rejected(self, tmp_path):
         conf = tmp_path / "run.conf"

@@ -18,7 +18,7 @@ from shearks.inequalities import (
 from shearks.sampling import fluctuation_only, gaussian_bump, random_smooth
 from shearks.spectral import ContractViolation, GridSpec
 
-from oracles import free_energy_monotone, from_values, pad_to
+from oracles import free_energy_monotone, from_values, pad_to, run_params
 
 GRID2 = GridSpec((32, 32))
 
@@ -108,12 +108,12 @@ class TestFreeEnergy:
 
     def test_monotone_on_subcritical_run(self):
         from shearks.shear import ShearFrame
-        from shearks.solver import Params, State, run
+        from shearks.solver import State, run
 
         grid = GridSpec((48, 48))
-        params = Params(grid=grid, amplitude=1.0, enable_shear=False,
-                        enable_velocity=False, t_end=0.4, dt_max=2e-3,
-                        output_every=0.05, track_energies=False)
+        params = run_params(grid, A=1.0, enable_shear=False,
+                            enable_velocity=False, t_end=0.4, dt_max=2e-3,
+                            output_every=0.05, track_energies=False)
         n = gaussian_bump(grid, width=0.8, mass=0.5 * 8 * np.pi)
         result = run(params, State(t=0.0, n=n, u=None, frame=ShearFrame()))
         assert result.status == "suppressed"

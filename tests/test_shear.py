@@ -1,16 +1,17 @@
 """Shear-frame kinematics, the propagator and remap, and the exact scalar oracle."""
 
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
 from shearks.modes import split_x
-from shearks.shear import ShearFrame, _shear_exponent, effective_wavevector, integrating_factor
-from shearks.solver import Params, _step_operator
+from shearks.shear import ShearFrame, _shear_exponent, frame_k_mesh, integrating_factor
+from shearks.solver import _step_operator
 from shearks.spectral import GridSpec, SpectralField, fill, halve, l2_norm, values_of, zeros
 
-from oracles import dealias_mask, exact_passive_scalar, from_values
+from oracles import dealias_mask, exact_passive_scalar, from_values, run_params
 from test_spectral import random_real_field
 
 GRID2 = GridSpec((64, 64))
@@ -18,9 +19,8 @@ GRID3 = GridSpec((48, 48, 48))
 GRID128 = GridSpec((128, 128))
 
 
-def passive_params(grid, A):
-    return Params(grid=grid, amplitude=A, enable_shear=True, enable_chemotaxis=False,
-                  enable_velocity=False)
+passive_params = partial(run_params, enable_shear=True, enable_chemotaxis=False,
+                         enable_velocity=False)
 
 
 def test_frame_rejects_unremapped_drift():
@@ -31,14 +31,19 @@ def test_frame_rejects_unremapped_drift():
 
 
 class TestEffectiveWavevector:
+    @staticmethod
+    def at(k, drift):
+        """The sheared frame mesh of a 16^3 grid at integer index k."""
+        grid = GridSpec((16, 16, 16))
+        mesh = frame_k_mesh(run_params(grid, enable_shear=True), drift)
+        return tuple(float(np.broadcast_to(m, grid.shape)[k]) for m in mesh)
+
     def test_zero_mode_unaffected(self):
-        assert effective_wavevector([0, 1, 0], drift=7.3)[1] == 1.0
+        assert self.at((0, 1, 0), drift=7.3)[1] == 1.0
 
     def test_definition(self):
-        k = effective_wavevector([1, 0, 0], drift=0.5)
-        assert (k[0], k[1], k[2]) == (1.0, -0.5, 0.0)
-        k = effective_wavevector([2, 1, 0], drift=1.0)
-        assert (k[0], k[1], k[2]) == (2.0, -1.0, 0.0)
+        assert self.at((1, 0, 0), drift=0.5) == (1.0, -0.5, 0.0)
+        assert self.at((2, 1, 0), drift=1.0) == (2.0, -1.0, 0.0)
 
 
 class TestIntegratingFactor:
@@ -154,7 +159,7 @@ class TestRemap:
         # drift 0.9 + dt 0.7 = 1.6 relabels by two rows in one step
         F = random_real_field(GRID2, seed=5)
         A = 20.0
-        apply, frame = _step_operator(passive_params(GRID2, A), ShearFrame(drift=0.9), 0.0, 0.7)
+        apply, frame = _step_operator(passive_params(GRID2, A=A), ShearFrame(drift=0.9), 0.0, 0.7)
         out, dropped = apply(halve(F.coeffs, GRID2))
         out = fill(out, GRID2)
         exact, drift, exact_dropped = exact_passive_scalar(F, 0.7, A, drift0=0.9)
@@ -168,7 +173,7 @@ class TestRemap:
         # a 3-component 48^3 field: the gather runs over the leading axis too
         U = random_real_field(GRID3, seed=6, components=3)
         A = 50.0
-        apply, frame = _step_operator(passive_params(GRID3, A), ShearFrame(drift=0.8), 0.0, 0.4)
+        apply, frame = _step_operator(passive_params(GRID3, A=A), ShearFrame(drift=0.8), 0.0, 0.4)
         out, dropped = apply(halve(U.coeffs, GRID3))
         out = fill(out, GRID3)
         total = 0.0
@@ -247,7 +252,7 @@ def measured_efold_rate(A, grid):
 
     F = hermitize(SpectralField(grid, coeffs))
     n0 = l2_norm(F)
-    params = passive_params(grid, A)
+    params = passive_params(grid, A=A)
     frame = ShearFrame()
     t, dt = 0.0, 0.05 * A ** (1 / 3)
     cur = halve(F.coeffs, grid)

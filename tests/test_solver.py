@@ -1,6 +1,7 @@
 """Solver tendencies, stepping, conservation and run outcomes."""
 
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,6 @@ from shearks.scenarios import run_simulate
 from shearks.shear import ShearFrame, frame_k_mesh
 from shearks.solver import (
     BlowupMonitor,
-    Params,
     StageEval,
     State,
     choose_dt,
@@ -46,6 +46,7 @@ from oracles import (
     linf_norm,
     min_principle_check,
     min_value,
+    run_params,
     serial_drain,
 )
 
@@ -55,14 +56,9 @@ GRID2 = GridSpec((32, 32))
 GRID3 = GridSpec((16, 16, 16))
 
 
-def make_params(grid, **kw):
-    defaults = dict(
-        amplitude=1.0, enable_shear=False, enable_chemotaxis=True,
-        enable_velocity=(grid.dim == 3), t_end=1.0, dt_max=0.01,
-        output_every=0.25, track_energies=False,
-    )
-    defaults.update(kw)
-    return Params(grid=grid, **defaults)
+# a short unsheared run without the ledger; each test names what else it sets
+short_params = partial(run_params, enable_shear=False, t_end=1.0, dt_max=0.01,
+                       output_every=0.25, track_energies=False)
 
 
 def make_state(grid, n, u=None):
@@ -80,11 +76,11 @@ def rhs(n, u, A, **kw):
 class TestParamsValidation:
     def test_amplitude_constraint(self):
         with pytest.raises(ValueError, match="A must be >= 1"):
-            make_params(GRID2, amplitude=0.5)
+            short_params(GRID2, A=0.5)
 
     def test_2d_has_no_fluid(self):
         with pytest.raises(ValueError, match="2D"):
-            make_params(GRID2, enable_velocity=True)
+            short_params(GRID2, enable_velocity=True)
 
 
 class TestRhsDensity:
@@ -139,14 +135,14 @@ class TestRhsVelocity:
 
 class TestStep:
     def test_constant_state_invariant(self):
-        params = make_params(GRID2, fixed_dt=1e-3)
+        params = short_params(GRID2, fixed_dt=1e-3)
         n = from_values(GRID2, np.full(GRID2.shape, 1.0))
         state = make_state(GRID2, n)
         new, info = step(state, params)
         assert np.max(np.abs(new.n.coeffs - n.coeffs)) < 1e-13
 
     def test_homogeneous_equilibrium_3d(self):
-        params = make_params(GRID3, enable_shear=True, fixed_dt=1e-3, amplitude=10.0)
+        params = short_params(GRID3, enable_shear=True, fixed_dt=1e-3, A=10.0)
         n = from_values(GRID3, np.full(GRID3.shape, 1.0))
         u = zeros(GRID3, components=3)
         state = make_state(GRID3, n, u)
@@ -162,7 +158,7 @@ class TestStep:
         assert np.max(np.abs(rest)) < 1e-13
 
     def test_mass_conservation_many_steps(self):
-        params = make_params(GRID2, fixed_dt=2e-3)
+        params = short_params(GRID2, fixed_dt=2e-3)
         n = gaussian_bump(GRID2, width=1.0, mass=4 * np.pi)
         state = make_state(GRID2, n)
         m0 = state.n.coeffs[0, 0].real
@@ -171,7 +167,7 @@ class TestStep:
         assert abs(state.n.coeffs[0, 0].real - m0) <= 1e-10 * abs(m0)
 
     def test_divergence_free_every_step(self):
-        params = make_params(GRID3, enable_shear=True, amplitude=5.0, fixed_dt=5e-3)
+        params = short_params(GRID3, enable_shear=True, A=5.0, fixed_dt=5e-3)
         n = gaussian_bump(GRID3, width=0.8, mass=10.0)
         u = leray_project(random_smooth(GRID3, seed=5, components=3))
         u.coeffs *= 0.1
@@ -217,14 +213,14 @@ class TestInitialStates:
         assert_real_by_construction(n)
         assert spectral.total_mass(n) == pytest.approx(10.0, rel=1e-12)
 
-    @pytest.mark.parametrize("u_kind", ["zero_mode", "random"])
-    def test_velocity(self, u_kind):
-        cfg = parse_config(f"dim = 3\nnx = 16\nny = 16\nnz = 16\nmass = 10\nu_kind = {u_kind}\n"
-                           "u_eps = 0.01\nu_amplitude = 0.05\nu_seed = 5\n")
+    @pytest.mark.parametrize("u_amplitude", [0.0, 0.05], ids=["zero_mode", "random"])
+    def test_velocity(self, u_amplitude):
+        cfg = parse_config("dim = 3\nnx = 16\nny = 16\nnz = 16\nmass = 10\n"
+                           f"u_eps = 0.01\nu_amplitude = {u_amplitude}\nu_seed = 5\n")
         u = build_initial_state(cfg).u
         assert_real_by_construction(u)
         assert l2_norm(divergence(u, u.grid.k_mesh())) <= 1e-14 * l2_norm(u)
-        assert np.any(u.coeffs[:, 0]) and np.any(u.coeffs[:, 1:]) == (u_kind == "random")
+        assert np.any(u.coeffs[:, 0]) and np.any(u.coeffs[:, 1:]) == (u_amplitude > 0)
 
 
 class TestHalfSpectrumStep:
@@ -346,9 +342,9 @@ class TestDrainedStep:
 class TestPassiveScalarOracle:
     @pytest.mark.parametrize("A", [1.0, 100.0])
     def test_matches_exact_evolution(self, A):
-        params = make_params(
+        params = short_params(
             GRID2, enable_shear=True, enable_chemotaxis=False,
-            amplitude=max(A, 1.0), fixed_dt=0.05, t_end=3.0,
+            A=max(A, 1.0), fixed_dt=0.05, t_end=3.0,
         )
         f = fluctuation_only(random_smooth(GRID2, seed=7))
         state = make_state(GRID2, f)
@@ -371,8 +367,8 @@ class TestPassiveStep:
                 calls[_name] += 1
                 return _orig(*args, **kw)
             monkeypatch.setattr(solver, name, counting)
-        params = make_params(GRID2, enable_shear=True, enable_chemotaxis=False,
-                             amplitude=50.0, fixed_dt=0.3, dt_max=0.3)
+        params = short_params(GRID2, enable_shear=True, enable_chemotaxis=False,
+                              A=50.0, fixed_dt=0.3, dt_max=0.3)
         state = make_state(GRID2, fluctuation_only(random_smooth(GRID2, seed=3)))
         for _ in range(4):  # crosses a remap at drift 1
             apply, frame = solver._step_operator(params, state.frame, state.t, 0.3)
@@ -386,16 +382,16 @@ class TestPassiveStep:
         assert calls == {"_evaluate": 2, "complete_half": 1}
 
     def test_fixed_dt_is_not_clipped_without_t_stop(self):
-        params = make_params(GRID2, enable_shear=True, enable_chemotaxis=False,
-                             amplitude=50.0, fixed_dt=0.3, dt_max=0.01)
+        params = short_params(GRID2, enable_shear=True, enable_chemotaxis=False,
+                              A=50.0, fixed_dt=0.3, dt_max=0.01)
         state = make_state(GRID2, fluctuation_only(random_smooth(GRID2, seed=3)))
         new, info = step(state, params)
         assert info.dt == 0.3 and new.t == 0.3
 
     def test_hermitian_bit_for_bit_across_remaps(self):
         grid = GridSpec((128, 128))
-        params = make_params(grid, enable_shear=True, enable_chemotaxis=False,
-                             amplitude=1e3, fixed_dt=0.05, dt_max=0.05, t_end=3.0)
+        params = short_params(grid, enable_shear=True, enable_chemotaxis=False,
+                              A=1e3, fixed_dt=0.05, dt_max=0.05, t_end=3.0)
         f = full_band_hermitian(grid, seed=11, slope=2.0)
         nyquist = (np.abs(grid.k_mesh()[0]) == 64) | (np.abs(grid.k_mesh()[1]) == 64)
         f.coeffs[nyquist] = 0.0
@@ -410,8 +406,8 @@ class TestPassiveStep:
 
     def test_cached_remap_gather_matches_full_spectrum_step(self):
         grid = GridSpec((128, 128))
-        params = make_params(grid, enable_shear=True, enable_chemotaxis=False,
-                             amplitude=1e3, fixed_dt=0.05, dt_max=0.05, t_end=4.0)
+        params = short_params(grid, enable_shear=True, enable_chemotaxis=False,
+                              A=1e3, fixed_dt=0.05, dt_max=0.05, t_end=4.0)
         solver._remap_gather.cache_clear()
         ours = ref = make_state(grid, random_smooth(grid, seed=12))
         remaps = 0
@@ -436,7 +432,7 @@ class TestSelfConvergence:
         n = gaussian_bump(grid, width=1.2, mass=2 * np.pi)
 
         def final_state(dt):
-            params = make_params(grid, fixed_dt=dt, t_end=0.2, output_every=0.2)
+            params = short_params(grid, fixed_dt=dt, t_end=0.2, output_every=0.2)
             state = make_state(grid, n.copy())
             while state.t < 0.2 - 1e-12:
                 state, _ = step(state, params, t_stop=0.2)
@@ -451,7 +447,7 @@ class TestSelfConvergence:
 
 class TestRun:
     def test_subcritical_2d_suppressed(self):
-        params = make_params(GRID2, t_end=0.5, output_every=0.1, dt_max=5e-3)
+        params = short_params(GRID2, t_end=0.5, output_every=0.1, dt_max=5e-3)
         n = gaussian_bump(GRID2, width=1.0, mass=0.5 * 8 * np.pi)
         result = run(params, make_state(GRID2, n))
         assert result.status == "suppressed"
@@ -460,7 +456,7 @@ class TestRun:
         assert drift <= 1e-8 * result.rows[0]["mass"]
 
     def test_min_principle_on_subcritical_run(self):
-        params = make_params(GRID2, t_end=0.5, output_every=0.1, dt_max=5e-3)
+        params = short_params(GRID2, t_end=0.5, output_every=0.1, dt_max=5e-3)
         n = gaussian_bump(GRID2, width=1.0, mass=0.5 * 8 * np.pi)
         n.coeffs[0, 0] += 0.2  # lift the floor well above round-off
         result = run(params, make_state(GRID2, n))
@@ -515,8 +511,8 @@ class TestSamples:
             return _values_of(F)
         for module in (spectral, solver, inequalities):
             monkeypatch.setattr(module, "values_of", counting)
-        params = make_params(GRID2, t_end=0.5, output_every=0.05, dt_max=5e-3,
-                             track_energies=True)
+        params = short_params(GRID2, t_end=0.5, output_every=0.05, dt_max=5e-3,
+                              track_energies=True)
         n = gaussian_bump(GRID2, width=1.0, mass=4 * np.pi)
         states = []
         result = run(params, make_state(GRID2, n), on_sample=lambda s, row: states.append(s))
@@ -530,8 +526,8 @@ class TestSamples:
 
     def test_tail_ratio_reads_the_half(self):
         # the full-spectrum sum over sheared states, across a remap
-        params = make_params(GRID2, enable_shear=True, enable_chemotaxis=False,
-                             amplitude=10.0, dt_max=0.05)
+        params = short_params(GRID2, enable_shear=True, enable_chemotaxis=False,
+                              A=10.0, dt_max=0.05)
         state = make_state(GRID2, random_smooth(GRID2, seed=5, slope=1.0))
         for _ in range(30):
             state, _ = step(state, params)
@@ -580,7 +576,7 @@ class TestSamples:
                 raise ContractViolation("ledger refused the sample")
             return ledger_update(ledger, state, *args)
         monkeypatch.setattr(diagnostics, "ledger_update", failing_at_half)
-        params = make_params(GRID2, t_end=1.0, output_every=0.25, track_energies=True)
+        params = short_params(GRID2, t_end=1.0, output_every=0.25, track_energies=True)
         n = gaussian_bump(GRID2, width=1.0, mass=4 * np.pi)
         result = run(params, make_state(GRID2, n))
         assert result.status == "unresolved"
@@ -598,7 +594,7 @@ class TestSamples:
             n.coeffs[k] = n.coeffs[tuple(-i for i in k)] = c
         state = make_state(GRID3, n, zeros(GRID3, components=3))
         with np.errstate(over="ignore", invalid="raise"):
-            result = run(make_params(GRID3), state)
+            result = run(short_params(GRID3), state)
         assert result.status == "unresolved" and result.rows == []
         assert "invalid value" in result.monitor.reason
         assert result.monitor.t_event == 0.0
@@ -612,14 +608,14 @@ class TestSamples:
         for k, c in (((1, 2, 3), 1e308), ((2, 1, 3), -1e308)):
             u.coeffs[0][k] = u.coeffs[0][tuple(-i for i in k)] = c
         with np.errstate(over="ignore", invalid="raise"):
-            result = run(make_params(GRID3), make_state(GRID3, n, u))
+            result = run(short_params(GRID3), make_state(GRID3, n, u))
         assert result.status == "unresolved" and len(result.rows) == 1
         assert "invalid value" in result.monitor.reason
         assert result.monitor.t_event == 0.0
 
     @pytest.mark.parametrize("fixed_dt", [None, 0.01])
     def test_choose_dt_rejects_non_finite_speed(self, fixed_dt):
-        params = make_params(GRID2, fixed_dt=fixed_dt)
+        params = short_params(GRID2, fixed_dt=fixed_dt)
         for max_u, max_chemo in ((np.nan, 1.0), (1.0, np.nan), (np.inf, 0.0)):
             ev = StageEval(rhs_n=None, rhs_u=None, max_u=max_u, max_chemo=max_chemo)
             with pytest.raises(ContractViolation, match="non-finite"):

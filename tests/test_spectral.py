@@ -313,15 +313,17 @@ class TestThreadedTransforms:
         script = (
             "import threading\n"
             "import numpy as np\n"
+            "from shearks.config import RunConfig, params_of\n"
             "from shearks.sampling import gaussian_bump\n"
             "from shearks.shear import ShearFrame\n"
-            "from shearks.solver import Params, State, run\n"
+            "from shearks.solver import State, run\n"
             "from shearks.spectral import GridSpec, irfft_x, rfft_x, values_of\n"
             "counts = [threading.active_count()]\n"
             "grid = GridSpec((32, 32))\n"
             "n = gaussian_bump(grid, width=1.0, mass=4 * np.pi)\n"
-            "run(Params(grid=grid, enable_velocity=False, t_end=0.1, dt_max=0.01,\n"
-            "           output_every=0.05), State(t=0.0, n=n, u=None, frame=ShearFrame()))\n"
+            "run(params_of(RunConfig(nx=32, ny=32, enable_velocity=False, t_end=0.1,\n"
+            "                        dt_max=0.01, output_every=0.05)),\n"
+            "    State(t=0.0, n=n, u=None, frame=ShearFrame()))\n"
             "rfft_x(values_of(n), grid)\n"
             "counts.append(threading.active_count())\n"
             "irfft_x(np.zeros((3, 17, 32, 32), dtype=complex), GridSpec((32, 32, 32)))\n"

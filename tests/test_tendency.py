@@ -26,8 +26,8 @@ from shearks.config import params_of, parse_config
 from shearks.diagnostics import DecompositionTracker
 from shearks.initial import build_initial_state
 from shearks.modes import split_x
-from shearks.shear import effective_k_mesh
-from shearks.solver import Params, _evaluate, step
+from shearks.shear import frame_k_mesh
+from shearks.solver import _evaluate, step
 from shearks.spectral import (
     ContractViolation,
     GridSpec,
@@ -39,7 +39,7 @@ from shearks.spectral import (
     place,
 )
 
-from oracles import dealias_mask, full_band_hermitian, masked_evaluate
+from oracles import dealias_mask, full_band_hermitian, masked_evaluate, run_params
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -58,7 +58,7 @@ def _spec(grid, values):
 def oracle(n, u, params, drift):
     """(rhs_n, rhs_u, max_u, max_chemo, q_neq_hat) on full complex spectra."""
     grid = params.grid
-    mesh = effective_k_mesh(grid, drift) if params.enable_shear else grid.k_mesh()
+    mesh = frame_k_mesh(params, drift)
     mesh = [np.broadcast_to(m, grid.shape) for m in mesh]
     dmask = dealias_mask(grid)
     A = params.A
@@ -150,8 +150,7 @@ CASES = [(grid, shear, chemo, drift)
 
 @pytest.mark.parametrize("grid,shear,chemo,drift", CASES)
 def test_kernel_matches_full_complex_oracle(grid, shear, chemo, drift):
-    params = Params(grid=grid, amplitude=7.0, enable_shear=shear, enable_chemotaxis=chemo,
-                    enable_velocity=grid.dim == 3)
+    params = run_params(grid, A=7.0, enable_shear=shear, enable_chemotaxis=chemo)
     n, u = random_state(grid, seed=17)
     if u is None and not chemo:
         # a passive scalar has no tendency: the solver steps it exactly
@@ -181,7 +180,7 @@ def test_kernel_matches_full_complex_oracle(grid, shear, chemo, drift):
 
 @pytest.mark.parametrize("grid", [GRID2, GRID3])
 def test_k1_zero_plane_hermitian_in_band(grid):
-    params = Params(grid=grid, amplitude=3.0, enable_velocity=grid.dim == 3)
+    params = run_params(grid, A=3.0)
     n, u = random_state(grid, seed=5)
     ev = evaluate(n, u, params, 0.37, need_aux=False)
     mask = dealias_mask(grid)
@@ -208,7 +207,7 @@ MASKED_CASES = [(side, dim, velocity, drift) for side in (24, 32)
 @pytest.mark.parametrize("side,dim,velocity,drift", MASKED_CASES)
 def test_band_box_equals_masked_assembly(side, dim, velocity, drift):
     grid = GridSpec((side,) * dim)
-    params = Params(grid=grid, amplitude=7.0, enable_velocity=velocity)
+    params = run_params(grid, A=7.0, enable_velocity=velocity)
     n, u = random_state(grid, seed=23)
     n_h = halve(n.coeffs, grid)
     u_h = halve(u.coeffs, grid) if velocity else None
