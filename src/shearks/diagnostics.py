@@ -4,9 +4,9 @@ Live diagnostics for the solver: weighted space-time norm tracks and the
 energy functionals built from them, the good/bad splitting of the
 streamwise zero-mode velocity via co-evolved cross-section PDEs, and the
 quasi-linear frame quantities kappa, rho1, rho2, W.  Neither builds a full
-spectrum.  The tracker advances its three parts as one (3, ny, nz) stack,
-its stages on k_y >= 0 halves, completed once per step like a solver
-step's.  The ledger sums each norm over the k1 >= 0 half of the field it
+spectrum.  The tracker advances its three parts as one (3, ny, nz) stack
+by the solver's own linear step and completion, its stages on k_y >= 0
+halves.  The ledger sums each norm over the k1 >= 0 half of the field it
 measures, weighted by the half's multiplicities in the full spectrum
 (``spectral.parseval_weights``), and sends its three kappa products through
 one 3D inverse transform and one band forward transform (``rfft_band``).
@@ -19,15 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modes import split_bar_tilde, zero_mode
-from .shear import frame_k_mesh
+from .modes import zero_mode
+from .shear import ShearFrame, frame_k_mesh, linear_step
 from .spectral import (
     ContractViolation,
     GridSpec,
     SpectralField,
     _mesh_k2,
     band_of,
-    complete_half,
     fill,
     halve,
     irfft_band,
@@ -35,6 +34,7 @@ from .spectral import (
     over_k2,
     parseval_weights,
     place,
+    real_field,
     rfft_band,
     rfft_x,
     sobolev_norm,
@@ -141,8 +141,8 @@ class DecompositionTracker:
     density forcing n0/A, B2 the lift-up source -u2_0.
 
     The three are one (3, ny, nz) spectrum, ``parts``, advanced by one Heun
-    step on its k_y >= 0 half with one advection per stage, then completed
-    once; ``G1``, ``B1`` and ``B2`` are full-spectrum views of its rows.
+    step on its k_y >= 0 half with one advection per stage; ``G1``, ``B1``
+    and ``B2`` are full-spectrum views of its rows.
     """
 
     parts: SpectralField
@@ -164,35 +164,39 @@ class DecompositionTracker:
 
     def bad_part(self) -> SpectralField:
         """U2 = tilde(B2) + bar(B2) + bar(B1)."""
+        origin = (0,) * self.cross.dim
         out = self.B2.coeffs.copy()
-        out[(0,) * self.cross.dim] += split_bar_tilde(self.B1)[0]
+        out[origin] += self.B1.coeffs[origin].real
         return SpectralField(self.cross, out)
 
-    def _stage_rhs(self, parts: np.ndarray, A: float, ev) -> np.ndarray:
-        """Tendencies of a (G1, B1, B2) half stack from one stage's aux fields."""
+    def _stage_rhs(self, parts: np.ndarray, A: float, n_h, u_h, ev) -> np.ndarray:
+        """Tendencies of a (G1, B1, B2) half stack from one solver stage: its
+        n and u halves, whose k1 = 0 planes are the zero modes whole, and
+        ``ev.uu_zero``, from which the zero modes' own product leaves
+        (u_j,neq u_1,neq)_0 for j = 2, 3 on the band box."""
         cross = self.cross
         mesh = _box_mesh(cross)
-        adv = _advect(ev.u_zero_vals[1:], irfft_band(band_of(parts, cross), cross), cross)
-        q = ev.q_neq_hat
+        u_zero = halve(u_h[:, 0], cross)
+        u_vals = irfft_band(band_of(u_zero, cross), cross)
+        q = ev.uu_zero - rfft_band(u_vals[1:] * u_vals[0], cross)
+        adv = _advect(u_vals[1:], irfft_band(band_of(parts, cross), cross), cross)
         adv[0] += 1j * mesh[0] * q[0] + 1j * mesh[1] * q[1]
         rhs = -place(adv, cross) / A
-        rhs[1] += ev.n_zero / A
-        rhs[2] -= ev.u_zero[1]
+        rhs[1] += halve(n_h[0], cross) / A
+        rhs[2] -= u_zero[1]
         return rhs
 
-    def advance(self, params, dt, ev1, ev2):
-        """One Heun step mirroring the solver's stages exactly.
-
-        Cross-section fields see no shear: the heat factor below equals the
-        k1 = 0 plane of the solver's propagator.
-        """
-        cross = self.cross
-        heat = np.exp(-halve(cross.k_squared(), cross) * dt / params.A)
+    def advance(self, params, dt, stage1, stage2):
+        """One Heun step mirroring the solver's; a stage is the (n, u) halves
+        a solver stage evaluated and their StageEval.  The parts take the
+        cross-section's unsheared linear step (``linear_step``), the heat
+        flow of the k1 = 0 plane, and the solver's completion."""
+        cross, A = self.cross, params.A
+        apply, _ = linear_step(cross, A, ShearFrame(), 0.0, dt, sheared=False)
         parts = halve(self.parts.coeffs, cross)
-        r1 = self._stage_rhs(parts, params.A, ev1)
-        r2 = self._stage_rhs(heat * (parts + dt * r1), params.A, ev2)
-        new = heat * (parts + 0.5 * dt * r1) + 0.5 * dt * r2
-        self.parts = SpectralField(cross, fill(complete_half(new, cross), cross))
+        r1 = self._stage_rhs(parts, A, *stage1)
+        r2 = self._stage_rhs(apply(parts, r1, dt)[0], A, *stage2)
+        self.parts = real_field(apply(parts, r1, 0.5 * dt, r2)[0], cross)
 
     def du2_dt(self, params, state) -> SpectralField:
         """Time derivative of the bad part, assembled from the equations'

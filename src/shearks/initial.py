@@ -1,5 +1,5 @@
 """Initial states for simulation runs, built from a RunConfig and completed
-like step outputs (``solver._real_field``), so they are real by construction.
+like step outputs (``spectral.real_field``), so they are real by construction.
 """
 
 from __future__ import annotations
@@ -8,8 +8,9 @@ from .config import ConfigError, RunConfig, params_of
 from .modes import fluctuation_only, zero_mode
 from .sampling import gaussian_bump, positive_density, random_smooth, solenoidal_zero_mode
 from .shear import ShearFrame
-from .solver import State, _real_field
-from .spectral import GridSpec, SpectralField, halve, l2_norm, leray_project, sobolev_norm, zeros
+from .solver import State
+from .spectral import (GridSpec, SpectralField, halve, l2_norm, leray_project, real_field,
+                       sobolev_norm, zeros)
 
 
 def build_density(cfg: RunConfig, grid: GridSpec) -> SpectralField:
@@ -19,7 +20,7 @@ def build_density(cfg: RunConfig, grid: GridSpec) -> SpectralField:
         n = positive_density(grid, seed=cfg.init_seed, mass=cfg.mass, slope=cfg.init_slope)
     else:
         raise ConfigError(f"init_kind: unknown kind {cfg.init_kind!r}")
-    return _real_field(halve(n.coeffs, grid), grid)
+    return real_field(halve(n.coeffs, grid), grid)
 
 
 def build_velocity(cfg: RunConfig, grid: GridSpec) -> SpectralField:
@@ -41,7 +42,7 @@ def build_velocity(cfg: RunConfig, grid: GridSpec) -> SpectralField:
         norm = l2_norm(fluct)
         if norm > 0:
             u.coeffs += cfg.u_amplitude / norm * fluct.coeffs
-    return _real_field(halve(u.coeffs, grid), grid, [halve(m, grid) for m in grid.k_mesh()])
+    return real_field(halve(u.coeffs, grid), grid, [halve(m, grid) for m in grid.k_mesh()])
 
 
 def build_initial_state(cfg: RunConfig) -> State:

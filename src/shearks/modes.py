@@ -2,8 +2,7 @@
 
 A field on the torus splits into its x-average (zero mode, a field on the
 (d-1)-dimensional cross-section) and the complementary fluctuation (non-zero
-mode); a zero mode further splits into its full spatial average (a constant)
-and the mean-free remainder.
+mode).
 """
 
 from __future__ import annotations
@@ -34,14 +33,3 @@ def split_x(F: SpectralField) -> tuple[SpectralField, SpectralField]:
     fluctuation everything else.
     """
     return zero_mode(F).copy(), fluctuation_only(F)
-
-
-def split_bar_tilde(f0: SpectralField) -> tuple[float, SpectralField]:
-    """(spatial average, mean-free remainder) of a scalar zero mode."""
-    if f0.components != 1:
-        raise ContractViolation("split_bar_tilde expects a scalar field")
-    origin = (0,) * f0.grid.dim
-    bar = float(f0.coeffs[origin].real)
-    tilde = f0.coeffs.copy()
-    tilde[origin] = 0.0
-    return bar, SpectralField(f0.grid, tilde)

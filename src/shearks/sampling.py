@@ -1,24 +1,23 @@
 """Reproducible test-field generators shared by the bench and the harness;
-``random_smooth`` completes its own half spectrum, so it is real by
-construction."""
+``random_smooth`` is completed like a step output (``real_field``), so it
+is real by construction."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .modes import fluctuation_only  # noqa: F401  (re-exported for test-field builders)
+from .modes import fluctuation_only  # noqa: F401  (benchmarks/workloads.py imports it here)
 from .spectral import (
     ContractViolation,
     GridSpec,
     RealField,
     SpectralField,
     band_of,
-    complete_half,
-    fill,
     forward_transform,
     halve,
     l2_norm,
     place,
+    real_field,
     rfft_band,
     total_mass,
     values_of,
@@ -34,7 +33,7 @@ def random_smooth(grid: GridSpec, seed: int, slope: float = 2.0,
     box = rfft_band(rng.standard_normal(shape), grid)
     k2 = band_of(halve(grid.k_squared(), grid), grid)
     box *= np.where(k2 > 0, (k2 + 1.0) ** (-slope / 2.0), 0.0)
-    F = SpectralField(grid, fill(complete_half(place(box, grid), grid), grid))
+    F = real_field(place(box, grid), grid)
     norm = l2_norm(F)
     if norm > 0:
         F.coeffs /= norm

@@ -6,18 +6,19 @@ index k represents the physical wavevector (k1, k2 - k1*drift, k3).  In this
 frame advection is exact bookkeeping and diffusion reduces to a closed-form
 integrating factor per mode.  Only k1 and k2 enter the sheared part, so the
 factor separates into a (k1, k2) plane and, in 3D, a k3 line.  This module
-holds the frame, the frame's wavevectors and that factor.  The propagator
-that applies it, and relabels the coefficients (Rogallo remap) once |drift|
-reaches REMAP_THRESHOLD, is ``solver._step_operator``.
+holds the frame, the frame's wavevectors, that factor and the one exact
+linear step (``linear_step``), which applies it and relabels the
+coefficients (Rogallo remap) once |drift| reaches REMAP_THRESHOLD.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .spectral import ContractViolation
+from .spectral import ContractViolation, GridSpec, fill, halve, over_slabs, slab
 
 REMAP_THRESHOLD = 1.0
 
@@ -76,3 +77,77 @@ def integrating_factor(k, t0: float, t1: float, drift0: float, A: float):
     for c in k[2:]:
         factor = factor * np.exp(-c * c * dt / A)
     return factor
+
+
+def linear_step(grid: GridSpec, A: float, frame: ShearFrame, t: float, dt: float,
+                sheared: bool):
+    """The exact shear + diffusion propagator over [t, t+dt], and the new frame;
+    without shear, the heat factor exp(-|k|^2 dt / A) and no drift.
+
+    Returns ``apply(base, rhs=None, h=0.0, after=None, lost=True) -> (half,
+    dropped energy)``: the propagator of base + h*rhs, plus h*after, for k1 >=
+    0 half spectra (``halve``) with leading component axes, formed on k1
+    slabs (``over_slabs``).  Once the drift reaches REMAP_THRESHOLD index k2
+    moves to k2 - k1*shift with shift = rint(drift), which keeps the physical
+    wavevector, and modes moved beyond |k2| <= n2/2 - 1 are dropped.  The
+    dropped energy is that of the whole spectrum, summed over the whole
+    grid's lost modes in row-major order; with lost cleared it reads 0.0.
+    """
+    if sheared:
+        factor = integrating_factor([halve(m, grid) for m in grid.k_mesh()], 0.0, dt,
+                                    frame.drift, A)
+        drift = frame.drift + dt
+        shift = int(np.rint(drift)) if abs(drift) >= REMAP_THRESHOLD else 0
+    else:
+        factor = np.exp(-halve(grid.k_squared(), grid) * dt / A)
+        drift, shift = frame.drift, 0
+    if shift == 0:
+        new_frame = ShearFrame(frame.t_last_remap, drift)
+    else:
+        new_frame = ShearFrame(t_last_remap=t + dt, drift=drift - shift)
+        i1, i2, dst, lost_rows = _remap_gather(grid, shift)
+
+    def apply(base, rhs=None, h=0.0, after=None, lost=True):
+        out = (np.empty if shift == 0 else np.zeros)(base.shape, dtype=np.complex128)
+        power = np.empty(base.shape) if lost and shift else None
+        lead = (slice(None),) * (base.ndim - grid.dim)
+
+        def propagate(s):  # on k1 planes s; a remap moves modes within their row
+            x = slab(base, s, grid)
+            if rhs is not None:
+                x = x + h * slab(rhs, s, grid)
+            o = slab(out, s, grid)
+            if shift == 0:
+                np.multiply(x, slab(factor, s, grid), out=o)
+            else:
+                scaled = x * slab(factor, s, grid)
+                p, q = np.searchsorted(i1, (s.start, s.stop))
+                rows = i1[p:q]
+                o[lead + (rows - s.start, dst[p:q])] = scaled[lead + (rows - s.start, i2[p:q])]
+                if power is not None:
+                    np.square(np.abs(scaled), out=slab(power, s, grid))
+            if after is not None:
+                o += h * slab(after, s, grid)
+        over_slabs(propagate, base.shape[base.ndim - grid.dim], grid)
+        if power is None:
+            return out, 0.0
+        dropped = float(np.sum(fill(power, grid)[lead + lost_rows]))
+        return out, dropped * grid.volume
+    return apply, new_frame
+
+
+@lru_cache(maxsize=32)
+def _remap_gather(grid: GridSpec, shift: int) -> tuple:
+    """The remap by shift as a gather, built once per (grid, shift) and
+    read-only: half-spectrum (i1, i2) -> (i1, dst), dst = k2_new % n2 with
+    k2_new = k2 - k1*shift, in row-major order, and ``lost``, the whole
+    grid's modes moved beyond |k2_new| <= n2/2 - 1, in row-major order."""
+    n2 = grid.shape[1]
+    k2_new = (grid.wavenumbers(1).astype(int)[None, :]
+              - grid.wavenumbers(0).astype(int)[:, None] * shift)
+    keep = np.abs(k2_new) <= n2 // 2 - 1  # the lone -n2/2 row stays empty: Hermitian band
+    i1, i2 = np.nonzero(keep[: grid.shape[0] // 2 + 1])
+    gather = (i1, i2, k2_new[i1, i2] % n2, np.nonzero(~keep))
+    for arr in (*gather[:3], *gather[3]):
+        arr.flags.writeable = False
+    return gather

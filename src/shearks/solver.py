@@ -3,11 +3,10 @@
 State variables are the cell density n and (in 3D) the velocity perturbation
 u around the Couette background, both stored as full spectra in a common
 shear frame; a step works on their k1 >= 0 halves and completes each once
-(``_real_field``), the way initial states are completed too.  The
-stiff anisotropic linear part (Couette advection + diffusion) is integrated
-exactly by the per-mode integrating factor of the shear frame; every
-nonlinear and coupling term is advanced explicitly with Heun's method, and
-the overall order in dt is two.  A passive scalar (no velocity, no
+(``spectral.real_field``).  The stiff anisotropic linear part (Couette
+advection + diffusion) is integrated exactly by the shear frame's linear
+step (``shear.linear_step``); every nonlinear and coupling term is advanced
+explicitly with Heun's method, and the overall order in dt is two.  A passive scalar (no velocity, no
 chemotaxis) has no explicit term: its step is the exact propagator alone,
 applied once, so the scheme is exact in that limit.
 
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -33,7 +31,7 @@ from . import diagnostics, spectral
 from .config import RunConfig
 from .inequalities import free_energy, is_positive
 from .modes import zero_mode
-from .shear import REMAP_THRESHOLD, ShearFrame, frame_k_mesh, integrating_factor
+from .shear import ShearFrame, frame_k_mesh, linear_step
 from .spectral import (
     ContractViolation,
     GridSpec,
@@ -43,10 +41,8 @@ from .spectral import (
     _take,
     band_of,
     band_shape,
-    complete_half,
     divergence,
     fill,
-    fill_planes,
     halve,
     hermitize,  # noqa: F401  (pinned by benchmarks/tests/test_bench_spans.py, ROADMAP item 2)
     irfft_band,
@@ -56,6 +52,7 @@ from .spectral import (
     over_k2,
     over_slabs,
     parseval_weights,
+    real_field,
     rfft_band,
     rfft_bands,
     slab,
@@ -164,23 +161,16 @@ class BlowupMonitor:
 class StageEval:
     """One explicit evaluation, rhs_n and rhs_u as k1 >= 0 half spectra.
 
-    The aux fields feed the decomposition tracker, spectra as k_y >= 0
-    halves on the cross-section: raw zero modes n_0 and u_0 for the forcing
-    terms (k1 = 0 plane views; the tracker adds them unmasked), physical
-    values of the dealiased zero-mode velocities for the advection products,
-    one (3, ny, nz) stack, and the fluctuation-product spectra
-    (u_j,neq u_1,neq)_0 for j = 2, 3 on the cross-section's band box
-    (``band_of``), the only modes the tracker's dealiased advection reads.
+    With a velocity, uu_zero holds the (u1 u2, u1 u3) products' k1 = 0 rows
+    on the cross-section's band box (``band_of``), a copy: the one input of
+    the decomposition tracker that the stage's n and u halves do not give.
     """
 
     rhs_n: np.ndarray
     rhs_u: np.ndarray | None
     max_u: float
     max_chemo: float
-    n_zero: np.ndarray | None = None
-    u_zero: np.ndarray | None = None
-    u_zero_vals: np.ndarray | None = None
-    q_neq_hat: np.ndarray | None = None
+    uu_zero: np.ndarray | None = None
 
 
 def _put_divergence(out: np.ndarray, terms, ik, A: float, grid: GridSpec):
@@ -196,8 +186,7 @@ _SLOT = {(i, j): t for t, (a, b) in enumerate(_PAIRS) for i, j in ((a, b), (b, a
 
 
 def tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: float, k_mesh,
-             chemotaxis: bool = True, tilt: bool = False,
-             need_aux: bool = False) -> StageEval:
+             chemotaxis: bool = True, tilt: bool = False) -> StageEval:
     """Explicit tendencies, the one assembly behind every caller:
     rhs_n = -(1/A) div(n u + n grad c) and rhs_u = P[-u2 e1 + (n/A) e1 -
     (1/A) div(u x u)], plus grad lap^-1 dx u2 (pressure response to the
@@ -280,24 +269,17 @@ def tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: float, 
     if u_h is not None:
         over_slabs(raw, n_h.shape[0], grid)
 
-    fields = {}
-    if need_aux and u_h is not None:
-        # the k1 = 0 plane of a half spectrum is complete: the zero modes are views
-        cross = grid.cross_section()
-        u_zero = halve(u_h[:, 0], cross)
-        u_zero_vals = irfft_band(band_of(u_zero, cross), cross)
-        # the cross-section's band box is rows k2 = 0..K2 of the k1 = 0 plane
-        q_neq_hat = (uu[[_SLOT[1, 0], _SLOT[2, 0]], 0, :cross.dealias_cutoff(0) + 1]
-                     - rfft_band(u_zero_vals[1:] * u_zero_vals[0], cross))
-        fields = {"n_zero": halve(n_h[0], cross), "u_zero": u_zero,
-                  "u_zero_vals": u_zero_vals, "q_neq_hat": q_neq_hat}
-    return StageEval(rhs_n=rhs_n, rhs_u=rhs_u, max_u=max_u, max_chemo=max_chemo, **fields)
+    # u1 u2 and u1 u3 (slots 3, 4) on the cross-section's band box: rows
+    # k2 = 0..K2 of the k1 = 0 plane
+    uu_zero = None if u_h is None else uu[3:5, 0, :grid.dealias_cutoff(1) + 1].copy()
+    return StageEval(rhs_n=rhs_n, rhs_u=rhs_u, max_u=max_u, max_chemo=max_chemo,
+                     uu_zero=uu_zero)
 
 
 def _evaluate(n_h: np.ndarray, u_h: np.ndarray | None, params: RunConfig,
-              drift: float, need_aux: bool) -> StageEval:
+              drift: float) -> StageEval:
     return tendency(n_h, u_h, params.grid, params.A, frame_k_mesh(params, drift),
-                    params.enable_chemotaxis, tilt=params.enable_shear, need_aux=need_aux)
+                    params.enable_chemotaxis, tilt=params.enable_shear)
 
 
 def choose_dt(params: RunConfig, ev: StageEval | None, t_remaining: float) -> float:
@@ -333,95 +315,9 @@ class StepInfo:
 
 
 def _step_operator(params: RunConfig, frame: ShearFrame, t: float, dt: float):
-    """The exact shear + diffusion propagator over [t, t+dt], and the new frame.
-
-    Returns ``apply(base, rhs=None, h=0.0, after=None, lost=True) -> (half,
-    dropped energy)``: the propagator of base + h*rhs, plus h*after, for k1 >=
-    0 half spectra (``halve``) with leading component axes, formed on k1
-    slabs (``over_slabs``).  Each mode is damped by the closed-form
-    integrating factor of its drifting wavevector.  Once the drift reaches
-    REMAP_THRESHOLD the coefficients are relabelled (Rogallo remap): index k2
-    moves to k2 - k1*shift with shift = rint(drift), within its k1 row,
-    which keeps the physical wavevector, and modes moved beyond |k2| <=
-    n2/2 - 1 are dropped.  The dropped energy is that of the whole spectrum,
-    summed over the whole grid's lost modes in their row-major order; with
-    lost cleared it is not summed and reads 0.0.
-    """
-    grid, A = params.grid, params.A
-    if params.enable_shear:
-        factor = integrating_factor([halve(m, grid) for m in grid.k_mesh()], 0.0, dt,
-                                    frame.drift, A)
-        drift = frame.drift + dt
-        shift = int(np.rint(drift)) if abs(drift) >= REMAP_THRESHOLD else 0
-    else:
-        factor = np.exp(-halve(grid.k_squared(), grid) * dt / A)
-        drift, shift = frame.drift, 0
-    if shift == 0:
-        new_frame = ShearFrame(frame.t_last_remap, drift)
-    else:
-        new_frame = ShearFrame(t_last_remap=t + dt, drift=drift - shift)
-        i1, i2, dst, lost_rows = _remap_gather(grid, shift)
-
-    def apply(base, rhs=None, h=0.0, after=None, lost=True):
-        out = (np.empty if shift == 0 else np.zeros)(base.shape, dtype=np.complex128)
-        power = np.empty(base.shape) if lost and shift else None
-        lead = (slice(None),) * (base.ndim - grid.dim)
-
-        def propagate(s):  # on k1 planes s; a remap moves modes within their row
-            x = slab(base, s, grid)
-            if rhs is not None:
-                x = x + h * slab(rhs, s, grid)
-            o = slab(out, s, grid)
-            if shift == 0:
-                np.multiply(x, slab(factor, s, grid), out=o)
-            else:
-                scaled = x * slab(factor, s, grid)
-                p, q = np.searchsorted(i1, (s.start, s.stop))
-                rows = i1[p:q]
-                o[lead + (rows - s.start, dst[p:q])] = scaled[lead + (rows - s.start, i2[p:q])]
-                if power is not None:
-                    np.square(np.abs(scaled), out=slab(power, s, grid))
-            if after is not None:
-                o += h * slab(after, s, grid)
-        over_slabs(propagate, base.shape[base.ndim - grid.dim], grid)
-        if power is None:
-            return out, 0.0
-        dropped = float(np.sum(fill(power, grid)[lead + lost_rows]))
-        return out, dropped * grid.volume
-    return apply, new_frame
-
-
-@lru_cache(maxsize=32)
-def _remap_gather(grid: GridSpec, shift: int) -> tuple:
-    """The remap by shift as a gather, built once per (grid, shift) and
-    read-only: half-spectrum (i1, i2) -> (i1, dst), dst = k2_new % n2 with
-    k2_new = k2 - k1*shift, in row-major order, and ``lost``, the whole
-    grid's modes moved beyond |k2_new| <= n2/2 - 1, in row-major order."""
-    n2 = grid.shape[1]
-    k2_new = (grid.wavenumbers(1).astype(int)[None, :]
-              - grid.wavenumbers(0).astype(int)[:, None] * shift)
-    keep = np.abs(k2_new) <= n2 // 2 - 1  # the lone -n2/2 row stays empty: Hermitian band
-    i1, i2 = np.nonzero(keep[: grid.shape[0] // 2 + 1])
-    gather = (i1, i2, k2_new[i1, i2] % n2, np.nonzero(~keep))
-    for arr in (*gather[:3], *gather[3]):
-        arr.flags.writeable = False
-    return gather
-
-
-def _real_field(half: np.ndarray, grid: GridSpec, mesh=None) -> SpectralField:
-    """The real field of a k1 >= 0 half spectrum, filled once: the half is
-    completed in place (``complete_half``) and a velocity then Leray-projected
-    on the half mesh, which keeps the completion; the projection and the fill
-    run on k1 slabs.  Step outputs and initial states both end here."""
-    complete_half(half, grid)
-    full = np.empty(half.shape[:half.ndim - grid.dim] + grid.shape, dtype=half.dtype)
-
-    def finish(s):  # on k1 planes s
-        if mesh is not None:
-            leray_coeffs(slab(half, s, grid), [slab(m, s, grid) for m in mesh])
-        fill_planes(half, full, grid, s)
-    over_slabs(finish, half.shape[half.ndim - grid.dim], grid)
-    return SpectralField(grid, full)
+    """The run's exact linear step over [t, t+dt] (``shear.linear_step``):
+    (apply, new frame)."""
+    return linear_step(params.grid, params.A, frame, t, dt, params.enable_shear)
 
 
 def step(state: State, params: RunConfig, t_stop: float | None = None,
@@ -429,7 +325,7 @@ def step(state: State, params: RunConfig, t_stop: float | None = None,
     """Advance one Heun step composed with the exact shear propagator.
 
     Runs on the k1 >= 0 halves of n and u and fills each output once
-    (``_real_field``); without t_stop the step is not clipped.  The remap's
+    (``real_field``); without t_stop the step is not clipped.  The remap's
     dropped energy is summed for the corrector alone.
     A passive scalar has a zero tendency, so its step is the propagator
     alone, applied once and not symmetrized: the propagator keeps a
@@ -441,7 +337,7 @@ def step(state: State, params: RunConfig, t_stop: float | None = None,
     passive = state.u is None and not params.enable_chemotaxis
     n_h = halve(state.n.coeffs, grid)
     u_h = None if state.u is None else halve(state.u.coeffs, grid)
-    ev1 = None if passive else _evaluate(n_h, u_h, params, state.frame.drift, tracker is not None)
+    ev1 = None if passive else _evaluate(n_h, u_h, params, state.frame.drift)
     dt = choose_dt(params, ev1, t_remaining)
     apply_op, new_frame = _step_operator(params, state.frame, state.t, dt)
     if passive:
@@ -451,9 +347,9 @@ def step(state: State, params: RunConfig, t_stop: float | None = None,
 
     n_pred, _ = apply_op(n_h, ev1.rhs_n, dt, lost=False)
     u_pred = None if u_h is None else apply_op(u_h, ev1.rhs_u, dt, lost=False)[0]
-    ev2 = _evaluate(n_pred, u_pred, params, new_frame.drift, tracker is not None)
+    ev2 = _evaluate(n_pred, u_pred, params, new_frame.drift)
     if tracker is not None and u_h is not None:
-        tracker.advance(params, dt, ev1, ev2)
+        tracker.advance(params, dt, (n_h, u_h, ev1), (n_pred, u_pred, ev2))
 
     h = 0.5 * dt
     n_new, dropped_n = apply_op(n_h, ev1.rhs_n, h, ev2.rhs_n)
@@ -461,9 +357,9 @@ def step(state: State, params: RunConfig, t_stop: float | None = None,
     if u_h is not None:
         u_new, dropped_u = apply_op(u_h, ev1.rhs_u, h, ev2.rhs_u)
         mesh = [halve(m, grid) for m in frame_k_mesh(params, new_frame.drift)]
-        u_field = _real_field(u_new, grid, mesh)
+        u_field = real_field(u_new, grid, mesh)
 
-    new_state = State(t=state.t + dt, n=_real_field(n_new, grid), u=u_field, frame=new_frame)
+    new_state = State(t=state.t + dt, n=real_field(n_new, grid), u=u_field, frame=new_frame)
     return new_state, StepInfo(dt=dt, dropped_n=dropped_n, dropped_u=dropped_u)
 
 

@@ -11,7 +11,8 @@ each further k_a in 0..K_a and n_a-K_a..n_a-1), bit for bit the full pair
 with the band mask applied.  ``band_of`` cuts the box out of a half and
 ``place`` puts it back.  Every real field is made from the k1 >= 0 half
 of its spectrum, which holds the whole k1 = 0 plane: ``complete_half``
-makes the half that of a real field and ``fill`` writes the k1 < 0 half.
+makes the half that of a real field and ``fill`` writes the k1 < 0 half;
+``real_field`` does both once.
 Collocation values are read from the half too (``values_of``), and so are
 the energy ledger's and the tail monitor's spectral sums, each half mode
 counted with its multiplicity in the full spectrum (``parseval_weights``).
@@ -559,6 +560,23 @@ def fill_planes(half: np.ndarray, out: np.ndarray, grid: GridSpec, s: slice):
     if a < b:
         conj_reverse(half[lead + (slice(b - 1, a - 1, -1),)], grid.dim - 1,
                      out=out[lead + (slice(n1 - b + 1, n1 - a + 1),)])
+
+
+def real_field(half: np.ndarray, grid: GridSpec, mesh=None) -> SpectralField:
+    """The real field of a k1 >= 0 half spectrum, filled once: the half is
+    completed in place (``complete_half``) and, given its half mesh, a
+    velocity Leray-projected, which keeps the completion; the projection and
+    the fill run on k1 slabs.  Step outputs, tracker parts, initial states
+    and random test fields all end here."""
+    complete_half(half, grid)
+    full = np.empty(half.shape[:half.ndim - grid.dim] + grid.shape, dtype=half.dtype)
+
+    def finish(s):  # on k1 planes s
+        if mesh is not None:
+            leray_coeffs(slab(half, s, grid), [slab(m, s, grid) for m in mesh])
+        fill_planes(half, full, grid, s)
+    over_slabs(finish, half.shape[half.ndim - grid.dim], grid)
+    return SpectralField(grid, full)
 
 
 @lru_cache(maxsize=32)

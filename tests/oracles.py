@@ -8,16 +8,17 @@ field from closed-form collocation values; ``inverse_transform`` is the
 full complex inverse transform, the reference of ``spectral.values_of``,
 which reads only the k1 >= 0 half.  The collocation-grid norms are
 the references the solver's sample rows and Parseval are checked against;
-``pad_to`` re-samples a band-limited field on a finer grid, and
-``free_energy_monotone`` grades a run's free-energy column.
+``pad_to`` re-samples a band-limited field on a finer grid,
+``split_bar_tilde`` splits a zero mode into its average and the mean-free
+rest, and ``free_energy_monotone`` grades a run's free-energy column.
 ``full_spectrum_step`` is the coupled Heun step taken on whole spectra, the
 bit-for-bit reference of ``solver.step``, which works on k1 >= 0 halves.
 ``PerFieldTracker`` advances G1, B1 and B2 one field at a time on whole
-cross-section spectra, the bit-for-bit reference of
-``diagnostics.DecompositionTracker``, which advances them as one stack of
-k_y >= 0 halves.  ``complex_forward_transform`` is the full complex FFT,
-the reference of ``spectral.forward_transform``, which takes one real
-transform.  ``full_band_hermitian`` is a real field over every stored mode,
+cross-section spectra, forming its zero-mode inputs from the stage's whole
+n and u, the bit-for-bit reference of ``diagnostics.DecompositionTracker``,
+which advances them as one stack of k_y >= 0 halves.
+``complex_forward_transform`` is the full complex FFT, the reference of
+``spectral.forward_transform``, which takes one real transform.  ``full_band_hermitian`` is a real field over every stored mode,
 outside the 2/3 band too, which ``sampling.random_smooth`` never makes.
 ``read_series`` reads a run's ``series.csv`` back.  ``dealias_mask`` is
 the 2/3-rule band as a full-spectrum mask, which the masked references
@@ -215,6 +216,16 @@ def pad_to(F: SpectralField, grid: GridSpec) -> SpectralField:
     return SpectralField(grid, out)
 
 
+def split_bar_tilde(f0: SpectralField) -> tuple[float, SpectralField]:
+    """(spatial average, mean-free remainder) of a scalar zero mode."""
+    if f0.components != 1:
+        raise ContractViolation("split_bar_tilde expects a scalar field")
+    origin = (0,) * f0.grid.dim
+    tilde = f0.coeffs.copy()
+    tilde[origin] = 0.0
+    return float(f0.coeffs[origin].real), SpectralField(f0.grid, tilde)
+
+
 def free_energy_monotone(rows: list, slack_frac: float = 1e-6) -> bool:
     """The finite free-energy values of a series never rise beyond slack."""
     series = [row["free_energy"] for row in rows if math.isfinite(row["free_energy"])]
@@ -344,11 +355,10 @@ def full_spectrum_step(state, params, t_stop=None, tracker=None):
     """
     grid = params.grid
     t_remaining = (t_stop - state.t) if t_stop is not None else math.inf
-    need_aux = tracker is not None
 
     def evaluate(n, u, drift):
         ev = solver._evaluate(halve(n, grid), None if u is None else halve(u, grid), params,
-                              drift, need_aux)
+                              drift)
         ev.rhs_n = fill(ev.rhs_n, grid)
         ev.rhs_u = None if u is None else fill(ev.rhs_u, grid)
         return ev
@@ -373,14 +383,13 @@ def full_spectrum_step(state, params, t_stop=None, tracker=None):
         u_sym = hermitize(SpectralField(grid, u_new + 0.5 * dt * ev2.rhs_u)).coeffs
         u_field = SpectralField(grid, leray_coeffs(u_sym, frame_k_mesh(params, new_frame.drift)))
         if tracker is not None:
-            tracker.advance(params, dt, ev1, ev2)
+            tracker.advance(params, dt, (n, u, ev1), (n_pred, u_pred, ev2))
     return (solver.State(t=state.t + dt, n=n_field, u=u_field, frame=new_frame),
             solver.StepInfo(dt=dt, dropped_n=dropped_n, dropped_u=dropped_u))
 
 
 def masked_tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: float, k_mesh,
-                    chemotaxis: bool = True, tilt: bool = False,
-                    need_aux: bool = False) -> solver.StageEval:
+                    chemotaxis: bool = True, tilt: bool = False) -> solver.StageEval:
     """``solver.tendency`` as the full masked assembly: every dealiased
     product is transformed over the whole k1 >= 0 half and multiplied by the
     2/3-rule mask, where the solver transforms the band box alone.
@@ -444,24 +453,19 @@ def masked_tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: 
             rhs_u += np.stack([1j * mesh[a] * base for a in range(grid.dim)])
     rhs_n = (-1.0 / A) * sum(1j * mesh[a] * flux_hat[a] for a in range(grid.dim)) * dmask
 
-    aux = {}
-    if need_aux and u_h is not None:
-        # the k1 = 0 plane of a half spectrum is complete: the zero modes are views
+    uu_zero = None
+    if u_h is not None:
+        # the k1 = 0 plane of a half spectrum is complete
         cross = grid.cross_section()
-        u_zero = halve(u_h[:, 0], cross)
-        u_zero_vals = irfft_x(u_zero * halve(dealias_mask(cross), cross), cross)
-        q_neq_hat = band_of(halve(uu[[slot[1, 0], slot[2, 0]], 0], cross)
-                            - rfft_x(u_zero_vals[1:] * u_zero_vals[0], cross), cross)
-        aux = {"n_zero": halve(n_h[0], cross), "u_zero": u_zero,
-               "u_zero_vals": u_zero_vals, "q_neq_hat": q_neq_hat}
-    return solver.StageEval(rhs_n=rhs_n, rhs_u=rhs_u, max_u=max_u, max_chemo=max_chemo, **aux)
+        uu_zero = band_of(halve(uu[[slot[1, 0], slot[2, 0]], 0], cross), cross)
+    return solver.StageEval(rhs_n=rhs_n, rhs_u=rhs_u, max_u=max_u, max_chemo=max_chemo,
+                            uu_zero=uu_zero)
 
 
-def masked_evaluate(n_h, u_h, params, drift: float, need_aux: bool) -> solver.StageEval:
+def masked_evaluate(n_h, u_h, params, drift: float) -> solver.StageEval:
     """``solver._evaluate`` on ``masked_tendency``."""
     return masked_tendency(n_h, u_h, params.grid, params.A, frame_k_mesh(params, drift),
-                           params.enable_chemotaxis, tilt=params.enable_shear,
-                           need_aux=need_aux)
+                           params.enable_chemotaxis, tilt=params.enable_shear)
 
 
 def _norm_weights(grid: GridSpec, mesh) -> tuple[np.ndarray, np.ndarray]:
@@ -586,8 +590,12 @@ class PerFieldTracker:
     """The decomposition tracker with one advection, one Heun line and one
     ``hermitize`` per field, on whole cross-section spectra: G1, B1 and B2
     each take an inverse transform and a forward transform of their two
-    fluxes per stage, and the stage's k_y >= 0 aux halves are read through
-    ``fill``."""
+    fluxes per stage.  A stage is (n, u, ev) with n and u whole spectra:
+    the zero modes are their k1 = 0 planes, each mirrored from its k_y >= 0
+    half as the tracker reads it (a predictor's plane is Hermitian only to
+    round-off), and the fluctuation products are the stage's (u1 u2, u1 u3)
+    rows (``ev.uu_zero``) less the product of the zero modes' masked
+    values."""
 
     G1: SpectralField
     B1: SpectralField
@@ -600,35 +608,38 @@ class PerFieldTracker:
         zero = lambda: SpectralField(cross, np.zeros(cross.shape, dtype=np.complex128))
         return cls(G1=g1, B1=zero(), B2=zero())
 
-    def _stage_rhs(self, params, ev):
+    def _stage_rhs(self, params, n, u, ev):
         cross = self.G1.grid
         A = params.A
         mask = dealias_mask(cross)
         mesh = cross.k_mesh()
-        u2v, u3v = ev.u_zero_vals[1], ev.u_zero_vals[2]
+        n0, u0 = (fill(halve(f, cross), cross) for f in (n[0], u[:, 0]))
+        u_vals = irfft_x(halve(u0 * mask, cross), cross)
+        u2v, u3v = u_vals[1], u_vals[2]
 
         def advect(Xc):
             xv = irfft_x(halve(Xc * mask, cross), cross)
             fy, fz = fill(rfft_x(np.stack([u2v * xv, u3v * xv]), cross), cross)
             return (1j * mesh[0] * fy + 1j * mesh[1] * fz) * mask
 
-        q_neq = fill(place(ev.q_neq_hat, cross), cross)
+        q_neq = (fill(place(ev.uu_zero, cross), cross)
+                 - fill(rfft_x(u_vals[1:] * u_vals[0], cross), cross))
         neq = (1j * mesh[0] * q_neq[0] + 1j * mesh[1] * q_neq[1]) * mask
         r_g1 = -(advect(self.G1.coeffs) + neq) / A
-        r_b1 = -advect(self.B1.coeffs) / A + fill(ev.n_zero, cross) / A
-        r_b2 = -advect(self.B2.coeffs) / A - fill(ev.u_zero[1], cross)
+        r_b1 = -advect(self.B1.coeffs) / A + n0 / A
+        r_b2 = -advect(self.B2.coeffs) / A - u0[1]
         return r_g1, r_b1, r_b2
 
-    def advance(self, params, dt, ev1, ev2):
+    def advance(self, params, dt, stage1, stage2):
         cross = self.G1.grid
         heat = np.exp(-cross.k_squared() * dt / params.A)
-        r1 = self._stage_rhs(params, ev1)
+        r1 = self._stage_rhs(params, *stage1)
         pred = PerFieldTracker(
             G1=SpectralField(cross, heat * (self.G1.coeffs + dt * r1[0])),
             B1=SpectralField(cross, heat * (self.B1.coeffs + dt * r1[1])),
             B2=SpectralField(cross, heat * (self.B2.coeffs + dt * r1[2])),
         )
-        r2 = pred._stage_rhs(params, ev2)
+        r2 = pred._stage_rhs(params, *stage2)
         self.G1 = hermitize(SpectralField(cross, heat * (self.G1.coeffs + 0.5 * dt * r1[0])
                                           + 0.5 * dt * r2[0]))
         self.B1 = hermitize(SpectralField(cross, heat * (self.B1.coeffs + 0.5 * dt * r1[1])

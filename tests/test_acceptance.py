@@ -13,7 +13,7 @@ import pytest
 from shearks.config import parse_config
 from shearks.diagnostics import compute_kappa_rho, kappa_identity_residual
 from shearks.inequalities import check_elliptic, check_poincare, loghls_scan
-from shearks.modes import split_bar_tilde, split_x
+from shearks.modes import split_x
 from shearks.sampling import fluctuation_only, gaussian_bump, random_smooth
 from shearks.scenarios import run_rate_fit, run_resume, run_simulate, run_sweep_mass
 from shearks.seriesio import checkpoint_bytes, state_from_bytes
@@ -40,6 +40,7 @@ from oracles import (
     l2_norm_values,
     read_series,
     run_params,
+    split_bar_tilde,
 )
 
 EIGHT_PI = 8.0 * np.pi

@@ -20,7 +20,7 @@ from shearks.diagnostics import (
     ledger_update,
 )
 from shearks.initial import build_initial_state
-from shearks.modes import split_bar_tilde, split_x
+from shearks.modes import split_x
 from shearks.sampling import gaussian_bump, random_smooth
 from shearks.shear import ShearFrame
 from shearks.solver import State, run, step
@@ -34,7 +34,8 @@ from shearks.spectral import (
     zeros,
 )
 
-from oracles import compute_omega2, from_values, full_spectrum_ledger, residual_omega2, run_params
+from oracles import (compute_omega2, from_values, full_spectrum_ledger, residual_omega2,
+                     run_params, split_bar_tilde)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 GRID3 = GridSpec((16, 16, 16))

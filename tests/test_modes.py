@@ -1,12 +1,12 @@
-"""Zero/non-zero mode and bar/tilde splits."""
+"""Zero/non-zero mode splits, and the bar/tilde split of tests/oracles.py."""
 
 import numpy as np
 import pytest
 
-from shearks.modes import split_bar_tilde, split_x, zero_mode
+from shearks.modes import split_x, zero_mode
 from shearks.spectral import GridSpec, l2_norm, spectral_energy
 
-from oracles import from_values
+from oracles import from_values, split_bar_tilde
 from test_spectral import random_real_field
 
 GRID2 = GridSpec((32, 32))

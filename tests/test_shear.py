@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from shearks.modes import split_x
-from shearks.shear import ShearFrame, _shear_exponent, frame_k_mesh, integrating_factor
+from shearks.shear import (ShearFrame, _shear_exponent, frame_k_mesh, integrating_factor,
+                           linear_step)
 from shearks.solver import _step_operator
 from shearks.spectral import GridSpec, SpectralField, fill, halve, l2_norm, values_of, zeros
 
@@ -184,6 +185,27 @@ class TestRemap:
             total += d
         assert dropped > 0.0
         assert dropped == pytest.approx(total, rel=1e-12)
+
+
+class TestLinearStep:
+    """shear.linear_step without shear is the decomposition tracker's step:
+    its predictor and corrector are the heat factor's inline Heun
+    arithmetic bit for bit."""
+
+    def test_unsheared_heun_stages(self):
+        cross, A, dt = GridSpec((16, 12)), 1e4, 0.05
+        rng = np.random.default_rng(8)
+        shape = (3, 9, 12)
+        p, r1, r2 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                     for _ in range(3))
+        apply, frame = linear_step(cross, A, ShearFrame(drift=0.4), 0.0, dt, sheared=False)
+        assert frame == ShearFrame(drift=0.4)
+        heat = np.exp(-halve(cross.k_squared(), cross) * dt / A)
+        pred, lost = apply(p, r1, dt)
+        assert pred.tobytes() == (heat * (p + dt * r1)).tobytes() and lost == 0.0
+        new, lost = apply(p, r1, 0.5 * dt, r2)
+        want = heat * (p + 0.5 * dt * r1) + 0.5 * dt * r2
+        assert new.tobytes() == want.tobytes() and lost == 0.0
 
 
 class TestExactScalarEvolve:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shearks import diagnostics, inequalities, solver, spectral
+from shearks import diagnostics, inequalities, shear, solver, spectral
 from shearks.config import params_of, parse_config
 from shearks.inequalities import free_energy
 from shearks.initial import build_initial_state
@@ -325,8 +325,8 @@ class TestDrainedStep:
         cfg = suppression_cfg((16, 16, 16))
         params = params_of(cfg)
         state = build_initial_state(cfg)
-        fill_, calls = solver.fill, []
-        monkeypatch.setattr(solver, "fill",
+        fill_, calls = shear.fill, []
+        monkeypatch.setattr(shear, "fill",
                             lambda half, grid: calls.append(half.dtype) or fill_(half, grid))
         fills = {True: set(), False: set()}
         for _ in range(25):
@@ -361,7 +361,7 @@ class TestPassiveStep:
     """A passive step is the exact propagator applied once."""
 
     def test_no_evaluation_and_no_symmetrization(self, monkeypatch):
-        calls = {"_evaluate": 0, "complete_half": 0}
+        calls = {"_evaluate": 0, "real_field": 0}
         for name in calls:
             def counting(*args, _name=name, _orig=getattr(solver, name), **kw):
                 calls[_name] += 1
@@ -376,10 +376,10 @@ class TestPassiveStep:
             state, info = step(state, params)
             assert np.array_equal(state.n.coeffs, fill(want, GRID2)) and state.frame == frame
             assert info.dt == 0.3 and info.dropped_n == dropped
-        assert calls == {"_evaluate": 0, "complete_half": 0}
+        assert calls == {"_evaluate": 0, "real_field": 0}
         # the counters do see a chemotaxis step: two evaluations, one completion
         step(state, replace(params, enable_chemotaxis=True))
-        assert calls == {"_evaluate": 2, "complete_half": 1}
+        assert calls == {"_evaluate": 2, "real_field": 1}
 
     def test_fixed_dt_is_not_clipped_without_t_stop(self):
         params = short_params(GRID2, enable_shear=True, enable_chemotaxis=False,
@@ -408,7 +408,7 @@ class TestPassiveStep:
         grid = GridSpec((128, 128))
         params = short_params(grid, enable_shear=True, enable_chemotaxis=False,
                               A=1e3, fixed_dt=0.05, dt_max=0.05, t_end=4.0)
-        solver._remap_gather.cache_clear()
+        shear._remap_gather.cache_clear()
         ours = ref = make_state(grid, random_smooth(grid, seed=12))
         remaps = 0
         for _ in range(70):
@@ -418,9 +418,9 @@ class TestPassiveStep:
             assert vars(info) == vars(ref_info) and (ours.t, ours.frame) == (ref.t, ref.frame)
             assert np.array_equal(ours.n.coeffs, ref.n.coeffs)
         assert remaps == 3
-        built = solver._remap_gather.cache_info()
+        built = shear._remap_gather.cache_info()
         assert (built.misses, built.hits) == (1, 2)  # one gather for the three remaps
-        gather = solver._remap_gather(grid, 1)
+        gather = shear._remap_gather(grid, 1)
         for arr in (*gather[:3], *gather[3]):
             with pytest.raises(ValueError):
                 arr[0] = 0

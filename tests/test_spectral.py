@@ -24,6 +24,7 @@ from shearks.spectral import (
     SpectralField,
     band_of,
     band_shape,
+    complete_half,
     conj_reverse,
     derivative,
     divergence,
@@ -39,6 +40,7 @@ from shearks.spectral import (
     over_slabs,
     parseval_weights,
     place,
+    real_field,
     rfft_band,
     rfft_bands,
     rfft_x,
@@ -564,6 +566,20 @@ class TestDrain:
                 mirror = half[(slice(None),) * axis + (slice(grid.shape[0] // 2 - 1, 0, -1),)]
                 want = np.concatenate([half, conj_reverse(mirror, grid.dim - 1)], axis=axis)
                 assert fill(half, grid).tobytes() == want.tobytes()
+
+
+class TestRealField:
+    """real_field completes and fills a half in one pass over k1 slabs, bit
+    for bit fill(complete_half(half)); 3D runs on two threads."""
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("grid", [GRID2, GridSpec((32, 24)), THREAD_GRIDS[1]],
+                             ids=["32^2", "32x24", "16x10x12"])
+    def test_equals_fill_of_complete_half(self, grid, lead, threads_on_small_grids):
+        half = random_half(grid, lead, seed=63)
+        want = fill(complete_half(half.copy(), grid), grid)
+        got = real_field(half, grid)
+        assert got.grid == grid and got.coeffs.tobytes() == want.tobytes()
 
 
 class TestOperators:

@@ -25,7 +25,6 @@ from shearks import solver
 from shearks.config import params_of, parse_config
 from shearks.diagnostics import DecompositionTracker
 from shearks.initial import build_initial_state
-from shearks.modes import split_x
 from shearks.shear import frame_k_mesh
 from shearks.solver import _evaluate, step
 from shearks.spectral import (
@@ -56,7 +55,8 @@ def _spec(grid, values):
 
 
 def oracle(n, u, params, drift):
-    """(rhs_n, rhs_u, max_u, max_chemo, q_neq_hat) on full complex spectra."""
+    """(rhs_n, rhs_u, max_u, max_chemo, uu_zero) on full complex spectra; uu_zero
+    is the k1 = 0 plane of (u1 u2, u1 u3)."""
     grid = params.grid
     mesh = frame_k_mesh(params, drift)
     mesh = [np.broadcast_to(m, grid.shape) for m in mesh]
@@ -66,7 +66,7 @@ def oracle(n, u, params, drift):
     safe_k2 = np.where(k2 > 0, k2, 1.0)
 
     max_u = max_chemo = 0.0
-    rhs_u = q_neq_hat = None
+    rhs_u = uu_zero = None
     flux = np.zeros((grid.dim, *grid.shape))
     if u is not None:
         u_phys = _phys(grid, u.coeffs * dmask)
@@ -82,12 +82,7 @@ def oracle(n, u, params, drift):
             base = np.where(k2 > 0, 1j * mesh[0] * u.coeffs[1] / -safe_k2, 0.0)
             rhs_u = rhs_u + np.stack([1j * mesh[a] * base for a in range(grid.dim)])
         flux += _phys(grid, u.coeffs * dmask)
-        cross = grid.cross_section()
-        cmask = dealias_mask(cross)
-        zero_vals = [np.fft.ifftn(u.coeffs[i][0] * cmask).real * cross.size
-                     for i in range(grid.dim)]
-        q_neq_hat = [uu_hat[j, 0][0] - np.fft.fftn(zero_vals[j] * zero_vals[0]) / cross.size
-                     for j in (1, 2)]
+        uu_zero = [uu_hat[j, 0][0] for j in (1, 2)]
     if params.enable_chemotaxis:
         c = np.where(k2 > 0, n.coeffs / safe_k2, 0.0)
         grad_c = np.stack([_phys(grid, 1j * mesh[a] * c * dmask) for a in range(grid.dim)])
@@ -95,14 +90,14 @@ def oracle(n, u, params, drift):
         flux += grad_c
     flux_hat = _spec(grid, flux * _phys(grid, n.coeffs * dmask))
     rhs_n = sum(1j * mesh[a] * flux_hat[a] for a in range(grid.dim)) * (-1.0 / A) * dmask
-    return rhs_n, rhs_u, max_u, max_chemo, q_neq_hat
+    return rhs_n, rhs_u, max_u, max_chemo, uu_zero
 
 
-def evaluate(n, u, params, drift, need_aux):
+def evaluate(n, u, params, drift):
     """The solver's kernel on the halves of full fields; tendencies filled."""
     grid = params.grid
     ev = _evaluate(halve(n.coeffs, grid), None if u is None else halve(u.coeffs, grid),
-                   params, drift, need_aux)
+                   params, drift)
     ev.rhs_n = fill(ev.rhs_n, grid)
     ev.rhs_u = None if ev.rhs_u is None else fill(ev.rhs_u, grid)
     return ev
@@ -155,10 +150,10 @@ def test_kernel_matches_full_complex_oracle(grid, shear, chemo, drift):
     if u is None and not chemo:
         # a passive scalar has no tendency: the solver steps it exactly
         with pytest.raises(ContractViolation, match="passive"):
-            evaluate(n, u, params, drift, need_aux=False)
+            evaluate(n, u, params, drift)
         return
-    ev = evaluate(n, u, params, drift, need_aux=u is not None)
-    rhs_n, rhs_u, max_u, max_chemo, q_neq_hat = oracle(n, u, params, drift)
+    ev = evaluate(n, u, params, drift)
+    rhs_n, rhs_u, max_u, max_chemo, uu_zero = oracle(n, u, params, drift)
     mask = off_nyquist(grid)
 
     assert_close(ev.rhs_n, rhs_n, mask)
@@ -166,23 +161,21 @@ def test_kernel_matches_full_complex_oracle(grid, shear, chemo, drift):
     assert ev.max_u == pytest.approx(max_u, rel=1e-12, abs=0.0)
     assert ev.max_chemo == pytest.approx(max_chemo, rel=1e-12, abs=0.0)
     if u is None:
-        assert ev.rhs_u is None and ev.q_neq_hat is None
+        assert ev.rhs_u is None and ev.uu_zero is None
         return
     assert_close(ev.rhs_u, rhs_u, mask)
     assert_mirror_exact(ev.rhs_u, grid)
     cross = grid.cross_section()
-    # the aux carries the band box: the tracker reads no other mode
-    for got, want in zip(fill(place(ev.q_neq_hat, cross), cross), q_neq_hat):
+    # the tracker's input is the band box: its dealiased advection reads no other mode
+    for got, want in zip(fill(place(ev.uu_zero, cross), cross), uu_zero):
         assert_close(got, want * dealias_mask(cross), off_nyquist(cross))
-    assert np.array_equal(ev.n_zero, halve(split_x(n)[0].coeffs, cross))
-    assert np.array_equal(ev.u_zero, halve(split_x(u)[0].coeffs, cross))
 
 
 @pytest.mark.parametrize("grid", [GRID2, GRID3])
 def test_k1_zero_plane_hermitian_in_band(grid):
     params = run_params(grid, A=3.0)
     n, u = random_state(grid, seed=5)
-    ev = evaluate(n, u, params, 0.37, need_aux=False)
+    ev = evaluate(n, u, params, 0.37)
     mask = dealias_mask(grid)
     for out in (ev.rhs_n,) if u is None else (ev.rhs_n, ev.rhs_u):
         scale = np.max(np.abs(out * mask))
@@ -211,8 +204,8 @@ def test_band_box_equals_masked_assembly(side, dim, velocity, drift):
     n, u = random_state(grid, seed=23)
     n_h = halve(n.coeffs, grid)
     u_h = halve(u.coeffs, grid) if velocity else None
-    ev = _evaluate(n_h, u_h, params, drift, need_aux=velocity)
-    ref = masked_evaluate(n_h, u_h, params, drift, need_aux=velocity)
+    ev = _evaluate(n_h, u_h, params, drift)
+    ref = masked_evaluate(n_h, u_h, params, drift)
     band = halve(dealias_mask(grid), grid)
     for name in ("rhs_n", "rhs_u"):
         got, want = getattr(ev, name), getattr(ref, name)
@@ -222,11 +215,9 @@ def test_band_box_equals_masked_assembly(side, dim, velocity, drift):
         assert np.array_equal(got, want)
         assert same_bits(got[..., band], want[..., band])
     assert (ev.max_u, ev.max_chemo) == (ref.max_u, ref.max_chemo)
-    for name in ("n_zero", "u_zero", "u_zero_vals", "q_neq_hat"):
-        got, want = getattr(ev, name), getattr(ref, name)
-        assert (got is None) == (want is None) == (not velocity)
-        if want is not None:
-            assert same_bits(got, want)
+    assert (ev.uu_zero is None) == (ref.uu_zero is None) == (not velocity)
+    if velocity:
+        assert same_bits(ev.uu_zero, ref.uu_zero)
 
 
 def test_tracked_coupled_run_equals_masked_assembly(monkeypatch):
