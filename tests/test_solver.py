@@ -426,6 +426,24 @@ class TestPassiveStep:
                 arr[0] = 0
 
 
+@pytest.mark.xfail(strict=True, reason="the drift is summed step by step, so round-off decides "
+                   "whether a remap lands on a sample time (ROADMAP item 1)")
+def test_remaps_land_on_whole_times_for_every_dt_max():
+    # a 16^2 passive scalar at A = 100 sheared to t = 3: the drift reaches 1
+    # at t = 1 and 2, so every remap should happen there, whatever the step
+    grid = GridSpec((16, 16))
+    remaps = {}
+    for dt_max in (0.0125, 0.05, 0.1):
+        params = run_params(grid, A=100.0, enable_shear=True, enable_chemotaxis=False,
+                            output_every=1.0, t_end=3.0, dt_max=dt_max, drop_tol=np.inf,
+                            track_energies=False)
+        frames = []
+        run(params, make_state(grid, random_smooth(grid, seed=3)),
+            on_sample=lambda s, row: frames.append(s.frame.t_last_remap))
+        remaps[dt_max] = frames
+    assert all(abs(t - round(t)) <= 1e-9 for frames in remaps.values() for t in frames), remaps
+
+
 class TestSelfConvergence:
     def test_second_order_in_dt(self):
         grid = GridSpec((32, 32))
