@@ -4,12 +4,12 @@ Live diagnostics for the solver: weighted space-time norm tracks and the
 energy functionals built from them, the good/bad splitting of the
 streamwise zero-mode velocity via co-evolved cross-section PDEs, and the
 quasi-linear frame quantities kappa, rho1, rho2, W.  Neither builds a full
-spectrum.  The tracker advances its three parts as one (3, ny, nz) stack
-by the solver's own linear step and completion, its stages on k_y >= 0
-halves.  The ledger sums each norm over the k1 >= 0 half of the field it
-measures, weighted by the half's multiplicities in the full spectrum
-(``spectral.parseval_weights``), and sends its three kappa products through
-one 3D inverse transform and one band forward transform (``rfft_band``).
+spectrum to sum it.  The tracker advances its three parts as one (3, ny,
+nz) stack by the solver's own linear step and completion, its stages on
+k_y >= 0 halves.  The ledger reduces every norm, one row of a table per
+track, by ``spectral.parseval_sum`` over the k1 >= 0 half of the field it
+measures, and sends its three kappa products through one 3D inverse
+transform and one band forward transform (``rfft_band``).
 """
 
 from __future__ import annotations
@@ -27,17 +27,15 @@ from .spectral import (
     SpectralField,
     _mesh_k2,
     band_of,
-    fill,
     halve,
     irfft_band,
     irfft_x,
     over_k2,
-    parseval_weights,
+    parseval_sum,
     place,
     real_field,
     rfft_band,
     rfft_x,
-    sobolev_norm,
 )
 
 
@@ -198,9 +196,9 @@ class DecompositionTracker:
         r2 = self._stage_rhs(apply(parts, r1, dt)[0], A, *stage2)
         self.parts = real_field(apply(parts, r1, 0.5 * dt, r2)[0], cross)
 
-    def du2_dt(self, params, state) -> SpectralField:
-        """Time derivative of the bad part, assembled from the equations'
-        right-hand sides rather than finite differences."""
+    def du2_dt(self, params, state) -> np.ndarray:
+        """k_y >= 0 half of the time derivative of the bad part, assembled
+        from the equations' right-hand sides rather than finite differences."""
         cross = self.cross
         A = params.A
         u_0 = halve(zero_mode(state.u).coeffs, cross)
@@ -209,7 +207,7 @@ class DecompositionTracker:
         adv = place(_advect((u2v, u3v), b2v, cross), cross)
         out = (-halve(cross.k_squared(), cross) * b2) / A - u_0[1] - adv / A
         out[(0,) * cross.dim] += state.n.coeffs[(0,) * params.grid.dim].real / A
-        return SpectralField(cross, fill(out, cross))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -278,110 +276,96 @@ class EnergyLedger:
         return self.B_WEIGHT * self.A ** (-1.0 / 3.0)
 
 
-def _abs2(z: np.ndarray) -> np.ndarray:
-    return z.real ** 2 + z.imag ** 2
-
-
 def ledger_update(ledger: EnergyLedger, state, params, tracker, n_vals: np.ndarray):
     """Advance every track with the current sample; n_vals are the
     collocation values of state.n.
 
-    Every norm is a sum over the k1 >= 0 half, weighted by ``parseval_weights``,
-    of |multiplier|^2 |f|^2 for one of a few base fields f: n, u2 and u3
-    fluctuations, the omega2 fluctuation, the two good derivatives and W,
-    and on the cross-section u2_0 and u3_0.
-    """
+    Every norm is one ``parseval_sum`` over the k1 >= 0 half of a base field:
+    n, u2 and u3 fluctuations, the omega2 fluctuation, the two good
+    derivatives and W, and on the cross-section u2_0, u3_0 and the bad part.
+    A table row (track, weight, grid, field, m, moments) observes the sums
+    of m |field|^2 against each of the moments."""
     t = state.t
     grid = params.grid
-    vol = grid.volume
     ledger.track("n_linf").observe(t, float(np.max(np.abs(n_vals))))
 
     mesh = [halve(m, grid) for m in frame_k_mesh(params, state.frame.drift)]
     k1 = mesh[0]
     k2 = _mesh_k2(mesh)
-    pres = over_k2(k1 ** 2, k2)  # |grad lap^-1 dx f|^2 = k1^2 / |k|^2 |f|^2
-    # the fluctuation is the half off its k1 = 0 plane
-    w_neq = np.where(k1 != 0.0, parseval_weights(grid), 0.0)
+    # an X track observes its fluctuation's (|f|^2, |grad f|^2,
+    # |grad lap^-1 dx f|^2): the moments 1, |k|^2 and k1^2 / |k|^2 off k1 = 0
+    x_moments = (k1 != 0.0) * np.stack(np.broadcast_arrays(1.0, k2, over_k2(k1 ** 2, k2)))
+    wa, wb = ledger.wa, ledger.wb
+    table = [("dxx_n_neq", wb, grid, halve(state.n.coeffs, grid), k1 ** 4, x_moments)]
 
-    def observe_x(name, weight, e):
-        """e: Parseval-weighted |f|^2 of the tracked field on the half."""
-        ledger.track(name, weight).observe(t, vol * float(np.sum(e)),
-                                           vol * float(np.sum(k2 * e)),
-                                           vol * float(np.sum(pres * e)))
+    if state.u is not None:
+        u_h = halve(state.u.coeffs, grid)
+        ky, kz = mesh[1], mesh[2]
+        cross = grid.cross_section()
+        U2 = tracker.bad_part() if tracker is not None else None
 
-    dxx2 = k1 ** 4
-    observe_x("dxx_n_neq", ledger.wb, dxx2 * w_neq * _abs2(halve(state.n.coeffs, grid)))
+        # good derivatives (dz - kappa dy) u2, u3 and W = u2 + kappa u3 in the
+        # quasi-linear frame; without a frame kappa is zero.  kappa dy u2,
+        # kappa dy u3 and kappa u3 go through one transform pair
+        good = 1j * kz * u_h[1:]
+        w_h = u_h[1]
+        kappa = None
+        if U2 is not None:
+            try:
+                kappa = kappa_values(U2, params.A)
+            except ContractViolation:
+                pass
+        if kappa is not None:
+            flucts = np.stack([1j * ky * u_h[1], 1j * ky * u_h[2], u_h[2]])
+            flucts[:, 0] = 0.0
+            phys = irfft_x(flucts, grid)
+            del flucts
+            phys *= kappa
+            prods = rfft_band(phys, grid)
+            del phys
+            prods = place(prods, grid)
+            good -= prods[:2]
+            w_h = w_h + prods[2]
+            del prods
+        w2 = 1j * kz * u_h[0] - 1j * k1 * u_h[2]
 
-    if state.u is None:
-        return
-    u_h = halve(state.u.coeffs, grid)
-    ky, kz = mesh[1], mesh[2]
-    cross = grid.cross_section()
-    U2 = tracker.bad_part() if tracker is not None else None
-
-    # good derivatives (dz - kappa dy) u2, u3 and W = u2 + kappa u3 in the
-    # quasi-linear frame; without a frame kappa is zero.  kappa dy u2,
-    # kappa dy u3 and kappa u3 go through one transform pair
-    good = 1j * kz * u_h[1:]
-    w_h = u_h[1]
-    kappa = None
-    if U2 is not None:
-        try:
-            kappa = kappa_values(U2, params.A)
-        except ContractViolation:
-            pass
-    if kappa is not None:
-        flucts = np.stack([1j * ky * u_h[1], 1j * ky * u_h[2], u_h[2]])
-        flucts[:, 0] = 0.0
-        phys = irfft_x(flucts, grid)
-        del flucts
-        phys *= kappa
-        prods = rfft_band(phys, grid)
-        del phys
-        prods = place(prods, grid)
-        good -= prods[:2]
-        w_h = w_h + prods[2]
-        del prods
-    dx2 = k1 ** 2
-    observe_x("dx_good_u2", ledger.wb, dx2 * w_neq * _abs2(good[0]))
-    observe_x("dx_good_u3", ledger.wb, dx2 * w_neq * _abs2(good[1]))
-    observe_x("dx_grad_W", ledger.wb, dx2 * k2 * w_neq * _abs2(w_h))
-
-    # X_a group: vorticity pair; X_b group: streamwise-second-derivative
-    # fluctuations
-    k4 = k2 ** 2
-    e_u2 = w_neq * _abs2(u_h[1])
-    observe_x("lap_u2_neq", ledger.wa, k4 * e_u2)
-    observe_x("dxx_u2_neq", ledger.wb, dxx2 * e_u2)
-    e_u3 = w_neq * _abs2(u_h[2])
-    observe_x("dxx_u3_neq", ledger.wb, dxx2 * e_u3)
-    observe_x("lap_u3_neq", ledger.wb, k4 * e_u3)
-    e_w2 = w_neq * _abs2(1j * kz * u_h[0] - 1j * k1 * u_h[2])
-    for k, name in ((k1, "dx_w2_neq"), (ky, "dy_w2_neq"), (kz, "dz_w2_neq")):
-        observe_x(name, ledger.wa, k ** 2 * e_w2)
-
-    # Y0 group: zero-mode velocities and their derivatives, |k|^2p |f|^2
-    # moments on the cross-section's k_y >= 0 half
-    ck2 = halve(cross.k_squared(), cross)
-    e_0 = parseval_weights(cross) * _abs2(halve(u_h[1:, 0], cross))
-    wmin2 = min(params.A ** (-2.0 / 3.0) + t / params.A, 1.0)
-    for name, lap, e, scale in (("u2_0", "lap_u2_0", e_0[0], 1.0),
-                                ("u3_0", "wmin_lap_u3_0", e_0[1], wmin2)):
-        m = [cross.volume * float(np.sum(ck2 ** p * e)) for p in range(4)]
-        ledger.track(name).observe(t, m[0], m[1])
-        ledger.track("grad_" + name).observe(t, m[1], m[2])
-        ledger.track(lap).observe(t, scale * m[2], scale * m[3])
-
-    # E_{1,2}: bad-part Sobolev budgets from the co-evolved fields
-    if U2 is not None:
-        cmesh = cross.k_mesh()
-        lap_u2_bad = SpectralField(cross, -cross.k_squared() * U2.coeffs)
-        ledger.track("lapU2_h2_sup").observe(t, sobolev_norm(lap_u2_bad, 2))
-        grad_lap = SpectralField(cross, np.stack([1j * cmesh[a] * lap_u2_bad.coeffs
-                                                  for a in range(2)]))
-        ledger.track("gradlapU2_h2_int").observe(t, sobolev_norm(grad_lap, 2) ** 2)
-        dtu2 = tracker.du2_dt(params, state)
-        ledger.track("dtU2_h2_sup").observe(t, sobolev_norm(dtu2, 2))
+        # Y0 group: a zero-mode velocity g on the cross-section's k_y >= 0
+        # half observes (|g|^2, |grad g|^2) of g, grad g and lap g
+        ck2 = halve(cross.k_squared(), cross)
+        y_moments = [np.stack([ck2 ** p, ck2 ** (p + 1)]) for p in range(3)]
+        u2_0, u3_0 = halve(u_h[1:, 0], cross)
+        wmin2 = min(params.A ** (-2.0 / 3.0) + t / params.A, 1.0)
+        table += [
+            # good derivatives and W, then the X_a group (vorticity pair) and
+            # the X_b group (streamwise-second-derivative fluctuations)
+            ("dx_good_u2", wb, grid, good[0], k1 ** 2, x_moments),
+            ("dx_good_u3", wb, grid, good[1], k1 ** 2, x_moments),
+            ("dx_grad_W", wb, grid, w_h, k1 ** 2 * k2, x_moments),
+            ("lap_u2_neq", wa, grid, u_h[1], k2 ** 2, x_moments),
+            ("dxx_u2_neq", wb, grid, u_h[1], k1 ** 4, x_moments),
+            ("dxx_u3_neq", wb, grid, u_h[2], k1 ** 4, x_moments),
+            ("lap_u3_neq", wb, grid, u_h[2], k2 ** 2, x_moments),
+            ("dx_w2_neq", wa, grid, w2, k1 ** 2, x_moments),
+            ("dy_w2_neq", wa, grid, w2, ky ** 2, x_moments),
+            ("dz_w2_neq", wa, grid, w2, kz ** 2, x_moments),
+            ("u2_0", 0.0, cross, u2_0, 1.0, y_moments[0]),
+            ("grad_u2_0", 0.0, cross, u2_0, 1.0, y_moments[1]),
+            ("lap_u2_0", 0.0, cross, u2_0, 1.0, y_moments[2]),
+            ("u3_0", 0.0, cross, u3_0, 1.0, y_moments[0]),
+            ("grad_u3_0", 0.0, cross, u3_0, 1.0, y_moments[1]),
+            ("wmin_lap_u3_0", 0.0, cross, u3_0, wmin2, y_moments[2]),
+        ]
+        # E_{1,2}: H^2 norms of lap U2, grad lap U2 and dU2/dt, the bad part's
+        if U2 is not None:
+            h2 = (1.0 + ck2) ** 2
+            lap_sq, grad_lap_sq = parseval_sum(halve(U2.coeffs, cross), cross, h2,
+                                               np.stack([ck2 ** 2, ck2 ** 3]))
+            ledger.track("lapU2_h2_sup").observe(t, math.sqrt(lap_sq))
+            ledger.track("gradlapU2_h2_int").observe(t, grad_lap_sq)
+            dtu2 = parseval_sum(tracker.du2_dt(params, state), cross, h2)
+            ledger.track("dtU2_h2_sup").observe(t, math.sqrt(dtu2))
+    for name, weight, g, f, m, moments in table:
+        ledger.track(name, weight).observe(t, *parseval_sum(f, g, m, moments))
 
 
 def energy_report(ledger: EnergyLedger) -> dict:

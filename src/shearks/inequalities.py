@@ -20,8 +20,10 @@ from .spectral import (
     GridSpec,
     SpectralField,
     derivative,
+    halve,
     l2_norm,
     laplacian,
+    parseval_sum,
     solve_chemo,
     values_of,
 )
@@ -218,9 +220,7 @@ def gns_ratio(q: float, r: float, samples: list[SpectralField]) -> dict:
         vals = values_of(f)
         vals = vals - np.min(vals)  # nonempty zero set
         cell = grid.cell_volume
-        grad_sq = 0.0
-        for a in range(grid.dim):
-            grad_sq += np.sum(values_of(derivative(f, a)) ** 2) * cell
+        grad_sq = parseval_sum(halve(f.coeffs, grid), grid, halve(grid.k_squared(), grid))
         denom = grad_sq ** (theta / 2.0) * _lp_norm(vals, r, cell) ** (1.0 - theta)
         ratio = _lp_norm(vals, q, cell) / denom if denom > 0 else math.inf
         rows.append({"sample": i, "ratio": ratio})

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import ContractViolation, GridSpec, fill, halve, over_slabs, slab
+from .spectral import ContractViolation, GridSpec, halve, over_slabs, parseval_sum, slab
 
 REMAP_THRESHOLD = 1.0
 
@@ -90,8 +90,8 @@ def linear_step(grid: GridSpec, A: float, frame: ShearFrame, t: float, dt: float
     slabs (``over_slabs``).  Once the drift reaches REMAP_THRESHOLD index k2
     moves to k2 - k1*shift with shift = rint(drift), which keeps the physical
     wavevector, and modes moved beyond |k2| <= n2/2 - 1 are dropped.  The
-    dropped energy is that of the whole spectrum, summed over the whole
-    grid's lost modes in row-major order; with lost cleared it reads 0.0.
+    dropped energy is their ``parseval_sum`` on the half, that of the whole
+    spectrum; with lost cleared it reads 0.0.
     """
     if sheared:
         factor = integrating_factor([halve(m, grid) for m in grid.k_mesh()], 0.0, dt,
@@ -105,11 +105,11 @@ def linear_step(grid: GridSpec, A: float, frame: ShearFrame, t: float, dt: float
         new_frame = ShearFrame(frame.t_last_remap, drift)
     else:
         new_frame = ShearFrame(t_last_remap=t + dt, drift=drift - shift)
-        i1, i2, dst, lost_rows = _remap_gather(grid, shift)
+        i1, i2, dst, lost_modes = _remap_gather(grid, shift)
 
     def apply(base, rhs=None, h=0.0, after=None, lost=True):
         out = (np.empty if shift == 0 else np.zeros)(base.shape, dtype=np.complex128)
-        power = np.empty(base.shape) if lost and shift else None
+        scaled = None if shift == 0 else np.empty(base.shape, dtype=np.complex128)
         lead = (slice(None),) * (base.ndim - grid.dim)
 
         def propagate(s):  # on k1 planes s; a remap moves modes within their row
@@ -120,19 +120,14 @@ def linear_step(grid: GridSpec, A: float, frame: ShearFrame, t: float, dt: float
             if shift == 0:
                 np.multiply(x, slab(factor, s, grid), out=o)
             else:
-                scaled = x * slab(factor, s, grid)
+                sc = np.multiply(x, slab(factor, s, grid), out=slab(scaled, s, grid))
                 p, q = np.searchsorted(i1, (s.start, s.stop))
                 rows = i1[p:q]
-                o[lead + (rows - s.start, dst[p:q])] = scaled[lead + (rows - s.start, i2[p:q])]
-                if power is not None:
-                    np.square(np.abs(scaled), out=slab(power, s, grid))
+                o[lead + (rows - s.start, dst[p:q])] = sc[lead + (rows - s.start, i2[p:q])]
             if after is not None:
                 o += h * slab(after, s, grid)
         over_slabs(propagate, base.shape[base.ndim - grid.dim], grid)
-        if power is None:
-            return out, 0.0
-        dropped = float(np.sum(fill(power, grid)[lead + lost_rows]))
-        return out, dropped * grid.volume
+        return out, parseval_sum(scaled, grid, lost_modes) if lost and shift else 0.0
     return apply, new_frame
 
 
@@ -140,14 +135,16 @@ def linear_step(grid: GridSpec, A: float, frame: ShearFrame, t: float, dt: float
 def _remap_gather(grid: GridSpec, shift: int) -> tuple:
     """The remap by shift as a gather, built once per (grid, shift) and
     read-only: half-spectrum (i1, i2) -> (i1, dst), dst = k2_new % n2 with
-    k2_new = k2 - k1*shift, in row-major order, and ``lost``, the whole
-    grid's modes moved beyond |k2_new| <= n2/2 - 1, in row-major order."""
+    k2_new = k2 - k1*shift, in row-major order, and the half's lost modes,
+    those moved beyond |k2_new| <= n2/2 - 1, as a 0/1 multiplier that
+    broadcasts against the half."""
     n2 = grid.shape[1]
     k2_new = (grid.wavenumbers(1).astype(int)[None, :]
-              - grid.wavenumbers(0).astype(int)[:, None] * shift)
+              - grid.wavenumbers(0).astype(int)[: grid.shape[0] // 2 + 1, None] * shift)
     keep = np.abs(k2_new) <= n2 // 2 - 1  # the lone -n2/2 row stays empty: Hermitian band
-    i1, i2 = np.nonzero(keep[: grid.shape[0] // 2 + 1])
-    gather = (i1, i2, k2_new[i1, i2] % n2, np.nonzero(~keep))
-    for arr in (*gather[:3], *gather[3]):
+    i1, i2 = np.nonzero(keep)
+    lost = (~keep).astype(float).reshape(keep.shape + (1,) * (grid.dim - 2))
+    gather = (i1, i2, k2_new[i1, i2] % n2, lost)
+    for arr in gather:
         arr.flags.writeable = False
     return gather

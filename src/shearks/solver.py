@@ -51,7 +51,7 @@ from .spectral import (
     leray_coeffs,
     over_k2,
     over_slabs,
-    parseval_weights,
+    parseval_sum,
     real_field,
     rfft_band,
     rfft_bands,
@@ -74,6 +74,10 @@ STATUS_UNRESOLVED = "unresolved"
 
 CFL = 0.4        # explicit speeds may cross this fraction of a cell per step
 DT_MIN = 1e-12   # a step below this aborts the run as unresolved
+LINF_FACTOR = 100.0     # Linf at this multiple of its initial value is blow-up
+GROWTH_CONFIRM = 2.0    # a peak Linf at this multiple of the initial confirms growth
+TAIL_RATIO_MAX = 1e-4   # the spectral tail fires above this share of fluctuation energy
+POSITIVITY_TOL = 1e-8   # n_min below -tol * peak Linf: positivity lost
 
 
 @dataclass
@@ -96,10 +100,6 @@ class BlowupMonitor:
     labelled blow-up with the last resolved time, otherwise unresolved.
     """
 
-    linf_factor: float = 100.0
-    tail_ratio_max: float = 1e-4
-    growth_confirm: float = 2.0
-    positivity_tol: float = 1e-8    # n_min below -tol * peak Linf: positivity lost
     enabled: bool = True
     status: str = STATUS_RUNNING
     linf0: float = 0.0
@@ -128,7 +128,7 @@ class BlowupMonitor:
             self._fire(STATUS_UNRESOLVED, t, "non-finite field")
             return
         self.linf_max = max(self.linf_max, linf)
-        growing = self.linf_max >= self.growth_confirm * self.linf0 and linf > self.linf_prev
+        growing = self.linf_max >= GROWTH_CONFIRM * self.linf0 and linf > self.linf_prev
         if n_min < -pos_floor:
             # de-resolution signature; after confirmed growth it indicates the
             # collapse out-ran the grid, otherwise the run is just unresolved
@@ -139,9 +139,9 @@ class BlowupMonitor:
             else:
                 self._fire(STATUS_UNRESOLVED, t, f"negative density {n_min:.3e}")
             return
-        tail_quiet = (not self.enabled) or tail_ratio <= self.tail_ratio_max
+        tail_quiet = (not self.enabled) or tail_ratio <= TAIL_RATIO_MAX
         if tail_quiet:
-            if linf >= self.linf_factor * self.linf0:
+            if linf >= LINF_FACTOR * self.linf0:
                 self._fire(STATUS_BLOWUP, t, f"Linf reached {linf / self.linf0:.1f}x initial")
         elif growing:
             self._fire(STATUS_BLOWUP, t_prev,
@@ -364,17 +364,13 @@ def step(state: State, params: RunConfig, t_stop: float | None = None,
 
 
 def tail_ratio(n: SpectralField, params: RunConfig, drift: float) -> float:
-    """Fraction of fluctuation energy at |k_eff| in the top third of the band,
-    summed over the k1 >= 0 half with its Parseval weights."""
+    """Fraction of fluctuation energy at |k_eff| in the top third of the band."""
     grid = params.grid
     k2 = _mesh_k2([halve(m, grid) for m in frame_k_mesh(params, drift)])
     kcut = min(grid.dealias_cutoff(a) for a in range(grid.dim))
-    e = parseval_weights(grid) * np.abs(halve(n.coeffs, grid)) ** 2
-    e[(0,) * grid.dim] = 0.0
-    total = float(np.sum(e))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(e[k2 >= (2.0 * kcut / 3.0) ** 2]) / total)
+    n_h = halve(n.coeffs, grid)
+    total = parseval_sum(n_h, grid, k2 > 0.0)
+    return parseval_sum(n_h, grid, k2 >= (2.0 * kcut / 3.0) ** 2) / total if total > 0.0 else 0.0
 
 
 @dataclass
@@ -393,7 +389,11 @@ class RunResult:
 def _row(state: State, params: RunConfig, dt: float, status: str,
          dropped_frac: float, ledger, n_vals: np.ndarray) -> dict:
     """One series row; n_vals are the collocation values of state.n."""
-    n, u = state.n, state.u
+    n, u, grid = state.n, state.u, params.grid
+    div_l2 = 0.0
+    if u is not None:  # on the frame's wavevectors
+        mesh = [halve(m, grid) for m in frame_k_mesh(params, state.frame.drift)]
+        div_l2 = math.sqrt(parseval_sum(divergence(halve(u.coeffs, grid), mesh), grid))
     row = {
         "t": state.t,
         "mass": total_mass(n),
@@ -401,8 +401,7 @@ def _row(state: State, params: RunConfig, dt: float, status: str,
         "n_linf": float(np.max(np.abs(n_vals))),
         "n_l2": l2_norm(n),
         "u_l2": l2_norm(u) if u is not None else 0.0,
-        "div_l2": (l2_norm(divergence(u, frame_k_mesh(params, state.frame.drift)))
-                   if u is not None else 0.0),
+        "div_l2": div_l2,
         "dropped_energy": dropped_frac,
         "dt": dt,
         "status": status,
@@ -410,8 +409,8 @@ def _row(state: State, params: RunConfig, dt: float, status: str,
     energies = diagnostics.energy_report(ledger) if ledger is not None else {}
     for key in ("E11", "E12", "E21", "E22", "E3", "E4", "E51", "E52"):
         row[key] = energies.get(key, 0.0)
-    n0 = zero_mode(n) if params.grid.dim == 3 else n
-    n0_vals = values_of(n0) if params.grid.dim == 3 else n_vals
+    n0 = zero_mode(n) if grid.dim == 3 else n
+    n0_vals = values_of(n0) if grid.dim == 3 else n_vals
     row["free_energy"] = free_energy(n0, n0_vals) if is_positive(n0_vals) else float("nan")
     return row
 
@@ -495,7 +494,7 @@ def run(params: RunConfig, init: State, on_sample=None) -> RunResult:
                 n_vals = values_of(state.n)
                 if params.enable_chemotaxis:
                     pos_floor = math.inf if not params.monitor_positivity else \
-                        monitor.positivity_tol * max(monitor.linf_max, monitor.linf0)
+                        POSITIVITY_TOL * max(monitor.linf_max, monitor.linf0)
                     monitor.observe(
                         t=state.t, t_prev=t_prev_sample,
                         linf=float(np.max(np.abs(n_vals))), n_min=float(np.min(n_vals)),

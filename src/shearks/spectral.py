@@ -13,9 +13,11 @@ with the band mask applied.  ``band_of`` cuts the box out of a half and
 of its spectrum, which holds the whole k1 = 0 plane: ``complete_half``
 makes the half that of a real field and ``fill`` writes the k1 < 0 half;
 ``real_field`` does both once.
-Collocation values are read from the half too (``values_of``), and so are
-the energy ledger's and the tail monitor's spectral sums, each half mode
-counted with its multiplicity in the full spectrum (``parseval_weights``).
+Collocation values are read from the half too (``values_of``), and every
+spectral sum is one reduction over it (``parseval_sum``), each half mode
+counted with its multiplicity in the full spectrum (``parseval_weights``):
+the norms, ``divergence``'s, the tail monitor's, the ledger's and the
+remap loss.
 The integer lattice of a grid is built once and shared read-only
 (``GridSpec.k_mesh``).  In every dimension the real transforms are one pair
 of passes of numpy's 1-D FFTs, bit-identical to numpy's rfftn/irfftn.  On
@@ -23,8 +25,9 @@ of passes of numpy's 1-D FFTs, bit-identical to numpy's rfftn/irfftn.  On
 batch (``rfft_bands``) and the k1 or x slabs of a mode-local stage
 (``over_slabs``) are tasks of one work queue that the caller and one pool
 thread drain (``_drain``), bit for bit the serial result.  The operators
-act on the grid's integer lattice; ``divergence`` and ``leray_coeffs`` take
-the wavevectors they work on, the lattice or a sheared frame's.
+act on the grid's integer lattice; ``divergence`` (on halves) and
+``leray_coeffs`` take the wavevectors they work on, the lattice or a
+sheared frame's.
 """
 
 from __future__ import annotations
@@ -610,9 +613,9 @@ def values_of(F: SpectralField) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # differential operators
 #
-# The operators act on the grid's integer lattice.  ``divergence`` takes its
-# wavevectors, the lattice or a sheared (drifting) frame's effective mesh,
-# and ``leray_coeffs`` takes any mesh.
+# The operators act on the grid's integer lattice.  ``divergence`` takes a
+# half and its wavevectors, the lattice's or a sheared (drifting) frame's
+# effective mesh, and ``leray_coeffs`` takes any mesh.
 
 def _mesh_k2(mesh) -> np.ndarray:
     """|k|^2 on the broadcast shape of the wavevector components, summed in
@@ -634,15 +637,12 @@ def laplacian(F: SpectralField) -> SpectralField:
     return SpectralField(F.grid, -F.grid.k_squared() * F.coeffs)
 
 
-def divergence(u: SpectralField, k_mesh) -> SpectralField:
-    """div u on the wavevectors k_mesh: the grid's lattice
-    (``GridSpec.k_mesh``) or a sheared frame's effective mesh."""
-    if u.components != u.grid.dim:
-        raise ContractViolation("divergence expects a dim-component vector field")
-    out = np.zeros(u.grid.shape, dtype=np.complex128)
-    for a in range(u.grid.dim):
-        out += 1j * k_mesh[a] * u.coeffs[a]
-    return SpectralField(u.grid, out)
+def divergence(u_h: np.ndarray, mesh) -> np.ndarray:
+    """div u on the k1 >= 0 half u_h of a vector field, mesh the half of its
+    wavevectors, the lattice's or a sheared frame's (``halve`` of each)."""
+    if u_h.shape[0] != len(mesh):
+        raise ContractViolation("divergence expects one component per wavevector component")
+    return sum(1j * mesh[a] * u_h[a] for a in range(len(mesh)))
 
 
 def k2_guard(k2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -693,11 +693,29 @@ def leray_coeffs(coeffs: np.ndarray, mesh, k2=None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# norms
+# norms: one Parseval sum over the k1 >= 0 half
+
+def parseval_sum(half: np.ndarray, grid: GridSpec, m=1.0, moments=None):
+    """grid.volume * sum(w m |half|^2) over a k1 >= 0 half, w its
+    ``parseval_weights`` and its leading axes summed: the integral of |M f|^2
+    for a real field f and any multiplier |M|^2 = m even in k (m broadcasts
+    against the half).  Given a stack of such multipliers, ``moments``, one
+    sum of w m moment |half|^2 per moment, an array.  The one spectral sum."""
+    spatial = half.shape[half.ndim - grid.dim:]
+    e = np.zeros(spatial)
+    for comp in half.reshape((-1,) + spatial):
+        e += np.square(comp.real)
+        e += np.square(comp.imag)
+    e *= parseval_weights(grid) * m
+    if moments is None:
+        return float(grid.volume * np.sum(e))
+    return grid.volume * np.einsum("ki,i->k", moments.reshape(len(moments), -1), e.ravel())
+
 
 def spectral_energy(F: SpectralField) -> float:
-    """Integral of |f|^2 over the torus, from the coefficients (Parseval)."""
-    return float(F.grid.volume * np.sum(np.abs(F.coeffs) ** 2))
+    """Integral of |f|^2 over the torus, from the k1 >= 0 half of a Hermitian
+    spectrum, as every stored field is (``values_of``)."""
+    return parseval_sum(halve(F.coeffs, F.grid), F.grid)
 
 
 def l2_norm(F: SpectralField) -> float:
@@ -705,6 +723,6 @@ def l2_norm(F: SpectralField) -> float:
 
 
 def sobolev_norm(F: SpectralField, order: int) -> float:
-    """H^s norm with Bessel weights (1 + |k|^2)^s."""
-    w = (1.0 + F.grid.k_squared()) ** order * np.abs(F.coeffs) ** 2
-    return float(np.sqrt(F.grid.volume * np.sum(w)))
+    """H^s norm with Bessel weights (1 + |k|^2)^s, as ``spectral_energy``."""
+    m = (1.0 + halve(F.grid.k_squared(), F.grid)) ** order
+    return float(np.sqrt(parseval_sum(halve(F.coeffs, F.grid), F.grid, m)))

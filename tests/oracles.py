@@ -24,7 +24,9 @@ outside the 2/3 band too, which ``sampling.random_smooth`` never makes.
 the 2/3-rule band as a full-spectrum mask, which the masked references
 multiply by; ``solver`` never forms it.  ``compute_omega2`` is
 the wall-normal vorticity of a full spectrum, which ``residual_omega2``
-uses.  ``full_spectrum_ledger`` is the energy ledger summed over whole
+uses, and ``full_divergence`` the divergence of one, the reference of
+``spectral.divergence`` on halves.  ``full_spectrum_ledger`` is the energy
+ledger summed over whole
 spectra, the reference of ``diagnostics.ledger_update``, which sums
 Parseval-weighted k1 >= 0 halves.  ``masked_tendency`` is the tendency
 assembled on whole k1 >= 0 halves with every dealiased product multiplied by
@@ -64,7 +66,6 @@ from shearks.spectral import (
     over_k2,
     place,
     rfft_x,
-    sobolev_norm,
     values_of,
 )
 
@@ -250,6 +251,16 @@ def min_principle_check(rows: list, nbar: float, A: float,
         if row["n_min"] < bound - slack:
             return False
     return True
+
+
+def full_divergence(u: SpectralField, k_mesh) -> SpectralField:
+    """div u over the whole spectrum on the wavevectors k_mesh (whole-grid
+    components), the reference of ``spectral.divergence``, which takes and
+    returns k1 >= 0 halves."""
+    out = np.zeros(u.grid.shape, dtype=np.complex128)
+    for a in range(u.grid.dim):
+        out += 1j * k_mesh[a] * u.coeffs[a]
+    return SpectralField(u.grid, out)
 
 
 def compute_omega2(u: SpectralField, k_mesh=None) -> SpectralField:
@@ -486,6 +497,12 @@ def _norm_pieces(coeffs: np.ndarray, grid: GridSpec, weights) -> tuple[float, fl
             float(vol * np.sum(pres * e)))
 
 
+def _h2_norm(coeffs: np.ndarray, grid: GridSpec) -> float:
+    """H^2 norm, Bessel weights (1 + |k|^2)^2, summed over the whole spectrum."""
+    e = (1.0 + grid.k_squared()) ** 2 * np.abs(coeffs) ** 2
+    return float(np.sqrt(grid.volume * np.sum(e)))
+
+
 def _observe_field(ledger, name: str, weight: float, t: float,
                    coeffs: np.ndarray, grid: GridSpec, weights):
     ledger.track(name, weight).observe(t, *_norm_pieces(coeffs, grid, weights))
@@ -573,16 +590,16 @@ def full_spectrum_ledger(ledger, state, params, tracker, n_vals: np.ndarray):
     grad_w = np.stack([1j * mesh[a] * w_coeffs for a in range(3)])
     _observe_field(ledger, "dx_grad_W", ledger.wb, t, dx1 * grad_w, grid, weights)
 
-    # E_{1,2}: bad-part Sobolev budgets from the co-evolved fields
+    # E_{1,2}: bad-part Sobolev budgets from the co-evolved fields; the
+    # tracker's dU2/dt is a k_y >= 0 half, filled here
     if tracker is not None:
         U2 = tracker.bad_part()
-        lap_u2_bad = SpectralField(cross, -ck2 * U2.coeffs)
-        ledger.track("lapU2_h2_sup").observe(t, sobolev_norm(lap_u2_bad, 2))
-        grad_lap = SpectralField(cross, np.stack([1j * cmesh[a] * lap_u2_bad.coeffs
-                                                  for a in range(2)]))
-        ledger.track("gradlapU2_h2_int").observe(t, sobolev_norm(grad_lap, 2) ** 2)
-        dtu2 = tracker.du2_dt(params, state)
-        ledger.track("dtU2_h2_sup").observe(t, sobolev_norm(dtu2, 2))
+        lap_u2_bad = -ck2 * U2.coeffs
+        ledger.track("lapU2_h2_sup").observe(t, _h2_norm(lap_u2_bad, cross))
+        grad_lap = np.stack([1j * cmesh[a] * lap_u2_bad for a in range(2)])
+        ledger.track("gradlapU2_h2_int").observe(t, _h2_norm(grad_lap, cross) ** 2)
+        dtu2 = fill(tracker.du2_dt(params, state), cross)
+        ledger.track("dtU2_h2_sup").observe(t, _h2_norm(dtu2, cross))
 
 
 @dataclass

@@ -74,14 +74,14 @@ class TestVorticity:
 
 # 16^3 is too coarse for the spectral-tail gate; these tests target
 # decomposition and residual fidelity, not blow-up detection
-sheared_3d_params = partial(run_params, GRID3, A=8.0, enable_shear=True, t_end=1.0,
-                            dt_max=0.01, output_every=0.2, track_energies=False,
-                            monitor_tail=False)
+sheared_3d_params = partial(run_params, grid=GRID3, A=8.0, enable_shear=True, t_end=1.0,
+                                 dt_max=0.01, output_every=0.2, track_energies=False,
+                                 monitor_tail=False)
 
 
-def smooth_3d_state(seed=0, u_scale=0.05):
-    n = gaussian_bump(GRID3, width=0.9, mass=8.0)
-    u = leray_project(random_smooth(GRID3, seed=seed, components=3))
+def smooth_3d_state(seed=0, u_scale=0.05, grid=GRID3):
+    n = gaussian_bump(grid, width=0.9, mass=8.0)
+    u = leray_project(random_smooth(grid, seed=seed, components=3))
     u.coeffs *= u_scale
     return State(t=0.0, n=n, u=u, frame=ShearFrame())
 
@@ -297,9 +297,11 @@ class TestEnergyLedger:
         assert rows[-1]["E22"] > 0.0
         assert rows[-1]["E52"] > 0.0
 
-    def test_half_ledger_matches_full_spectrum_oracle(self, monkeypatch):
-        # a coupled 16^3 run with the tracker, remapped once near t = 1
-        params = sheared_3d_params(track_energies=True, track_decomposition=True,
+    @pytest.mark.parametrize("shape", [(16, 16, 16), (16, 24, 12)], ids=["16^3", "16x24x12"])
+    def test_half_ledger_matches_full_spectrum_oracle(self, shape, monkeypatch):
+        # a coupled run with the tracker, remapped once near t = 1
+        grid = GridSpec(shape)
+        params = sheared_3d_params(grid=grid, track_energies=True, track_decomposition=True,
                                    t_end=1.6, output_every=0.1)
         ref = EnergyLedger(A=params.A)
         reports, epochs = [], set()
@@ -310,13 +312,23 @@ class TestEnergyLedger:
             reports.append((energy_report(ledger), energy_report(ref)))
             epochs.add(state.frame.t_last_remap)
         monkeypatch.setattr(diagnostics, "ledger_update", both)
-        result = run(params, smooth_3d_state(seed=7, u_scale=0.3))
+        state = smooth_3d_state(seed=7, u_scale=0.3, grid=grid)
+        result = run(params, state)
         assert result.status == "suppressed" and len(reports) == 17 and len(epochs) == 2
         for new, old in reports:
-            assert new["E3"] == old["E3"] and new["E12"] == old["E12"]
+            assert new["E3"] == old["E3"]
             for key, value in old.items():
                 assert abs(new[key] - value) <= 1e-13 * abs(value), key
         assert all(value > 0.0 for value in reports[-1][1].values())
+        # the tracker on this grid: G1 + B1 + B2 = u1_0 and bar(B1) = mean(n) t / A
+        tracker, final = result.tracker, result.final_state
+        u1_0 = split_x(final.u.component(0))[0]
+        parts = tracker.G1.coeffs + tracker.B1.coeffs + tracker.B2.coeffs
+        assert l2_norm(SpectralField(tracker.cross, parts - u1_0.coeffs)) \
+            <= 1e-13 * l2_norm(u1_0)
+        nbar = state.n.coeffs[(0, 0, 0)].real
+        assert split_bar_tilde(tracker.B1)[0] == pytest.approx(nbar * final.t / params.A,
+                                                               rel=1e-13)
 
     def test_ledger_transient_below_twelve_full_fields(self):
         # tracemalloc peak of one sample above live memory, 24^3 coupled state

@@ -38,6 +38,7 @@ from shearks.spectral import (
     laplacian,
     leray_project,
     over_slabs,
+    parseval_sum,
     parseval_weights,
     place,
     real_field,
@@ -55,6 +56,7 @@ from oracles import (
     dealias_mask,
     from_values,
     full_band_hermitian,
+    full_divergence,
     inverse_transform,
     l2_norm_values,
     linf_norm,
@@ -667,10 +669,28 @@ class TestLeray:
     def test_projector_properties(self):
         u = random_real_field(GRID3, seed=6, components=3)
         p = leray_project(u)
-        assert l2_norm(divergence(p, GRID3.k_mesh())) <= 1e-12 * l2_norm(u)
+        assert l2_norm(full_divergence(p, GRID3.k_mesh())) <= 1e-12 * l2_norm(u)
         pp = leray_project(p)
         assert np.max(np.abs(pp.coeffs - p.coeffs)) < 1e-13
         assert l2_norm(p) <= l2_norm(u) + 1e-14
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("shape", [(16, 12), (8, 10, 12)])
+    @pytest.mark.parametrize("drift", [0.0, 0.37])
+    def test_half_equals_half_of_full_oracle(self, shape, drift):
+        grid = GridSpec(shape)
+        u = full_band_hermitian(grid, seed=3, components=grid.dim)
+        mesh = grid.k_mesh()
+        mesh[1] = mesh[1] - mesh[0] * drift  # a sheared frame's wavevectors
+        div = divergence(halve(u.coeffs, grid), [halve(m, grid) for m in mesh])
+        assert np.array_equal(div, halve(full_divergence(u, mesh).coeffs, grid))
+
+    def test_needs_one_component_per_axis(self):
+        grid = GridSpec((8, 10, 12))
+        with pytest.raises(ContractViolation):
+            divergence(np.zeros((2, 5, 10, 12), dtype=complex),
+                       [halve(m, grid) for m in grid.k_mesh()])
 
 
 class TestDealias:
@@ -723,6 +743,27 @@ class TestParsevalWeights:
             full = np.sum(m * np.abs(F.coeffs) ** 2)
             half = np.sum(w * halve(m, grid) * np.abs(halve(F.coeffs, grid)) ** 2)
             assert abs(half - full) <= 1e-14 * full
+
+    @pytest.mark.parametrize("shape, components", [((16,), 1), ((16, 12), 1), ((8, 10, 12), 1),
+                                                   ((16, 12), 3), ((8, 10, 12), 2)])
+    def test_parseval_sum_equals_full_sums(self, shape, components):
+        # one multiplier gives a float, a stack of moments one sum each
+        grid = GridSpec(shape)
+        F = full_band_hermitian(grid, seed=sum(shape) + components, components=components)
+        k2 = grid.k_squared()
+        ms = [np.ones(shape), k2, grid.k_mesh()[0] ** 2 * k2]
+        e = np.abs(F.coeffs) ** 2
+        full = [grid.volume * np.sum(m * e) for m in ms]
+        half = halve(F.coeffs, grid)
+        assert parseval_sum(half, grid) == pytest.approx(full[0], rel=1e-14)
+        assert parseval_sum(half, grid, halve(k2, grid)) == pytest.approx(full[1], rel=1e-14)
+        sums = parseval_sum(half, grid, moments=np.stack([halve(m, grid) for m in ms]))
+        assert sums.shape == (3,) and np.allclose(sums, full, rtol=1e-14, atol=0.0)
+        # a multiplier and moments: one sum of their product per moment
+        sums = parseval_sum(half, grid, halve(k2, grid), np.stack([halve(m, grid) for m in ms]))
+        assert np.allclose(sums, [grid.volume * np.sum(k2 * m * e) for m in ms],
+                           rtol=1e-14, atol=0.0)
+        assert spectral_energy(F) == parseval_sum(half, grid)
 
     def test_cached_and_read_only(self):
         w = parseval_weights(GridSpec((16, 12)))
