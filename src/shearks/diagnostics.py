@@ -329,8 +329,8 @@ def ledger_update(ledger: EnergyLedger, state, params, tracker, n_vals: np.ndarr
             del prods
         w2 = 1j * kz * u_h[0] - 1j * k1 * u_h[2]
 
-        # Y0 group: a zero-mode velocity g on the cross-section's k_y >= 0
-        # half observes (|g|^2, |grad g|^2) of g, grad g and lap g
+        # Y0 group: the g, grad g and lap g tracks of a zero-mode velocity g
+        # observe the moments |k|^2p and |k|^2p+2 on the k_y >= 0 half
         ck2 = halve(cross.k_squared(), cross)
         y_moments = [np.stack([ck2 ** p, ck2 ** (p + 1)]) for p in range(3)]
         u2_0, u3_0 = halve(u_h[1:, 0], cross)

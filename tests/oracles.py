@@ -26,12 +26,12 @@ multiply by; ``solver`` never forms it.  ``compute_omega2`` is
 the wall-normal vorticity of a full spectrum, which ``residual_omega2``
 uses, and ``full_divergence`` the divergence of one, the reference of
 ``spectral.divergence`` on halves.  ``full_spectrum_ledger`` is the energy
-ledger summed over whole
-spectra, the reference of ``diagnostics.ledger_update``, which sums
-Parseval-weighted k1 >= 0 halves.  ``masked_tendency`` is the tendency
-assembled on whole k1 >= 0 halves with every dealiased product multiplied by
-the 2/3-rule mask, the bit-for-bit reference (up to the sign of exact zeros)
-of ``solver.tendency``, which transforms and assembles the band box alone.
+ledger summed over whole spectra, the reference of
+``diagnostics.ledger_update``, which sums Parseval-weighted k1 >= 0 halves.
+``masked_tendency`` is the tendency assembled on whole k1 >= 0 halves with
+every dealiased product multiplied by the 2/3-rule mask, the bit-for-bit
+reference (up to the sign of exact zeros) of ``solver.tendency``, which
+transforms and assembles the band box alone.
 ``run_params`` is no oracle: it is how every test builds a run's parameters
 on a test grid, through ``config.params_of`` like the program itself.
 """

@@ -75,8 +75,8 @@ class TestVorticity:
 # 16^3 is too coarse for the spectral-tail gate; these tests target
 # decomposition and residual fidelity, not blow-up detection
 sheared_3d_params = partial(run_params, grid=GRID3, A=8.0, enable_shear=True, t_end=1.0,
-                                 dt_max=0.01, output_every=0.2, track_energies=False,
-                                 monitor_tail=False)
+                            dt_max=0.01, output_every=0.2, track_energies=False,
+                            monitor_tail=False)
 
 
 def smooth_3d_state(seed=0, u_scale=0.05, grid=GRID3):
