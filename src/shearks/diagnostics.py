@@ -4,12 +4,12 @@ Live diagnostics for the solver: weighted space-time norm tracks and the
 energy functionals built from them, the good/bad splitting of the
 streamwise zero-mode velocity via co-evolved cross-section PDEs, and the
 quasi-linear frame quantities kappa, rho1, rho2, W.  Neither builds a full
-spectrum to sum it.  The tracker advances its three parts as one (3, ny,
-nz) stack by the solver's own linear step and completion, its stages on
-k_y >= 0 halves.  The ledger reduces every norm, one row of a table per
-track, by ``spectral.parseval_sum`` over the k1 >= 0 half of the field it
-measures, and sends its three kappa products through one 3D inverse
-transform and one band forward transform (``rfft_band``).
+spectrum.  The tracker advances its three parts as one k_y >= 0 half stack
+by the solver's own linear step and completion.  The ledger reduces every
+norm, one row of a table per track, by ``spectral.parseval_sum`` over the
+k1 >= 0 half of the field it measures, and sends its three kappa products
+through one 3D inverse transform and one band forward transform
+(``rfft_band``).
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def _frame_slopes(U2: SpectralField, A: float) -> tuple[np.ndarray, np.ndarray]:
     """Values of dy(V), dz(V) for V = y + U2/A; aborts when min dy(V) < 1/2."""
     if U2.grid.dim != 2 or U2.components != 1:
         raise ContractViolation("U2 must be a scalar cross-section field")
-    dy, dz = _yz_gradient_values(halve(U2.coeffs, U2.grid), U2.grid)
+    dy, dz = _yz_gradient_values(U2.half, U2.grid)
     vy = 1.0 + dy / A
     vz = dz / A
     if float(np.min(vy)) < 0.5:
@@ -106,7 +106,7 @@ def kappa_identity_residual(kr: KappaRho, u3: SpectralField) -> float:
     grad(kappa).grad(f) = rho1 grad(V).grad(f) + rho2 (dz - kappa dy) f,
     relative to the scale of the left-hand side.
     """
-    dy, dz = _yz_gradient_values(halve(u3.coeffs, u3.grid), u3.grid)
+    dy, dz = _yz_gradient_values(u3.half, u3.grid)
     lhs = kr.dy_kappa * dy + kr.dz_kappa * dz
     rhs = (kr.rho1_values * (kr.vy_values * dy + kr.vz_values * dz)
            + kr.rho2_values * (dz - kr.kappa_values * dy))
@@ -138,9 +138,9 @@ class DecompositionTracker:
     G1 carries the initial data and the non-zero-mode feedback, B1 the
     density forcing n0/A, B2 the lift-up source -u2_0.
 
-    The three are one (3, ny, nz) spectrum, ``parts``, advanced by one Heun
-    step on its k_y >= 0 half with one advection per stage; ``G1``, ``B1``
-    and ``B2`` are full-spectrum views of its rows.
+    The three are one field of three components on the cross-section,
+    ``parts``, a k_y >= 0 half stack advanced by one Heun step with one
+    advection per stage; ``G1``, ``B1`` and ``B2`` are views of its rows.
     """
 
     parts: SpectralField
@@ -148,9 +148,9 @@ class DecompositionTracker:
     @classmethod
     def start(cls, params, state) -> "DecompositionTracker":
         u1_0 = zero_mode(state.u.component(0))
-        parts = np.zeros((3, *u1_0.grid.shape), dtype=np.complex128)
-        parts[0] = u1_0.coeffs
-        return cls(SpectralField(u1_0.grid, parts))
+        parts = np.zeros((3, *u1_0.grid.half_shape), dtype=np.complex128)
+        parts[0] = u1_0.half
+        return cls(SpectralField.from_half(u1_0.grid, parts))
 
     G1 = property(lambda self: self.parts.component(0))
     B1 = property(lambda self: self.parts.component(1))
@@ -163,9 +163,9 @@ class DecompositionTracker:
     def bad_part(self) -> SpectralField:
         """U2 = tilde(B2) + bar(B2) + bar(B1)."""
         origin = (0,) * self.cross.dim
-        out = self.B2.coeffs.copy()
-        out[origin] += self.B1.coeffs[origin].real
-        return SpectralField(self.cross, out)
+        out = self.B2.half.copy()
+        out[origin] += self.B1.half[origin].real
+        return SpectralField.from_half(self.cross, out)
 
     def _stage_rhs(self, parts: np.ndarray, A: float, n_h, u_h, ev) -> np.ndarray:
         """Tendencies of a (G1, B1, B2) half stack from one solver stage: its
@@ -191,7 +191,7 @@ class DecompositionTracker:
         flow of the k1 = 0 plane, and the solver's completion."""
         cross, A = self.cross, params.A
         apply, _ = linear_step(cross, A, ShearFrame(), 0.0, dt, sheared=False)
-        parts = halve(self.parts.coeffs, cross)
+        parts = self.parts.half
         r1 = self._stage_rhs(parts, A, *stage1)
         r2 = self._stage_rhs(apply(parts, r1, dt)[0], A, *stage2)
         self.parts = real_field(apply(parts, r1, 0.5 * dt, r2)[0], cross)
@@ -201,12 +201,12 @@ class DecompositionTracker:
         from the equations' right-hand sides rather than finite differences."""
         cross = self.cross
         A = params.A
-        u_0 = halve(zero_mode(state.u).coeffs, cross)
-        b2 = halve(self.B2.coeffs, cross)
+        u_0 = zero_mode(state.u).half
+        b2 = self.B2.half
         u2v, u3v, b2v = irfft_band(band_of(np.stack([u_0[1], u_0[2], b2]), cross), cross)
         adv = place(_advect((u2v, u3v), b2v, cross), cross)
         out = (-halve(cross.k_squared(), cross) * b2) / A - u_0[1] - adv / A
-        out[(0,) * cross.dim] += state.n.coeffs[(0,) * params.grid.dim].real / A
+        out[(0,) * cross.dim] += state.n.half[(0,) * params.grid.dim].real / A
         return out
 
 
@@ -296,10 +296,10 @@ def ledger_update(ledger: EnergyLedger, state, params, tracker, n_vals: np.ndarr
     # |grad lap^-1 dx f|^2): the moments 1, |k|^2 and k1^2 / |k|^2 off k1 = 0
     x_moments = (k1 != 0.0) * np.stack(np.broadcast_arrays(1.0, k2, over_k2(k1 ** 2, k2)))
     wa, wb = ledger.wa, ledger.wb
-    table = [("dxx_n_neq", wb, grid, halve(state.n.coeffs, grid), k1 ** 4, x_moments)]
+    table = [("dxx_n_neq", wb, grid, state.n.half, k1 ** 4, x_moments)]
 
     if state.u is not None:
-        u_h = halve(state.u.coeffs, grid)
+        u_h = state.u.half
         ky, kz = mesh[1], mesh[2]
         cross = grid.cross_section()
         U2 = tracker.bad_part() if tracker is not None else None
@@ -358,7 +358,7 @@ def ledger_update(ledger: EnergyLedger, state, params, tracker, n_vals: np.ndarr
         # E_{1,2}: H^2 norms of lap U2, grad lap U2 and dU2/dt, the bad part's
         if U2 is not None:
             h2 = (1.0 + ck2) ** 2
-            lap_sq, grad_lap_sq = parseval_sum(halve(U2.coeffs, cross), cross, h2,
+            lap_sq, grad_lap_sq = parseval_sum(U2.half, cross, h2,
                                                np.stack([ck2 ** 2, ck2 ** 3]))
             ledger.track("lapU2_h2_sup").observe(t, math.sqrt(lap_sq))
             ledger.track("gradlapU2_h2_int").observe(t, grad_lap_sq)

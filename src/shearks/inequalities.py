@@ -98,7 +98,7 @@ def free_energy(n0: SpectralField, vals: np.ndarray | None = None) -> float:
     vals = values_of(n0) if vals is None else vals
     if not is_positive(vals):
         raise ContractViolation("free energy needs a positive density")
-    nbar = float(n0.coeffs[0, 0].real)
+    nbar = float(n0.half[0, 0].real)
     c_vals = values_of(solve_chemo(n0))
     pos = np.maximum(vals, 0.0)
     integrand = pos * np.log(np.where(pos > 0.0, pos, 1.0)) - 0.5 * (vals - nbar) * c_vals
@@ -220,7 +220,7 @@ def gns_ratio(q: float, r: float, samples: list[SpectralField]) -> dict:
         vals = values_of(f)
         vals = vals - np.min(vals)  # nonempty zero set
         cell = grid.cell_volume
-        grad_sq = parseval_sum(halve(f.coeffs, grid), grid, halve(grid.k_squared(), grid))
+        grad_sq = parseval_sum(f.half, grid, halve(grid.k_squared(), grid))
         denom = grad_sq ** (theta / 2.0) * _lp_norm(vals, r, cell) ** (1.0 - theta)
         ratio = _lp_norm(vals, q, cell) / denom if denom > 0 else math.inf
         rows.append({"sample": i, "ratio": ratio})

@@ -20,7 +20,7 @@ def build_density(cfg: RunConfig, grid: GridSpec) -> SpectralField:
         n = positive_density(grid, seed=cfg.init_seed, mass=cfg.mass, slope=cfg.init_slope)
     else:
         raise ConfigError(f"init_kind: unknown kind {cfg.init_kind!r}")
-    return real_field(halve(n.coeffs, grid), grid)
+    return real_field(n.half, grid)
 
 
 def build_velocity(cfg: RunConfig, grid: GridSpec) -> SpectralField:
@@ -33,16 +33,16 @@ def build_velocity(cfg: RunConfig, grid: GridSpec) -> SpectralField:
         size = (sobolev_norm(zero_mode(u0.component(1)), 2)
                 + sobolev_norm(zero_mode(u0.component(2)), 1))
         if size > 0:
-            u0.coeffs *= cfg.u_eps / size
-        u.coeffs += u0.coeffs
+            u0.half *= cfg.u_eps / size
+        u.half += u0.half
     if cfg.u_amplitude > 0:
         fluct = fluctuation_only(random_smooth(grid, seed=cfg.u_seed + 1000,
                                                slope=3.0, components=3))
         fluct = leray_project(fluct)
         norm = l2_norm(fluct)
         if norm > 0:
-            u.coeffs += cfg.u_amplitude / norm * fluct.coeffs
-    return real_field(halve(u.coeffs, grid), grid, [halve(m, grid) for m in grid.k_mesh()])
+            u.half += cfg.u_amplitude / norm * fluct.half
+    return real_field(u.half, grid, [halve(m, grid) for m in grid.k_mesh()])
 
 
 def build_initial_state(cfg: RunConfig) -> State:

@@ -7,23 +7,24 @@ mode).
 
 from __future__ import annotations
 
-from .spectral import ContractViolation, SpectralField
+from .spectral import ContractViolation, SpectralField, halve
 
 
 def zero_mode(F: SpectralField) -> SpectralField:
-    """The x-average of F on the cross-section grid: a view of its k1 = 0
-    plane, so reading it copies nothing."""
+    """The x-average of F on the cross-section grid: a view of the k2 >= 0
+    half of its k1 = 0 plane, so reading it copies nothing."""
     if F.grid.dim < 2:
         raise ContractViolation("a zero mode needs a grid with dim >= 2")
-    take = (slice(None),) * (F.coeffs.ndim - F.grid.dim) + (0,)
-    return SpectralField(F.grid.cross_section(), F.coeffs[take])
+    cross = F.grid.cross_section()
+    plane = F.half[(slice(None),) * (F.half.ndim - F.grid.dim) + (0,)]
+    return SpectralField.from_half(cross, halve(plane, cross))
 
 
 def fluctuation_only(F: SpectralField) -> SpectralField:
     """The non-zero mode of F: a copy with every k1 = 0 coefficient zeroed."""
-    out = F.coeffs.copy()
+    out = F.half.copy()
     out[(slice(None),) * (out.ndim - F.grid.dim) + (0,)] = 0.0
-    return SpectralField(F.grid, out)
+    return SpectralField.from_half(F.grid, out)
 
 
 def split_x(F: SpectralField) -> tuple[SpectralField, SpectralField]:

@@ -36,7 +36,7 @@ def random_smooth(grid: GridSpec, seed: int, slope: float = 2.0,
     F = real_field(place(box, grid), grid)
     norm = l2_norm(F)
     if norm > 0:
-        F.coeffs /= norm
+        F.half /= norm
     return F
 
 
@@ -55,7 +55,7 @@ def gaussian_bump(grid: GridSpec, width: float, center=None, mass: float = 1.0) 
             acc += np.exp(-((d + 2 * np.pi * image) ** 2) / (2 * width ** 2))
         vals = vals * acc
     F = forward_transform(RealField(grid, vals))
-    F.coeffs *= mass / total_mass(F)
+    F.half *= mass / total_mass(F)
     return F
 
 
@@ -66,7 +66,7 @@ def positive_density(grid: GridSpec, seed: int, mass: float,
     vals = values_of(g)
     vals = np.exp(contrast * vals / max(np.max(np.abs(vals)), 1e-300))
     F = forward_transform(RealField(grid, vals))
-    F.coeffs *= mass / total_mass(F)
+    F.half *= mass / total_mass(F)
     return F
 
 
@@ -80,7 +80,8 @@ def solenoidal_zero_mode(grid: GridSpec, seed: int, slope: float = 3.0) -> Spect
     cross = grid.cross_section()
     psi = random_smooth(cross, seed, slope=slope)
     ky, kz = cross.k_mesh()
-    out = np.zeros((3, *grid.shape), dtype=np.complex128)
-    out[1, 0] = 1j * kz * psi.coeffs
-    out[2, 0] = -1j * ky * psi.coeffs
-    return SpectralField(grid, out)
+    psi_hat = psi.coeffs  # the k1 = 0 plane is the whole cross-section spectrum
+    out = np.zeros((3, *grid.half_shape), dtype=np.complex128)
+    out[1, 0] = 1j * kz * psi_hat
+    out[2, 0] = -1j * ky * psi_hat
+    return SpectralField.from_half(grid, out)

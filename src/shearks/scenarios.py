@@ -24,20 +24,27 @@ from .spectral import GridSpec, values_of
 
 def run_simulate(cfg: RunConfig, init: State | None = None,
                  series_name: str = "series.csv") -> dict:
-    """One run: series CSV, periodic checkpoints, final checkpoint."""
+    """One run: series CSV, periodic checkpoints, final checkpoint.  The
+    initial state, init or the configured one, is handed to ``run``, which
+    holds the only reference to it and drops it once it has stepped."""
     params = params_of(cfg)
-    state = init if init is not None else build_initial_state(cfg)
+    # a call's arguments belong to the callee's frame, so popping the state
+    # into run's call leaves no reference here
+    handed = [init if init is not None else build_initial_state(cfg)]
+    del init
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    next_ckpt = [state.t + cfg.checkpoint_every]
+    next_ckpt = []
 
     def on_sample(s, row):
+        if not next_ckpt:  # the first sample is the initial state
+            next_ckpt.append(s.t + cfg.checkpoint_every)
         if cfg.checkpoint_every > 0 and s.t >= next_ckpt[0] - 1e-9:
             write_checkpoint(out / f"checkpoint_t{s.t:010.4f}.pksn", s, params.A)
             next_ckpt[0] += cfg.checkpoint_every
 
-    result = run(params, state, on_sample=on_sample)
+    result = run(params, handed.pop(), on_sample=on_sample)
     write_series(out / series_name, result.rows)
     write_checkpoint(out / "final.pksn", result.final_state, params.A)
     return {
@@ -55,6 +62,12 @@ def run_simulate(cfg: RunConfig, init: State | None = None,
 
 
 def run_resume(cfg: RunConfig, checkpoint_path) -> dict:
+    return run_simulate(cfg, init=_resumable(cfg, checkpoint_path),
+                        series_name="series_resume.csv")
+
+
+def _resumable(cfg: RunConfig, checkpoint_path) -> State:
+    """The checkpoint's state, once it fits the configuration."""
     state, A = read_checkpoint(checkpoint_path)
     if state.n.grid != cfg.grid:
         raise ConfigError("resume: checkpoint grid does not match config grid")
@@ -66,7 +79,7 @@ def run_resume(cfg: RunConfig, checkpoint_path) -> dict:
     if state.frame.drift != 0.0 and not params.enable_shear:
         # an unsheared run reads the integer lattice and would ignore the drift
         raise ConfigError(f"resume: checkpoint drift {state.frame.drift} needs enable_shear")
-    return run_simulate(cfg, init=state, series_name="series_resume.csv")
+    return state
 
 
 def _sweep_single(args) -> dict:
@@ -169,7 +182,7 @@ def _check_identities(cfg: RunConfig) -> dict:
     for seed in range(cfg.samples):
         U2 = random_smooth(cross, seed=seed, slope=3.0)
         grad_max = float(np.max(np.abs(values_of(U2))))
-        U2.coeffs *= 0.1 * A / max(grad_max, 1e-300)
+        U2.half *= 0.1 * A / max(grad_max, 1e-300)
         kr = compute_kappa_rho(U2, A)
         u3 = fluctuation_only(random_smooth(grid3, seed=seed + 10_000))
         worst = max(worst, kappa_identity_residual(kr, u3))
@@ -187,7 +200,7 @@ def run_check(cfg: RunConfig) -> dict:
             samples = [random_smooth(grid2, seed=cfg.init_seed + i, slope=cfg.init_slope)
                        for i in range(cfg.samples)]
             for f in samples:
-                f.coeffs[(0,) * grid2.dim] += 1.0
+                f.half[(0,) * grid2.dim] += 1.0
             rep = check_elliptic(samples)
             detail = f"max_ratio={rep['max_ratio']:.12f} over {cfg.samples} samples"
         elif suite == "poincare":

@@ -7,10 +7,12 @@ Only checkpoints are read back here; a series is read by its consumers.
 Checkpoint layout (little-endian):
     magic 'PKSN' | version u32 = 1 | dim u8 | n_modes u32[3]
     | t f64 | A f64 | drift f64 | t_last_remap f64 | mass f64
-    | coefficient blocks: n, then each velocity component, each as
-      (re, im) f64 pairs in row-major wavevector order
+    | coefficient blocks: n, then each velocity component, each its full
+      spectrum as (re, im) f64 pairs in row-major wavevector order
     | crc32 u32 of everything before it
-Checkpoints are self-describing: reading needs no configuration.
+Checkpoints are self-describing: reading needs no configuration.  The
+writer streams the file, one block filled from its k1 >= 0 half at a time
+under a running CRC; the reader keeps the halves of the blocks alone.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .shear import REMAP_THRESHOLD, ShearFrame
 from .solver import SERIES_COLUMNS, State
-from .spectral import GridSpec, SpectralField, total_mass
+from .spectral import GridSpec, SpectralField, fill, halve, total_mass
 
 MAGIC = b"PKSN"
 FORMAT_VERSION = 1
@@ -51,32 +53,44 @@ def write_series(path, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
-def checkpoint_bytes(state: State, A: float) -> bytes:
+def _payload(state: State, A: float):
+    """The checkpoint before its CRC, piece by piece: the header, then each
+    block, filled from its half."""
     grid = state.n.grid
     n_modes = list(grid.shape) + [0] * (3 - grid.dim)
-    header = _HEADER.pack(
+    yield _HEADER.pack(
         MAGIC, FORMAT_VERSION, grid.dim, *n_modes,
         state.t, A, state.frame.drift, state.frame.t_last_remap, total_mass(state.n),
     )
-    blocks = [np.ascontiguousarray(state.n.coeffs, dtype=np.complex128).tobytes()]
+    yield fill(state.n.half, grid)
     if state.u is not None:
-        for i in range(state.u.components):
-            blocks.append(np.ascontiguousarray(state.u.coeffs[i],
-                                               dtype=np.complex128).tobytes())
-    payload = header + b"".join(blocks)
+        for half in state.u.half:
+            yield fill(half, grid)
+
+
+def checkpoint_bytes(state: State, A: float) -> bytes:
+    """The checkpoint file's bytes, in memory."""
+    payload = b"".join(_payload(state, A))
     return payload + struct.pack("<I", zlib.crc32(payload))
 
 
 def write_checkpoint(path, state: State, A: float):
+    """Stream the checkpoint to path, one block in memory at a time."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(checkpoint_bytes(state, A))
+    crc = 0
+    with path.open("wb") as f:
+        for piece in _payload(state, A):
+            f.write(piece)
+            crc = zlib.crc32(piece, crc)
+        f.write(struct.pack("<I", crc))
 
 
 def state_from_bytes(data: bytes) -> tuple[State, float]:
     """Decode a checkpoint.  The CRC, the header and the blocks are read
-    through one memoryview of data; n and the velocity stack are each copied
-    once, so the decoded arrays are writable and share no memory with data."""
+    through one memoryview of data; the k1 >= 0 halves of n and of the
+    velocity stack are each copied once, so the decoded arrays are writable
+    and share no memory with data."""
     view = memoryview(data)
     if len(view) < _HEADER.size + 4:
         raise CheckpointError("checkpoint truncated")
@@ -108,12 +122,13 @@ def state_from_bytes(data: bytes) -> tuple[State, float]:
     if n_blocks not in ((1,) if dim == 2 else (1, 4)):  # 2D runs carry no velocity
         raise CheckpointError(f"unexpected number of field blocks: {n_blocks}")
     coeffs = np.frombuffer(payload, dtype=np.complex128, offset=_HEADER.size)
-    n = SpectralField(grid, coeffs[:grid.size].reshape(shape).copy())
+    n = SpectralField.from_half(grid, halve(coeffs[:grid.size].reshape(shape), grid).copy())
     if not np.isclose(total_mass(n), mass, rtol=1e-12, atol=1e-12):
         raise CheckpointError("stored mass disagrees with coefficients")
     u = None
     if n_blocks > 1:
-        u = SpectralField(grid, coeffs[grid.size:].reshape((n_blocks - 1, *shape)).copy())
+        u = SpectralField.from_half(
+            grid, halve(coeffs[grid.size:].reshape((n_blocks - 1, *shape)), grid).copy())
     frame = ShearFrame(t_last_remap=t_last, drift=drift)
     return State(t=t, n=n, u=u, frame=frame), A
 

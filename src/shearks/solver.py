@@ -1,14 +1,15 @@
 """Time integration of the rescaled chemotaxis-fluid system.
 
 State variables are the cell density n and (in 3D) the velocity perturbation
-u around the Couette background, both stored as full spectra in a common
-shear frame; a step works on their k1 >= 0 halves and completes each once
-(``spectral.real_field``).  The stiff anisotropic linear part (Couette
-advection + diffusion) is integrated exactly by the shear frame's linear
-step (``shear.linear_step``); every nonlinear and coupling term is advanced
-explicitly with Heun's method, and the overall order in dt is two.  A passive scalar (no velocity, no
-chemotaxis) has no explicit term: its step is the exact propagator alone,
-applied once, so the scheme is exact in that limit.
+u around the Couette background, both stored as k1 >= 0 half spectra in a
+common shear frame; a step works on the halves and completes each output
+in place (``spectral.real_field``).  The stiff anisotropic linear part
+(Couette advection + diffusion) is integrated exactly by the shear frame's
+linear step (``shear.linear_step``); every nonlinear and coupling term is
+advanced explicitly with Heun's method, and the overall order in dt is
+two.  A passive scalar (no velocity, no chemotaxis) has no explicit term:
+its step is the exact propagator alone, applied once, so the scheme is
+exact in that limit.
 
 Rescaled system (diffusivity 1/A, Couette advection y d/dx):
     dn/dt + y dn/dx = (1/A) [lap n - div(n u) - div(n grad c)]
@@ -42,7 +43,6 @@ from .spectral import (
     band_of,
     band_shape,
     divergence,
-    fill,
     halve,
     hermitize,  # noqa: F401  (pinned by benchmarks/tests/test_bench_spans.py, ROADMAP item 2)
     irfft_band,
@@ -324,8 +324,8 @@ def step(state: State, params: RunConfig, t_stop: float | None = None,
          tracker: "diagnostics.DecompositionTracker | None" = None) -> tuple[State, StepInfo]:
     """Advance one Heun step composed with the exact shear propagator.
 
-    Runs on the k1 >= 0 halves of n and u and fills each output once
-    (``real_field``); without t_stop the step is not clipped.  The remap's
+    Runs on the k1 >= 0 halves of n and u and completes each output in
+    place (``real_field``); without t_stop the step is not clipped.  The remap's
     dropped energy is summed for the corrector alone.
     A passive scalar has a zero tendency, so its step is the propagator
     alone, applied once and not symmetrized: the propagator keeps a
@@ -335,14 +335,14 @@ def step(state: State, params: RunConfig, t_stop: float | None = None,
     grid = params.grid
     t_remaining = (t_stop - state.t) if t_stop is not None else math.inf
     passive = state.u is None and not params.enable_chemotaxis
-    n_h = halve(state.n.coeffs, grid)
-    u_h = None if state.u is None else halve(state.u.coeffs, grid)
+    n_h = state.n.half
+    u_h = None if state.u is None else state.u.half
     ev1 = None if passive else _evaluate(n_h, u_h, params, state.frame.drift)
     dt = choose_dt(params, ev1, t_remaining)
     apply_op, new_frame = _step_operator(params, state.frame, state.t, dt)
     if passive:
         n_new, dropped_n = apply_op(n_h)
-        return (State(t=state.t + dt, n=SpectralField(grid, fill(n_new, grid)), u=None,
+        return (State(t=state.t + dt, n=SpectralField.from_half(grid, n_new), u=None,
                       frame=new_frame), StepInfo(dt=dt, dropped_n=dropped_n))
 
     n_pred, _ = apply_op(n_h, ev1.rhs_n, dt, lost=False)
@@ -368,7 +368,7 @@ def tail_ratio(n: SpectralField, params: RunConfig, drift: float) -> float:
     grid = params.grid
     k2 = _mesh_k2([halve(m, grid) for m in frame_k_mesh(params, drift)])
     kcut = min(grid.dealias_cutoff(a) for a in range(grid.dim))
-    n_h = halve(n.coeffs, grid)
+    n_h = n.half
     total = parseval_sum(n_h, grid, k2 > 0.0)
     return parseval_sum(n_h, grid, k2 >= (2.0 * kcut / 3.0) ** 2) / total if total > 0.0 else 0.0
 
@@ -393,7 +393,7 @@ def _row(state: State, params: RunConfig, dt: float, status: str,
     div_l2 = 0.0
     if u is not None:  # on the frame's wavevectors
         mesh = [halve(m, grid) for m in frame_k_mesh(params, state.frame.drift)]
-        div_l2 = math.sqrt(parseval_sum(divergence(halve(u.coeffs, grid), mesh), grid))
+        div_l2 = math.sqrt(parseval_sum(divergence(u.half, mesh), grid))
     row = {
         "t": state.t,
         "mass": total_mass(n),
@@ -418,7 +418,7 @@ def _row(state: State, params: RunConfig, dt: float, status: str,
 def _non_finite(state: State) -> str:
     """Why the state cannot be advanced or sampled; empty when it can."""
     bad = [name for name, f in (("density", state.n), ("velocity", state.u))
-           if f is not None and not np.all(np.isfinite(f.coeffs.view(float)))]
+           if f is not None and not np.all(np.isfinite(f.half.view(float)))]
     return f"non-finite {' and '.join(bad)} coefficients" if bad else ""
 
 
@@ -429,9 +429,12 @@ def run(params: RunConfig, init: State, on_sample=None) -> RunResult:
     sample; the harness uses it for checkpoints.  A non-finite initial
     state, and a ContractViolation or FloatingPointError (numpy's error
     state set to raise) in a step or a sample, end the run unresolved with
-    the reason, never with a traceback.
+    the reason, never with a traceback.  The run drops its reference to
+    init once it has stepped.  The spectral tail is measured only when the
+    monitor reads it (``monitor_tail``).
     """
     state = init
+    del init
     monitor = BlowupMonitor(enabled=params.monitor_tail)
     reason = _non_finite(state)
     if reason:
@@ -498,7 +501,8 @@ def run(params: RunConfig, init: State, on_sample=None) -> RunResult:
                     monitor.observe(
                         t=state.t, t_prev=t_prev_sample,
                         linf=float(np.max(np.abs(n_vals))), n_min=float(np.min(n_vals)),
-                        tail_ratio=tail_ratio(state.n, params, state.frame.drift),
+                        tail_ratio=(tail_ratio(state.n, params, state.frame.drift)
+                                    if monitor.enabled else 0.0),
                         pos_floor=pos_floor,
                     )
                 # relative mass drift is a hard invariant on every accepted run

@@ -1,8 +1,9 @@
 """Fourier representation and calculus on the periodic torus [0, 2*pi)^d.
 
-Fields are stored as full complex spectra with the normalization
-f = sum_k fhat(k) e^{i k.x}, i.e. the forward transform divides by the
-number of grid points so that fhat(k) = |T|^-d * integral f e^{-i k.x}.
+A real field is stored as the k1 >= 0 half of its complex spectrum
+(``SpectralField.half``) with the normalization f = sum_k fhat(k) e^{i k.x},
+i.e. the forward transform divides by the number of grid points so that
+fhat(k) = |T|^-d * integral f e^{-i k.x}.
 Real transforms are halved along x (``rfft_x``, ``irfft_x``).  Products
 are formed in physical space with 2/3-rule dealiasing (cutoff floor(n/3)
 per axis) through the band pair (``irfft_band``, ``rfft_band``): the same
@@ -11,8 +12,9 @@ each further k_a in 0..K_a and n_a-K_a..n_a-1), bit for bit the full pair
 with the band mask applied.  ``band_of`` cuts the box out of a half and
 ``place`` puts it back.  Every real field is made from the k1 >= 0 half
 of its spectrum, which holds the whole k1 = 0 plane: ``complete_half``
-makes the half that of a real field and ``fill`` writes the k1 < 0 half;
-``real_field`` does both once.
+makes the half that of a real field and ``real_field`` completes a half and
+keeps it.  ``fill`` writes the k1 < 0 half, for readers of a full spectrum
+(``SpectralField.coeffs``) alone.
 Collocation values are read from the half too (``values_of``), and every
 spectral sum is one reduction over it (``parseval_sum``), each half mode
 counted with its multiplicity in the full spectrum (``parseval_weights``):
@@ -33,6 +35,7 @@ sheared frame's.
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import itertools
 import os
 import threading
@@ -80,6 +83,12 @@ class GridSpec:
     @property
     def size(self) -> int:
         return int(np.prod(self.shape))
+
+    @property
+    def half_shape(self) -> tuple[int, ...]:
+        """Shape of a k1 >= 0 half spectrum: k1 in 0..n1/2, every further
+        axis whole."""
+        return (self.shape[0] // 2 + 1,) + self.shape[1:]
 
     @property
     def cell_volume(self) -> float:
@@ -145,7 +154,7 @@ class RealField:
     values: np.ndarray
 
     def __post_init__(self):
-        _check_shape(self.grid, self.values)
+        _check_shape(self.grid, self.values, self.grid.shape)
         if not np.all(np.isfinite(self.values)):
             raise ContractViolation("RealField values must be finite")
 
@@ -154,40 +163,57 @@ class RealField:
         return _n_components(self.grid, self.values)
 
 
-@dataclass
 class SpectralField:
-    """Complex Fourier coefficients of a real field on the torus.
+    """A real field on the torus by the k1 >= 0 half of its Fourier spectrum.
 
-    coeffs is indexed row-major by integer wavevector in FFT storage order;
-    a leading axis, when present, indexes vector components.
+    ``half`` is the stored array, indexed row-major by integer wavevector in
+    FFT storage order with k1 in 0..n1/2 (``halve``); a leading axis, when
+    present, indexes vector components.  ``SpectralField(grid, coeffs)``
+    keeps a copy of the half of a full Hermitian spectrum, ``from_half``
+    keeps the half it is given.  ``coeffs`` is the full spectrum, filled on
+    each read (``fill``) and read-only, for readers outside a run.
     """
 
-    grid: GridSpec
-    coeffs: np.ndarray
+    def __init__(self, grid: GridSpec, coeffs: np.ndarray):
+        coeffs = np.asarray(coeffs)
+        _check_shape(grid, coeffs, grid.shape)
+        self.grid = grid
+        self.half = np.array(halve(coeffs, grid), dtype=np.complex128, order="C")
 
-    def __post_init__(self):
-        _check_shape(self.grid, self.coeffs)
-        if not np.iscomplexobj(self.coeffs):
-            self.coeffs = self.coeffs.astype(np.complex128)
+    @classmethod
+    def from_half(cls, grid: GridSpec, half: np.ndarray) -> "SpectralField":
+        """The field whose k1 >= 0 half is half, a complex array it keeps
+        without a copy."""
+        _check_shape(grid, half, grid.half_shape)
+        F = cls.__new__(cls)
+        F.grid, F.half = grid, half
+        return F
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        full = fill(self.half, self.grid)
+        full.flags.writeable = False
+        return full
 
     @property
     def components(self) -> int:
-        return _n_components(self.grid, self.coeffs)
+        return _n_components(self.grid, self.half)
 
     def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy())
+        return SpectralField.from_half(self.grid, self.half.copy())
 
     def component(self, i: int) -> "SpectralField":
-        if self.coeffs.ndim == self.grid.dim:
+        if self.half.ndim == self.grid.dim:
             raise IndexError("scalar field has no components to index")
-        return SpectralField(self.grid, self.coeffs[i])
+        return SpectralField.from_half(self.grid, self.half[i])
 
 
-def _check_shape(grid: GridSpec, arr: np.ndarray):
+def _check_shape(grid: GridSpec, arr: np.ndarray, shape: tuple[int, ...]):
+    """arr is one field of spatial shape shape, or a stack of them."""
     if arr.ndim == grid.dim:
-        ok = arr.shape == grid.shape
+        ok = arr.shape == shape
     elif arr.ndim == grid.dim + 1:
-        ok = arr.shape[1:] == grid.shape and arr.shape[0] >= 1
+        ok = arr.shape[1:] == shape and arr.shape[0] >= 1
     else:
         ok = False
     if not ok:
@@ -201,8 +227,8 @@ def _n_components(grid: GridSpec, arr: np.ndarray) -> int:
 
 
 def zeros(grid: GridSpec, components: int = 1) -> SpectralField:
-    shape = grid.shape if components == 1 else (components, *grid.shape)
-    return SpectralField(grid, np.zeros(shape, dtype=np.complex128))
+    lead = () if components == 1 else (components,)
+    return SpectralField.from_half(grid, np.zeros(lead + grid.half_shape, dtype=np.complex128))
 
 
 def conj_reverse(coeffs: np.ndarray, dim: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -213,15 +239,26 @@ def conj_reverse(coeffs: np.ndarray, dim: int, out: np.ndarray | None = None) ->
     lead = (slice(None),) * (coeffs.ndim - dim)
     runs = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
     for piece in itertools.product(runs, repeat=dim):
-        np.conj(coeffs[lead + tuple(src for _, src in piece)],
-                out=out[lead + tuple(dst for dst, _ in piece)])
+        np.conj(coeffs[lead + tuple(src for _, src in piece) + (...,)],
+                out=out[lead + tuple(dst for dst, _ in piece) + (...,)])
     return out
 
 
+def _hermitian_part(coeffs: np.ndarray, dim: int) -> np.ndarray:
+    """The Hermitian part of a full spectrum over its last dim axes: the
+    average of coeffs and its mirror image (``conj_reverse``)."""
+    return 0.5 * (coeffs + conj_reverse(coeffs, dim))
+
+
 def hermitize(F: SpectralField) -> SpectralField:
-    """Project onto the Hermitian-symmetric (real-field) part."""
-    sym = 0.5 * (F.coeffs + conj_reverse(F.coeffs, F.grid.dim))
-    return SpectralField(F.grid, sym)
+    """Project onto the Hermitian-symmetric (real-field) part.  Of a k1 >= 0
+    half only the k1 = 0 and k1 = n1/2 planes, each its own mirror image,
+    can break the symmetry: both are averaged with their mirror images."""
+    half = F.half.copy()
+    lead = (slice(None),) * (half.ndim - F.grid.dim)
+    for k1 in {0, F.grid.shape[0] // 2}:
+        half[lead + (k1,)] = _hermitian_part(half[lead + (k1,)], F.grid.dim - 1)
+    return SpectralField.from_half(F.grid, half)
 
 
 def complete_half(half: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -231,17 +268,14 @@ def complete_half(half: np.ndarray, grid: GridSpec) -> np.ndarray:
     lead = half.ndim - grid.dim
     for axis, n in enumerate(grid.shape):
         half[(slice(None),) * (lead + axis) + (n // 2,)] = 0.0
-    plane = (slice(None),) * lead + (0,)
-    if grid.dim == 1:  # the plane is the mean alone
-        half[plane] = half[plane].real
-    else:
-        half[plane] = hermitize(SpectralField(grid.cross_section(), half[plane])).coeffs
+    plane = (slice(None),) * lead + (0,)  # in 1D the mean alone, made real
+    half[plane] = _hermitian_part(half[plane], grid.dim - 1)
     return half
 
 
 def total_mass(F: SpectralField) -> float:
     """Integral of a scalar field over the torus, from its k = 0 coefficient."""
-    return float(F.coeffs[(0,) * F.grid.dim].real * F.grid.volume)
+    return float(F.half[(0,) * F.grid.dim].real * F.grid.volume)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +283,7 @@ def total_mass(F: SpectralField) -> float:
 
 def forward_transform(f: RealField) -> SpectralField:
     """Collocation values -> Fourier coefficients; ``values_of`` inverts it."""
-    return SpectralField(f.grid, fill(rfft_x(f.values, f.grid), f.grid))
+    return SpectralField.from_half(f.grid, rfft_x(f.values, f.grid))
 
 
 def halve(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -308,6 +342,29 @@ def _forget_pool():
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
+
+
+# glibc hands freed heap back to the kernel by thresholds that it tunes from
+# the sizes freed so far, and how often a step's grid-sized temporaries are
+# then faulted in again follows the heap's layout (one 128^2 sweep2d round:
+# 104k-581k pages over six checkout paths).  Keeping freed memory, arrays up
+# to 32 MiB from the heap and up to 128 MiB of it free, makes each step
+# reuse the last one's (35k pages on every path).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters of glibc's malloc.h
+
+
+def _keep_freed_memory():
+    """Set glibc's heap to keep freed memory; other C libraries are left as
+    they are."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 * 2 ** 20)
+    mallopt(_M_TRIM_THRESHOLD, 128 * 2 ** 20)
+
+
+_keep_freed_memory()
 
 
 def _threaded(grid: GridSpec) -> bool:
@@ -384,7 +441,7 @@ def _shares(arr: np.ndarray, grid: GridSpec) -> list:
 
 def _half_shape(arr: np.ndarray, grid: GridSpec) -> tuple[int, ...]:
     """Shape of the k1 >= 0 half of a stack like arr, leading axes kept."""
-    return arr.shape[:arr.ndim - grid.dim] + (grid.shape[0] // 2 + 1,) + grid.shape[1:]
+    return arr.shape[:arr.ndim - grid.dim] + grid.half_shape
 
 
 _EVERY_COLUMN = (slice(None),)  # the z columns of an unpruned y pass
@@ -394,7 +451,8 @@ def _inverse(src, out, grid: GridSpec, planes: slice, zruns, boxed: bool):
     """Inverse of one share into out: src is a k1 >= 0 half or, when boxed,
     a band box placed into a zeroed half first.  The passes past x run on
     the k1 planes ``planes`` (in 3D the y pass on the z columns zruns, then
-    the z pass), then x over the whole half."""
+    the z pass), then x over the whole half: numpy's irfft of the band
+    planes alone, padded by its n, takes 1.4-1.8x as long."""
     if boxed:
         tmp = np.zeros(_half_shape(src, grid), dtype=np.result_type(src, 1j))
         _put(src, tmp, grid)
@@ -546,40 +604,28 @@ def rfft_band(values: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def fill(half: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Full spectrum from its k1 >= 0 half via coeff(-k) = conj(coeff(k))."""
+    """Full spectrum from its k1 >= 0 half via coeff(-k) = conj(coeff(k)):
+    the half's planes, then the mirror images of planes 1..n1/2-1 at -k1."""
+    lead = (slice(None),) * (half.ndim - grid.dim)
+    n1 = grid.shape[0]
     out = np.empty(half.shape[:half.ndim - grid.dim] + grid.shape, dtype=half.dtype)
-    over_slabs(lambda s: fill_planes(half, out, grid, s), grid.shape[0] // 2 + 1, grid)
+    out[lead + (slice(0, n1 // 2 + 1),)] = half
+    conj_reverse(half[lead + (slice(n1 // 2 - 1, 0, -1),)], grid.dim - 1,
+                 out=out[lead + (slice(n1 // 2 + 1, n1),)])
     return out
 
 
-def fill_planes(half: np.ndarray, out: np.ndarray, grid: GridSpec, s: slice):
-    """The rows of the full spectrum out that the k1 >= 0 half's planes s
-    give: those planes, and their mirror images at -k1 (planes 0 and n1/2
-    have none)."""
-    lead = (slice(None),) * (half.ndim - grid.dim)
-    n1 = grid.shape[0]
-    out[lead + (s,)] = half[lead + (s,)]
-    a, b = max(s.start, 1), min(s.stop, n1 // 2)
-    if a < b:
-        conj_reverse(half[lead + (slice(b - 1, a - 1, -1),)], grid.dim - 1,
-                     out=out[lead + (slice(n1 - b + 1, n1 - a + 1),)])
-
-
 def real_field(half: np.ndarray, grid: GridSpec, mesh=None) -> SpectralField:
-    """The real field of a k1 >= 0 half spectrum, filled once: the half is
-    completed in place (``complete_half``) and, given its half mesh, a
-    velocity Leray-projected, which keeps the completion; the projection and
-    the fill run on k1 slabs.  Step outputs, tracker parts, initial states
-    and random test fields all end here."""
+    """The real field of a k1 >= 0 half spectrum, which it keeps: the half
+    is completed in place (``complete_half``) and, given its half mesh, a
+    velocity Leray-projected in place on k1 slabs, which keeps the
+    completion.  Step outputs, tracker parts, initial states and random
+    test fields all end here."""
     complete_half(half, grid)
-    full = np.empty(half.shape[:half.ndim - grid.dim] + grid.shape, dtype=half.dtype)
-
-    def finish(s):  # on k1 planes s
-        if mesh is not None:
-            leray_coeffs(slab(half, s, grid), [slab(m, s, grid) for m in mesh])
-        fill_planes(half, full, grid, s)
-    over_slabs(finish, half.shape[half.ndim - grid.dim], grid)
-    return SpectralField(grid, full)
+    if mesh is not None:
+        over_slabs(lambda s: leray_coeffs(slab(half, s, grid), [slab(m, s, grid) for m in mesh]),
+                   half.shape[half.ndim - grid.dim], grid)
+    return SpectralField.from_half(grid, half)
 
 
 @lru_cache(maxsize=32)
@@ -598,13 +644,10 @@ def parseval_weights(grid: GridSpec) -> np.ndarray:
 
 def values_of(F: SpectralField) -> np.ndarray:
     """Collocation values of a real field, by one real inverse transform of
-    its k1 >= 0 half.
-
-    The spectrum must be Hermitian, as every solver state is: the k1 < 0
-    half is not read, and only the Hermitian parts of the k1 = 0 and
-    k1 = n1/2 planes count.  Raises ContractViolation on non-finite values.
+    its k1 >= 0 half: only the Hermitian parts of the k1 = 0 and k1 = n1/2
+    planes count.  Raises ContractViolation on non-finite values.
     """
-    values = irfft_x(halve(F.coeffs, F.grid), F.grid)
+    values = irfft_x(F.half, F.grid)
     if not np.all(np.isfinite(values)):
         raise ContractViolation("RealField values must be finite")
     return values
@@ -630,11 +673,12 @@ def derivative(F: SpectralField, axis: int) -> SpectralField:
     """Spectral partial derivative along one axis."""
     if not 0 <= axis < F.grid.dim:
         raise ContractViolation(f"axis {axis} out of range for dim {F.grid.dim}")
-    return SpectralField(F.grid, 1j * F.grid.k_mesh()[axis] * F.coeffs)
+    k = halve(F.grid.k_mesh()[axis], F.grid)
+    return SpectralField.from_half(F.grid, 1j * k * F.half)
 
 
 def laplacian(F: SpectralField) -> SpectralField:
-    return SpectralField(F.grid, -F.grid.k_squared() * F.coeffs)
+    return SpectralField.from_half(F.grid, -halve(F.grid.k_squared(), F.grid) * F.half)
 
 
 def divergence(u_h: np.ndarray, mesh) -> np.ndarray:
@@ -669,15 +713,16 @@ def solve_chemo(n: SpectralField) -> SpectralField:
     if n.components != 1:
         raise ContractViolation("solve_chemo expects a scalar density")
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = over_k2(n.coeffs, n.grid.k_squared())
-    return SpectralField(n.grid, c)
+        c = over_k2(n.half, halve(n.grid.k_squared(), n.grid))
+    return SpectralField.from_half(n.grid, c)
 
 
 def leray_project(u: SpectralField) -> SpectralField:
     """Orthogonal projection onto divergence-free fields; k = 0 unchanged."""
     if u.components != u.grid.dim:
         raise ContractViolation("leray_project expects a dim-component vector field")
-    return SpectralField(u.grid, leray_coeffs(u.coeffs.copy(), u.grid.k_mesh()))
+    mesh = [halve(m, u.grid) for m in u.grid.k_mesh()]
+    return SpectralField.from_half(u.grid, leray_coeffs(u.half.copy(), mesh))
 
 
 def leray_coeffs(coeffs: np.ndarray, mesh, k2=None) -> np.ndarray:
@@ -713,9 +758,8 @@ def parseval_sum(half: np.ndarray, grid: GridSpec, m=1.0, moments=None):
 
 
 def spectral_energy(F: SpectralField) -> float:
-    """Integral of |f|^2 over the torus, from the k1 >= 0 half of a Hermitian
-    spectrum, as every stored field is (``values_of``)."""
-    return parseval_sum(halve(F.coeffs, F.grid), F.grid)
+    """Integral of |f|^2 over the torus, from the k1 >= 0 half."""
+    return parseval_sum(F.half, F.grid)
 
 
 def l2_norm(F: SpectralField) -> float:
@@ -725,4 +769,4 @@ def l2_norm(F: SpectralField) -> float:
 def sobolev_norm(F: SpectralField, order: int) -> float:
     """H^s norm with Bessel weights (1 + |k|^2)^s, as ``spectral_energy``."""
     m = (1.0 + halve(F.grid.k_squared(), F.grid)) ** order
-    return float(np.sqrt(parseval_sum(halve(F.coeffs, F.grid), F.grid, m)))
+    return float(np.sqrt(parseval_sum(F.half, F.grid, m)))

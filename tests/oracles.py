@@ -18,8 +18,12 @@ cross-section spectra, forming its zero-mode inputs from the stage's whole
 n and u, the bit-for-bit reference of ``diagnostics.DecompositionTracker``,
 which advances them as one stack of k_y >= 0 halves.
 ``complex_forward_transform`` is the full complex FFT, the reference of
-``spectral.forward_transform``, which takes one real transform.  ``full_band_hermitian`` is a real field over every stored mode,
-outside the 2/3 band too, which ``sampling.random_smooth`` never makes.
+``spectral.forward_transform``, which takes one real transform.
+``hermitian`` is the Hermitian part of a whole spectrum, which the
+whole-spectrum references symmetrize with (``spectral.hermitize`` sees a
+field's k1 >= 0 half alone).  ``full_band_hermitian`` is a real field over
+every stored mode, outside the 2/3 band too, which
+``sampling.random_smooth`` never makes.
 ``read_series`` reads a run's ``series.csv`` back.  ``dealias_mask`` is
 the 2/3-rule band as a full-spectrum mask, which the masked references
 multiply by; ``solver`` never forms it.  ``compute_omega2`` is
@@ -56,10 +60,10 @@ from shearks.spectral import (
     SpectralField,
     _mesh_k2,
     band_of,
+    conj_reverse,
     fill,
     forward_transform,
     halve,
-    hermitize,
     irfft_x,
     l2_norm,
     leray_coeffs,
@@ -140,9 +144,15 @@ def complex_forward_transform(f: RealField) -> SpectralField:
     return SpectralField(f.grid, np.fft.fftn(f.values, axes=axes) / f.grid.size)
 
 
+def hermitian(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The Hermitian part of a whole spectrum (leading axes kept): the
+    average of coeffs and its mirror image, exactly Hermitian."""
+    return 0.5 * (coeffs + conj_reverse(coeffs, grid.dim))
+
+
 def full_band_hermitian(grid, seed, components=1, slope=None):
     """White spectrum over every stored mode, the x-Nyquist plane and the
-    lone -n/2 rows included, made Hermitian by hermitize.  With a slope it
+    lone -n/2 rows included, made Hermitian by ``hermitian``.  With a slope it
     is weighted like ``sampling.random_smooth``: |fhat(k)| ~ |k|^-slope,
     zero mean and unit L2."""
     rng = np.random.default_rng(seed)
@@ -151,9 +161,9 @@ def full_band_hermitian(grid, seed, components=1, slope=None):
     if slope is not None:
         k2 = grid.k_squared()
         coeffs *= np.where(k2 > 0, (k2 + 1.0) ** (-slope / 2.0), 0.0)
-    F = hermitize(SpectralField(grid, coeffs))
+    F = SpectralField(grid, hermitian(coeffs, grid))
     if slope is not None:
-        F.coeffs /= l2_norm(F)
+        F.half /= l2_norm(F)
     return F
 
 
@@ -359,7 +369,7 @@ def full_spectrum_step(state, params, t_stop=None, tracker=None):
     """One ``solver.step`` taken on whole spectra.
 
     Each tendency is filled to a full spectrum, the propagator runs over
-    both halves, and each output is symmetrized by ``hermitize`` over the
+    both halves, and each output is symmetrized by ``hermitian`` over the
     whole grid, the velocity then Leray-projected (``leray_coeffs``).  The
     tendency kernel itself is shared: it is graded on its own in
     ``test_tendency.py``.
@@ -387,11 +397,11 @@ def full_spectrum_step(state, params, t_stop=None, tracker=None):
     u_pred = None if u is None else apply_op(u + dt * ev1.rhs_u)[0]
     ev2 = evaluate(n_pred, u_pred, new_frame.drift)
     n_new, dropped_n = apply_op(n + 0.5 * dt * ev1.rhs_n)
-    n_field = hermitize(SpectralField(grid, n_new + 0.5 * dt * ev2.rhs_n))
+    n_field = SpectralField(grid, hermitian(n_new + 0.5 * dt * ev2.rhs_n, grid))
     u_field, dropped_u = None, 0.0
     if u is not None:
         u_new, dropped_u = apply_op(u + 0.5 * dt * ev1.rhs_u)
-        u_sym = hermitize(SpectralField(grid, u_new + 0.5 * dt * ev2.rhs_u)).coeffs
+        u_sym = hermitian(u_new + 0.5 * dt * ev2.rhs_u, grid)
         u_field = SpectralField(grid, leray_coeffs(u_sym, frame_k_mesh(params, new_frame.drift)))
         if tracker is not None:
             tracker.advance(params, dt, (n, u, ev1), (n_pred, u_pred, ev2))
@@ -605,7 +615,7 @@ def full_spectrum_ledger(ledger, state, params, tracker, n_vals: np.ndarray):
 @dataclass
 class PerFieldTracker:
     """The decomposition tracker with one advection, one Heun line and one
-    ``hermitize`` per field, on whole cross-section spectra: G1, B1 and B2
+    ``hermitian`` per field, on whole cross-section spectra: G1, B1 and B2
     each take an inverse transform and a forward transform of their two
     fluxes per stage.  A stage is (n, u, ev) with n and u whole spectra:
     the zero modes are their k1 = 0 planes, each mirrored from its k_y >= 0
@@ -657,9 +667,9 @@ class PerFieldTracker:
             B2=SpectralField(cross, heat * (self.B2.coeffs + dt * r1[2])),
         )
         r2 = pred._stage_rhs(params, *stage2)
-        self.G1 = hermitize(SpectralField(cross, heat * (self.G1.coeffs + 0.5 * dt * r1[0])
-                                          + 0.5 * dt * r2[0]))
-        self.B1 = hermitize(SpectralField(cross, heat * (self.B1.coeffs + 0.5 * dt * r1[1])
-                                          + 0.5 * dt * r2[1]))
-        self.B2 = hermitize(SpectralField(cross, heat * (self.B2.coeffs + 0.5 * dt * r1[2])
-                                          + 0.5 * dt * r2[2]))
+        self.G1 = SpectralField(cross, hermitian(heat * (self.G1.coeffs + 0.5 * dt * r1[0])
+                                                 + 0.5 * dt * r2[0], cross))
+        self.B1 = SpectralField(cross, hermitian(heat * (self.B1.coeffs + 0.5 * dt * r1[1])
+                                                 + 0.5 * dt * r2[1], cross))
+        self.B2 = SpectralField(cross, hermitian(heat * (self.B2.coeffs + 0.5 * dt * r1[2])
+                                                 + 0.5 * dt * r2[2], cross))

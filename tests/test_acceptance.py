@@ -121,7 +121,7 @@ def passive_runs():
     amp = np.where(k2 > 0, (1.0 + k2) ** -1.0, 0.0)
     f0 = hermitize(SpectralField(grid, raw.coeffs * amp * mask))
     f0 = fluctuation_only(f0)
-    f0.coeffs /= l2_norm(f0)
+    f0.half /= l2_norm(f0)
 
     out = {}
     for A in (1.0, 1e2, 1e4):
@@ -302,7 +302,7 @@ def test_c09_kappa_rho_identity():
         U2 = random_smooth(cross, seed=seed, slope=3.0)
         from shearks.spectral import values_of
         gmax = float(np.max(np.abs(values_of(U2))))
-        U2.coeffs *= 0.1 * A / max(gmax, 1e-300)
+        U2.half *= 0.1 * A / max(gmax, 1e-300)
         kr = compute_kappa_rho(U2, A)
         u3 = split_x(random_smooth(grid3, seed=seed + 10_000))[1]
         worst = max(worst, kappa_identity_residual(kr, u3))
@@ -314,7 +314,7 @@ def test_c10_inequality_suites(tmp_path):
     grid = GridSpec((64, 64))
     elliptic_samples = [random_smooth(grid, seed=s) for s in range(100)]
     for f in elliptic_samples:
-        f.coeffs[0, 0] += 1.0
+        f.half[0, 0] += 1.0
     rep_e = check_elliptic(elliptic_samples)
     poincare_samples = [fluctuation_only(random_smooth(grid, seed=s)) for s in range(100)]
     rep_p = check_poincare(poincare_samples)

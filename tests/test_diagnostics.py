@@ -47,7 +47,7 @@ def vec_field(grid, fx=None, fy=None, fz=None):
     mesh = grid.coordinate_mesh()
     for i, f in enumerate((fx, fy, fz)):
         if f is not None:
-            u.coeffs[i] = from_values(grid, f(*mesh) + np.zeros(grid.shape)).coeffs
+            u.half[i] = from_values(grid, f(*mesh) + np.zeros(grid.shape)).half
     return u
 
 
@@ -82,7 +82,7 @@ sheared_3d_params = partial(run_params, grid=GRID3, A=8.0, enable_shear=True, t_
 def smooth_3d_state(seed=0, u_scale=0.05, grid=GRID3):
     n = gaussian_bump(grid, width=0.9, mass=8.0)
     u = leray_project(random_smooth(grid, seed=seed, components=3))
-    u.coeffs *= u_scale
+    u.half *= u_scale
     return State(t=0.0, n=n, u=u, frame=ShearFrame())
 
 
@@ -148,7 +148,7 @@ class TestKappaRho:
         U2 = random_smooth(CROSS, seed=seed, slope=3.0)
         grad_max = max(np.max(np.abs(values_of(SpectralField(CROSS, c))))
                        for c in (U2.coeffs,))
-        U2.coeffs *= 0.1 * A / max(grad_max, 1e-30)
+        U2.half *= 0.1 * A / max(grad_max, 1e-30)
         kr = compute_kappa_rho(U2, A)
         assert np.array_equal(kappa_values(U2, A), kr.kappa_values)  # the ledger's path
         grid3 = GridSpec((16, 32, 32))
@@ -186,7 +186,7 @@ class TestDecompositionTracker:
                                    t_end=0.4, output_every=0.1)
         state = smooth_3d_state(seed=4)
         ubar2 = 0.02
-        state.u.coeffs[1, 0, 0, 0] = ubar2  # constant mean of u2
+        state.u.half[1, 0, 0, 0] = ubar2  # constant mean of u2
         result = run(params, state)
         t = result.final_state.t
         # mean of u2 is conserved, so bar(B2) = -ubar2 * t exactly
@@ -213,7 +213,7 @@ class TestDecompositionTracker:
         n = from_values(GRID3, np.full(GRID3.shape, 1.0))
         _, y, _ = GRID3.coordinate_mesh()
         u = zeros(GRID3, components=3)
-        u.coeffs[0] = from_values(GRID3, 0.1 * np.sin(y) + np.zeros(GRID3.shape)).coeffs
+        u.half[0] = from_values(GRID3, 0.1 * np.sin(y) + np.zeros(GRID3.shape)).half
         result = run(params, State(t=0.0, n=n, u=u, frame=ShearFrame()))
         t = result.final_state.t
         tr = result.tracker

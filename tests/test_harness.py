@@ -1,9 +1,11 @@
 """Config parsing, series/checkpoint round-trips, scenarios and the CLI."""
 
+import gc
 import math
 import re
 import struct
 import tracemalloc
+import weakref
 import zlib
 from dataclasses import fields, replace
 from pathlib import Path
@@ -11,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from shearks import scenarios
 from shearks.cli import main as cli_main
 from shearks.config import ConfigError, RunConfig, grid_of, parse_config, params_of
 from shearks.scenarios import efold_time, run_resume, run_simulate
@@ -168,7 +171,7 @@ class TestSeriesIO:
 def small_state(seed=0, with_u=True):
     grid = GridSpec((16, 16, 16))
     n = random_real_field(grid, seed=seed)
-    n.coeffs[0, 0, 0] = 0.5
+    n.half[0, 0, 0] = 0.5
     u = random_real_field(grid, seed=seed + 1, components=3) if with_u else None
     frame = ShearFrame(t_last_remap=1.5, drift=0.25)
     return State(t=2.25, n=n, u=u, frame=frame)
@@ -189,7 +192,8 @@ class TestCheckpoint:
 
     def test_decode_copies_each_array_once(self):
         # the CRC, the header and the blocks are read through one view of the
-        # input: n and the velocity stack are the only copies
+        # input: the k1 >= 0 halves of n and the velocity stack are the only
+        # copies
         grid = GridSpec((32, 32, 32))
         state = State(t=0.5, n=random_real_field(grid, seed=5),
                       u=random_real_field(grid, seed=6, components=3), frame=ShearFrame())
@@ -200,8 +204,8 @@ class TestCheckpoint:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * len(raw)
-        for got, want in ((back.n.coeffs, state.n.coeffs), (back.u.coeffs, state.u.coeffs)):
+        assert peak <= 0.6 * len(raw)
+        for got, want in ((back.n.half, state.n.half), (back.u.half, state.u.half)):
             assert np.array_equal(got, want)
             assert got.flags.writeable and got.flags.c_contiguous
             assert not np.shares_memory(got, np.frombuffer(raw, dtype=np.uint8))
@@ -358,6 +362,52 @@ class TestSimulateAndResume:
         differ = {key for a, b in zip(got, want) for key in SERIES_COLUMNS
                   if a[key] != b[key] and not (a[key] != a[key] and b[key] != b[key])}
         assert not differ, f"columns differ after the resume: {sorted(differ)}"
+
+    @pytest.mark.parametrize("resume", [False, True], ids=["simulate", "resume"])
+    def test_the_initial_state_is_released_once_the_run_has_stepped(self, tmp_path,
+                                                                   monkeypatch, resume):
+        cfg = parse_config(BASE_2D + f"out_dir = {tmp_path}/run\ncheckpoint_every = 0.1")
+        if resume:
+            run_simulate(cfg)
+        real_run, first, alive = scenarios.run, [], []
+
+        def spy(params, init, on_sample):
+            def watch(state, row):
+                if not first:
+                    first.append(weakref.ref(state))
+                else:
+                    gc.collect()
+                    alive.append(first[0]() is not None)
+                on_sample(state, row)
+            handed = [init]
+            del init
+            return real_run(params, handed.pop(), on_sample=watch)
+        monkeypatch.setattr(scenarios, "run", spy)
+        if resume:
+            run_resume(cfg, sorted((tmp_path / "run").glob("checkpoint_*.pksn"))[0])
+        else:
+            run_simulate(cfg)
+        assert alive and not any(alive)
+
+    def test_a_tracked_3d_run_peaks_below_its_budget(self, tmp_path):
+        # a tracked coupled 24^3 run, 6 steps, 4 samples and one checkpoint
+        # write: its traced peak, in units of one state's k1 >= 0 halves, was
+        # 10.9 with full spectra in the state, the step and the writer, and is
+        # 8.2 with halves alone
+        text = (CONFIGS / "suppression_3d.conf").read_text() + (
+            "\nnx = 24\nny = 24\nnz = 24\nt_end = 0.3\noutput_every = 0.1\n"
+            f"checkpoint_every = 1.0\nout_dir = {tmp_path}\n")
+        cfg = parse_config(text)
+        run_simulate(cfg)  # builds the grid's cached lattice and factors
+        tracemalloc.start()
+        try:
+            summary = run_simulate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        state_halves = 4 * (24 // 2 + 1) * 24 * 24 * 16  # n and u's 3 components, complex
+        assert summary["rows"] == 4 and [p.name for p in tmp_path.glob("*.pksn")] == ["final.pksn"]
+        assert peak <= 9.5 * state_halves
 
     def test_determinism_same_seed(self, tmp_path):
         c1 = parse_config(BASE_2D.replace("gaussian", "random")

@@ -41,7 +41,7 @@ class TestElliptic:
     def test_hundred_random_samples(self):
         samples = [random_smooth(GRID2, seed=s) for s in range(100)]
         for f in samples:
-            f.coeffs[0, 0] += 1.0  # positive mean for the zero-mode case
+            f.half[0, 0] += 1.0  # positive mean for the zero-mode case
         report = check_elliptic(samples)
         assert report["passed"]
         assert report["max_ratio"] <= 1.0 + 1e-10

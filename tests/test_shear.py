@@ -10,7 +10,7 @@ from shearks.modes import split_x
 from shearks.shear import (ShearFrame, _shear_exponent, frame_k_mesh, integrating_factor,
                            linear_step)
 from shearks.solver import _step_operator
-from shearks.spectral import GridSpec, SpectralField, fill, halve, l2_norm, values_of, zeros
+from shearks.spectral import GridSpec, SpectralField, fill, halve, l2_norm, values_of
 
 from oracles import dealias_mask, exact_passive_scalar, from_values, run_params
 from test_spectral import random_real_field
@@ -130,9 +130,9 @@ class TestRemap:
         assert dropped == 0.0
 
     def test_single_mode_relabelled(self):
-        F = zeros(GRID2)
-        F.coeffs[1, 0] = 0.5
-        F.coeffs[-1, 0] = 0.5
+        full = np.zeros(GRID2.shape, dtype=np.complex128)
+        full[1, 0] = full[-1, 0] = 0.5
+        F = SpectralField(GRID2, full)
         # A so large that the factor is exactly one: a pure relabelling
         apply, frame = _step_operator(passive_params(GRID2, A=1e30), ShearFrame(drift=0.5),
                                       2.0, 0.5)
@@ -146,10 +146,10 @@ class TestRemap:
         assert abs(out[1, 0]) == 0.0
 
     def test_dropped_energy_logged(self):
-        F = zeros(GRID2)
         kmax = GRID2.shape[1] // 2 - 1
-        F.coeffs[2, -kmax] = 1.0
-        F.coeffs[-2, kmax] = 1.0
+        full = np.zeros(GRID2.shape, dtype=np.complex128)
+        full[2, -kmax] = full[-2, kmax] = 1.0
+        F = SpectralField(GRID2, full)
         apply, _ = _step_operator(passive_params(GRID2, A=1e30), ShearFrame(drift=0.5),
                                   0.0, 0.5)
         out, dropped = apply(halve(F.coeffs, GRID2))  # shifts k2 to -(kmax + 2), off the band

@@ -1,5 +1,7 @@
 """Solver tendencies, stepping, conservation and run outcomes."""
 
+import gc
+import weakref
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -13,6 +15,7 @@ from shearks.inequalities import free_energy
 from shearks.initial import build_initial_state
 from shearks.sampling import fluctuation_only, gaussian_bump, random_smooth
 from shearks.scenarios import run_simulate
+from shearks.seriesio import format_row
 from shearks.shear import ShearFrame, frame_k_mesh
 from shearks.solver import (
     BlowupMonitor,
@@ -100,7 +103,7 @@ class TestRhsDensity:
 
     def test_mean_preserved(self):
         n = random_smooth(GRID3, seed=1)
-        n.coeffs[0, 0, 0] = 1.0
+        n.half[0, 0, 0] = 1.0
         u = leray_project(random_smooth(GRID3, seed=2, components=3))
         out = rhs(n, u, A=2.0).rhs_n
         assert abs(out[0, 0, 0]) < 1e-14
@@ -121,7 +124,7 @@ class TestRhsVelocity:
     def test_shear_profile_is_equilibrium(self):
         _, y, _ = GRID3.coordinate_mesh()
         u = zeros(GRID3, components=3)
-        u.coeffs[0] = from_values(GRID3, np.sin(y) + np.zeros(GRID3.shape)).coeffs
+        u.half[0] = from_values(GRID3, np.sin(y) + np.zeros(GRID3.shape)).half
         n = zeros(GRID3)
         out = rhs(n, u, A=2.0, chemotaxis=False).rhs_u
         assert np.max(np.abs(out)) < 1e-13
@@ -171,7 +174,7 @@ class TestStep:
         params = short_params(GRID3, enable_shear=True, A=5.0, fixed_dt=5e-3)
         n = gaussian_bump(GRID3, width=0.8, mass=10.0)
         u = leray_project(random_smooth(GRID3, seed=5, components=3))
-        u.coeffs *= 0.1
+        u.half *= 0.1
         assert np.any(n.coeffs[lone_nyquist(GRID3)])  # the input carries Nyquist content
         state = make_state(GRID3, n, u)
         for _ in range(10):
@@ -285,6 +288,24 @@ class TestHalfSpectrumStep:
 def suppression_cfg(shape):
     text = (CONFIGS / "suppression_3d.conf").read_text()
     return parse_config(text + "\nnx = {}\nny = {}\nnz = {}\n".format(*shape))
+
+
+class TestHalfStorage:
+    """A run keeps its fields as k1 >= 0 halves: no step, sample or ledger
+    update builds a full spectrum."""
+
+    def test_no_fill_in_a_tracked_run(self, monkeypatch):
+        cfg = replace(suppression_cfg((16, 16, 16)), t_end=1.2, output_every=0.1)
+        params = params_of(cfg)
+        state = build_initial_state(cfg)
+        fill_, calls = spectral.fill, []
+        monkeypatch.setattr(spectral, "fill", lambda *args: calls.append(1) or fill_(*args))
+        assert state.n.coeffs is not None and len(calls) == 1  # the count sees coeffs
+        calls.clear()
+        result = run(params, state)
+        assert result.final_state.frame.t_last_remap > 0.0  # the run crossed a remap
+        assert len(result.rows) == 13 and result.tracker is not None
+        assert calls == []
 
 
 @pytest.mark.usefixtures("threads_on_small_grids")
@@ -401,9 +422,10 @@ class TestPassiveStep:
         grid = GridSpec((128, 128))
         params = short_params(grid, enable_shear=True, enable_chemotaxis=False,
                               A=1e3, fixed_dt=0.05, dt_max=0.05, t_end=3.0)
-        f = full_band_hermitian(grid, seed=11, slope=2.0)
+        full = full_band_hermitian(grid, seed=11, slope=2.0).coeffs.copy()
         nyquist = (np.abs(grid.k_mesh()[0]) == 64) | (np.abs(grid.k_mesh()[1]) == 64)
-        f.coeffs[nyquist] = 0.0
+        full[nyquist] = 0.0
+        f = SpectralField(grid, full)
         assert np.array_equal(f.coeffs, spectral.conj_reverse(f.coeffs, 2))
         state, remaps = make_state(grid, f), 0
         for _ in range(60):
@@ -485,10 +507,41 @@ class TestRun:
     def test_min_principle_on_subcritical_run(self):
         params = short_params(GRID2, t_end=0.5, output_every=0.1, dt_max=5e-3)
         n = gaussian_bump(GRID2, width=1.0, mass=0.5 * 8 * np.pi)
-        n.coeffs[0, 0] += 0.2  # lift the floor well above round-off
+        n.half[0, 0] += 0.2  # lift the floor well above round-off
         result = run(params, make_state(GRID2, n))
         nbar = result.rows[0]["mass"] / GRID2.volume
         assert min_principle_check(result.rows, nbar=nbar, A=params.A)
+
+    def test_no_tail_ratio_without_the_tail_gate(self, monkeypatch):
+        # monitor_tail = false: the spectral tail is never measured, and the
+        # series is that of a run that measured it and stayed below the gate
+        def run_rows(**kw):
+            params = short_params(GRID2, t_end=0.5, output_every=0.1, dt_max=5e-3, **kw)
+            n = gaussian_bump(GRID2, width=1.0, mass=0.5 * 8 * np.pi)
+            return [format_row(row) for row in run(params, make_state(GRID2, n)).rows]
+        want = run_rows(monitor_tail=True)
+
+        def refuse(*args):
+            raise AssertionError("tail_ratio was called")
+        monkeypatch.setattr(solver, "tail_ratio", refuse)
+        assert run_rows(monitor_tail=False) == want and len(want) == 6
+        assert want[-1].endswith(",suppressed")
+        with pytest.raises(AssertionError, match="tail_ratio"):
+            run_rows(monitor_tail=True)
+
+    def test_the_initial_state_is_released_once_the_run_has_stepped(self):
+        params = short_params(GRID2, t_end=0.3, output_every=0.1)
+        first, alive = [], []
+
+        def on_sample(state, row):
+            if not first:
+                first.append(weakref.ref(state))
+            else:
+                gc.collect()
+                alive.append(first[0]() is not None)
+        n = gaussian_bump(GRID2, width=1.0, mass=4 * np.pi)
+        run(params, make_state(GRID2, n), on_sample=on_sample)
+        assert alive == [False] * 3
 
     def test_constant_density_true_for_all_t(self):
         rows = [{"t": float(t), "n_min": 1.0} for t in range(5)]
@@ -579,7 +632,7 @@ class TestSamples:
         text = (CONFIGS / "suppression_3d.conf").read_text()
         cfg = parse_config(text + "\nnx = 16\nny = 16\nnz = 16\nt_end = 1.0\n")
         state = build_initial_state(cfg)
-        state.u.coeffs[0, 1, 2, 3] = np.nan
+        state.u.half[0, 1, 2, 3] = np.nan
         result = run(params_of(cfg), state)
         assert result.status == "unresolved"
         assert "velocity" in result.monitor.reason
@@ -591,7 +644,7 @@ class TestSamples:
         cfg = parse_config(text + f"\nscenario = simulate\nnx = 16\nny = 16\n"
                                   f"out_dir = {tmp_path}\n")
         state = build_initial_state(cfg)
-        state.n.coeffs[1, 2] = np.nan
+        state.n.half[1, 2] = np.nan
         summary = run_simulate(cfg, init=state)
         assert summary["status"] == "unresolved" and summary["rows"] == 0
         assert summary["reason"] == "non-finite density coefficients"
@@ -618,9 +671,10 @@ class TestSamples:
         # finite coefficients whose values overflow: inf - inf inside the first
         # sample's transform, a bare field's on the caller, raises under
         # invalid="raise"
-        n = gaussian_bump(GRID3, width=1.0, mass=4 * np.pi)
+        full = gaussian_bump(GRID3, width=1.0, mass=4 * np.pi).coeffs.copy()
         for k, c in (((1, 2, 3), 1e308), ((2, 1, 3), -1e308)):
-            n.coeffs[k] = n.coeffs[tuple(-i for i in k)] = c
+            full[k] = full[tuple(-i for i in k)] = c
+        n = SpectralField(GRID3, full)
         state = make_state(GRID3, n, zeros(GRID3, components=3))
         with np.errstate(over="ignore", invalid="raise"):
             result = run(short_params(GRID3), state)
@@ -633,9 +687,10 @@ class TestSamples:
         # u's values overflow inside the tendency's batched inverse transform,
         # whose field tasks either thread may run: the first step raises
         n = gaussian_bump(GRID3, width=1.0, mass=4 * np.pi)
-        u = zeros(GRID3, components=3)
+        full = np.zeros((3, *GRID3.shape), dtype=np.complex128)
         for k, c in (((1, 2, 3), 1e308), ((2, 1, 3), -1e308)):
-            u.coeffs[0][k] = u.coeffs[0][tuple(-i for i in k)] = c
+            full[0][k] = full[0][tuple(-i for i in k)] = c
+        u = SpectralField(GRID3, full)
         with np.errstate(over="ignore", invalid="raise"):
             result = run(short_params(GRID3), make_state(GRID3, n, u))
         assert result.status == "unresolved" and len(result.rows) == 1

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -57,6 +58,7 @@ from oracles import (
     from_values,
     full_band_hermitian,
     full_divergence,
+    hermitian,
     inverse_transform,
     l2_norm_values,
     linf_norm,
@@ -191,7 +193,7 @@ class TestValuesOf:
     def test_non_finite_coefficient_raises(self, grid):
         for bad in (np.nan, np.inf):
             F = random_real_field(grid, seed=33)
-            F.coeffs[(1,) * grid.dim] = bad
+            F.half[(1,) * grid.dim] = bad
             with pytest.raises(ContractViolation, match="finite"), \
                     np.errstate(invalid="ignore"):
                 values_of(F)
@@ -401,7 +403,7 @@ class TestBandPair:
         assert box.shape == lead + band_shape(grid)
         assert np.array_equal(place(box, grid), half)
         got = irfft_band(box, grid)
-        assert got.tobytes() == irfft_x(half, grid).tobytes()
+        assert got.tobytes() == irfft_x(place(box, grid), grid).tobytes()
         values = np.random.default_rng(52).standard_normal(lead + grid.shape)
         full = rfft_x(values, grid)
         box = rfft_band(values, grid)
@@ -571,8 +573,8 @@ class TestDrain:
 
 
 class TestRealField:
-    """real_field completes and fills a half in one pass over k1 slabs, bit
-    for bit fill(complete_half(half)); 3D runs on two threads."""
+    """real_field completes a half in place and keeps it: its full spectrum
+    is bit for bit fill(complete_half(half)); 3D runs on two threads."""
 
     @pytest.mark.parametrize("lead", [(), (3,)])
     @pytest.mark.parametrize("grid", [GRID2, GridSpec((32, 24)), THREAD_GRIDS[1]],
@@ -581,7 +583,45 @@ class TestRealField:
         half = random_half(grid, lead, seed=63)
         want = fill(complete_half(half.copy(), grid), grid)
         got = real_field(half, grid)
-        assert got.grid == grid and got.coeffs.tobytes() == want.tobytes()
+        assert got.grid == grid and got.half is half
+        assert got.coeffs.tobytes() == want.tobytes()
+
+
+class TestHalfStorage:
+    """A SpectralField stores the k1 >= 0 half of its spectrum; ``coeffs`` is
+    the full spectrum, filled on each read and read-only."""
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("grid", [GridSpec((16,)), GRID2, GridSpec((32, 24)), GRID3],
+                             ids=["16", "32^2", "32x24", "16^3"])
+    def test_a_hermitian_spectrum_round_trips_bit_for_bit(self, grid, lead):
+        rng = np.random.default_rng(64)
+        raw = rng.standard_normal(lead + grid.shape) + 1j * rng.standard_normal(lead + grid.shape)
+        full = hermitian(raw, grid)
+        F = SpectralField(grid, full)
+        assert F.half.shape == lead + grid.half_shape and F.components == (lead or (1,))[0]
+        assert not np.shares_memory(F.half, full)
+        assert F.coeffs.tobytes() == full.tobytes()
+        assert F.copy().coeffs.tobytes() == full.tobytes()
+
+    def test_from_half_keeps_its_array(self):
+        half = random_half(GRID3, (3,), seed=65)
+        F = SpectralField.from_half(GRID3, half)
+        assert F.half is half and F.component(1).half.base is half
+        with pytest.raises(ContractViolation, match="inconsistent"):
+            SpectralField.from_half(GRID3, fill(half, GRID3))
+
+    def test_writing_to_coeffs_raises(self):
+        F = random_real_field(GRID2, seed=66)
+        before = F.half.copy()
+        assert F.coeffs is not F.coeffs and not F.coeffs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            F.coeffs[1, 2] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            F.coeffs *= 2.0
+        with pytest.raises(AttributeError):
+            F.coeffs = np.zeros(GRID2.shape, dtype=np.complex128)
+        assert np.array_equal(F.half, before)
 
 
 class TestOperators:
@@ -699,8 +739,9 @@ class TestDealias:
         assert np.array_equal(F.coeffs * dealias_mask(GRID2), F.coeffs)
 
     def test_high_mode_zeroed(self):
-        F = zeros(GRID2)
-        F.coeffs[GRID2.shape[0] // 2 - 1, 0] = 1.0
+        full = np.zeros(GRID2.shape, dtype=np.complex128)
+        full[GRID2.shape[0] // 2 - 1, 0] = 1.0
+        F = SpectralField(GRID2, full)
         assert np.max(np.abs(F.coeffs * dealias_mask(GRID2))) == 0.0
 
     def test_energy_nonincreasing(self):
@@ -771,6 +812,22 @@ class TestParsevalWeights:
         assert w.ravel().tolist() == [1.0] + [2.0] * 7 + [1.0]
         with pytest.raises(ValueError):
             w[1] = 1.0
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="a glibc heap setting")
+def test_freed_memory_is_kept_for_the_next_array():
+    # a 16 MiB array freed and allocated again takes the same heap pages (0
+    # fresh ones); with glibc's own thresholds the second faulted in 439-950
+    faults = run_script(
+        "import resource\n"
+        "import numpy as np\n"
+        "import shearks\n"
+        "a = np.ones(2 ** 21)\n"
+        "del a\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "a = np.ones(2 ** 21)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    assert int(faults) < 100
 
 
 class TestSourceGuard:

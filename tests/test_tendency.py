@@ -106,11 +106,11 @@ def evaluate(n, u, params, drift):
 def random_state(grid, seed):
     """Hermitian density around 1 and a solenoidal velocity, full band."""
     n = full_band_hermitian(grid, seed, slope=2.0)
-    n.coeffs[(0,) * grid.dim] = 1.0
+    n.half[(0,) * grid.dim] = 1.0
     if grid.dim == 2:
         return n, None
     u = leray_project(full_band_hermitian(grid, seed + 1, components=3, slope=2.0))
-    u.coeffs *= 0.3
+    u.half *= 0.3
     return n, u
 
 
