@@ -59,7 +59,7 @@ def _yz_gradient_values(half: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Values of (dy f, dz f), the derivatives along the grid's last two axes,
     by one inverse transform of the k1 >= 0 half of f's spectrum; raises
     ContractViolation on non-finite values."""
-    mesh = [halve(m, grid) for m in grid.k_mesh()]
+    mesh = grid.k_mesh()
     vals = irfft_x(np.stack([1j * mesh[-2] * half, 1j * mesh[-1] * half]), grid)
     if not np.all(np.isfinite(vals)):
         raise ContractViolation("RealField values must be finite")
@@ -119,7 +119,7 @@ def kappa_identity_residual(kr: KappaRho, u3: SpectralField) -> float:
 
 def _box_mesh(cross: GridSpec) -> list[np.ndarray]:
     """The cross-section's wavevectors on its band box (``band_of``)."""
-    return [band_of(halve(m, cross), cross) for m in cross.k_mesh()]
+    return [band_of(m, cross) for m in cross.k_mesh()]
 
 
 def _advect(uv, xv: np.ndarray, cross: GridSpec) -> np.ndarray:
@@ -205,7 +205,7 @@ class DecompositionTracker:
         b2 = self.B2.half
         u2v, u3v, b2v = irfft_band(band_of(np.stack([u_0[1], u_0[2], b2]), cross), cross)
         adv = place(_advect((u2v, u3v), b2v, cross), cross)
-        out = (-halve(cross.k_squared(), cross) * b2) / A - u_0[1] - adv / A
+        out = (-cross.k_squared() * b2) / A - u_0[1] - adv / A
         out[(0,) * cross.dim] += state.n.half[(0,) * params.grid.dim].real / A
         return out
 
@@ -289,7 +289,7 @@ def ledger_update(ledger: EnergyLedger, state, params, tracker, n_vals: np.ndarr
     grid = params.grid
     ledger.track("n_linf").observe(t, float(np.max(np.abs(n_vals))))
 
-    mesh = [halve(m, grid) for m in frame_k_mesh(params, state.frame.drift)]
+    mesh = frame_k_mesh(params, state.frame.drift)
     k1 = mesh[0]
     k2 = _mesh_k2(mesh)
     # an X track observes its fluctuation's (|f|^2, |grad f|^2,
@@ -331,7 +331,7 @@ def ledger_update(ledger: EnergyLedger, state, params, tracker, n_vals: np.ndarr
 
         # Y0 group: the g, grad g and lap g tracks of a zero-mode velocity g
         # observe the moments |k|^2p and |k|^2p+2 on the k_y >= 0 half
-        ck2 = halve(cross.k_squared(), cross)
+        ck2 = cross.k_squared()
         y_moments = [np.stack([ck2 ** p, ck2 ** (p + 1)]) for p in range(3)]
         u2_0, u3_0 = halve(u_h[1:, 0], cross)
         wmin2 = min(params.A ** (-2.0 / 3.0) + t / params.A, 1.0)

@@ -20,7 +20,6 @@ from .spectral import (
     GridSpec,
     SpectralField,
     derivative,
-    halve,
     l2_norm,
     laplacian,
     parseval_sum,
@@ -220,7 +219,7 @@ def gns_ratio(q: float, r: float, samples: list[SpectralField]) -> dict:
         vals = values_of(f)
         vals = vals - np.min(vals)  # nonempty zero set
         cell = grid.cell_volume
-        grad_sq = parseval_sum(f.half, grid, halve(grid.k_squared(), grid))
+        grad_sq = parseval_sum(f.half, grid, grid.k_squared())
         denom = grad_sq ** (theta / 2.0) * _lp_norm(vals, r, cell) ** (1.0 - theta)
         ratio = _lp_norm(vals, q, cell) / denom if denom > 0 else math.inf
         rows.append({"sample": i, "ratio": ratio})

@@ -9,7 +9,7 @@ from .modes import fluctuation_only, zero_mode
 from .sampling import gaussian_bump, positive_density, random_smooth, solenoidal_zero_mode
 from .shear import ShearFrame
 from .solver import State
-from .spectral import (GridSpec, SpectralField, halve, l2_norm, leray_project, real_field,
+from .spectral import (GridSpec, SpectralField, l2_norm, leray_project, real_field,
                        sobolev_norm, zeros)
 
 
@@ -42,7 +42,7 @@ def build_velocity(cfg: RunConfig, grid: GridSpec) -> SpectralField:
         norm = l2_norm(fluct)
         if norm > 0:
             u.half += cfg.u_amplitude / norm * fluct.half
-    return real_field(u.half, grid, [halve(m, grid) for m in grid.k_mesh()])
+    return real_field(u.half, grid, grid.k_mesh())
 
 
 def build_initial_state(cfg: RunConfig) -> State:

@@ -14,7 +14,6 @@ from .spectral import (
     SpectralField,
     band_of,
     forward_transform,
-    halve,
     l2_norm,
     place,
     real_field,
@@ -31,7 +30,7 @@ def random_smooth(grid: GridSpec, seed: int, slope: float = 2.0,
     rng = np.random.default_rng(seed)
     shape = grid.shape if components == 1 else (components, *grid.shape)
     box = rfft_band(rng.standard_normal(shape), grid)
-    k2 = band_of(halve(grid.k_squared(), grid), grid)
+    k2 = band_of(grid.k_squared(), grid)
     box *= np.where(k2 > 0, (k2 + 1.0) ** (-slope / 2.0), 0.0)
     F = real_field(place(box, grid), grid)
     norm = l2_norm(F)
@@ -79,8 +78,8 @@ def solenoidal_zero_mode(grid: GridSpec, seed: int, slope: float = 3.0) -> Spect
         raise ContractViolation("solenoidal zero mode needs a 3D grid")
     cross = grid.cross_section()
     psi = random_smooth(cross, seed, slope=slope)
-    ky, kz = cross.k_mesh()
-    psi_hat = psi.coeffs  # the k1 = 0 plane is the whole cross-section spectrum
+    ky, kz = (m[0] for m in grid.k_mesh()[1:])  # the lattice's k1 = 0 plane, whole
+    psi_hat = psi.coeffs  # the whole cross-section spectrum
     out = np.zeros((3, *grid.half_shape), dtype=np.complex128)
     out[1, 0] = 1j * kz * psi_hat
     out[2, 0] = -1j * ky * psi_hat

@@ -176,7 +176,7 @@ def run_rate_fit(cfg: RunConfig) -> dict:
 def _check_identities(cfg: RunConfig) -> dict:
     """Pointwise residual of the good-derivative splitting on random frames."""
     cross = GridSpec((cfg.ny, cfg.nz if cfg.dim == 3 and cfg.nz else cfg.ny))
-    grid3 = GridSpec((max(cfg.nx // 2, 8), *cross.shape))
+    grid3 = GridSpec((max(2 * (cfg.nx // 4), 8), *cross.shape))  # an even side
     A = max(cfg.A, 10.0)
     worst = 0.0
     for seed in range(cfg.samples):

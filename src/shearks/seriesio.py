@@ -68,12 +68,6 @@ def _payload(state: State, A: float):
             yield fill(half, grid)
 
 
-def checkpoint_bytes(state: State, A: float) -> bytes:
-    """The checkpoint file's bytes, in memory."""
-    payload = b"".join(_payload(state, A))
-    return payload + struct.pack("<I", zlib.crc32(payload))
-
-
 def write_checkpoint(path, state: State, A: float):
     """Stream the checkpoint to path, one block in memory at a time."""
     path = Path(path)

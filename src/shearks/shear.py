@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import ContractViolation, GridSpec, halve, over_slabs, parseval_sum, slab
+from .spectral import ContractViolation, GridSpec, over_slabs, parseval_sum, slab
 
 REMAP_THRESHOLD = 1.0
 
@@ -36,11 +36,12 @@ class ShearFrame:
 
 
 def frame_k_mesh(params, drift: float) -> list[np.ndarray]:
-    """Wavevectors of a run's fields at this drift, broadcastable over its grid.
+    """Wavevectors of a run's fields at this drift, broadcastable over their
+    k1 >= 0 halves.
 
     With ``params.enable_shear`` a mode stored at integer index k is the
     physical (k1, k2 - k1*drift, k3): only the second component is sheared.
-    Otherwise they are the grid's integer lattice.
+    Otherwise they are the grid's integer lattice (``GridSpec.k_mesh``).
     """
     k = params.grid.k_mesh()
     if params.enable_shear:
@@ -86,20 +87,19 @@ def linear_step(grid: GridSpec, A: float, frame: ShearFrame, t: float, dt: float
 
     Returns ``apply(base, rhs=None, h=0.0, after=None, lost=True) -> (half,
     dropped energy)``: the propagator of base + h*rhs, plus h*after, for k1 >=
-    0 half spectra (``halve``) with leading component axes, formed on k1
-    slabs (``over_slabs``).  Once the drift reaches REMAP_THRESHOLD index k2
+    0 half spectra with leading component axes, formed on k1 slabs
+    (``over_slabs``).  Once the drift reaches REMAP_THRESHOLD index k2
     moves to k2 - k1*shift with shift = rint(drift), which keeps the physical
     wavevector, and modes moved beyond |k2| <= n2/2 - 1 are dropped.  The
     dropped energy is their ``parseval_sum`` on the half, that of the whole
     spectrum; with lost cleared it reads 0.0.
     """
     if sheared:
-        factor = integrating_factor([halve(m, grid) for m in grid.k_mesh()], 0.0, dt,
-                                    frame.drift, A)
+        factor = integrating_factor(grid.k_mesh(), 0.0, dt, frame.drift, A)
         drift = frame.drift + dt
         shift = int(np.rint(drift)) if abs(drift) >= REMAP_THRESHOLD else 0
     else:
-        factor = np.exp(-halve(grid.k_squared(), grid) * dt / A)
+        factor = np.exp(-grid.k_squared() * dt / A)
         drift, shift = frame.drift, 0
     if shift == 0:
         new_frame = ShearFrame(frame.t_last_remap, drift)
@@ -139,8 +139,8 @@ def _remap_gather(grid: GridSpec, shift: int) -> tuple:
     those moved beyond |k2_new| <= n2/2 - 1, as a 0/1 multiplier that
     broadcasts against the half."""
     n2 = grid.shape[1]
-    k2_new = (grid.wavenumbers(1).astype(int)[None, :]
-              - grid.wavenumbers(0).astype(int)[: grid.shape[0] // 2 + 1, None] * shift)
+    k1, k2 = (m.ravel().astype(int) for m in grid.k_mesh()[:2])
+    k2_new = k2[None, :] - k1[:, None] * shift
     keep = np.abs(k2_new) <= n2 // 2 - 1  # the lone -n2/2 row stays empty: Hermitian band
     i1, i2 = np.nonzero(keep)
     lost = (~keep).astype(float).reshape(keep.shape + (1,) * (grid.dim - 2))

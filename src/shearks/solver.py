@@ -43,7 +43,6 @@ from .spectral import (
     band_of,
     band_shape,
     divergence,
-    halve,
     hermitize,  # noqa: F401  (pinned by benchmarks/tests/test_bench_spans.py, ROADMAP item 2)
     irfft_band,
     k2_guard,
@@ -193,10 +192,10 @@ def tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: float, 
     tilting frame) when tilt is set.  Products are dealiased, forcing terms
     raw; rhs_n conserves mass to round-off and rhs_u is divergence-free for
     the given wavevectors.  n_h, u_h and both tendencies are k1 >= 0 half
-    spectra (``halve``); k_mesh is the grid's whole mesh.  The dealiased
-    parts (c, grad c, the u x u and flux divergences) are formed on the
-    2/3-rule band box (``band_of``) and its transform pair, and placed into
-    the half where the raw terms join them.  On 3D grids the products run
+    spectra, and k_mesh is the half mesh (``shear.frame_k_mesh``).  The
+    dealiased parts (c, grad c, the u x u and flux divergences) are formed
+    on the 2/3-rule band box (``band_of``) and its transform pair, and
+    placed into the half where the raw terms join them.  On 3D grids the products run
     on x slabs, the box divergences one task per output field and the raw
     terms on k1 slabs, all through spectral's work queue.  A passive scalar
     (no velocity, no chemotaxis) has no tendency: ``step`` takes the
@@ -204,8 +203,7 @@ def tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: float, 
     """
     if u_h is None and not chemotaxis:
         raise ContractViolation("a passive scalar has no explicit tendency")
-    mesh = [halve(m, grid) for m in k_mesh]
-    box_mesh = [band_of(m, grid) for m in mesh]
+    box_mesh = [band_of(m, grid) for m in k_mesh]
     ik = [1j * m for m in box_mesh]
     n_u = 0 if u_h is None else grid.dim
     # n, u and grad c go through one inverse transform, the flux and u_i u_j
@@ -257,7 +255,7 @@ def tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: float, 
     spectral._drain([(_put_divergence, out, terms, ik, A, grid) for out, terms in fluxes], grid)
 
     def raw(s):  # on k1 planes s
-        m = [slab(c, s, grid) for c in mesh]
+        m = [slab(c, s, grid) for c in k_mesh]
         rhs, u2 = slab(rhs_u, s, grid), slab(u_h[1], s, grid)
         rhs[0] += slab(n_h, s, grid) / A - u2
         guard = k2_guard(_mesh_k2(m))
@@ -356,8 +354,7 @@ def step(state: State, params: RunConfig, t_stop: float | None = None,
     u_field, dropped_u = None, 0.0
     if u_h is not None:
         u_new, dropped_u = apply_op(u_h, ev1.rhs_u, h, ev2.rhs_u)
-        mesh = [halve(m, grid) for m in frame_k_mesh(params, new_frame.drift)]
-        u_field = real_field(u_new, grid, mesh)
+        u_field = real_field(u_new, grid, frame_k_mesh(params, new_frame.drift))
 
     new_state = State(t=state.t + dt, n=real_field(n_new, grid), u=u_field, frame=new_frame)
     return new_state, StepInfo(dt=dt, dropped_n=dropped_n, dropped_u=dropped_u)
@@ -366,7 +363,7 @@ def step(state: State, params: RunConfig, t_stop: float | None = None,
 def tail_ratio(n: SpectralField, params: RunConfig, drift: float) -> float:
     """Fraction of fluctuation energy at |k_eff| in the top third of the band."""
     grid = params.grid
-    k2 = _mesh_k2([halve(m, grid) for m in frame_k_mesh(params, drift)])
+    k2 = _mesh_k2(frame_k_mesh(params, drift))
     kcut = min(grid.dealias_cutoff(a) for a in range(grid.dim))
     n_h = n.half
     total = parseval_sum(n_h, grid, k2 > 0.0)
@@ -392,7 +389,7 @@ def _row(state: State, params: RunConfig, dt: float, status: str,
     n, u, grid = state.n, state.u, params.grid
     div_l2 = 0.0
     if u is not None:  # on the frame's wavevectors
-        mesh = [halve(m, grid) for m in frame_k_mesh(params, state.frame.drift)]
+        mesh = frame_k_mesh(params, state.frame.drift)
         div_l2 = math.sqrt(parseval_sum(divergence(u.half, mesh), grid))
     row = {
         "t": state.t,

@@ -20,15 +20,15 @@ spectral sum is one reduction over it (``parseval_sum``), each half mode
 counted with its multiplicity in the full spectrum (``parseval_weights``):
 the norms, ``divergence``'s, the tail monitor's, the ledger's and the
 remap loss.
-The integer lattice of a grid is built once and shared read-only
-(``GridSpec.k_mesh``).  In every dimension the real transforms are one pair
-of passes of numpy's 1-D FFTs, bit-identical to numpy's rfftn/irfftn.  On
-3D grids of more than 32^3 points the fields of a stack, the stacks of a
-batch (``rfft_bands``) and the k1 or x slabs of a mode-local stage
-(``over_slabs``) are tasks of one work queue that the caller and one pool
-thread drain (``_drain``), bit for bit the serial result.  The operators
-act on the grid's integer lattice; ``divergence`` (on halves) and
-``leray_coeffs`` take the wavevectors they work on, the lattice or a
+The integer lattice of a grid is its k1 >= 0 half's, built once and shared
+read-only (``GridSpec.k_mesh``).  In every dimension the real transforms
+are one pair of passes of numpy's 1-D FFTs, bit-identical to numpy's
+rfftn/irfftn.  On 3D grids of more than 32^3 points the fields of a stack,
+the stacks of a batch (``rfft_bands``) and the k1 or x slabs of a
+mode-local stage (``over_slabs``) are tasks of one work queue that the
+caller and one pool thread drain (``_drain``), bit for bit the serial
+result.  The operators act on halves through that lattice; ``divergence``
+and ``leray_coeffs`` take the wavevectors they work on, the lattice or a
 sheared frame's.
 """
 
@@ -116,14 +116,14 @@ class GridSpec:
         return np.fft.fftfreq(n, d=1.0 / n)
 
     def k_mesh(self) -> list[np.ndarray]:
-        """Broadcastable integer wavevector components, one array per axis.
-
-        The arrays are the grid's cached lattice, shared by every caller and
-        read-only: writing to one raises ValueError.
-        """
+        """Integer wavevectors of the k1 >= 0 half, one array per axis that
+        broadcasts against ``half_shape``: k1 as ``halve`` orders it, every
+        further axis whole.  The arrays are the grid's cached lattice, shared
+        by every caller and read-only: writing to one raises ValueError."""
         return list(_k_mesh(self))
 
     def k_squared(self) -> np.ndarray:
+        """|k|^2 on ``k_mesh``, cached and read-only."""
         return _k_squared(self)
 
     def cross_section(self) -> "GridSpec":
@@ -135,7 +135,7 @@ class GridSpec:
 
 @lru_cache(maxsize=32)
 def _k_mesh(grid: GridSpec) -> tuple[np.ndarray, ...]:
-    mesh = np.ix_(*[grid.wavenumbers(a) for a in range(grid.dim)])
+    mesh = np.ix_(*[grid.wavenumbers(a)[:n] for a, n in enumerate(grid.half_shape)])
     for comp in mesh:
         comp.flags.writeable = False
     return mesh
@@ -143,7 +143,9 @@ def _k_mesh(grid: GridSpec) -> tuple[np.ndarray, ...]:
 
 @lru_cache(maxsize=32)
 def _k_squared(grid: GridSpec) -> np.ndarray:
-    return _mesh_k2(grid.k_mesh())
+    k2 = _mesh_k2(grid.k_mesh())
+    k2.flags.writeable = False
+    return k2
 
 
 @dataclass
@@ -656,9 +658,9 @@ def values_of(F: SpectralField) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # differential operators
 #
-# The operators act on the grid's integer lattice.  ``divergence`` takes a
-# half and its wavevectors, the lattice's or a sheared (drifting) frame's
-# effective mesh, and ``leray_coeffs`` takes any mesh.
+# The operators act on the grid's integer lattice, the k1 >= 0 half's.
+# ``divergence`` takes a half and its wavevectors, the lattice's or a sheared
+# (drifting) frame's effective mesh, and ``leray_coeffs`` takes any mesh.
 
 def _mesh_k2(mesh) -> np.ndarray:
     """|k|^2 on the broadcast shape of the wavevector components, summed in
@@ -673,17 +675,16 @@ def derivative(F: SpectralField, axis: int) -> SpectralField:
     """Spectral partial derivative along one axis."""
     if not 0 <= axis < F.grid.dim:
         raise ContractViolation(f"axis {axis} out of range for dim {F.grid.dim}")
-    k = halve(F.grid.k_mesh()[axis], F.grid)
-    return SpectralField.from_half(F.grid, 1j * k * F.half)
+    return SpectralField.from_half(F.grid, 1j * F.grid.k_mesh()[axis] * F.half)
 
 
 def laplacian(F: SpectralField) -> SpectralField:
-    return SpectralField.from_half(F.grid, -halve(F.grid.k_squared(), F.grid) * F.half)
+    return SpectralField.from_half(F.grid, -F.grid.k_squared() * F.half)
 
 
 def divergence(u_h: np.ndarray, mesh) -> np.ndarray:
-    """div u on the k1 >= 0 half u_h of a vector field, mesh the half of its
-    wavevectors, the lattice's or a sheared frame's (``halve`` of each)."""
+    """div u on the k1 >= 0 half u_h of a vector field, mesh its wavevectors
+    on the half, the lattice's or a sheared frame's."""
     if u_h.shape[0] != len(mesh):
         raise ContractViolation("divergence expects one component per wavevector component")
     return sum(1j * mesh[a] * u_h[a] for a in range(len(mesh)))
@@ -713,7 +714,7 @@ def solve_chemo(n: SpectralField) -> SpectralField:
     if n.components != 1:
         raise ContractViolation("solve_chemo expects a scalar density")
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = over_k2(n.half, halve(n.grid.k_squared(), n.grid))
+        c = over_k2(n.half, n.grid.k_squared())
     return SpectralField.from_half(n.grid, c)
 
 
@@ -721,8 +722,7 @@ def leray_project(u: SpectralField) -> SpectralField:
     """Orthogonal projection onto divergence-free fields; k = 0 unchanged."""
     if u.components != u.grid.dim:
         raise ContractViolation("leray_project expects a dim-component vector field")
-    mesh = [halve(m, u.grid) for m in u.grid.k_mesh()]
-    return SpectralField.from_half(u.grid, leray_coeffs(u.half.copy(), mesh))
+    return SpectralField.from_half(u.grid, leray_coeffs(u.half.copy(), u.grid.k_mesh()))
 
 
 def leray_coeffs(coeffs: np.ndarray, mesh, k2=None) -> np.ndarray:
@@ -768,5 +768,5 @@ def l2_norm(F: SpectralField) -> float:
 
 def sobolev_norm(F: SpectralField, order: int) -> float:
     """H^s norm with Bessel weights (1 + |k|^2)^s, as ``spectral_energy``."""
-    m = (1.0 + halve(F.grid.k_squared(), F.grid)) ** order
+    m = (1.0 + F.grid.k_squared()) ** order
     return float(np.sqrt(parseval_sum(F.half, F.grid, m)))

@@ -8,12 +8,14 @@ reruns every case in ``CASES`` and writes its series to
 FFT backend, the cases' settings).  ``tests/test_reference.py`` reruns the
 cases and compares every column against these files.  Regenerate them only
 for a change that moves a column past its bound on purpose, and declare the
-move with the largest change per column.
+move: before it overwrites a case's file, the script prints the largest
+change per column against it (``largest_moves``).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 import tempfile
 import warnings
@@ -26,6 +28,9 @@ from shearks import scenarios, solver
 from shearks.config import params_of, parse_config
 from shearks.initial import build_initial_state
 from shearks.seriesio import write_series
+from shearks.solver import SERIES_COLUMNS
+
+from oracles import read_series
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -78,6 +83,31 @@ def case_rows(case: str) -> list[dict]:
     return rows
 
 
+def _relative_change(new: float, old: float) -> float:
+    if new == old or (math.isnan(new) and math.isnan(old)):
+        return 0.0
+    if math.isnan(new) or math.isnan(old) or old == 0.0:
+        return math.inf
+    return abs(new - old) / abs(old)
+
+
+def largest_moves(rows: list[dict], refs: list[dict]) -> str:
+    """The largest change per column of rows against refs, a reference
+    file's rows: the row count, t and status as equal or not, every other
+    column as the largest |new - old| / |old| over the rows both hold (0
+    where both are equal or both NaN, inf where only one is NaN or old is
+    0)."""
+    parts = ["rows equal" if len(rows) == len(refs) else f"rows {len(refs)} -> {len(rows)}"]
+    for column in SERIES_COLUMNS:
+        pairs = [(row[column], ref[column]) for row, ref in zip(rows, refs)]
+        if column in ("t", "status"):
+            parts.append(f"{column} {'equal' if all(a == b for a, b in pairs) else 'differs'}")
+        else:
+            worst = max((_relative_change(a, b) for a, b in pairs), default=0.0)
+            parts.append(f"{column} {worst:.3g}")
+    return ", ".join(parts)
+
+
 def environment() -> dict:
     return {"numpy": np.__version__,
             "fft_backend": "+".join(m for m in ("numpy.fft", "scipy.fft", "pyfftw")
@@ -88,7 +118,9 @@ def environment() -> dict:
 def main():
     REFERENCE.mkdir(parents=True, exist_ok=True)
     for case in CASES:
-        write_series(REFERENCE / f"{case}.csv", case_rows(case))
+        rows, path = case_rows(case), REFERENCE / f"{case}.csv"
+        print(f"{case}: {largest_moves(rows, read_series(path)) if path.exists() else 'new'}")
+        write_series(path, rows)
     meta = {**environment(), "cases": {c: {"config": n, "overrides": o.splitlines()}
                                        for c, (n, o) in CASES.items()}}
     (REFERENCE / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")

@@ -36,11 +36,17 @@ ledger summed over whole spectra, the reference of
 every dealiased product multiplied by the 2/3-rule mask, the bit-for-bit
 reference (up to the sign of exact zeros) of ``solver.tendency``, which
 transforms and assembles the band box alone.
+``full_k_mesh``, ``full_k_squared`` and ``full_frame_k_mesh`` are the
+whole spectrum's lattice, |k|^2 and sheared frame, on which every
+whole-spectrum reference works; the program's lattice is the k1 >= 0
+half's (``GridSpec.k_mesh``).  ``checkpoint_bytes`` is a checkpoint's
+bytes as ``seriesio.write_checkpoint`` writes them.
 ``run_params`` is no oracle: it is how every test builds a run's parameters
 on a test grid, through ``config.params_of`` like the program itself.
 """
 
 import math
+import tempfile
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -51,7 +57,7 @@ from shearks import solver
 from shearks.config import RunConfig, params_of
 from shearks.diagnostics import kappa_values
 from shearks.modes import fluctuation_only, zero_mode
-from shearks.seriesio import CheckpointError
+from shearks.seriesio import CheckpointError, write_checkpoint
 from shearks.shear import REMAP_THRESHOLD, ShearFrame, frame_k_mesh, integrating_factor
 from shearks.spectral import (
     ContractViolation,
@@ -82,12 +88,41 @@ def run_params(grid: GridSpec, **kw) -> RunConfig:
     return params_of(replace(cfg, **kw))
 
 
+def full_k_mesh(grid: GridSpec) -> list[np.ndarray]:
+    """The whole spectrum's integer wavevectors, one broadcastable array per
+    axis in FFT storage order; ``halve`` of each is ``grid.k_mesh()``."""
+    return list(np.ix_(*[grid.wavenumbers(a) for a in range(grid.dim)]))
+
+
+def full_k_squared(grid: GridSpec) -> np.ndarray:
+    """|k|^2 over the whole spectrum."""
+    return _mesh_k2(full_k_mesh(grid))
+
+
+def full_frame_k_mesh(params, drift: float) -> list[np.ndarray]:
+    """``shear.frame_k_mesh`` over the whole spectrum: (k1, k2 - k1*drift,
+    k3) with shear on, the whole lattice otherwise."""
+    k = full_k_mesh(params.grid)
+    if params.enable_shear:
+        k[1] = k[1] - k[0] * drift
+    return k
+
+
+def checkpoint_bytes(state, A: float) -> bytes:
+    """The bytes ``seriesio.write_checkpoint`` writes for state, through a
+    temporary file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.pksn"
+        write_checkpoint(path, state, A)
+        return path.read_bytes()
+
+
 @lru_cache(maxsize=32)
 def dealias_mask(grid: GridSpec) -> np.ndarray:
     """The 2/3-rule band as a full-spectrum mask: |k_a| <= dealias_cutoff(a)
     on every axis."""
     mask = np.ones(grid.shape, dtype=bool)
-    for axis, comp in enumerate(grid.k_mesh()):
+    for axis, comp in enumerate(full_k_mesh(grid)):
         mask &= np.abs(comp) <= grid.dealias_cutoff(axis)
     return mask
 
@@ -113,7 +148,7 @@ def exact_passive_scalar(F: SpectralField, t: float, A: float, drift0: float = 0
     grid = F.grid
     if F.components != 1:
         raise ContractViolation("exact_passive_scalar takes a scalar field")
-    k = [np.broadcast_to(c, grid.shape).astype(float) for c in grid.k_mesh()]
+    k = [np.broadcast_to(c, grid.shape).astype(float) for c in full_k_mesh(grid)]
     k1, k2 = k[0], k[1]
     b = k2 - k1 * drift0
     exponent = (k1 * k1 + sum(c * c for c in k[2:])) * t \
@@ -159,7 +194,7 @@ def full_band_hermitian(grid, seed, components=1, slope=None):
     shape = grid.shape if components == 1 else (components, *grid.shape)
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     if slope is not None:
-        k2 = grid.k_squared()
+        k2 = full_k_squared(grid)
         coeffs *= np.where(k2 > 0, (k2 + 1.0) ** (-slope / 2.0), 0.0)
     F = SpectralField(grid, hermitian(coeffs, grid))
     if slope is not None:
@@ -277,7 +312,7 @@ def compute_omega2(u: SpectralField, k_mesh=None) -> SpectralField:
     """Wall-normal vorticity dz(u1) - dx(u3)."""
     if u.grid.dim != 3 or u.components != 3:
         raise ContractViolation("omega2 needs a 3-component 3D velocity")
-    mesh = u.grid.k_mesh() if k_mesh is None else list(k_mesh)
+    mesh = full_k_mesh(u.grid) if k_mesh is None else list(k_mesh)
     w = 1j * mesh[2] * u.coeffs[0] - 1j * mesh[0] * u.coeffs[2]
     return SpectralField(u.grid, w)
 
@@ -300,12 +335,12 @@ def residual_omega2(state_before, state_after, params) -> float:
     grid = params.grid
     A = params.A
     drift_mid = 0.5 * (sb.frame.drift + sa.frame.drift)
-    mesh = frame_k_mesh(params, drift_mid)
+    mesh = full_frame_k_mesh(params, drift_mid)
 
     u_mid = SpectralField(grid, 0.5 * (sb.u.coeffs + sa.u.coeffs))
     n_mid = SpectralField(grid, 0.5 * (sb.n.coeffs + sa.n.coeffs))
-    w_before = compute_omega2(sb.u, k_mesh=frame_k_mesh(params, sb.frame.drift))
-    w_after = compute_omega2(sa.u, k_mesh=frame_k_mesh(params, sa.frame.drift))
+    w_before = compute_omega2(sb.u, k_mesh=full_frame_k_mesh(params, sb.frame.drift))
+    w_after = compute_omega2(sa.u, k_mesh=full_frame_k_mesh(params, sa.frame.drift))
     fd = (w_after.coeffs - w_before.coeffs) / dt
 
     k2 = np.zeros(grid.shape)
@@ -341,9 +376,9 @@ def full_spectrum_operator(params, frame: ShearFrame, t: float, dt: float):
     every mode of both halves and gathers each remapped k1 row in full."""
     grid, A = params.grid, params.A
     if not params.enable_shear:
-        factor = np.exp(-grid.k_squared() * dt / A)
+        factor = np.exp(-full_k_squared(grid) * dt / A)
         return (lambda coeffs: (coeffs * factor, 0.0)), frame
-    factor = integrating_factor(grid.k_mesh(), 0.0, dt, frame.drift, A)
+    factor = integrating_factor(full_k_mesh(grid), 0.0, dt, frame.drift, A)
     new_drift = frame.drift + dt
     shift = int(np.rint(new_drift)) if abs(new_drift) >= REMAP_THRESHOLD else 0
     if shift == 0:
@@ -402,7 +437,8 @@ def full_spectrum_step(state, params, t_stop=None, tracker=None):
     if u is not None:
         u_new, dropped_u = apply_op(u + 0.5 * dt * ev1.rhs_u)
         u_sym = hermitian(u_new + 0.5 * dt * ev2.rhs_u, grid)
-        u_field = SpectralField(grid, leray_coeffs(u_sym, frame_k_mesh(params, new_frame.drift)))
+        u_field = SpectralField(grid, leray_coeffs(u_sym, full_frame_k_mesh(params,
+                                                                 new_frame.drift)))
         if tracker is not None:
             tracker.advance(params, dt, (n, u, ev1), (n_pred, u_pred, ev2))
     return (solver.State(t=state.t + dt, n=n_field, u=u_field, frame=new_frame),
@@ -421,12 +457,12 @@ def masked_tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: 
     tilting frame) when tilt is set.  Products are dealiased, forcing terms
     raw; rhs_n conserves mass to round-off and rhs_u is divergence-free for
     the given wavevectors.  n_h, u_h and both tendencies are k1 >= 0 half
-    spectra (``halve``); k_mesh is the grid's whole mesh.  A passive scalar
-    has no tendency and raises ContractViolation.
+    spectra, and k_mesh is the half mesh (``shear.frame_k_mesh``).  A passive
+    scalar has no tendency and raises ContractViolation.
     """
     if u_h is None and not chemotaxis:
         raise ContractViolation("a passive scalar has no explicit tendency")
-    mesh = [halve(m, grid) for m in k_mesh]
+    mesh = k_mesh
     k2 = _mesh_k2(mesh)
     dmask = halve(dealias_mask(grid), grid)
     n_u = 0 if u_h is None else grid.dim
@@ -509,7 +545,7 @@ def _norm_pieces(coeffs: np.ndarray, grid: GridSpec, weights) -> tuple[float, fl
 
 def _h2_norm(coeffs: np.ndarray, grid: GridSpec) -> float:
     """H^2 norm, Bessel weights (1 + |k|^2)^2, summed over the whole spectrum."""
-    e = (1.0 + grid.k_squared()) ** 2 * np.abs(coeffs) ** 2
+    e = (1.0 + full_k_squared(grid)) ** 2 * np.abs(coeffs) ** 2
     return float(np.sqrt(grid.volume * np.sum(e)))
 
 
@@ -526,7 +562,7 @@ def full_spectrum_ledger(ledger, state, params, tracker, n_vals: np.ndarray):
     t = state.t
     grid = params.grid
     n = state.n
-    mesh = frame_k_mesh(params, state.frame.drift)
+    mesh = full_frame_k_mesh(params, state.frame.drift)
 
     ledger.track("n_linf").observe(t, float(np.max(np.abs(n_vals))))
     weights = _norm_weights(grid, mesh)
@@ -539,11 +575,11 @@ def full_spectrum_ledger(ledger, state, params, tracker, n_vals: np.ndarray):
         return
     u = state.u
     cross = grid.cross_section()
-    cmesh = cross.k_mesh()
+    cmesh = full_k_mesh(cross)
     cweights = _norm_weights(cross, cmesh)
 
     # Y0 group: zero-mode velocities and their derivatives
-    ck2 = cross.k_squared()
+    ck2 = full_k_squared(cross)
     for name, f0 in (("u2_0", zero_mode(u.component(1))), ("u3_0", zero_mode(u.component(2)))):
         _observe_field(ledger, name, 0.0, t, f0.coeffs, cross, cweights)
         grad = np.stack([1j * cmesh[a] * f0.coeffs for a in range(2)])
@@ -639,7 +675,7 @@ class PerFieldTracker:
         cross = self.G1.grid
         A = params.A
         mask = dealias_mask(cross)
-        mesh = cross.k_mesh()
+        mesh = full_k_mesh(cross)
         n0, u0 = (fill(halve(f, cross), cross) for f in (n[0], u[:, 0]))
         u_vals = irfft_x(halve(u0 * mask, cross), cross)
         u2v, u3v = u_vals[1], u_vals[2]
@@ -659,7 +695,7 @@ class PerFieldTracker:
 
     def advance(self, params, dt, stage1, stage2):
         cross = self.G1.grid
-        heat = np.exp(-cross.k_squared() * dt / params.A)
+        heat = np.exp(-full_k_squared(cross) * dt / params.A)
         r1 = self._stage_rhs(params, *stage1)
         pred = PerFieldTracker(
             G1=SpectralField(cross, heat * (self.G1.coeffs + dt * r1[0])),

@@ -16,7 +16,7 @@ from shearks.inequalities import check_elliptic, check_poincare, loghls_scan
 from shearks.modes import split_x
 from shearks.sampling import fluctuation_only, gaussian_bump, random_smooth
 from shearks.scenarios import run_rate_fit, run_resume, run_simulate, run_sweep_mass
-from shearks.seriesio import checkpoint_bytes, state_from_bytes
+from shearks.seriesio import state_from_bytes
 from shearks.shear import ShearFrame
 from shearks.solver import State, run, step
 from shearks.spectral import (
@@ -32,10 +32,13 @@ from shearks.spectral import (
 )
 
 from oracles import (
+    checkpoint_bytes,
     exact_passive_scalar,
     free_energy_monotone,
     from_values,
     full_divergence,
+    full_k_mesh,
+    full_k_squared,
     inverse_transform,
     l2_norm_values,
     read_series,
@@ -115,9 +118,9 @@ def passive_runs():
     rng = np.random.default_rng(5)
     raw = forward_transform(RealField(grid, rng.standard_normal(grid.shape)))
     mask = np.ones(grid.shape, dtype=bool)
-    for axis, comp in enumerate(grid.k_mesh()):
+    for axis, comp in enumerate(full_k_mesh(grid)):
         mask &= np.abs(comp) <= 5  # stays inside the band through t = 10
-    k2 = grid.k_squared()
+    k2 = full_k_squared(grid)
     amp = np.where(k2 > 0, (1.0 + k2) ** -1.0, 0.0)
     f0 = hermitize(SpectralField(grid, raw.coeffs * amp * mask))
     f0 = fluctuation_only(f0)
@@ -151,7 +154,7 @@ def test_c01_spectral_oracles():
                               l2_norm(SpectralField(grid, resid)) / l2_norm(n))
             u = random_smooth(grid, seed=seed + 50, components=grid.dim)
             p = leray_project(u)
-            worst_div = max(worst_div, l2_norm(full_divergence(p, grid.k_mesh())) / l2_norm(u))
+            worst_div = max(worst_div, l2_norm(full_divergence(p, full_k_mesh(grid))) / l2_norm(u))
             quad = l2_norm_values(inverse_transform(n))
             worst_parseval = max(worst_parseval, abs(quad - l2_norm(n)) / l2_norm(n))
     elapsed = time.time() - start

@@ -20,7 +20,6 @@ from shearks.scenarios import efold_time, run_resume, run_simulate
 from shearks.seriesio import (
     _HEADER,
     CheckpointError,
-    checkpoint_bytes,
     read_checkpoint,
     state_from_bytes,
     write_checkpoint,
@@ -29,7 +28,7 @@ from shearks.seriesio import (
 from shearks.shear import ShearFrame
 from shearks.solver import SERIES_COLUMNS, State
 from shearks.spectral import GridSpec, l2_norm, total_mass
-from oracles import read_series
+from oracles import checkpoint_bytes, read_series
 from test_spectral import random_real_field
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -519,6 +518,14 @@ class TestCLI:
         assert cli_main(argv + small) == 2
         assert capsys.readouterr().err.startswith(f"config error: {key}: ")
         assert not any(tmp_path.iterdir())
+
+    def test_check_identities_takes_an_even_streamwise_side(self, tmp_path, capsys):
+        # nx = 22 halves to an odd 11; the suite's 3D grid must still be valid
+        code = cli_main(["check", "--config", str(CONFIGS / "checks.conf"), "--nx", "22",
+                         "--suite", "identities", "--samples", "2",
+                         "--out_dir", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("check identities: PASS")
 
     def test_unknown_override_rejected(self, tmp_path):
         conf = tmp_path / "run.conf"

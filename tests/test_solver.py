@@ -16,7 +16,7 @@ from shearks.initial import build_initial_state
 from shearks.sampling import fluctuation_only, gaussian_bump, random_smooth
 from shearks.scenarios import run_simulate
 from shearks.seriesio import format_row
-from shearks.shear import ShearFrame, frame_k_mesh
+from shearks.shear import ShearFrame
 from shearks.solver import (
     BlowupMonitor,
     StageEval,
@@ -45,6 +45,8 @@ from oracles import (
     from_values,
     full_band_hermitian,
     full_divergence,
+    full_frame_k_mesh,
+    full_k_mesh,
     full_spectrum_step,
     linf_norm,
     min_principle_check,
@@ -133,7 +135,7 @@ class TestRhsVelocity:
         n = random_smooth(GRID3, seed=3)
         u = leray_project(random_smooth(GRID3, seed=4, components=3))
         out = SpectralField(GRID3, fill(rhs(n, u, A=1.5, chemotaxis=False).rhs_u, GRID3))
-        div = full_divergence(out, GRID3.k_mesh())
+        div = full_divergence(out, full_k_mesh(GRID3))
         assert l2_norm(div) <= 1e-12 * max(l2_norm(out), 1e-30)
 
 
@@ -179,7 +181,7 @@ class TestStep:
         state = make_state(GRID3, n, u)
         for _ in range(10):
             state, _ = step(state, params)
-            mesh = frame_k_mesh(params, state.frame.drift)
+            mesh = full_frame_k_mesh(params, state.frame.drift)
             div = full_divergence(state.u, mesh)
             u_l2 = max(l2_norm(state.u), 1e-30)
             assert l2_norm(div) <= 1e-10 * u_l2
@@ -200,7 +202,7 @@ def assert_same_info(info, ref_info):
 def lone_nyquist(grid):
     """The lone k_a = -n_a/2 rows of every axis."""
     mask = np.zeros(grid.shape, dtype=bool)
-    for a, k in enumerate(grid.k_mesh()):
+    for a, k in enumerate(full_k_mesh(grid)):
         mask |= k == -(grid.shape[a] // 2)
     return mask
 
@@ -231,7 +233,7 @@ class TestInitialStates:
                            f"u_eps = 0.01\nu_amplitude = {u_amplitude}\nu_seed = 5\n")
         u = build_initial_state(cfg).u
         assert_real_by_construction(u)
-        assert l2_norm(full_divergence(u, u.grid.k_mesh())) <= 1e-14 * l2_norm(u)
+        assert l2_norm(full_divergence(u, full_k_mesh(u.grid))) <= 1e-14 * l2_norm(u)
         assert np.any(u.coeffs[:, 0]) and np.any(u.coeffs[:, 1:]) == (u_amplitude > 0)
 
 
@@ -423,7 +425,8 @@ class TestPassiveStep:
         params = short_params(grid, enable_shear=True, enable_chemotaxis=False,
                               A=1e3, fixed_dt=0.05, dt_max=0.05, t_end=3.0)
         full = full_band_hermitian(grid, seed=11, slope=2.0).coeffs.copy()
-        nyquist = (np.abs(grid.k_mesh()[0]) == 64) | (np.abs(grid.k_mesh()[1]) == 64)
+        k = full_k_mesh(grid)
+        nyquist = (np.abs(k[0]) == 64) | (np.abs(k[1]) == 64)
         full[nyquist] = 0.0
         f = SpectralField(grid, full)
         assert np.array_equal(f.coeffs, spectral.conj_reverse(f.coeffs, 2))
@@ -615,7 +618,7 @@ class TestSamples:
             state, _ = step(state, params)
             e = np.abs(state.n.coeffs) ** 2
             e[0, 0] = 0.0
-            k2 = spectral._mesh_k2(frame_k_mesh(params, state.frame.drift))
+            k2 = spectral._mesh_k2(full_frame_k_mesh(params, state.frame.drift))
             full = np.sum(e[k2 >= (2.0 * GRID2.dealias_cutoff(0) / 3.0) ** 2]) / np.sum(e)
             assert tail_ratio(state.n, params, state.frame.drift) == pytest.approx(full, rel=1e-14)
         assert state.frame.t_last_remap > 0.0

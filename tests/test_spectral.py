@@ -18,6 +18,7 @@ from shearks import spectral
 from shearks.config import parse_config
 from shearks.sampling import random_smooth
 from shearks.scenarios import run_simulate
+from shearks.shear import frame_k_mesh
 from shearks.spectral import (
     ContractViolation,
     GridSpec,
@@ -58,10 +59,14 @@ from oracles import (
     from_values,
     full_band_hermitian,
     full_divergence,
+    full_frame_k_mesh,
+    full_k_mesh,
+    full_k_squared,
     hermitian,
     inverse_transform,
     l2_norm_values,
     linf_norm,
+    run_params,
     serial_drain,
 )
 
@@ -76,7 +81,7 @@ def random_real_field(grid, seed=0, components=1, slope=2.0):
     shape = grid.shape if components == 1 else (components, *grid.shape)
     raw = rng.standard_normal(shape)
     F = forward_transform(RealField(grid, raw))
-    k2 = grid.k_squared()
+    k2 = full_k_squared(grid)
     amp = np.where(k2 > 0, (k2 + 1.0) ** (-slope / 2.0), 0.0)
     F = SpectralField(grid, F.coeffs * amp * dealias_mask(grid))
     return hermitize(F)
@@ -103,15 +108,43 @@ class TestGridSpec:
     def test_cross_section(self):
         assert GRID3.cross_section().shape == (16, 16)
 
+    @pytest.mark.parametrize("shape", [(16,), (16, 12), (16, 16, 16), (16, 24, 12)], ids=str)
+    def test_k_mesh_is_the_half_of_the_full_lattice(self, shape):
+        grid = GridSpec(shape)
+        mesh = grid.k_mesh()
+        assert np.broadcast_shapes(*[m.shape for m in mesh]) == grid.half_shape
+        for comp, full in zip(mesh, full_k_mesh(grid)):
+            want = halve(full, grid)
+            assert comp.shape == want.shape and comp.tobytes() == want.tobytes()
+        assert mesh[0].ravel()[-1] == -(shape[0] // 2)  # the lone -n1/2 plane last
+
+    @pytest.mark.parametrize("shape", [(16,), (16, 12), (16, 16, 16), (16, 24, 12)], ids=str)
+    def test_k_squared_is_the_read_only_mesh_sum(self, shape):
+        grid = GridSpec(shape)
+        k2 = grid.k_squared()
+        assert k2 is grid.k_squared() and k2.shape == grid.half_shape
+        assert k2.tobytes() == spectral._mesh_k2(grid.k_mesh()).tobytes()
+        with pytest.raises(ValueError):
+            k2[...] = 0.0
+
+    @pytest.mark.parametrize("shape", [(16, 12), (16, 24, 12)], ids=str)
+    def test_frame_k_mesh_shears_the_half(self, shape):
+        grid, drift = GridSpec(shape), -0.37
+        params = run_params(grid, enable_shear=True)
+        mesh, k = frame_k_mesh(params, drift), grid.k_mesh()
+        assert mesh[1].tobytes() == (k[1] - k[0] * drift).tobytes()
+        assert mesh[1].shape == grid.half_shape[:2] + (1,) * (grid.dim - 2)
+        assert np.array_equal(mesh[1], halve(full_frame_k_mesh(params, drift)[1], grid))
+        assert all(a is b for a, b in zip(mesh[::2], k[::2]))
+
     def test_k_mesh_is_one_read_only_lattice(self):
         first, again = GRID3.k_mesh(), GridSpec((16, 16, 16)).k_mesh()
         assert all(a is b for a, b in zip(first, again))
-        for axis, comp in enumerate(first):
+        for comp in first:
             with pytest.raises(ValueError):
                 comp[0] = 7.0
             with pytest.raises(ValueError):
                 comp *= 2.0
-            assert np.array_equal(comp.ravel(), GRID3.wavenumbers(axis))
 
 
 class TestTransforms:
@@ -693,7 +726,7 @@ class TestLeray:
     def test_pure_gradient_annihilated(self):
         x, y = GRID2.coordinate_mesh()
         phi = from_values(GRID2, np.sin(x + y))
-        u = SpectralField(GRID2, np.stack([1j * k * phi.coeffs for k in GRID2.k_mesh()]))
+        u = SpectralField(GRID2, np.stack([1j * k * phi.coeffs for k in full_k_mesh(GRID2)]))
         p = leray_project(u)
         off_mean = p.coeffs.copy()
         off_mean[:, 0, 0] = 0
@@ -709,7 +742,7 @@ class TestLeray:
     def test_projector_properties(self):
         u = random_real_field(GRID3, seed=6, components=3)
         p = leray_project(u)
-        assert l2_norm(full_divergence(p, GRID3.k_mesh())) <= 1e-12 * l2_norm(u)
+        assert l2_norm(full_divergence(p, full_k_mesh(GRID3))) <= 1e-12 * l2_norm(u)
         pp = leray_project(p)
         assert np.max(np.abs(pp.coeffs - p.coeffs)) < 1e-13
         assert l2_norm(p) <= l2_norm(u) + 1e-14
@@ -721,7 +754,7 @@ class TestDivergence:
     def test_half_equals_half_of_full_oracle(self, shape, drift):
         grid = GridSpec(shape)
         u = full_band_hermitian(grid, seed=3, components=grid.dim)
-        mesh = grid.k_mesh()
+        mesh = full_k_mesh(grid)
         mesh[1] = mesh[1] - mesh[0] * drift  # a sheared frame's wavevectors
         div = divergence(halve(u.coeffs, grid), [halve(m, grid) for m in mesh])
         assert np.array_equal(div, halve(full_divergence(u, mesh).coeffs, grid))
@@ -729,8 +762,7 @@ class TestDivergence:
     def test_needs_one_component_per_axis(self):
         grid = GridSpec((8, 10, 12))
         with pytest.raises(ContractViolation):
-            divergence(np.zeros((2, 5, 10, 12), dtype=complex),
-                       [halve(m, grid) for m in grid.k_mesh()])
+            divergence(np.zeros((2, 5, 10, 12), dtype=complex), grid.k_mesh())
 
 
 class TestDealias:
@@ -778,9 +810,9 @@ class TestParsevalWeights:
         F = full_band_hermitian(grid, seed=sum(shape) + components, components=components)
         lead = (slice(None),) * (F.coeffs.ndim - grid.dim)
         assert np.all(F.coeffs[lead + (shape[0] // 2,)] != 0.0)  # the lone -n1/2 plane
-        k2 = grid.k_squared()
+        k2 = full_k_squared(grid)
         w = parseval_weights(grid)
-        for m in (np.ones(shape), k2, grid.k_mesh()[0] ** 2 * k2):
+        for m in (np.ones(shape), k2, full_k_mesh(grid)[0] ** 2 * k2):
             full = np.sum(m * np.abs(F.coeffs) ** 2)
             half = np.sum(w * halve(m, grid) * np.abs(halve(F.coeffs, grid)) ** 2)
             assert abs(half - full) <= 1e-14 * full
@@ -791,8 +823,8 @@ class TestParsevalWeights:
         # one multiplier gives a float, a stack of moments one sum each
         grid = GridSpec(shape)
         F = full_band_hermitian(grid, seed=sum(shape) + components, components=components)
-        k2 = grid.k_squared()
-        ms = [np.ones(shape), k2, grid.k_mesh()[0] ** 2 * k2]
+        k2 = full_k_squared(grid)
+        ms = [np.ones(shape), k2, full_k_mesh(grid)[0] ** 2 * k2]
         e = np.abs(F.coeffs) ** 2
         full = [grid.volume * np.sum(m * e) for m in ms]
         half = halve(F.coeffs, grid)
@@ -838,6 +870,14 @@ class TestSourceGuard:
 
     def test_no_complex_multidimensional_fft(self):
         call = re.compile(r"\b(?:fftn|ifftn|fft2|ifft2)\s*\(")
+        hits = [f"{path.name}:{i}" for path in self.SOURCES
+                for i, line in enumerate(path.read_text().splitlines(), 1) if call.search(line)]
+        assert self.SOURCES and not hits
+
+    def test_no_module_halves_the_lattice(self):
+        # the grid's lattice is the k1 >= 0 half's: halving it again is a
+        # second storage decision
+        call = re.compile(r"\bhalve\(.*\b(?:frame_k_mesh|k_mesh|k_squared)\b")
         hits = [f"{path.name}:{i}" for path in self.SOURCES
                 for i, line in enumerate(path.read_text().splitlines(), 1) if call.search(line)]
         assert self.SOURCES and not hits

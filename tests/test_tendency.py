@@ -25,7 +25,6 @@ from shearks import solver
 from shearks.config import params_of, parse_config
 from shearks.diagnostics import DecompositionTracker
 from shearks.initial import build_initial_state
-from shearks.shear import frame_k_mesh
 from shearks.solver import _evaluate, step
 from shearks.spectral import (
     ContractViolation,
@@ -38,7 +37,8 @@ from shearks.spectral import (
     place,
 )
 
-from oracles import dealias_mask, full_band_hermitian, masked_evaluate, run_params
+from oracles import (dealias_mask, full_band_hermitian, full_frame_k_mesh, full_k_mesh,
+                     masked_evaluate, run_params)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -58,7 +58,7 @@ def oracle(n, u, params, drift):
     """(rhs_n, rhs_u, max_u, max_chemo, uu_zero) on full complex spectra; uu_zero
     is the k1 = 0 plane of (u1 u2, u1 u3)."""
     grid = params.grid
-    mesh = frame_k_mesh(params, drift)
+    mesh = full_frame_k_mesh(params, drift)
     mesh = [np.broadcast_to(m, grid.shape) for m in mesh]
     dmask = dealias_mask(grid)
     A = params.A
@@ -116,7 +116,7 @@ def random_state(grid, seed):
 
 def off_nyquist(grid):
     mask = np.ones(grid.shape, dtype=bool)
-    for a, k in enumerate(grid.k_mesh()):
+    for a, k in enumerate(full_k_mesh(grid)):
         mask &= np.abs(k) != grid.shape[a] // 2
     return mask
 
