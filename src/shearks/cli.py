@@ -92,10 +92,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except CheckpointError as err:
-        print(f"i/o error: {err}", file=sys.stderr)
-        return 4
-    except OSError as err:
+    except OSError as err:  # CheckpointError included
         print(f"i/o error: {err}", file=sys.stderr)
         return 4
 

@@ -232,11 +232,8 @@ def run_check(cfg: RunConfig) -> dict:
 
 def dispatch(cfg: RunConfig, resume_from=None) -> tuple[int, dict]:
     """Run the configured scenario; exit code per the CLI contract."""
-    if resume_from is not None:
-        summary = run_resume(cfg, resume_from)
-        return (3 if summary["status"] == "unresolved" else 0), summary
-    if cfg.scenario == "simulate":
-        summary = run_simulate(cfg)
+    if resume_from is not None or cfg.scenario == "simulate":
+        summary = run_simulate(cfg) if resume_from is None else run_resume(cfg, resume_from)
         return (3 if summary["status"] == "unresolved" else 0), summary
     if cfg.scenario == "sweep_mass":
         summary = run_sweep_mass(cfg)

@@ -412,48 +412,35 @@ def _row(state: State, params: RunConfig, dt: float, status: str,
     return row
 
 
-def _non_finite(state: State) -> str:
-    """Why the state cannot be advanced or sampled; empty when it can."""
+def _require_finite(state: State):
+    """Raise ContractViolation naming the non-finite fields of state."""
     bad = [name for name, f in (("density", state.n), ("velocity", state.u))
            if f is not None and not np.all(np.isfinite(f.half.view(float)))]
-    return f"non-finite {' and '.join(bad)} coefficients" if bad else ""
+    if bad:
+        raise ContractViolation(f"non-finite {' and '.join(bad)} coefficients")
 
 
 def run(params: RunConfig, init: State, on_sample=None) -> RunResult:
     """Integrate to t_end or until the blow-up monitor fires.
 
     on_sample, when given, is called with (state, row) at every emitted
-    sample; the harness uses it for checkpoints.  A non-finite initial
-    state, and a ContractViolation or FloatingPointError (numpy's error
-    state set to raise) in a step or a sample, end the run unresolved with
-    the reason, never with a traceback.  The run drops its reference to
-    init once it has stepped.  The spectral tail is measured only when the
-    monitor reads it (``monitor_tail``).
+    sample; the harness uses it for checkpoints.  The run has one error
+    contract: any ContractViolation or FloatingPointError (numpy's error
+    state set to raise) from start-up, a step or a sample ends the run
+    unresolved, with its reason, at the state's own time, never with a
+    traceback.  A non-finite state, at the start or after a step, and a
+    band-exit fraction above drop_tol are such violations.  The run drops
+    its reference to init once it has stepped.  The spectral tail is
+    measured only when the monitor reads it (``monitor_tail``).
     """
     state = init
     del init
     monitor = BlowupMonitor(enabled=params.monitor_tail)
-    reason = _non_finite(state)
-    if reason:
-        monitor.abort(state.t, reason)
-        return RunResult(status=monitor.status, rows=[], final_state=state, params=params,
-                         monitor=monitor)
-    mass0 = total_mass(state.n)
-    fluct0 = spectral_energy(state.n) - state.n.grid.volume * (mass0 / state.n.grid.volume) ** 2
-    fluct0 = max(fluct0, 1e-300)
-
-    ledger = None
-    if params.track_energies:
-        ledger = diagnostics.EnergyLedger(A=params.A)
-    tracker = None
-    if params.track_decomposition and state.u is not None:
-        tracker = diagnostics.DecompositionTracker.start(params, state)
-
-    dropped_total = 0.0
-    dropped_u = 0.0
+    ledger = tracker = None
     rows: list[dict] = []
-    t_prev_sample = state.t
-    last_dt = 0.0
+    dropped_total = dropped_u = 0.0
+    fluct0 = 1.0  # the initial fluctuation energy, once start-up has measured it
+    eps = 1e-9 * params.output_every
 
     def emit(dt, n_vals):
         if ledger is not None:
@@ -464,53 +451,48 @@ def run(params: RunConfig, init: State, on_sample=None) -> RunResult:
             on_sample(state, row)
 
     try:
+        _require_finite(state)
+        mass0 = total_mass(state.n)
+        volume = state.n.grid.volume
+        fluct0 = max(spectral_energy(state.n) - volume * (mass0 / volume) ** 2, 1e-300)
+        if params.track_energies:
+            ledger = diagnostics.EnergyLedger(A=params.A)
+        if params.track_decomposition and state.u is not None:
+            tracker = diagnostics.DecompositionTracker.start(params, state)
         n_vals = values_of(state.n)
         monitor.start(state.t, float(np.max(np.abs(n_vals))))
         emit(0.0, n_vals)
+        t_prev_sample, next_sample = state.t, state.t + params.output_every
+
+        while monitor.status == STATUS_RUNNING and state.t < params.t_end - eps:
+            target = min(next_sample, params.t_end)
+            state, info = step(state, params, t_stop=target, tracker=tracker)
+            dropped_total += info.dropped_n
+            dropped_u += info.dropped_u
+            _require_finite(state)
+            if dropped_total / fluct0 > params.drop_tol:
+                raise ContractViolation(f"dropped energy fraction {dropped_total / fluct0:.2e}")
+            if state.t < target - eps:
+                continue
+            n_vals = values_of(state.n)
+            if params.enable_chemotaxis:
+                pos_floor = math.inf if not params.monitor_positivity else \
+                    POSITIVITY_TOL * max(monitor.linf_max, monitor.linf0)
+                monitor.observe(
+                    t=state.t, t_prev=t_prev_sample,
+                    linf=float(np.max(np.abs(n_vals))), n_min=float(np.min(n_vals)),
+                    tail_ratio=(tail_ratio(state.n, params, state.frame.drift)
+                                if monitor.enabled else 0.0),
+                    pos_floor=pos_floor,
+                )
+            # relative mass drift is a hard invariant on every accepted run
+            if abs(total_mass(state.n) - mass0) > 1e-8 * max(abs(mass0), 1.0):
+                monitor.abort(state.t, "mass conservation violated")
+            t_prev_sample = state.t
+            emit(info.dt, n_vals)
+            next_sample += params.output_every
     except (ContractViolation, FloatingPointError) as err:
         monitor.abort(state.t, str(err))
-    next_sample = state.t + params.output_every
-    eps = 1e-9 * params.output_every
-
-    while monitor.status == STATUS_RUNNING and state.t < params.t_end - eps:
-        target = min(next_sample, params.t_end)
-        try:
-            state, info = step(state, params, t_stop=target, tracker=tracker)
-        except (ContractViolation, FloatingPointError) as err:
-            monitor.abort(state.t, str(err))
-            break
-        last_dt = info.dt
-        dropped_total += info.dropped_n
-        dropped_u += info.dropped_u
-        reason = _non_finite(state)
-        if reason:
-            monitor.abort(state.t, reason)
-            break
-        if dropped_total / fluct0 > params.drop_tol:
-            monitor.abort(state.t, f"dropped energy fraction {dropped_total / fluct0:.2e}")
-            break
-        if state.t >= target - eps:
-            try:
-                n_vals = values_of(state.n)
-                if params.enable_chemotaxis:
-                    pos_floor = math.inf if not params.monitor_positivity else \
-                        POSITIVITY_TOL * max(monitor.linf_max, monitor.linf0)
-                    monitor.observe(
-                        t=state.t, t_prev=t_prev_sample,
-                        linf=float(np.max(np.abs(n_vals))), n_min=float(np.min(n_vals)),
-                        tail_ratio=(tail_ratio(state.n, params, state.frame.drift)
-                                    if monitor.enabled else 0.0),
-                        pos_floor=pos_floor,
-                    )
-                # relative mass drift is a hard invariant on every accepted run
-                if abs(total_mass(state.n) - mass0) > 1e-8 * max(abs(mass0), 1.0):
-                    monitor.abort(state.t, "mass conservation violated")
-                t_prev_sample = state.t
-                emit(last_dt, n_vals)
-            except (ContractViolation, FloatingPointError) as err:
-                monitor.abort(state.t, str(err))
-                break
-            next_sample += params.output_every
 
     if monitor.status == STATUS_RUNNING and state.t >= params.t_end - eps:
         monitor.finish(state.t)
@@ -519,4 +501,3 @@ def run(params: RunConfig, init: State, on_sample=None) -> RunResult:
     return RunResult(status=monitor.status, rows=rows, final_state=state, params=params,
                      monitor=monitor, ledger=ledger, tracker=tracker,
                      dropped_energy=dropped_total / fluct0, dropped_u=dropped_u)
-

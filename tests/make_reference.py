@@ -1,6 +1,6 @@
 """Reference trajectories: five short runs whose series the suite pins.
 
-    PYTHONPATH=src python3 tests/make_reference.py
+    PYTHONPATH=src python3 tests/make_reference.py [--check]
 
 reruns every case in ``CASES`` and writes its series to
 ``tests/data/reference/<case>.csv`` in the format of
@@ -10,10 +10,16 @@ cases and compares every column against these files.  Regenerate them only
 for a change that moves a column past its bound on purpose, and declare the
 move: before it overwrites a case's file, the script prints the largest
 change per column against it (``largest_moves``).
+
+With ``--check`` it prints the same report, writes nothing, and exits 1
+when any case's row count, ``t``, ``status`` or any other column differs
+from its file at all (NaN equal to NaN), or a file is missing; 0 shows a
+change byte-identical on every case.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import sys
@@ -83,8 +89,18 @@ def case_rows(case: str) -> list[dict]:
     return rows
 
 
+def _same(new, old) -> bool:
+    return new == old or (isinstance(new, float) and math.isnan(new) and math.isnan(old))
+
+
+def identical(rows: list[dict], refs: list[dict]) -> bool:
+    """Whether rows equal a reference file's rows exactly, column by column."""
+    return len(rows) == len(refs) and all(_same(row[c], ref[c]) for row, ref in zip(rows, refs)
+                                          for c in SERIES_COLUMNS)
+
+
 def _relative_change(new: float, old: float) -> float:
-    if new == old or (math.isnan(new) and math.isnan(old)):
+    if _same(new, old):
         return 0.0
     if math.isnan(new) or math.isnan(old) or old == 0.0:
         return math.inf
@@ -115,16 +131,27 @@ def environment() -> dict:
             "python": sys.version.split()[0]}
 
 
-def main():
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate the reference series.")
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the files and write nothing; exit 1 on any difference")
+    check = parser.parse_args(argv).check
     REFERENCE.mkdir(parents=True, exist_ok=True)
+    differs = False
     for case in CASES:
         rows, path = case_rows(case), REFERENCE / f"{case}.csv"
-        print(f"{case}: {largest_moves(rows, read_series(path)) if path.exists() else 'new'}")
-        write_series(path, rows)
+        refs = read_series(path) if path.exists() else None
+        print(f"{case}: {'new' if refs is None else largest_moves(rows, refs)}")
+        differs |= refs is None or not identical(rows, refs)
+        if not check:
+            write_series(path, rows)
+    if check:
+        return int(differs)
     meta = {**environment(), "cases": {c: {"config": n, "overrides": o.splitlines()}
                                        for c, (n, o) in CASES.items()}}
     (REFERENCE / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -700,6 +700,38 @@ class TestSamples:
         assert "invalid value" in result.monitor.reason
         assert result.monitor.t_event == 0.0
 
+    def test_floating_point_error_at_start_up_is_classified(self):
+        # a finite state whose energy overflows: the start-up's fluctuation
+        # energy raises before the ledger is built or a row is emitted
+        grid = GridSpec((16, 16))
+        n = gaussian_bump(grid, width=1.0, mass=4 * np.pi)
+        big = SpectralField.from_half(grid, n.half * 1e160)
+        assert np.all(np.isfinite(big.half))
+        with np.errstate(all="raise"):
+            result = run(short_params(grid, track_energies=True), make_state(grid, big))
+        assert result.status == "unresolved" and result.rows == []
+        assert "overflow" in result.monitor.reason
+        assert result.monitor.t_event == 0.0 and result.ledger is None
+
+    def test_band_exit_above_drop_tol_ends_the_run_at_its_step(self):
+        # a sheared passive scalar sampled every step: the remap at t = 1
+        # drops about 9e-4 of the fluctuation energy, and that step's row is
+        # never emitted
+        grid = GridSpec((16, 16))
+        params = run_params(grid, A=100.0, enable_shear=True, enable_chemotaxis=False,
+                            t_end=3.0, dt_max=0.05, output_every=0.05, drop_tol=1e-6,
+                            track_energies=False)
+        result = run(params, make_state(grid, random_smooth(grid, seed=3)))
+        assert result.status == "unresolved"
+        assert result.monitor.reason.startswith("dropped energy fraction")
+        assert result.dropped_energy > params.drop_tol
+        t_remap = result.final_state.frame.t_last_remap
+        assert result.monitor.t_event == result.final_state.t == t_remap
+        assert t_remap == pytest.approx(1.0)
+        assert len(result.rows) == 20 and result.rows[-1]["t"] < t_remap
+        assert all(row["dropped_energy"] == 0.0 for row in result.rows)
+        assert result.rows[-1]["status"] == "unresolved"
+
     @pytest.mark.parametrize("fixed_dt", [None, 0.01])
     def test_choose_dt_rejects_non_finite_speed(self, fixed_dt):
         params = short_params(GRID2, fixed_dt=fixed_dt)

@@ -782,6 +782,21 @@ class TestDealias:
         masked = SpectralField(GRID2, F.coeffs * dealias_mask(GRID2))
         assert spectral_energy(masked) <= spectral_energy(F)
 
+    @pytest.mark.parametrize("n", [
+        32, 64,
+        pytest.param(48, marks=pytest.mark.xfail(
+            strict=True, reason="K = n // 3 = 16 at n = 48, so 2K = 32 aliases to -K inside "
+            "the band (ROADMAP item 9)")),
+    ])
+    def test_band_edge_product_leaves_the_band(self, n):
+        # cos(K x)^2 = 1/2 + cos(2K x) / 2: the band box holds the mean alone
+        # when 2K aliases outside the band
+        grid = GridSpec((n, n))
+        x, _ = grid.coordinate_mesh()
+        box = rfft_band(np.cos(grid.dealias_cutoff(0) * x) ** 2 + np.zeros(grid.shape), grid)
+        box[0, 0] = 0.0
+        assert np.max(np.abs(box)) <= 1e-12
+
 
 class TestNorms:
     def test_l2_sin_x(self):
