@@ -37,7 +37,8 @@ def run_simulate(cfg: RunConfig, init: State | None = None,
 
     next_ckpt = []
 
-    def on_sample(s, row):
+    def on_sample(result):
+        s = result.final_state
         if not next_ckpt:  # the first sample is the initial state
             next_ckpt.append(s.t + cfg.checkpoint_every)
         if cfg.checkpoint_every > 0 and s.t >= next_ckpt[0] - 1e-9:

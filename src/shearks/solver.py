@@ -24,7 +24,7 @@ pressure response that keeps u divergence-free while the frame tilts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,7 +99,8 @@ class BlowupMonitor:
     labelled blow-up with the last resolved time, otherwise unresolved.
     """
 
-    enabled: bool = True
+    tail: bool = True
+    positivity: bool = True
     status: str = STATUS_RUNNING
     linf0: float = 0.0
     linf_prev: float = 0.0
@@ -119,13 +120,14 @@ class BlowupMonitor:
     def abort(self, t: float, reason: str):
         self._fire(STATUS_UNRESOLVED, t, reason)
 
-    def observe(self, t: float, t_prev: float, linf: float, n_min: float,
-                tail_ratio: float, pos_floor: float):
+    def observe(self, t: float, t_prev: float, linf: float, n_min: float, tail_ratio: float):
         if self.status != STATUS_RUNNING:
             return
         if not math.isfinite(linf) or not math.isfinite(n_min):
             self._fire(STATUS_UNRESOLVED, t, "non-finite field")
             return
+        # the floor scales with the peak Linf before this sample
+        pos_floor = POSITIVITY_TOL * self.linf_max if self.positivity else math.inf
         self.linf_max = max(self.linf_max, linf)
         growing = self.linf_max >= GROWTH_CONFIRM * self.linf0 and linf > self.linf_prev
         if n_min < -pos_floor:
@@ -138,7 +140,7 @@ class BlowupMonitor:
             else:
                 self._fire(STATUS_UNRESOLVED, t, f"negative density {n_min:.3e}")
             return
-        tail_quiet = (not self.enabled) or tail_ratio <= TAIL_RATIO_MAX
+        tail_quiet = (not self.tail) or tail_ratio <= TAIL_RATIO_MAX
         if tail_quiet:
             if linf >= LINF_FACTOR * self.linf0:
                 self._fire(STATUS_BLOWUP, t, f"Linf reached {linf / self.linf0:.1f}x initial")
@@ -372,20 +374,35 @@ def tail_ratio(n: SpectralField, params: RunConfig, drift: float) -> float:
 
 @dataclass
 class RunResult:
-    status: str
-    rows: list
-    final_state: State
+    """A run's loop state, which ``run`` builds once, updates and returns;
+    final_state is the current state while the run steps."""
+
     params: RunConfig
+    final_state: State
     monitor: BlowupMonitor
+    rows: list = field(default_factory=list)
     ledger: "diagnostics.EnergyLedger | None" = None
     tracker: "diagnostics.DecompositionTracker | None" = None
-    dropped_energy: float = 0.0
-    dropped_u: float = 0.0          # velocity energy dropped at remaps (absolute)
+    mass0: float = 0.0
+    fluct0: float = 1.0      # the initial fluctuation energy, once start-up has measured it
+    dropped_n: float = 0.0   # density energy dropped at remaps (absolute)
+    dropped_u: float = 0.0   # velocity energy dropped at remaps (absolute)
+    dt: float = 0.0          # the step that reached the last row
+    t_prev_sample: float = 0.0
+    next_sample: float = 0.0
+
+    @property
+    def status(self) -> str:
+        return self.monitor.status
+
+    @property
+    def dropped_energy(self) -> float:  # a fraction of fluct0
+        return self.dropped_n / self.fluct0
 
 
-def _row(state: State, params: RunConfig, dt: float, status: str,
-         dropped_frac: float, ledger, n_vals: np.ndarray) -> dict:
-    """One series row; n_vals are the collocation values of state.n."""
+def _row(res: RunResult, n_vals: np.ndarray) -> dict:
+    """The row of res's current state; n_vals are the values of its density."""
+    state, params, ledger = res.final_state, res.params, res.ledger
     n, u, grid = state.n, state.u, params.grid
     div_l2 = 0.0
     if u is not None:  # on the frame's wavevectors
@@ -399,9 +416,9 @@ def _row(state: State, params: RunConfig, dt: float, status: str,
         "n_l2": l2_norm(n),
         "u_l2": l2_norm(u) if u is not None else 0.0,
         "div_l2": div_l2,
-        "dropped_energy": dropped_frac,
-        "dt": dt,
-        "status": status,
+        "dropped_energy": res.dropped_energy,
+        "dt": res.dt,
+        "status": res.status,
     }
     energies = diagnostics.energy_report(ledger) if ledger is not None else {}
     for key in ("E11", "E12", "E21", "E22", "E3", "E4", "E51", "E52"):
@@ -423,8 +440,9 @@ def _require_finite(state: State):
 def run(params: RunConfig, init: State, on_sample=None) -> RunResult:
     """Integrate to t_end or until the blow-up monitor fires.
 
-    on_sample, when given, is called with (state, row) at every emitted
-    sample; the harness uses it for checkpoints.  The run has one error
+    The run's state is one RunResult, built here and returned.  on_sample,
+    when given, is called with it at every emitted sample, once the row is
+    appended; the harness uses it for checkpoints.  The run has one error
     contract: any ContractViolation or FloatingPointError (numpy's error
     state set to raise) from start-up, a step or a sample ends the run
     unresolved, with its reason, at the state's own time, never with a
@@ -433,71 +451,63 @@ def run(params: RunConfig, init: State, on_sample=None) -> RunResult:
     its reference to init once it has stepped.  The spectral tail is
     measured only when the monitor reads it (``monitor_tail``).
     """
+    res = RunResult(params=params, final_state=init, monitor=BlowupMonitor(
+        tail=params.monitor_tail, positivity=params.monitor_positivity))
     state = init
     del init
-    monitor = BlowupMonitor(enabled=params.monitor_tail)
-    ledger = tracker = None
-    rows: list[dict] = []
-    dropped_total = dropped_u = 0.0
-    fluct0 = 1.0  # the initial fluctuation energy, once start-up has measured it
-    eps = 1e-9 * params.output_every
+    eps = 1e-9 * min(params.output_every, params.t_end)
 
-    def emit(dt, n_vals):
-        if ledger is not None:
-            diagnostics.ledger_update(ledger, state, params, tracker, n_vals)
-        row = _row(state, params, dt, monitor.status, dropped_total / fluct0, ledger, n_vals)
-        rows.append(row)
+    def emit(n_vals):
+        if res.ledger is not None:
+            diagnostics.ledger_update(res.ledger, res.final_state, params, res.tracker, n_vals)
+        res.rows.append(_row(res, n_vals))
         if on_sample is not None:
-            on_sample(state, row)
+            on_sample(res)
 
     try:
         _require_finite(state)
-        mass0 = total_mass(state.n)
+        res.mass0 = total_mass(state.n)
         volume = state.n.grid.volume
-        fluct0 = max(spectral_energy(state.n) - volume * (mass0 / volume) ** 2, 1e-300)
+        res.fluct0 = max(spectral_energy(state.n) - volume * (res.mass0 / volume) ** 2, 1e-300)
         if params.track_energies:
-            ledger = diagnostics.EnergyLedger(A=params.A)
+            res.ledger = diagnostics.EnergyLedger(A=params.A)
         if params.track_decomposition and state.u is not None:
-            tracker = diagnostics.DecompositionTracker.start(params, state)
+            res.tracker = diagnostics.DecompositionTracker.start(params, state)
         n_vals = values_of(state.n)
-        monitor.start(state.t, float(np.max(np.abs(n_vals))))
-        emit(0.0, n_vals)
-        t_prev_sample, next_sample = state.t, state.t + params.output_every
+        res.monitor.start(state.t, float(np.max(np.abs(n_vals))))
+        res.t_prev_sample, res.next_sample = state.t, state.t + params.output_every
+        emit(n_vals)
 
-        while monitor.status == STATUS_RUNNING and state.t < params.t_end - eps:
-            target = min(next_sample, params.t_end)
-            state, info = step(state, params, t_stop=target, tracker=tracker)
-            dropped_total += info.dropped_n
-            dropped_u += info.dropped_u
+        while res.status == STATUS_RUNNING and state.t < params.t_end - eps:
+            target = min(res.next_sample, params.t_end)
+            state, info = step(state, params, t_stop=target, tracker=res.tracker)
+            res.final_state, res.dt = state, info.dt
+            res.dropped_n += info.dropped_n
+            res.dropped_u += info.dropped_u
             _require_finite(state)
-            if dropped_total / fluct0 > params.drop_tol:
-                raise ContractViolation(f"dropped energy fraction {dropped_total / fluct0:.2e}")
+            if res.dropped_energy > params.drop_tol:
+                raise ContractViolation(f"dropped energy fraction {res.dropped_energy:.2e}")
             if state.t < target - eps:
                 continue
             n_vals = values_of(state.n)
             if params.enable_chemotaxis:
-                pos_floor = math.inf if not params.monitor_positivity else \
-                    POSITIVITY_TOL * max(monitor.linf_max, monitor.linf0)
-                monitor.observe(
-                    t=state.t, t_prev=t_prev_sample,
+                res.monitor.observe(
+                    t=state.t, t_prev=res.t_prev_sample,
                     linf=float(np.max(np.abs(n_vals))), n_min=float(np.min(n_vals)),
                     tail_ratio=(tail_ratio(state.n, params, state.frame.drift)
-                                if monitor.enabled else 0.0),
-                    pos_floor=pos_floor,
+                                if res.monitor.tail else 0.0),
                 )
             # relative mass drift is a hard invariant on every accepted run
-            if abs(total_mass(state.n) - mass0) > 1e-8 * max(abs(mass0), 1.0):
-                monitor.abort(state.t, "mass conservation violated")
-            t_prev_sample = state.t
-            emit(info.dt, n_vals)
-            next_sample += params.output_every
+            if abs(total_mass(state.n) - res.mass0) > 1e-8 * max(abs(res.mass0), 1.0):
+                res.monitor.abort(state.t, "mass conservation violated")
+            res.t_prev_sample = state.t
+            res.next_sample += params.output_every
+            emit(n_vals)
     except (ContractViolation, FloatingPointError) as err:
-        monitor.abort(state.t, str(err))
+        res.monitor.abort(res.final_state.t, str(err))
 
-    if monitor.status == STATUS_RUNNING and state.t >= params.t_end - eps:
-        monitor.finish(state.t)
-    if rows:
-        rows[-1]["status"] = monitor.status
-    return RunResult(status=monitor.status, rows=rows, final_state=state, params=params,
-                     monitor=monitor, ledger=ledger, tracker=tracker,
-                     dropped_energy=dropped_total / fluct0, dropped_u=dropped_u)
+    if res.status == STATUS_RUNNING and res.final_state.t >= params.t_end - eps:
+        res.monitor.finish(res.final_state.t)
+    if res.rows:
+        res.rows[-1]["status"] = res.status
+    return res

@@ -371,13 +371,13 @@ class TestSimulateAndResume:
         real_run, first, alive = scenarios.run, [], []
 
         def spy(params, init, on_sample):
-            def watch(state, row):
+            def watch(result):
                 if not first:
-                    first.append(weakref.ref(state))
+                    first.append(weakref.ref(result.final_state))
                 else:
                     gc.collect()
                     alive.append(first[0]() is not None)
-                on_sample(state, row)
+                on_sample(result)
             handed = [init]
             del init
             return real_run(params, handed.pop(), on_sample=watch)
@@ -509,8 +509,11 @@ class TestCLI:
         (["simulate", "--mass", "1", "--u_eps", "-0.01"], "u_eps"),
         (["simulate", "--mass", "1", "--u_amplitude", "-0.05"], "u_amplitude"),
         (["simulate", "--mass", "1", "--checkpoint_every", "-1"], "checkpoint_every"),
+        (["simulate", "--mass", "1", "--A", "1e400"], "A"),
+        (["rate", "--a_values", "1e2, inf"], "a_values"),
     ], ids=["gns-samples", "elliptic-samples", "mass", "init_width", "masses", "fixed_dt",
-            "drop_tol", "a_values", "u_eps", "u_amplitude", "checkpoint_every"])
+            "drop_tol", "a_values", "u_eps", "u_amplitude", "checkpoint_every", "A-inf",
+            "a_values-inf"])
     def test_bad_value_exits_2_naming_the_key(self, tmp_path, capsys, argv, key):
         # none may crash, pass vacuously, abort as a numerical failure or run
         # the earlier members of a list before it is refused
@@ -562,6 +565,24 @@ class TestCLI:
         out = capsys.readouterr().out
         assert code == 0
         assert "status = blowup (density lost positivity during growth" in out
+
+    @pytest.mark.parametrize("positivity, reason", [
+        ("true", "negative density "), ("false", "spectral tail fired without growth")])
+    def test_the_positivity_gate_reaches_the_monitor(self, tmp_path, positivity, reason):
+        # the collapse above: with the positivity gate off, the tail gate ends it
+        cfg = parse_config(BASE_2D + "mass = 60.0\ninit_width = 0.5\noutput_every = 0.02\n"
+                           f"monitor_positivity = {positivity}\nout_dir = {tmp_path}\n")
+        summary = run_simulate(cfg)
+        assert summary["status"] == "unresolved" and summary["reason"].startswith(reason)
+
+    @pytest.mark.parametrize("every", ["inf", "1e300"])
+    def test_a_huge_output_every_still_steps_to_t_end(self, tmp_path, capsys, every):
+        # the sample tolerance scales with min(output_every, t_end), so the
+        # run steps to t_end and samples there, where the tail gate reads it
+        cli_main(["simulate", "--dim", "2", "--nx", "16", "--ny", "16", "--mass", "10",
+                  "--t_end", "1", "--output_every", every, "--out_dir", str(tmp_path)])
+        assert "  t_final = 1  " in capsys.readouterr().out
+        assert [row["t"] for row in read_series(tmp_path / "series.csv")] == [0.0, 1.0]
 
     @pytest.mark.parametrize("with_u", [True, False])
     def test_inspect_verb(self, tmp_path, capsys, with_u):

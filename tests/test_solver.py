@@ -473,7 +473,7 @@ def test_remaps_land_on_whole_times_for_every_dt_max():
                             track_energies=False)
         frames = []
         run(params, make_state(grid, random_smooth(grid, seed=3)),
-            on_sample=lambda s, row: frames.append(s.frame.t_last_remap))
+            on_sample=lambda res: frames.append(res.final_state.frame.t_last_remap))
         remaps[dt_max] = frames
     assert all(abs(t - round(t)) <= 1e-9 for frames in remaps.values() for t in frames), remaps
 
@@ -536,9 +536,9 @@ class TestRun:
         params = short_params(GRID2, t_end=0.3, output_every=0.1)
         first, alive = [], []
 
-        def on_sample(state, row):
+        def on_sample(res):
             if not first:
-                first.append(weakref.ref(state))
+                first.append(weakref.ref(res.final_state))
             else:
                 gc.collect()
                 alive.append(first[0]() is not None)
@@ -559,31 +559,31 @@ class TestBlowupMonitor:
     def test_direct_growth_trigger(self):
         m = BlowupMonitor()
         m.start(0.0, 1.0)
-        m.observe(1.0, 0.5, linf=99.0, n_min=0.1, tail_ratio=0.0, pos_floor=1e-8)
+        m.observe(1.0, 0.5, linf=99.0, n_min=0.1, tail_ratio=0.0)
         assert m.status == "running"
-        m.observe(2.0, 1.0, linf=101.0, n_min=0.1, tail_ratio=0.0, pos_floor=1e-8)
+        m.observe(2.0, 1.0, linf=101.0, n_min=0.1, tail_ratio=0.0)
         assert m.status == "blowup"
 
     def test_tail_with_growth_is_blowup(self):
         m = BlowupMonitor()
         m.start(0.0, 1.0)
-        m.observe(1.0, 0.5, linf=3.0, n_min=0.1, tail_ratio=0.0, pos_floor=1e-8)
-        m.observe(2.0, 1.0, linf=5.0, n_min=0.1, tail_ratio=1e-2, pos_floor=1e-8)
+        m.observe(1.0, 0.5, linf=3.0, n_min=0.1, tail_ratio=0.0)
+        m.observe(2.0, 1.0, linf=5.0, n_min=0.1, tail_ratio=1e-2)
         assert m.status == "blowup"
         assert m.t_event == 1.0  # last resolved sample
 
     def test_tail_without_growth_is_unresolved(self):
         m = BlowupMonitor()
         m.start(0.0, 1.0)
-        m.observe(1.0, 0.5, linf=1.0, n_min=0.1, tail_ratio=1e-2, pos_floor=1e-8)
+        m.observe(1.0, 0.5, linf=1.0, n_min=0.1, tail_ratio=1e-2)
         assert m.status == "unresolved"
 
     def test_transitions_are_monotone(self):
         m = BlowupMonitor()
         m.start(0.0, 1.0)
-        m.observe(1.0, 0.5, linf=101.0, n_min=0.1, tail_ratio=0.0, pos_floor=1e-8)
+        m.observe(1.0, 0.5, linf=101.0, n_min=0.1, tail_ratio=0.0)
         assert m.status == "blowup"
-        m.observe(2.0, 1.0, linf=0.1, n_min=-1.0, tail_ratio=1.0, pos_floor=1e-8)
+        m.observe(2.0, 1.0, linf=0.1, n_min=-1.0, tail_ratio=1.0)
         assert m.status == "blowup"
 
 
@@ -600,7 +600,8 @@ class TestSamples:
                               track_energies=True)
         n = gaussian_bump(GRID2, width=1.0, mass=4 * np.pi)
         states = []
-        result = run(params, make_state(GRID2, n), on_sample=lambda s, row: states.append(s))
+        result = run(params, make_state(GRID2, n),
+                     on_sample=lambda res: states.append(res.final_state))
         assert result.status == "suppressed" and len(result.rows) == 11
         assert len(calls) <= 2 * len(result.rows)  # n and c once per sample
         monkeypatch.undo()
