@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .modes import zero_mode
-from .shear import ShearFrame, frame_k_mesh, linear_step
+from .shear import ShearFrame, frame, linear_step
 from .spectral import (
     ContractViolation,
     GridSpec,
@@ -117,18 +117,13 @@ def kappa_identity_residual(kr: KappaRho, u3: SpectralField) -> float:
 # ---------------------------------------------------------------------------
 # co-evolved decomposition of the streamwise zero-mode velocity
 
-def _box_mesh(cross: GridSpec) -> list[np.ndarray]:
-    """The cross-section's wavevectors on its band box (``band_of``)."""
-    return [band_of(m, cross) for m in cross.k_mesh()]
-
-
 def _advect(uv, xv: np.ndarray, cross: GridSpec) -> np.ndarray:
     """Band box of div((u2, u3) X) on the cross-section, the dealiased
     product, from the values uv = (u2, u3) and xv of X, one field or a stack
     of them."""
-    mesh = _box_mesh(cross)
+    ik = frame(cross, 0.0, False).ik
     fy, fz = rfft_band(np.stack([uv[0] * xv, uv[1] * xv]), cross)
-    return 1j * mesh[0] * fy + 1j * mesh[1] * fz
+    return ik[0] * fy + ik[1] * fz
 
 
 @dataclass
@@ -173,12 +168,12 @@ class DecompositionTracker:
         ``ev.uu_zero``, from which the zero modes' own product leaves
         (u_j,neq u_1,neq)_0 for j = 2, 3 on the band box."""
         cross = self.cross
-        mesh = _box_mesh(cross)
+        ik = frame(cross, 0.0, False).ik
         u_zero = halve(u_h[:, 0], cross)
         u_vals = irfft_band(band_of(u_zero, cross), cross)
         q = ev.uu_zero - rfft_band(u_vals[1:] * u_vals[0], cross)
         adv = _advect(u_vals[1:], irfft_band(band_of(parts, cross), cross), cross)
-        adv[0] += 1j * mesh[0] * q[0] + 1j * mesh[1] * q[1]
+        adv[0] += ik[0] * q[0] + ik[1] * q[1]
         rhs = -place(adv, cross) / A
         rhs[1] += halve(n_h[0], cross) / A
         rhs[2] -= u_zero[1]
@@ -289,7 +284,7 @@ def ledger_update(ledger: EnergyLedger, state, params, tracker, n_vals: np.ndarr
     grid = params.grid
     ledger.track("n_linf").observe(t, float(np.max(np.abs(n_vals))))
 
-    mesh = frame_k_mesh(params, state.frame.drift)
+    mesh = frame(grid, state.frame.drift, params.enable_shear).mesh
     k1 = mesh[0]
     k2 = _mesh_k2(mesh)
     # an X track observes its fluctuation's (|f|^2, |grad f|^2,

@@ -78,24 +78,23 @@ def check_poincare(samples: list[SpectralField]) -> dict:
 # ---------------------------------------------------------------------------
 # free energy
 
-def is_positive(vals: np.ndarray) -> bool:
-    """The values of a density are positive up to transform round-off, which
-    puts a Gaussian's far tail on either side of zero."""
-    low, high = np.min(vals), np.max(vals)
+def is_positive(low: float, high: float) -> bool:
+    """A density whose values run from low to high is positive up to transform
+    round-off, which puts a Gaussian's far tail on either side of zero."""
     return bool(high > 0.0 and low >= -64 * np.finfo(float).eps * high)
 
 
-def free_energy(n0: SpectralField, vals: np.ndarray | None = None) -> float:
+def free_energy(n0: SpectralField, vals: np.ndarray | None = None, extremes=None) -> float:
     """2D Lyapunov functional: integral of n log n - (n - mean n) c / 2.
 
     The chemoattractant is the mean-zero solution of lap c = -(n - mean n).
     Positive densities only (``is_positive``): a value at or below zero adds
-    0, the limit of n log n.  vals, when given, are the values of n0.
+    0, the limit of n log n.  Given, vals are n0's values, extremes their (min, max).
     """
     if n0.grid.dim != 2 or n0.components != 1:
         raise ContractViolation("free energy is defined for scalar 2D densities")
     vals = values_of(n0) if vals is None else vals
-    if not is_positive(vals):
+    if not is_positive(*((vals.min(), vals.max()) if extremes is None else extremes)):
         raise ContractViolation("free energy needs a positive density")
     nbar = float(n0.half[0, 0].real)
     c_vals = values_of(solve_chemo(n0))

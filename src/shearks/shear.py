@@ -6,7 +6,8 @@ index k represents the physical wavevector (k1, k2 - k1*drift, k3).  In this
 frame advection is exact bookkeeping and diffusion reduces to a closed-form
 integrating factor per mode.  Only k1 and k2 enter the sheared part, so the
 factor separates into a (k1, k2) plane and, in 3D, a k3 line.  This module
-holds the frame, the frame's wavevectors, that factor and the one exact
+holds the drift (``ShearFrame``), each frame's cached wavevector operators
+(``frame``, which ``solver.tendency`` takes), that factor and the one exact
 linear step (``linear_step``), which applies it and relabels the
 coefficients (Rogallo remap) once |drift| reaches REMAP_THRESHOLD.
 """
@@ -18,7 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import ContractViolation, GridSpec, over_slabs, parseval_sum, slab
+from .spectral import (ContractViolation, GridSpec, _mesh_k2, band_of, k2_guard, over_slabs,
+                       parseval_sum, slab)
 
 REMAP_THRESHOLD = 1.0
 
@@ -35,18 +37,39 @@ class ShearFrame:
             raise ContractViolation(f"drift {self.drift} beyond remap threshold")
 
 
-def frame_k_mesh(params, drift: float) -> list[np.ndarray]:
-    """Wavevectors of a run's fields at this drift, broadcastable over their
-    k1 >= 0 halves.
+@dataclass(frozen=True, eq=False)
+class Frame:
+    """A frame's wavevector operators (``frame``), every array read-only."""
 
-    With ``params.enable_shear`` a mode stored at integer index k is the
-    physical (k1, k2 - k1*drift, k3): only the second component is sheared.
-    Otherwise they are the grid's integer lattice (``GridSpec.k_mesh``).
-    """
-    k = params.grid.k_mesh()
-    if params.enable_shear:
-        k[1] = k[1] - k[0] * drift
-    return k
+    mesh: tuple       # the k1 >= 0 half's: the lattice, k2 sheared on the (k1, k2) plane
+    box_mesh: tuple   # the mesh on the 2/3-rule band box (``band_of``)
+    ik: tuple         # i k on the box
+    box_guard: tuple  # the box's inverse-Laplacian guard (``k2_guard``)
+
+
+@lru_cache(maxsize=4)
+def frame(grid: GridSpec, drift: float, sheared: bool) -> Frame:
+    """A grid's frame at this drift, built once per key for the run's stages
+    and samples and the tracker: with sheared set, index k is the physical
+    (k1, k2 - k1*drift, k3), else the mesh is the lattice.  Being cached, it
+    holds no |k|^2 of the half: at 48^3 a few of those raise peak memory."""
+    mesh = grid.k_mesh()
+    if sheared:
+        mesh[1] = mesh[1] - mesh[0] * drift
+    box_mesh = [band_of(m, grid) for m in mesh]
+    ik = [1j * m for m in box_mesh]
+    box_guard = k2_guard(_mesh_k2(box_mesh))
+    for arr in (mesh[1], *box_mesh, *ik, *box_guard):
+        arr.flags.writeable = False
+    return Frame(tuple(mesh), tuple(box_mesh), tuple(ik), box_guard)
+
+
+@lru_cache(maxsize=4)
+def _heat_factor(grid: GridSpec, dt: float, A: float) -> np.ndarray:
+    """exp(-|k|^2 dt / A) on the half, built once per (grid, dt, A), read-only."""
+    factor = np.exp(-grid.k_squared() * dt / A)
+    factor.flags.writeable = False
+    return factor
 
 
 def _shear_exponent(k1, k2, dt: float, drift0: float):
@@ -99,7 +122,7 @@ def linear_step(grid: GridSpec, A: float, frame: ShearFrame, t: float, dt: float
         drift = frame.drift + dt
         shift = int(np.rint(drift)) if abs(drift) >= REMAP_THRESHOLD else 0
     else:
-        factor = np.exp(-grid.k_squared() * dt / A)
+        factor = _heat_factor(grid, dt, A)
         drift, shift = frame.drift, 0
     if shift == 0:
         new_frame = ShearFrame(frame.t_last_remap, drift)
@@ -113,17 +136,17 @@ def linear_step(grid: GridSpec, A: float, frame: ShearFrame, t: float, dt: float
         lead = (slice(None),) * (base.ndim - grid.dim)
 
         def propagate(s):  # on k1 planes s; a remap moves modes within their row
-            x = slab(base, s, grid)
+            o = slab(out, s, grid)  # stays zero where a remap's gather writes nothing
+            x = o if shift == 0 else slab(scaled, s, grid)  # the slab, formed in place
+            src = slab(base, s, grid)
             if rhs is not None:
-                x = x + h * slab(rhs, s, grid)
-            o = slab(out, s, grid)
-            if shift == 0:
-                np.multiply(x, slab(factor, s, grid), out=o)
-            else:
-                sc = np.multiply(x, slab(factor, s, grid), out=slab(scaled, s, grid))
+                np.multiply(h, slab(rhs, s, grid), out=x)
+                src = np.add(src, x, out=x)
+            np.multiply(src, slab(factor, s, grid), out=x)
+            if shift != 0:
                 p, q = np.searchsorted(i1, (s.start, s.stop))
                 rows = i1[p:q]
-                o[lead + (rows - s.start, dst[p:q])] = sc[lead + (rows - s.start, i2[p:q])]
+                o[lead + (rows - s.start, dst[p:q])] = x[lead + (rows - s.start, i2[p:q])]
             if after is not None:
                 o += h * slab(after, s, grid)
         over_slabs(propagate, base.shape[base.ndim - grid.dim], grid)

@@ -6,10 +6,10 @@ common shear frame; a step works on the halves and completes each output
 in place (``spectral.real_field``).  The stiff anisotropic linear part
 (Couette advection + diffusion) is integrated exactly by the shear frame's
 linear step (``shear.linear_step``); every nonlinear and coupling term is
-advanced explicitly with Heun's method, and the overall order in dt is
+advanced explicitly with Heun's method, whose ``tendency`` takes the
+frame's cached operators (``shear.frame``), and the overall order in dt is
 two.  A passive scalar (no velocity, no chemotaxis) has no explicit term:
-its step is the exact propagator alone, applied once, so the scheme is
-exact in that limit.
+its step is the exact propagator alone, applied once, exact in that limit.
 
 Rescaled system (diffusivity 1/A, Couette advection y d/dx):
     dn/dt + y dn/dx = (1/A) [lap n - div(n u) - div(n grad c)]
@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import diagnostics, spectral
+from . import diagnostics, shear, spectral
 from .config import RunConfig
 from .inequalities import free_energy, is_positive
 from .modes import zero_mode
-from .shear import ShearFrame, frame_k_mesh, linear_step
+from .shear import ShearFrame, linear_step
 from .spectral import (
     ContractViolation,
     GridSpec,
@@ -40,7 +40,6 @@ from .spectral import (
     _mesh_k2,
     _put,
     _take,
-    band_of,
     band_shape,
     divergence,
     hermitize,  # noqa: F401  (pinned by benchmarks/tests/test_bench_spans.py, ROADMAP item 2)
@@ -186,27 +185,26 @@ _PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 _SLOT = {(i, j): t for t, (a, b) in enumerate(_PAIRS) for i, j in ((a, b), (b, a))}
 
 
-def tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: float, k_mesh,
-             chemotaxis: bool = True, tilt: bool = False) -> StageEval:
+def tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: float,
+             frame: shear.Frame, chemotaxis: bool = True, tilt: bool = False) -> StageEval:
     """Explicit tendencies, the one assembly behind every caller:
     rhs_n = -(1/A) div(n u + n grad c) and rhs_u = P[-u2 e1 + (n/A) e1 -
     (1/A) div(u x u)], plus grad lap^-1 dx u2 (pressure response to the
     tilting frame) when tilt is set.  Products are dealiased, forcing terms
     raw; rhs_n conserves mass to round-off and rhs_u is divergence-free for
     the given wavevectors.  n_h, u_h and both tendencies are k1 >= 0 half
-    spectra, and k_mesh is the half mesh (``shear.frame_k_mesh``).  The
-    dealiased parts (c, grad c, the u x u and flux divergences) are formed
-    on the 2/3-rule band box (``band_of``) and its transform pair, and
-    placed into the half where the raw terms join them.  On 3D grids the products run
-    on x slabs, the box divergences one task per output field and the raw
-    terms on k1 slabs, all through spectral's work queue.  A passive scalar
-    (no velocity, no chemotaxis) has no tendency: ``step`` takes the
-    propagator alone, and asking for one raises ContractViolation.
+    spectra, and frame holds the half mesh and, on the 2/3-rule band box, i k
+    and the inverse Laplacian's guard (``shear.frame``).  The dealiased parts
+    (c, grad c, the u x u and flux divergences) are formed on that box and
+    its transform pair, and placed into the half where the raw terms join
+    them.  On 3D grids the products run on x slabs, the box divergences one
+    task per output field and the raw terms on k1 slabs, all through
+    spectral's work queue.  A passive scalar (no velocity, no chemotaxis)
+    has no tendency: ``step`` takes the propagator alone, and asking for one
+    raises ContractViolation.
     """
     if u_h is None and not chemotaxis:
         raise ContractViolation("a passive scalar has no explicit tendency")
-    box_mesh = [band_of(m, grid) for m in k_mesh]
-    ik = [1j * m for m in box_mesh]
     n_u = 0 if u_h is None else grid.dim
     # n, u and grad c go through one inverse transform, the flux and u_i u_j
     # (i <= j) through one forward transform
@@ -216,9 +214,9 @@ def tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: float, 
     if u_h is not None:
         _take(u_h, spec[1:1 + n_u], grid)
     if chemotaxis:
-        c_box = over_k2(spec[0], _mesh_k2(box_mesh))  # lap c = -(n - mean n)
+        c_box = over_k2(spec[0], frame.box_guard)  # lap c = -(n - mean n)
         for a in range(grid.dim):
-            np.multiply(ik[a], c_box, out=spec[1 + n_u + a])
+            np.multiply(frame.ik[a], c_box, out=spec[1 + n_u + a])
     phys = irfft_band(spec, grid)
     del spec
     n_phys, u_phys, grad_c = phys[0], phys[1:1 + n_u], phys[1 + n_u:]
@@ -230,8 +228,8 @@ def tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: float, 
     def products(s):  # on x planes s
         u, g, n = (slab(f, s, grid) for f in (u_phys, grad_c, n_phys))
         f = slab(flux, s, grid)
-        maxima.append((float(np.max(np.abs(u))) if n_u else 0.0,
-                       float(np.max(np.abs(g))) if chemotaxis else 0.0))
+        maxima.append((max(u.max(), -u.min()) if n_u else 0.0,  # max|x|, no |x| temporary
+                       max(g.max(), -g.min()) if chemotaxis else 0.0))
         if n_u and chemotaxis:
             np.add(u, g, out=f)
             f *= n
@@ -254,10 +252,10 @@ def tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: float, 
     if u_h is not None:
         fluxes += [(rhs_u[i], [uu[_SLOT[j, i]] for j in range(grid.dim)])
                    for i in range(grid.dim)]
-    spectral._drain([(_put_divergence, out, terms, ik, A, grid) for out, terms in fluxes], grid)
+    spectral._drain([(_put_divergence, o, terms, frame.ik, A, grid) for o, terms in fluxes], grid)
 
     def raw(s):  # on k1 planes s
-        m = [slab(c, s, grid) for c in k_mesh]
+        m = [slab(c, s, grid) for c in frame.mesh]
         rhs, u2 = slab(rhs_u, s, grid), slab(u_h[1], s, grid)
         rhs[0] += slab(n_h, s, grid) / A - u2
         guard = k2_guard(_mesh_k2(m))
@@ -278,7 +276,8 @@ def tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: float, 
 
 def _evaluate(n_h: np.ndarray, u_h: np.ndarray | None, params: RunConfig,
               drift: float) -> StageEval:
-    return tendency(n_h, u_h, params.grid, params.A, frame_k_mesh(params, drift),
+    return tendency(n_h, u_h, params.grid, params.A,
+                    shear.frame(params.grid, drift, params.enable_shear),
                     params.enable_chemotaxis, tilt=params.enable_shear)
 
 
@@ -356,7 +355,8 @@ def step(state: State, params: RunConfig, t_stop: float | None = None,
     u_field, dropped_u = None, 0.0
     if u_h is not None:
         u_new, dropped_u = apply_op(u_h, ev1.rhs_u, h, ev2.rhs_u)
-        u_field = real_field(u_new, grid, frame_k_mesh(params, new_frame.drift))
+        u_field = real_field(u_new, grid,
+                             shear.frame(grid, new_frame.drift, params.enable_shear).mesh)
 
     new_state = State(t=state.t + dt, n=real_field(n_new, grid), u=u_field, frame=new_frame)
     return new_state, StepInfo(dt=dt, dropped_n=dropped_n, dropped_u=dropped_u)
@@ -365,7 +365,7 @@ def step(state: State, params: RunConfig, t_stop: float | None = None,
 def tail_ratio(n: SpectralField, params: RunConfig, drift: float) -> float:
     """Fraction of fluctuation energy at |k_eff| in the top third of the band."""
     grid = params.grid
-    k2 = _mesh_k2(frame_k_mesh(params, drift))
+    k2 = _mesh_k2(shear.frame(grid, drift, params.enable_shear).mesh)
     kcut = min(grid.dealias_cutoff(a) for a in range(grid.dim))
     n_h = n.half
     total = parseval_sum(n_h, grid, k2 > 0.0)
@@ -400,19 +400,19 @@ class RunResult:
         return self.dropped_n / self.fluct0
 
 
-def _row(res: RunResult, n_vals: np.ndarray) -> dict:
-    """The row of res's current state; n_vals are the values of its density."""
+def _row(res: RunResult, n_vals: np.ndarray, low: float, high: float) -> dict:
+    """The row of res's current state: its density's values n_vals, from low to high."""
     state, params, ledger = res.final_state, res.params, res.ledger
     n, u, grid = state.n, state.u, params.grid
     div_l2 = 0.0
     if u is not None:  # on the frame's wavevectors
-        mesh = frame_k_mesh(params, state.frame.drift)
+        mesh = shear.frame(grid, state.frame.drift, params.enable_shear).mesh
         div_l2 = math.sqrt(parseval_sum(divergence(u.half, mesh), grid))
     row = {
         "t": state.t,
         "mass": total_mass(n),
-        "n_min": float(np.min(n_vals)),
-        "n_linf": float(np.max(np.abs(n_vals))),
+        "n_min": low,
+        "n_linf": max(high, -low),
         "n_l2": l2_norm(n),
         "u_l2": l2_norm(u) if u is not None else 0.0,
         "div_l2": div_l2,
@@ -425,7 +425,8 @@ def _row(res: RunResult, n_vals: np.ndarray) -> dict:
         row[key] = energies.get(key, 0.0)
     n0 = zero_mode(n) if grid.dim == 3 else n
     n0_vals = values_of(n0) if grid.dim == 3 else n_vals
-    row["free_energy"] = free_energy(n0, n0_vals) if is_positive(n0_vals) else float("nan")
+    ext = (n0_vals.min(), n0_vals.max()) if grid.dim == 3 else (low, high)
+    row["free_energy"] = free_energy(n0, n0_vals, ext) if is_positive(*ext) else float("nan")
     return row
 
 
@@ -457,10 +458,10 @@ def run(params: RunConfig, init: State, on_sample=None) -> RunResult:
     del init
     eps = 1e-9 * min(params.output_every, params.t_end)
 
-    def emit(n_vals):
+    def emit(n_vals, low, high):
         if res.ledger is not None:
             diagnostics.ledger_update(res.ledger, res.final_state, params, res.tracker, n_vals)
-        res.rows.append(_row(res, n_vals))
+        res.rows.append(_row(res, n_vals, low, high))
         if on_sample is not None:
             on_sample(res)
 
@@ -474,9 +475,10 @@ def run(params: RunConfig, init: State, on_sample=None) -> RunResult:
         if params.track_decomposition and state.u is not None:
             res.tracker = diagnostics.DecompositionTracker.start(params, state)
         n_vals = values_of(state.n)
-        res.monitor.start(state.t, float(np.max(np.abs(n_vals))))
+        low, high = float(n_vals.min()), float(n_vals.max())  # max|n| = max(high, -low)
+        res.monitor.start(state.t, max(high, -low))
         res.t_prev_sample, res.next_sample = state.t, state.t + params.output_every
-        emit(n_vals)
+        emit(n_vals, low, high)
 
         while res.status == STATUS_RUNNING and state.t < params.t_end - eps:
             target = min(res.next_sample, params.t_end)
@@ -490,10 +492,10 @@ def run(params: RunConfig, init: State, on_sample=None) -> RunResult:
             if state.t < target - eps:
                 continue
             n_vals = values_of(state.n)
+            low, high = float(n_vals.min()), float(n_vals.max())
             if params.enable_chemotaxis:
                 res.monitor.observe(
-                    t=state.t, t_prev=res.t_prev_sample,
-                    linf=float(np.max(np.abs(n_vals))), n_min=float(np.min(n_vals)),
+                    t=state.t, t_prev=res.t_prev_sample, linf=max(high, -low), n_min=low,
                     tail_ratio=(tail_ratio(state.n, params, state.frame.drift)
                                 if res.monitor.tail else 0.0),
                 )
@@ -502,7 +504,7 @@ def run(params: RunConfig, init: State, on_sample=None) -> RunResult:
                 res.monitor.abort(state.t, "mass conservation violated")
             res.t_prev_sample = state.t
             res.next_sample += params.output_every
-            emit(n_vals)
+            emit(n_vals, low, high)
     except (ContractViolation, FloatingPointError) as err:
         res.monitor.abort(res.final_state.t, str(err))
 

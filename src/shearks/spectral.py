@@ -532,9 +532,10 @@ def _runs(grid: GridSpec, axis: int) -> tuple[slice, slice]:
     return slice(0, K + 1), slice(n - K, n)
 
 
-def _box_pieces(grid: GridSpec, shape: tuple[int, ...]):
+@lru_cache(maxsize=32)
+def _box_pieces(grid: GridSpec, shape: tuple[int, ...]) -> tuple:
     """(half index, box index) pairs that copy a band box run by run, for
-    spatial shape ``shape``; an axis of length 1 is copied whole."""
+    spatial shape ``shape``, built once; an axis of length 1 is copied whole."""
     per_axis = []
     for axis, n in enumerate(shape):
         K = grid.dealias_cutoff(axis)
@@ -545,8 +546,8 @@ def _box_pieces(grid: GridSpec, shape: tuple[int, ...]):
         else:
             lo, hi = _runs(grid, axis)
             per_axis.append([(lo, slice(0, K + 1)), (hi, slice(K + 1, 2 * K + 1))])
-    for piece in itertools.product(*per_axis):
-        yield (..., *(h for h, _ in piece)), (..., *(b for _, b in piece))
+    return tuple(((..., *(h for h, _ in piece)), (..., *(b for _, b in piece)))
+                 for piece in itertools.product(*per_axis))
 
 
 def band_of(arr: np.ndarray, grid: GridSpec) -> np.ndarray:

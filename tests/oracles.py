@@ -53,12 +53,12 @@ from pathlib import Path
 
 import numpy as np
 
-from shearks import solver
+from shearks import shear, solver
 from shearks.config import RunConfig, params_of
 from shearks.diagnostics import kappa_values
 from shearks.modes import fluctuation_only, zero_mode
 from shearks.seriesio import CheckpointError, write_checkpoint
-from shearks.shear import REMAP_THRESHOLD, ShearFrame, frame_k_mesh, integrating_factor
+from shearks.shear import REMAP_THRESHOLD, ShearFrame, integrating_factor
 from shearks.spectral import (
     ContractViolation,
     GridSpec,
@@ -100,7 +100,7 @@ def full_k_squared(grid: GridSpec) -> np.ndarray:
 
 
 def full_frame_k_mesh(params, drift: float) -> list[np.ndarray]:
-    """``shear.frame_k_mesh`` over the whole spectrum: (k1, k2 - k1*drift,
+    """``shear.frame``'s mesh over the whole spectrum: (k1, k2 - k1*drift,
     k3) with shear on, the whole lattice otherwise."""
     k = full_k_mesh(params.grid)
     if params.enable_shear:
@@ -457,7 +457,7 @@ def masked_tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: 
     tilting frame) when tilt is set.  Products are dealiased, forcing terms
     raw; rhs_n conserves mass to round-off and rhs_u is divergence-free for
     the given wavevectors.  n_h, u_h and both tendencies are k1 >= 0 half
-    spectra, and k_mesh is the half mesh (``shear.frame_k_mesh``).  A passive
+    spectra, and k_mesh is the half mesh (``shear.frame``'s).  A passive
     scalar has no tendency and raises ContractViolation.
     """
     if u_h is None and not chemotaxis:
@@ -521,7 +521,8 @@ def masked_tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: 
 
 def masked_evaluate(n_h, u_h, params, drift: float) -> solver.StageEval:
     """``solver._evaluate`` on ``masked_tendency``."""
-    return masked_tendency(n_h, u_h, params.grid, params.A, frame_k_mesh(params, drift),
+    return masked_tendency(n_h, u_h, params.grid, params.A,
+                           shear.frame(params.grid, drift, params.enable_shear).mesh,
                            params.enable_chemotaxis, tilt=params.enable_shear)
 
 

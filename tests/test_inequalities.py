@@ -85,13 +85,10 @@ class TestFreeEnergy:
             free_energy(n)
 
     def test_positive_up_to_round_off(self):
-        vals = np.full(GRID2.shape, 2.0)
-        assert is_positive(vals)
-        vals[3, 4] = -1e-15  # a Gaussian's tail after a transform round trip
-        assert is_positive(vals)
-        vals[3, 4] = -1e-9
-        assert not is_positive(vals)
-        assert not is_positive(np.zeros(GRID2.shape))
+        assert is_positive(2.0, 2.0)
+        assert is_positive(-1e-15, 2.0)  # a Gaussian's tail after a transform round trip
+        assert not is_positive(-1e-9, 2.0)
+        assert not is_positive(0.0, 0.0)
 
     def test_round_off_negative_value_adds_zero(self):
         n = from_values(GRID2, np.full(GRID2.shape, 1.7))

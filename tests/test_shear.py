@@ -6,9 +6,9 @@ from functools import partial
 import numpy as np
 import pytest
 
+from shearks import shear
 from shearks.modes import split_x
-from shearks.shear import (ShearFrame, _shear_exponent, frame_k_mesh, integrating_factor,
-                           linear_step)
+from shearks.shear import ShearFrame, _shear_exponent, integrating_factor, linear_step
 from shearks.solver import _step_operator
 from shearks.spectral import GridSpec, SpectralField, fill, halve, l2_norm, values_of
 
@@ -38,7 +38,7 @@ class TestEffectiveWavevector:
         """The sheared frame mesh of a 16^3 grid at integer index k of its
         k1 >= 0 half."""
         grid = GridSpec((16, 16, 16))
-        mesh = frame_k_mesh(run_params(grid, enable_shear=True), drift)
+        mesh = shear.frame(grid, drift, True).mesh
         return tuple(float(np.broadcast_to(m, grid.half_shape)[k]) for m in mesh)
 
     def test_zero_mode_unaffected(self):
@@ -187,6 +187,31 @@ class TestRemap:
             total += d
         assert dropped > 0.0
         assert dropped == pytest.approx(total, rel=1e-12)
+
+    @pytest.mark.parametrize("grid", [GridSpec((16, 16)), GridSpec((16, 24, 12))], ids=str)
+    def test_stages_with_rhs_and_after_across_a_remap(self, grid):
+        # drift 0.9 + dt 0.2 = 1.1 relabels by one row; the Heun stages' rhs
+        # and after must not leak into modes the gather leaves empty
+        A, dt, h, shift = 10.0, 0.2, 0.1, 1
+        rng = np.random.default_rng(4)
+        shape = (grid.dim, *grid.half_shape)
+        base, rhs, after = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                            for _ in range(3))
+        apply, new_frame = linear_step(grid, A, ShearFrame(drift=0.9), 0.0, dt, sheared=True)
+        assert new_frame.t_last_remap == dt
+        got, _ = apply(base, rhs, h, after)
+
+        x = (base + h * rhs) * integrating_factor(grid.k_mesh(), 0.0, dt, 0.9, A)
+        want = np.zeros(shape, dtype=np.complex128)
+        n2 = grid.shape[1]
+        k1, k2 = grid.k_mesh()[0].ravel().astype(int), grid.wavenumbers(1).astype(int)
+        for i in range(len(k1)):
+            for j in range(n2):
+                new = k2[j] - k1[i] * shift
+                if abs(new) <= n2 // 2 - 1:
+                    want[:, i, new % n2] = x[:, i, j]
+        want += h * after
+        assert got.tobytes() == want.tobytes()
 
 
 class TestLinearStep:

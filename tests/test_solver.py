@@ -71,11 +71,11 @@ def make_state(grid, n, u=None):
 
 
 def rhs(n, u, A, **kw):
-    """tendency of full fields on the integer lattice; its tendencies are
+    """tendency of full fields in the unsheared frame; its tendencies are
     k1 >= 0 half spectra."""
     grid = n.grid
     return tendency(halve(n.coeffs, grid), None if u is None else halve(u.coeffs, grid), grid,
-                    A, grid.k_mesh(), **kw)
+                    A, shear.frame(grid, 0.0, False), **kw)
 
 
 class TestParamsValidation:
@@ -553,6 +553,36 @@ class TestRun:
     def test_min_principle_detects_violation(self):
         rows = [{"t": 0.0, "n_min": 1.0}, {"t": 1.0, "n_min": 0.2}]
         assert not min_principle_check(rows, nbar=1.0, A=100.0)
+
+    def test_one_frame_per_unsheared_run_and_per_sheared_step(self, monkeypatch):
+        steps = []
+
+        def counting(*args, **kw):
+            steps.append(None)
+            return step(*args, **kw)
+        monkeypatch.setattr(solver, "step", counting)
+
+        # unsheared 32^2 chemotaxis, 20 steps: its one frame serves every stage
+        # and sample
+        shear.frame.cache_clear()
+        params = short_params(GRID2, fixed_dt=0.01, t_end=0.2, output_every=0.05)
+        res = run(params, make_state(GRID2, gaussian_bump(GRID2, width=1.0, mass=4 * np.pi)))
+        assert res.status == solver.STATUS_SUPPRESSED and len(steps) == 20
+        built = shear.frame.cache_info()
+        assert built.misses == 1 and built.hits > 2 * len(steps)
+
+        # sheared, tracked 16^3: one frame per step, the start's, and one
+        # cross-section frame
+        shear.frame.cache_clear()
+        steps.clear()
+        params = short_params(GRID3, enable_shear=True, A=5.0, fixed_dt=5e-3, t_end=0.05,
+                              output_every=0.025, monitor_tail=False,
+                              track_decomposition=True, track_energies=True)
+        u = leray_project(random_smooth(GRID3, seed=5, components=3))
+        u.half *= 0.1
+        res = run(params, make_state(GRID3, gaussian_bump(GRID3, width=0.8, mass=10.0), u))
+        assert res.status == solver.STATUS_SUPPRESSED and res.tracker is not None
+        assert len(steps) == 10 and shear.frame.cache_info().misses <= len(steps) + 2
 
 
 class TestBlowupMonitor:

@@ -18,7 +18,7 @@ from shearks import spectral
 from shearks.config import parse_config
 from shearks.sampling import random_smooth
 from shearks.scenarios import run_simulate
-from shearks.shear import frame_k_mesh
+from shearks.shear import frame
 from shearks.spectral import (
     ContractViolation,
     GridSpec,
@@ -131,11 +131,31 @@ class TestGridSpec:
     def test_frame_k_mesh_shears_the_half(self, shape):
         grid, drift = GridSpec(shape), -0.37
         params = run_params(grid, enable_shear=True)
-        mesh, k = frame_k_mesh(params, drift), grid.k_mesh()
+        mesh, k = frame(grid, drift, True).mesh, grid.k_mesh()
         assert mesh[1].tobytes() == (k[1] - k[0] * drift).tobytes()
         assert mesh[1].shape == grid.half_shape[:2] + (1,) * (grid.dim - 2)
         assert np.array_equal(mesh[1], halve(full_frame_k_mesh(params, drift)[1], grid))
         assert all(a is b for a, b in zip(mesh[::2], k[::2]))
+
+    @pytest.mark.parametrize("drift", [0.0, 0.37, -0.8])
+    @pytest.mark.parametrize("shape", [(16, 12), (16, 24, 12)], ids=str)
+    def test_frame_is_one_read_only_set_of_operators(self, shape, drift):
+        grid = GridSpec(shape)
+        fr = frame(grid, drift, True)
+        assert fr is frame(GridSpec(shape), drift, True)
+        k = grid.k_mesh()
+        mesh = [k[0], k[1] - k[0] * drift, *k[2:]]
+        box = [band_of(m, grid) for m in mesh]
+        want = {"mesh": mesh, "box_mesh": box, "ik": [1j * m for m in box],
+                "box_guard": spectral.k2_guard(spectral._mesh_k2(box))}
+        for name, arrays in want.items():
+            got = getattr(fr, name)
+            assert len(got) == len(arrays), name
+            for a, b in zip(got, arrays):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+                with pytest.raises(ValueError):
+                    a[...] = 0
+        assert all(a is b for a, b in zip(frame(grid, drift, False).mesh, k))
 
     def test_k_mesh_is_one_read_only_lattice(self):
         first, again = GRID3.k_mesh(), GridSpec((16, 16, 16)).k_mesh()
