@@ -271,9 +271,9 @@ class EnergyLedger:
         return self.B_WEIGHT * self.A ** (-1.0 / 3.0)
 
 
-def ledger_update(ledger: EnergyLedger, state, params, tracker, n_vals: np.ndarray):
-    """Advance every track with the current sample; n_vals are the
-    collocation values of state.n.
+def ledger_update(ledger: EnergyLedger, state, params, tracker, n_linf: float):
+    """Advance every track with the current sample; n_linf is the largest
+    |value| of state.n on the collocation grid.
 
     Every norm is one ``parseval_sum`` over the k1 >= 0 half of a base field:
     n, u2 and u3 fluctuations, the omega2 fluctuation, the two good
@@ -282,7 +282,7 @@ def ledger_update(ledger: EnergyLedger, state, params, tracker, n_vals: np.ndarr
     of m |field|^2 against each of the moments."""
     t = state.t
     grid = params.grid
-    ledger.track("n_linf").observe(t, float(np.max(np.abs(n_vals))))
+    ledger.track("n_linf").observe(t, n_linf)
 
     mesh = frame(grid, state.frame.drift, params.enable_shear).mesh
     k1 = mesh[0]

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -96,6 +95,8 @@ def run_sweep_mass(cfg: RunConfig) -> dict:
     """Run each mass with an identical initial shape; bracket the threshold."""
     jobs = [(cfg, m) for m in cfg.masses]
     if cfg.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imports multiprocessing
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             rows = list(pool.map(_sweep_single, jobs))
     else:

@@ -72,32 +72,40 @@ def _heat_factor(grid: GridSpec, dt: float, A: float) -> np.ndarray:
     return factor
 
 
-def _shear_exponent(k1, k2, dt: float, drift0: float):
-    """integral over [0, dt] of (k2 - k1*(drift0 + s))^2 ds, closed form.
+def _shear_exponent(k1, k2, dt: float, drift0: float) -> np.ndarray:
+    """integral over [0, dt] of (k2 - k1*(drift0 + s))^2 ds, closed form, as
+    a fresh float array (0-d for scalar k).
 
     With b = k2 - k1*drift0 and c = k1*dt this is dt*(b^2 - b*c + c^2/3),
     evaluated as dt*(b*(b - c) + c*c/3): no power, no division by k1, and
-    k2^2 dt at k1 = 0 by itself.  Flipping the sign of (k1, k2) flips b, c
-    and b - c exactly, so the result is bitwise even in k.
+    k2^2 dt at k1 = 0 by itself.  It is built in place in the array of b.
+    Flipping the sign of (k1, k2) flips b, c and b - c exactly, so the result
+    is bitwise even in k.
     """
-    b = k2 - k1 * drift0
     c = k1 * dt
-    return dt * (b * (b - c) + c * c / 3.0)
+    e = np.asarray(k2 - k1 * drift0, dtype=float)  # b
+    e *= e - c
+    e += c * c / 3.0
+    e *= dt
+    return e
 
 
-def integrating_factor(k, t0: float, t1: float, drift0: float, A: float):
+def integrating_factor(k, t0: float, t1: float, drift0: float, A: float) -> np.ndarray:
     """exp of -(1/A) * integral of |k_eff(s)|^2 over [t0, t1], k = (k1, k2[, k3]).
 
     The drift evolves as drift0 + (s - t0).  The factor separates: one exp
     over the broadcast (k1, k2) plane, with the steady k1^2 part folded into
-    the closed-form wall-normal integral, times the line exp(-k3^2 dt / A)
-    in 3D.
+    the closed-form wall-normal integral (``_shear_exponent``, whose array
+    the plane is built in, in place), times the line exp(-k3^2 dt / A) in 3D.
     """
     if t1 < t0:
         raise ContractViolation("integrating_factor needs t1 >= t0")
     dt = t1 - t0
     k1 = k[0]
-    factor = np.exp((k1 * k1 * dt + _shear_exponent(k1, k[1], dt, drift0)) / -A)
+    factor = _shear_exponent(k1, k[1], dt, drift0)
+    factor += k1 * k1 * dt
+    factor /= -A
+    np.exp(factor, out=factor)
     for c in k[2:]:
         factor = factor * np.exp(-c * c * dt / A)
     return factor
@@ -128,12 +136,11 @@ def linear_step(grid: GridSpec, A: float, frame: ShearFrame, t: float, dt: float
         new_frame = ShearFrame(frame.t_last_remap, drift)
     else:
         new_frame = ShearFrame(t_last_remap=t + dt, drift=drift - shift)
-        i1, i2, dst, lost_modes = _remap_gather(grid, shift)
+        gather = _remap_gather(grid, shift)
 
     def apply(base, rhs=None, h=0.0, after=None, lost=True):
         out = (np.empty if shift == 0 else np.zeros)(base.shape, dtype=np.complex128)
         scaled = None if shift == 0 else np.empty(base.shape, dtype=np.complex128)
-        lead = (slice(None),) * (base.ndim - grid.dim)
 
         def propagate(s):  # on k1 planes s; a remap moves modes within their row
             o = slab(out, s, grid)  # stays zero where a remap's gather writes nothing
@@ -144,30 +151,43 @@ def linear_step(grid: GridSpec, A: float, frame: ShearFrame, t: float, dt: float
                 src = np.add(src, x, out=x)
             np.multiply(src, slab(factor, s, grid), out=x)
             if shift != 0:
-                p, q = np.searchsorted(i1, (s.start, s.stop))
-                rows = i1[p:q]
-                o[lead + (rows - s.start, dst[p:q])] = x[lead + (rows - s.start, i2[p:q])]
+                _remap_rows(out, scaled, s, gather, grid)
             if after is not None:
                 o += h * slab(after, s, grid)
         over_slabs(propagate, base.shape[base.ndim - grid.dim], grid)
-        return out, parseval_sum(scaled, grid, lost_modes) if lost and shift else 0.0
+        return out, parseval_sum(scaled, grid, gather[2]) if lost and shift else 0.0
     return apply, new_frame
 
 
 @lru_cache(maxsize=32)
 def _remap_gather(grid: GridSpec, shift: int) -> tuple:
     """The remap by shift as a gather, built once per (grid, shift) and
-    read-only: half-spectrum (i1, i2) -> (i1, dst), dst = k2_new % n2 with
-    k2_new = k2 - k1*shift, in row-major order, and the half's lost modes,
-    those moved beyond |k2_new| <= n2/2 - 1, as a 0/1 multiplier that
-    broadcasts against the half."""
+    read-only: (src, dst, lost).  Half-spectrum mode (i1, i2) moves to (i1,
+    k2_new % n2) with k2_new = k2 - k1*shift; src and dst hold both as flat
+    (k1, k2) indices i1*n2 + i2, ascending in src, of the modes kept, those
+    with |k2_new| <= n2/2 - 1.  lost is the half's other modes as a 0/1
+    multiplier that broadcasts against the half."""
     n2 = grid.shape[1]
     k1, k2 = (m.ravel().astype(int) for m in grid.k_mesh()[:2])
     k2_new = k2[None, :] - k1[:, None] * shift
     keep = np.abs(k2_new) <= n2 // 2 - 1  # the lone -n2/2 row stays empty: Hermitian band
     i1, i2 = np.nonzero(keep)
     lost = (~keep).astype(float).reshape(keep.shape + (1,) * (grid.dim - 2))
-    gather = (i1, i2, k2_new[i1, i2] % n2, lost)
+    gather = (i1 * n2 + i2, i1 * n2 + k2_new[i1, i2] % n2, lost)
     for arr in gather:
         arr.flags.writeable = False
     return gather
+
+
+def _remap_rows(out: np.ndarray, scaled: np.ndarray, s: slice, gather: tuple, grid: GridSpec):
+    """The remap of k1 planes s: the modes of those planes that
+    ``_remap_gather`` keeps, read from the half scaled and written to their
+    new k2 in the half out, one gather through flat (k1, k2) indices of the
+    halves, each a view with those two axes merged (copy=False raises where
+    it cannot be)."""
+    src, dst = gather[0], gather[1]
+    p, q = np.searchsorted(src, (s.start * grid.shape[1], s.stop * grid.shape[1]))
+    lead = out.ndim - grid.dim
+    flat, at = out.shape[:lead] + (-1,) + out.shape[lead + 2:], (slice(None),) * lead
+    out.reshape(flat, copy=False)[at + (dst[p:q],)] = \
+        scaled.reshape(flat, copy=False)[at + (src[p:q],)]

@@ -56,7 +56,7 @@ from .spectral import (
     slab,
     spectral_energy,
     total_mass,
-    values_of,
+    values_range,
 )
 
 SERIES_COLUMNS = (
@@ -365,7 +365,9 @@ def step(state: State, params: RunConfig, t_stop: float | None = None,
 def tail_ratio(n: SpectralField, params: RunConfig, drift: float) -> float:
     """Fraction of fluctuation energy at |k_eff| in the top third of the band."""
     grid = params.grid
-    k2 = _mesh_k2(shear.frame(grid, drift, params.enable_shear).mesh)
+    # unsheared, the frame's mesh is the lattice, whose |k|^2 is cached
+    k2 = _mesh_k2(shear.frame(grid, drift, params.enable_shear).mesh) if params.enable_shear \
+        else grid.k_squared()
     kcut = min(grid.dealias_cutoff(a) for a in range(grid.dim))
     n_h = n.half
     total = parseval_sum(n_h, grid, k2 > 0.0)
@@ -423,19 +425,21 @@ def _row(res: RunResult, n_vals: np.ndarray, low: float, high: float) -> dict:
     energies = diagnostics.energy_report(ledger) if ledger is not None else {}
     for key in ("E11", "E12", "E21", "E22", "E3", "E4", "E51", "E52"):
         row[key] = energies.get(key, 0.0)
-    n0 = zero_mode(n) if grid.dim == 3 else n
-    n0_vals = values_of(n0) if grid.dim == 3 else n_vals
-    ext = (n0_vals.min(), n0_vals.max()) if grid.dim == 3 else (low, high)
+    n0, n0_vals, ext = n, n_vals, (low, high)
+    if grid.dim == 3:
+        n0 = zero_mode(n)
+        n0_vals, *ext = values_range(n0)
     row["free_energy"] = free_energy(n0, n0_vals, ext) if is_positive(*ext) else float("nan")
     return row
 
 
 def _require_finite(state: State):
     """Raise ContractViolation naming the non-finite fields of state."""
-    bad = [name for name, f in (("density", state.n), ("velocity", state.u))
-           if f is not None and not np.all(np.isfinite(f.half.view(float)))]
-    if bad:
-        raise ContractViolation(f"non-finite {' and '.join(bad)} coefficients")
+    bad_n = not np.isfinite(state.n.half.view(float)).all()
+    bad_u = state.u is not None and not np.isfinite(state.u.half.view(float)).all()
+    if bad_n or bad_u:
+        names = " and ".join(name for name, bad in (("density", bad_n), ("velocity", bad_u)) if bad)
+        raise ContractViolation(f"non-finite {names} coefficients")
 
 
 def run(params: RunConfig, init: State, on_sample=None) -> RunResult:
@@ -460,7 +464,8 @@ def run(params: RunConfig, init: State, on_sample=None) -> RunResult:
 
     def emit(n_vals, low, high):
         if res.ledger is not None:
-            diagnostics.ledger_update(res.ledger, res.final_state, params, res.tracker, n_vals)
+            diagnostics.ledger_update(res.ledger, res.final_state, params, res.tracker,
+                                      max(high, -low))
         res.rows.append(_row(res, n_vals, low, high))
         if on_sample is not None:
             on_sample(res)
@@ -474,8 +479,7 @@ def run(params: RunConfig, init: State, on_sample=None) -> RunResult:
             res.ledger = diagnostics.EnergyLedger(A=params.A)
         if params.track_decomposition and state.u is not None:
             res.tracker = diagnostics.DecompositionTracker.start(params, state)
-        n_vals = values_of(state.n)
-        low, high = float(n_vals.min()), float(n_vals.max())  # max|n| = max(high, -low)
+        n_vals, low, high = values_range(state.n)  # max|n| = max(high, -low)
         res.monitor.start(state.t, max(high, -low))
         res.t_prev_sample, res.next_sample = state.t, state.t + params.output_every
         emit(n_vals, low, high)
@@ -491,8 +495,7 @@ def run(params: RunConfig, init: State, on_sample=None) -> RunResult:
                 raise ContractViolation(f"dropped energy fraction {res.dropped_energy:.2e}")
             if state.t < target - eps:
                 continue
-            n_vals = values_of(state.n)
-            low, high = float(n_vals.min()), float(n_vals.max())
+            n_vals, low, high = values_range(state.n)
             if params.enable_chemotaxis:
                 res.monitor.observe(
                     t=state.t, t_prev=res.t_prev_sample, linf=max(high, -low), n_min=low,

@@ -15,11 +15,11 @@ of its spectrum, which holds the whole k1 = 0 plane: ``complete_half``
 makes the half that of a real field and ``real_field`` completes a half and
 keeps it.  ``fill`` writes the k1 < 0 half, for readers of a full spectrum
 (``SpectralField.coeffs``) alone.
-Collocation values are read from the half too (``values_of``), and every
-spectral sum is one reduction over it (``parseval_sum``), each half mode
-counted with its multiplicity in the full spectrum (``parseval_weights``):
-the norms, ``divergence``'s, the tail monitor's, the ledger's and the
-remap loss.
+Collocation values are read from the half too (``values_of``, and with
+their extremes ``values_range``), and every spectral sum is one reduction
+over it (``parseval_sum``), each half mode counted with its multiplicity in
+the full spectrum (``parseval_weights``): the norms, ``divergence``'s, the
+tail monitor's, the ledger's and the remap loss.
 The integer lattice of a grid is its k1 >= 0 half's, built once and shared
 read-only (``GridSpec.k_mesh``).  In every dimension the real transforms
 are one pair of passes of numpy's 1-D FFTs, bit-identical to numpy's
@@ -37,11 +37,12 @@ from __future__ import annotations
 import contextvars
 import ctypes
 import itertools
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -72,15 +73,17 @@ class GridSpec:
             if n < 8 or n % 2 != 0:
                 raise ValueError(f"n_modes must be even and >= 8 per axis, got {n}")
 
-    @property
+    # dim, volume and size are read on every step and sample: each is
+    # computed once per grid
+    @cached_property
     def dim(self) -> int:
         return len(self.shape)
 
-    @property
+    @cached_property
     def volume(self) -> float:
         return TWO_PI ** self.dim
 
-    @property
+    @cached_property
     def size(self) -> int:
         return int(np.prod(self.shape))
 
@@ -645,15 +648,22 @@ def parseval_weights(grid: GridSpec) -> np.ndarray:
     return w
 
 
-def values_of(F: SpectralField) -> np.ndarray:
-    """Collocation values of a real field, by one real inverse transform of
-    its k1 >= 0 half: only the Hermitian parts of the k1 = 0 and k1 = n1/2
-    planes count.  Raises ContractViolation on non-finite values.
-    """
+def values_range(F: SpectralField) -> tuple[np.ndarray, float, float]:
+    """(values, min, max): the collocation values of a real field, by one
+    real inverse transform of its k1 >= 0 half (only the Hermitian parts of
+    the k1 = 0 and k1 = n1/2 planes count), and the least and the largest of
+    them, over every component.  A NaN or an infinity among the values makes
+    an extreme non-finite, on which it raises ContractViolation."""
     values = irfft_x(F.half, F.grid)
-    if not np.all(np.isfinite(values)):
+    low, high = float(values.min()), float(values.max())
+    if not (math.isfinite(low) and math.isfinite(high)):
         raise ContractViolation("RealField values must be finite")
-    return values
+    return values, low, high
+
+
+def values_of(F: SpectralField) -> np.ndarray:
+    """Collocation values of a real field (``values_range``)."""
+    return values_range(F)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +713,9 @@ def over_k2(x, k2, sign: float = 1.0) -> np.ndarray:
     Laplacian: sign = -1 gives lap^-1 x, sign = 1 the mean-free c, -lap c = x.
     k2 is |k|^2 or its ``k2_guard``."""
     pos, safe = k2_guard(k2) if isinstance(k2, np.ndarray) else k2
-    return np.where(pos, x / (safe if sign == 1.0 else sign * safe), 0.0)
+    out = x / (safe if sign == 1.0 else sign * safe)  # x itself at k = 0, where safe is 1
+    np.copyto(out, 0.0, where=~pos)
+    return out
 
 
 def solve_chemo(n: SpectralField) -> SpectralField:
@@ -748,8 +760,10 @@ def parseval_sum(half: np.ndarray, grid: GridSpec, m=1.0, moments=None):
     against the half).  Given a stack of such multipliers, ``moments``, one
     sum of w m moment |half|^2 per moment, an array.  The one spectral sum."""
     spatial = half.shape[half.ndim - grid.dim:]
-    e = np.zeros(spatial)
-    for comp in half.reshape((-1,) + spatial):
+    first, *rest = half.reshape((-1,) + spatial)
+    e = np.square(first.real)
+    e += np.square(first.imag)
+    for comp in rest:
         e += np.square(comp.real)
         e += np.square(comp.imag)
     e *= parseval_weights(grid) * m

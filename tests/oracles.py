@@ -41,6 +41,11 @@ whole spectrum's lattice, |k|^2 and sheared frame, on which every
 whole-spectrum reference works; the program's lattice is the k1 >= 0
 half's (``GridSpec.k_mesh``).  ``checkpoint_bytes`` is a checkpoint's
 bytes as ``seriesio.write_checkpoint`` writes them.
+``expression_factor`` is the integrating factor written as one expression
+of fresh arrays, the bit-for-bit reference of ``shear.integrating_factor``,
+which builds it in place, and ``fancy_remap_rows`` the remap as a gather by
+(k1, k2) index pairs, the bit-for-bit reference of ``shear._remap_rows``,
+which gathers through flat indices.
 ``run_params`` is no oracle: it is how every test builds a run's parameters
 on a test grid, through ``config.params_of`` like the program itself.
 """
@@ -76,6 +81,7 @@ from shearks.spectral import (
     over_k2,
     place,
     rfft_x,
+    slab,
     values_of,
 )
 
@@ -106,6 +112,37 @@ def full_frame_k_mesh(params, drift: float) -> list[np.ndarray]:
     if params.enable_shear:
         k[1] = k[1] - k[0] * drift
     return k
+
+
+def expression_factor(k, t0: float, t1: float, drift0: float, A: float):
+    """exp of -(1/A) * integral of |k_eff(s)|^2 over [t0, t1] as one
+    expression, each operation into a fresh array, in the order that
+    ``shear.integrating_factor`` takes in place."""
+    dt = t1 - t0
+    k1, k2 = k[0], k[1]
+    b = k2 - k1 * drift0
+    c = k1 * dt
+    factor = np.exp((k1 * k1 * dt + dt * (b * (b - c) + c * c / 3.0)) / -A)
+    for k3 in k[2:]:
+        factor = factor * np.exp(-k3 * k3 * dt / A)
+    return factor
+
+
+def fancy_remap_rows(out: np.ndarray, scaled: np.ndarray, s: slice, grid: GridSpec,
+                     shift: int):
+    """The remap by shift of k1 planes s: each kept mode (i1, i2) of the half
+    scaled written to (i1, (k2 - k1*shift) % n2) of the half out, by one
+    fancy index of (k1, k2) pairs on the slabs; modes moved beyond |k2| <=
+    n2/2 - 1 are not written."""
+    n2 = grid.shape[1]
+    k1, k2 = (m.ravel().astype(int) for m in grid.k_mesh()[:2])
+    k2_new = k2[None, :] - k1[:, None] * shift
+    i1, i2 = np.nonzero(np.abs(k2_new) <= n2 // 2 - 1)
+    dst = k2_new[i1, i2] % n2
+    p, q = np.searchsorted(i1, (s.start, s.stop))
+    rows = i1[p:q] - s.start
+    lead = (slice(None),) * (out.ndim - grid.dim)
+    slab(out, s, grid)[lead + (rows, dst[p:q])] = slab(scaled, s, grid)[lead + (rows, i2[p:q])]
 
 
 def checkpoint_bytes(state, A: float) -> bytes:
@@ -555,17 +592,18 @@ def _observe_field(ledger, name: str, weight: float, t: float,
     ledger.track(name, weight).observe(t, *_norm_pieces(coeffs, grid, weights))
 
 
-def full_spectrum_ledger(ledger, state, params, tracker, n_vals: np.ndarray):
+def full_spectrum_ledger(ledger, state, params, tracker):
     """``diagnostics.ledger_update`` on whole spectra, into the same
     ``EnergyLedger``: each norm is summed over the full grid from a full
-    complex spectrum of its field, the Y0 tracks observe the pressure piece
-    too, and the bad part is formed twice."""
+    complex spectrum of its field, max|n| is read from the collocation values
+    (``linf_norm``), the Y0 tracks observe the pressure piece too, and the
+    bad part is formed twice."""
     t = state.t
     grid = params.grid
     n = state.n
     mesh = full_frame_k_mesh(params, state.frame.drift)
 
-    ledger.track("n_linf").observe(t, float(np.max(np.abs(n_vals))))
+    ledger.track("n_linf").observe(t, linf_norm(n))
     weights = _norm_weights(grid, mesh)
 
     # (i k1)^2 is exactly zero on the k1 = 0 plane: this is the fluctuation alone

@@ -34,8 +34,8 @@ from shearks.spectral import (
     zeros,
 )
 
-from oracles import (compute_omega2, from_values, full_spectrum_ledger, residual_omega2,
-                     run_params, split_bar_tilde)
+from oracles import (compute_omega2, from_values, full_spectrum_ledger, linf_norm,
+                     residual_omega2, run_params, split_bar_tilde)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 GRID3 = GridSpec((16, 16, 16))
@@ -265,7 +265,7 @@ class TestEnergyLedger:
         u = vec_field(GRID3, fy=lambda x, y, z: np.sin(x + z))
         state = State(t=0.0, n=n, u=u, frame=ShearFrame())
         ledger = EnergyLedger(A=params.A)
-        ledger_update(ledger, state, params, None, values_of(n))
+        ledger_update(ledger, state, params, None, linf_norm(n))
         assert ledger.tracks["lap_u2_neq"].sup == pytest.approx(16 * np.pi ** 3, rel=1e-12)
 
     def test_zero_bad_part_matches_no_tracker(self):
@@ -279,7 +279,7 @@ class TestEnergyLedger:
         for tr in (tracker, None):
             ledger = EnergyLedger(A=params.A)
             for t in (0.0, 0.5):
-                ledger_update(ledger, replace(state, t=t), params, tr, values_of(state.n))
+                ledger_update(ledger, replace(state, t=t), params, tr, linf_norm(state.n))
             reports.append(energy_report(ledger))
         for key in ("E21", "E22", "E3", "E4", "E51", "E52"):
             assert reports[0][key] == reports[1][key], key
@@ -306,9 +306,9 @@ class TestEnergyLedger:
         ref = EnergyLedger(A=params.A)
         reports, epochs = [], set()
 
-        def both(ledger, state, params, tracker, n_vals):
-            ledger_update(ledger, state, params, tracker, n_vals)
-            full_spectrum_ledger(ref, state, params, tracker, n_vals)
+        def both(ledger, state, params, tracker, n_linf):
+            ledger_update(ledger, state, params, tracker, n_linf)
+            full_spectrum_ledger(ref, state, params, tracker)
             reports.append((energy_report(ledger), energy_report(ref)))
             epochs.add(state.frame.t_last_remap)
         monkeypatch.setattr(diagnostics, "ledger_update", both)
@@ -340,12 +340,12 @@ class TestEnergyLedger:
         for _ in range(3):
             state, _ = step(state, params, tracker=tracker)
         ledger = EnergyLedger(A=params.A)
-        n_vals = values_of(state.n)
-        ledger_update(ledger, state, params, tracker, n_vals)  # caches and transform threads
+        n_linf = linf_norm(state.n)
+        ledger_update(ledger, state, params, tracker, n_linf)  # caches and transform threads
         tracemalloc.start()
         try:
             live = tracemalloc.get_traced_memory()[0]
-            ledger_update(ledger, state, params, tracker, n_vals)
+            ledger_update(ledger, state, params, tracker, n_linf)
             peak = tracemalloc.get_traced_memory()[1] - live
         finally:
             tracemalloc.stop()

@@ -12,7 +12,8 @@ from shearks.shear import ShearFrame, _shear_exponent, integrating_factor, linea
 from shearks.solver import _step_operator
 from shearks.spectral import GridSpec, SpectralField, fill, halve, l2_norm, values_of
 
-from oracles import (dealias_mask, exact_passive_scalar, from_values, full_k_mesh,
+from oracles import (dealias_mask, exact_passive_scalar, expression_factor,
+                     fancy_remap_rows, from_values, full_k_mesh,
                      full_k_squared, run_params)
 from test_spectral import random_real_field
 
@@ -116,6 +117,32 @@ class TestIntegratingFactor:
         inner = np.ix_(*[np.flatnonzero(np.arange(n) != n // 2) for n in grid.shape])
         assert np.array_equal(factor[inner], mirror[inner])
 
+    @pytest.mark.parametrize("dt, drift0, A", [(1e-3, 0.99, 1e2), (0.0464, -0.9, 50.0),
+                                               (0.25, 0.0, 1e5), (0.37, -0.41, 7.0)])
+    @pytest.mark.parametrize("grid", [GRID128, GRID3], ids=["128^2", "48^3"])
+    def test_in_place_factor_is_the_expression_bitwise(self, grid, dt, drift0, A):
+        for t0 in (0.0, 1.3):
+            got = integrating_factor(grid.k_mesh(), t0, t0 + dt, drift0, A)
+            want = expression_factor(grid.k_mesh(), t0, t0 + dt, drift0, A)
+            assert got.shape == want.shape == grid.half_shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [(0, 2, 1), (1, 0, 0), (3, -2, 1), (-5, 7), (2.0, -3.0, 4.0)],
+                             ids=str)
+    def test_in_place_factor_takes_scalar_k(self, k):
+        for dt, drift0, A in ((0.7, 0.4, 3.0), (2.19, 0.35, 7.0), (1e-3, -0.99, 1e4)):
+            got = integrating_factor(k, 5.0, 5.0 + dt, drift0, A)
+            want = expression_factor(k, 5.0, 5.0 + dt, drift0, A)
+            assert np.ndim(got) == 0
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_shear_exponent_leaves_its_inputs(self):
+        k = GRID3.k_mesh()
+        before = [m.copy() for m in k]
+        e = _shear_exponent(k[0], k[1], 0.3, -0.6)
+        assert e.shape == GRID3.half_shape[:2] + (1,)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(k, before))
+
 
 class TestRemap:
     """solver._step_operator, the one propagator, across a remap.  It takes and
@@ -212,6 +239,27 @@ class TestRemap:
                     want[:, i, new % n2] = x[:, i, j]
         want += h * after
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("pieces", [1, 4], ids=["one slab", "four slabs"])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["scalar", "3 components"])
+    @pytest.mark.parametrize("grid", [GridSpec((16, 16)), GridSpec((16, 24, 12))], ids=str)
+    @pytest.mark.parametrize("shift", [1, -1])
+    def test_flat_gather_is_the_fancy_index_bitwise(self, grid, lead, shift, pieces):
+        rng = np.random.default_rng(9)
+        shape = lead + grid.half_shape
+        scaled = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got, want = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
+        gather = shear._remap_gather(grid, shift)
+        n = grid.half_shape[0]
+        edges = [n * i // pieces for i in range(pieces + 1)]
+        for a, b in zip(edges, edges[1:]):
+            s = slice(a, b)
+            shear._remap_rows(got, scaled, s, gather, grid)
+            fancy_remap_rows(want, scaled, s, grid, shift)
+        assert got.tobytes() == want.tobytes()
+        # every mode but the lost ones moved; the lost multiplier marks the rest
+        kept = np.count_nonzero(got) // int(np.prod(lead + grid.shape[2:]))
+        assert kept == gather[2].size - np.count_nonzero(gather[2])
 
 
 class TestLinearStep:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shearks import diagnostics, inequalities, shear, solver, spectral
+from shearks import diagnostics, shear, solver, spectral
 from shearks.config import params_of, parse_config
 from shearks.inequalities import free_energy
 from shearks.initial import build_initial_state
@@ -562,14 +562,15 @@ class TestRun:
             return step(*args, **kw)
         monkeypatch.setattr(solver, "step", counting)
 
-        # unsheared 32^2 chemotaxis, 20 steps: its one frame serves every stage
-        # and sample
+        # unsheared 32^2 chemotaxis, 20 steps: its one frame serves both
+        # stages of every step, and the samples' tail monitor reads the
+        # grid's cached |k|^2
         shear.frame.cache_clear()
         params = short_params(GRID2, fixed_dt=0.01, t_end=0.2, output_every=0.05)
         res = run(params, make_state(GRID2, gaussian_bump(GRID2, width=1.0, mass=4 * np.pi)))
         assert res.status == solver.STATUS_SUPPRESSED and len(steps) == 20
         built = shear.frame.cache_info()
-        assert built.misses == 1 and built.hits > 2 * len(steps)
+        assert built.misses == 1 and built.misses + built.hits == 2 * len(steps)
 
         # sheared, tracked 16^3: one frame per step, the start's, and one
         # cross-section frame
@@ -621,11 +622,12 @@ class TestSamples:
     def test_one_density_transform_per_2d_sample(self, monkeypatch):
         calls = []
 
-        def counting(F, _values_of=spectral.values_of):
+        def counting(F, _values_range=spectral.values_range):
             calls.append(F.grid.shape)
-            return _values_of(F)
-        for module in (spectral, solver, inequalities):
-            monkeypatch.setattr(module, "values_of", counting)
+            return _values_range(F)
+        # the run's sample and, through spectral's values_of, free_energy's c
+        for module in (spectral, solver):
+            monkeypatch.setattr(module, "values_range", counting)
         params = short_params(GRID2, t_end=0.5, output_every=0.05, dt_max=5e-3,
                               track_energies=True)
         n = gaussian_bump(GRID2, width=1.0, mass=4 * np.pi)
@@ -730,6 +732,22 @@ class TestSamples:
         assert result.status == "unresolved" and len(result.rows) == 1
         assert "invalid value" in result.monitor.reason
         assert result.monitor.t_event == 0.0
+
+    @pytest.mark.parametrize("passive", [False, True], ids=["chemotaxis", "passive"])
+    def test_finite_half_whose_values_overflow_is_unresolved_at_start(self, passive):
+        # finite coefficients whose collocation values overflow, under numpy's
+        # default error state: the first sample finds a non-finite extreme
+        grid = GridSpec((16, 16))
+        half = gaussian_bump(grid, width=1.0, mass=4 * np.pi).half.copy()
+        half[1, 2] = half[2, 1] = 1e308
+        half[0, 3] = half[0, -3] = -1e308
+        assert np.all(np.isfinite(half))
+        params = short_params(grid, enable_chemotaxis=not passive)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = run(params, make_state(grid, SpectralField.from_half(grid, half)))
+        assert result.status == "unresolved" and result.rows == []
+        assert result.monitor.reason == "RealField values must be finite"
+        assert result.monitor.t_event == 0.0 and result.final_state.t == 0.0
 
     def test_floating_point_error_at_start_up_is_classified(self):
         # a finite state whose energy overflows: the start-up's fluctuation

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import pickle
 import platform
 import re
 import subprocess
@@ -39,6 +40,7 @@ from shearks.spectral import (
     l2_norm,
     laplacian,
     leray_project,
+    over_k2,
     over_slabs,
     parseval_sum,
     parseval_weights,
@@ -50,6 +52,7 @@ from shearks.spectral import (
     solve_chemo,
     spectral_energy,
     values_of,
+    values_range,
     zeros,
 )
 
@@ -92,6 +95,19 @@ class TestGridSpec:
         assert GRID2.dim == 2
         assert GRID2.volume == pytest.approx((2 * np.pi) ** 2)
         assert GRID2.dealias_cutoff(0) == 10
+
+    @pytest.mark.parametrize("shape", [(16,), (16, 12), (16, 24, 12)], ids=str)
+    def test_cached_properties_keep_the_value_and_the_key(self, shape):
+        # dim, size and volume are computed once per grid; a grid that has
+        # read them is still equal, hashed and pickled as a fresh one (the
+        # lattice caches key on it)
+        grid = GridSpec(shape)
+        assert (grid.dim, grid.size, grid.volume) == (
+            len(shape), int(np.prod(shape)), (2 * np.pi) ** len(shape))
+        fresh = GridSpec(shape)
+        assert grid == fresh and hash(grid) == hash(fresh)
+        assert pickle.loads(pickle.dumps(grid)) == fresh
+        assert grid.k_mesh()[0] is fresh.k_mesh()[0]
 
     def test_rejects_odd_or_tiny(self):
         with pytest.raises(ValueError, match="even"):
@@ -250,6 +266,39 @@ class TestValuesOf:
             with pytest.raises(ContractViolation, match="finite"), \
                     np.errstate(invalid="ignore"):
                 values_of(F)
+            with pytest.raises(ContractViolation, match="RealField values must be finite"), \
+                    np.errstate(invalid="ignore"):
+                values_range(F)
+
+    @pytest.mark.parametrize("grid", [GridSpec((16,)), GridSpec((32, 16)), GRID3],
+                             ids=["1d", "2d", "3d"])
+    def test_values_range_is_the_values_and_their_extremes(self, grid):
+        F = random_real_field(grid, seed=34)
+        values, low, high = values_range(F)
+        want = values_of(F)
+        assert values.tobytes() == want.tobytes()
+        assert (low, high) == (want.min(), want.max())
+        assert type(low) is float and type(high) is float
+
+    @pytest.mark.parametrize("kind", ["nan", "+inf", "-inf"])
+    def test_finite_half_whose_values_overflow_raises(self, kind):
+        # finite coefficients whose values hold NaN (inf - inf), or +inf alone
+        # with a finite min, or -inf alone with a finite max
+        grid = GridSpec((16, 16))
+        half = np.zeros(grid.half_shape, dtype=np.complex128)
+        if kind == "nan":
+            half[1, 2] = half[2, 1] = 1e308
+            half[0, 3] = half[0, -3] = -1e308
+        else:  # 1 + cos y, scaled to 1e308: 2e308 overflows at y = 0
+            sign = 1.0 if kind == "+inf" else -1.0
+            half[0, 0], half[0, 1], half[0, -1] = sign * 1e308, sign * 5e307, sign * 5e307
+        with np.errstate(over="ignore", invalid="ignore"):
+            low, high = np.min(irfft_x(half, grid)), np.max(irfft_x(half, grid))
+            assert {"nan": np.isnan(low) and np.isnan(high),
+                    "+inf": np.isfinite(low) and high == np.inf,
+                    "-inf": low == -np.inf and np.isfinite(high)}[kind]
+            with pytest.raises(ContractViolation, match="RealField values must be finite"):
+                values_range(SpectralField.from_half(grid, half))
 
 
 def serial_irfft_x(half, grid):
@@ -742,6 +791,32 @@ class TestChemo:
         assert np.max(np.abs(lhs - rhs)) < 1e-14
 
 
+class TestOverK2:
+    @pytest.mark.parametrize("grid", [GridSpec((16, 16)), GridSpec((16, 24, 12))], ids=str)
+    @pytest.mark.parametrize("where", ["half", "box"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("guarded", [False, True], ids=["k2", "guard"])
+    def test_matches_the_where_form_bitwise(self, grid, where, sign, guarded):
+        # the division into a zeroed array is np.where's x / (sign |k|^2)
+        # with 0 at k = 0, for complex x of the mesh's shape and with a
+        # component axis, and for real x of a broadcast shape
+        mesh = grid.k_mesh()
+        if where == "box":
+            mesh = [band_of(m, grid) for m in mesh]
+        k2 = spectral._mesh_k2(mesh)
+        pos, safe = spectral.k2_guard(k2)
+        rng = np.random.default_rng(41)
+        xs = [rng.standard_normal(k2.shape) + 1j * rng.standard_normal(k2.shape),
+              rng.standard_normal((3, *k2.shape)) - 1j * rng.standard_normal((3, *k2.shape)),
+              mesh[0] ** 2]
+        for x in xs:
+            want = np.where(pos, x / (safe if sign == 1.0 else sign * safe), 0.0)
+            got = over_k2(x, (pos, safe) if guarded else k2, sign)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert np.all(got[(...,) + (0,) * grid.dim] == 0.0)
+
+
 class TestLeray:
     def test_pure_gradient_annihilated(self):
         x, y = GRID2.coordinate_mesh()
@@ -925,14 +1000,16 @@ class TestSourceGuard:
 
     def test_package_imports_no_scipy(self):
         # scipy.fft is no backend here: importing it raises the peak RSS that
-        # the benchmark gates
+        # the benchmark gates; multiprocessing is loaded only by a sweep that
+        # runs on worker processes, for its import time is every CLI call's
         loaded = run_script(
             "import importlib, pkgutil, sys\n"
             "import shearks\n"
             "names = [m.name for m in pkgutil.iter_modules(shearks.__path__)]\n"
             "for name in names:\n"
             "    importlib.import_module('shearks.' + name)\n"
-            "print(len(names), *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+            "print(len(names), *sorted(m for m in sys.modules\n"
+            "                          if m.split('.')[0] in ('scipy', 'multiprocessing')))\n")
         assert loaded.split() == [str(len(self.SOURCES) - 1)]  # every module but __init__
 
     @pytest.mark.parametrize("dim", [2, 3])
