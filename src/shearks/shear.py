@@ -95,8 +95,8 @@ def integrating_factor(k, t0: float, t1: float, drift0: float, A: float) -> np.n
 
     The drift evolves as drift0 + (s - t0).  The factor separates: one exp
     over the broadcast (k1, k2) plane, with the steady k1^2 part folded into
-    the closed-form wall-normal integral (``_shear_exponent``, whose array
-    the plane is built in, in place), times the line exp(-k3^2 dt / A) in 3D.
+    the closed-form wall-normal integral and built in place in the array of
+    ``_shear_exponent``, times the line exp(-k3^2 dt / A) in 3D.
     """
     if t1 < t0:
         raise ContractViolation("integrating_factor needs t1 >= t0")
@@ -136,7 +136,7 @@ def linear_step(grid: GridSpec, A: float, frame: ShearFrame, t: float, dt: float
         new_frame = ShearFrame(frame.t_last_remap, drift)
     else:
         new_frame = ShearFrame(t_last_remap=t + dt, drift=drift - shift)
-        gather = _remap_gather(grid, shift)
+        flat_src, flat_dst, lost_modes = _remap_gather(grid, shift)
 
     def apply(base, rhs=None, h=0.0, after=None, lost=True):
         out = (np.empty if shift == 0 else np.zeros)(base.shape, dtype=np.complex128)
@@ -151,11 +151,11 @@ def linear_step(grid: GridSpec, A: float, frame: ShearFrame, t: float, dt: float
                 src = np.add(src, x, out=x)
             np.multiply(src, slab(factor, s, grid), out=x)
             if shift != 0:
-                _remap_rows(out, scaled, s, gather, grid)
+                _remap_rows(out, scaled, s, flat_src, flat_dst, grid)
             if after is not None:
                 o += h * slab(after, s, grid)
         over_slabs(propagate, base.shape[base.ndim - grid.dim], grid)
-        return out, parseval_sum(scaled, grid, gather[2]) if lost and shift else 0.0
+        return out, parseval_sum(scaled, grid, lost_modes) if lost and shift else 0.0
     return apply, new_frame
 
 
@@ -179,13 +179,12 @@ def _remap_gather(grid: GridSpec, shift: int) -> tuple:
     return gather
 
 
-def _remap_rows(out: np.ndarray, scaled: np.ndarray, s: slice, gather: tuple, grid: GridSpec):
+def _remap_rows(out: np.ndarray, scaled: np.ndarray, s: slice, src, dst, grid: GridSpec):
     """The remap of k1 planes s: the modes of those planes that
-    ``_remap_gather`` keeps, read from the half scaled and written to their
-    new k2 in the half out, one gather through flat (k1, k2) indices of the
-    halves, each a view with those two axes merged (copy=False raises where
-    it cannot be)."""
-    src, dst = gather[0], gather[1]
+    ``_remap_gather`` keeps (src, dst), read from the half scaled and written
+    to their new k2 in the half out, one gather through flat (k1, k2) indices
+    of the halves, each a view with those two axes merged (copy=False raises
+    where it cannot be)."""
     p, q = np.searchsorted(src, (s.start * grid.shape[1], s.stop * grid.shape[1]))
     lead = out.ndim - grid.dim
     flat, at = out.shape[:lead] + (-1,) + out.shape[lead + 2:], (slice(None),) * lead
