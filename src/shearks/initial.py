@@ -25,7 +25,7 @@ def build_density(cfg: RunConfig, grid: GridSpec) -> SpectralField:
 
 def build_velocity(cfg: RunConfig, grid: GridSpec) -> SpectralField:
     """The solenoidal zero-mode pair when u_eps > 0 plus the Leray-projected
-    fluctuation when u_amplitude > 0; zero when both are 0."""
+    fluctuation when u_amplitude > 0, a solenoidal sum; zero when both are 0."""
     u = zeros(grid, components=3)
     if cfg.u_eps > 0:
         # solenoidal x-independent (u2, u3) with ||u2_0||_H2 + ||u3_0||_H1 = u_eps
@@ -42,7 +42,7 @@ def build_velocity(cfg: RunConfig, grid: GridSpec) -> SpectralField:
         norm = l2_norm(fluct)
         if norm > 0:
             u.half += cfg.u_amplitude / norm * fluct.half
-    return real_field(u.half, grid, grid.k_mesh())
+    return real_field(u.half, grid)
 
 
 def build_initial_state(cfg: RunConfig) -> State:

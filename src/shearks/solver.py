@@ -14,11 +14,14 @@ its step is the exact propagator alone, applied once, exact in that limit.
 Rescaled system (diffusivity 1/A, Couette advection y d/dx):
     dn/dt + y dn/dx = (1/A) [lap n - div(n u) - div(n grad c)]
     lap c = -(n - mean n)
-    du/dt + y du/dx = (1/A) lap u + P[-u2 e1 + (n/A) e1 - (1/A) div(u x u)]
-                      + grad lap^-1 dx u2
+    du/dt + y du/dx = (1/A) lap u - u2 e1 + (n/A) e1 - (1/A) div(u x u) - grad p
     div u = 0
-where P is the Leray projection and the trailing gradient term is the
-pressure response that keeps u divergence-free while the frame tilts.
+The frame tilts each mode's k = (k1, k2 - k1 drift, k3), so grad p is one
+projection per stage onto k.rhs_u = k1 u2 (``spectral.leray_coeffs``).
+Heun's corrector u_new = IF (u + h rhs1) + h rhs2 (IF the propagator's
+factor, h = dt/2) then has k_new.u_new = IF k1 u2 (2h - dt) = 0 where
+k.u = 0, and a remap keeps each mode's wavevector: u stays solenoidal and a
+step's output is not projected.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .spectral import (
     divergence,
     hermitize,  # noqa: F401  (pinned by benchmarks/tests/test_bench_spans.py, ROADMAP item 2)
     irfft_band,
-    k2_guard,
     l2_norm,
     leray_coeffs,
     over_k2,
@@ -188,11 +190,11 @@ _SLOT = {(i, j): t for t, (a, b) in enumerate(_PAIRS) for i, j in ((a, b), (b, a
 def tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: float,
              frame: shear.Frame, chemotaxis: bool = True, tilt: bool = False) -> StageEval:
     """Explicit tendencies, the one assembly behind every caller:
-    rhs_n = -(1/A) div(n u + n grad c) and rhs_u = P[-u2 e1 + (n/A) e1 -
-    (1/A) div(u x u)], plus grad lap^-1 dx u2 (pressure response to the
-    tilting frame) when tilt is set.  Products are dealiased, forcing terms
-    raw; rhs_n conserves mass to round-off and rhs_u is divergence-free for
-    the given wavevectors.  n_h, u_h and both tendencies are k1 >= 0 half
+    rhs_n = -(1/A) div(n u + n grad c) and rhs_u the projection of r =
+    -u2 e1 + (n/A) e1 - (1/A) div(u x u) onto k.rhs_u = k1 u2 when tilt is
+    set (the tilting frame's pressure response), onto k.rhs_u = 0 otherwise
+    (``leray_coeffs``).  Products are dealiased, forcing terms raw; rhs_n
+    conserves mass to round-off.  n_h, u_h and both tendencies are k1 >= 0 half
     spectra, and frame holds the half mesh and, on the 2/3-rule band box, i k
     and the inverse Laplacian's guard (``shear.frame``).  The dealiased parts
     (c, grad c, the u x u and flux divergences) are formed on that box and
@@ -246,8 +248,8 @@ def tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: float,
     del phys, n_phys, u_phys, grad_c, flux, prods
     rhs_n = np.zeros(n_h.shape, dtype=np.complex128)
     rhs_u = None if u_h is None else np.zeros(u_h.shape, dtype=np.complex128)
-    # the box divergences, one task per output field, then the raw terms, the
-    # projection and the tilt on k1 slabs of the half
+    # the box divergences, one task per output field, then the raw terms and
+    # the projection on k1 slabs of the half
     fluxes = [(rhs_n, [flux_box[a] for a in range(grid.dim)])]
     if u_h is not None:
         fluxes += [(rhs_u[i], [uu[_SLOT[j, i]] for j in range(grid.dim)])
@@ -258,12 +260,7 @@ def tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: float,
         m = [slab(c, s, grid) for c in frame.mesh]
         rhs, u2 = slab(rhs_u, s, grid), slab(u_h[1], s, grid)
         rhs[0] += slab(n_h, s, grid) / A - u2
-        guard = k2_guard(_mesh_k2(m))
-        leray_coeffs(rhs, m, guard)
-        if tilt:
-            base = over_k2((1j * m[0]) * u2, guard, sign=-1.0)  # lap^-1 dx u2
-            for a in range(grid.dim):
-                rhs[a] += 1j * m[a] * base
+        leray_coeffs(rhs, m, m[0] * u2 if tilt else None)  # k.rhs = k1 u2 on a tilting frame
     if u_h is not None:
         over_slabs(raw, n_h.shape[0], grid)
 
@@ -324,7 +321,8 @@ def step(state: State, params: RunConfig, t_stop: float | None = None,
     """Advance one Heun step composed with the exact shear propagator.
 
     Runs on the k1 >= 0 halves of n and u and completes each output in
-    place (``real_field``); without t_stop the step is not clipped.  The remap's
+    place (``real_field``), the velocity solenoidal by construction and not
+    projected; without t_stop the step is not clipped.  The remap's
     dropped energy is summed for the corrector alone.
     A passive scalar has a zero tendency, so its step is the propagator
     alone, applied once and not symmetrized: the propagator keeps a
@@ -355,8 +353,7 @@ def step(state: State, params: RunConfig, t_stop: float | None = None,
     u_field, dropped_u = None, 0.0
     if u_h is not None:
         u_new, dropped_u = apply_op(u_h, ev1.rhs_u, h, ev2.rhs_u)
-        u_field = real_field(u_new, grid,
-                             shear.frame(grid, new_frame.drift, params.enable_shear).mesh)
+        u_field = real_field(u_new, grid)
 
     new_state = State(t=state.t + dt, n=real_field(n_new, grid), u=u_field, frame=new_frame)
     return new_state, StepInfo(dt=dt, dropped_n=dropped_n, dropped_u=dropped_u)
@@ -369,9 +366,10 @@ def tail_ratio(n: SpectralField, params: RunConfig, drift: float) -> float:
     k2 = _mesh_k2(shear.frame(grid, drift, params.enable_shear).mesh) if params.enable_shear \
         else grid.k_squared()
     kcut = min(grid.dealias_cutoff(a) for a in range(grid.dim))
-    n_h = n.half
-    total = parseval_sum(n_h, grid, k2 > 0.0)
-    return parseval_sum(n_h, grid, k2 >= (2.0 * kcut / 3.0) ** 2) / total if total > 0.0 else 0.0
+    # both masked sums from one pass of squares
+    total, top = parseval_sum(n.half, grid, 1.0,
+                              np.stack([k2 > 0.0, k2 >= (2.0 * kcut / 3.0) ** 2]))
+    return top / total if total > 0.0 else 0.0
 
 
 @dataclass

@@ -28,8 +28,8 @@ the stacks of a batch (``rfft_bands``) and the k1 or x slabs of a
 mode-local stage (``over_slabs``) are tasks of one work queue that the
 caller and one pool thread drain (``_drain``), bit for bit the serial
 result.  The operators act on halves through that lattice; ``divergence``
-and ``leray_coeffs`` take the wavevectors they work on, the lattice or a
-sheared frame's.
+and ``leray_coeffs``, the one velocity projection, take the wavevectors
+they work on, the lattice or a sheared frame's.
 """
 
 from __future__ import annotations
@@ -621,16 +621,12 @@ def fill(half: np.ndarray, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def real_field(half: np.ndarray, grid: GridSpec, mesh=None) -> SpectralField:
+def real_field(half: np.ndarray, grid: GridSpec) -> SpectralField:
     """The real field of a k1 >= 0 half spectrum, which it keeps: the half
-    is completed in place (``complete_half``) and, given its half mesh, a
-    velocity Leray-projected in place on k1 slabs, which keeps the
-    completion.  Step outputs, tracker parts, initial states and random
-    test fields all end here."""
+    is completed in place (``complete_half``).  Step outputs, tracker parts,
+    initial states and random test fields all end here; completion keeps a
+    solenoidal velocity solenoidal."""
     complete_half(half, grid)
-    if mesh is not None:
-        over_slabs(lambda s: leray_coeffs(slab(half, s, grid), [slab(m, s, grid) for m in mesh]),
-                   half.shape[half.ndim - grid.dim], grid)
     return SpectralField.from_half(grid, half)
 
 
@@ -708,12 +704,11 @@ def k2_guard(k2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pos, np.where(pos, k2, 1.0)
 
 
-def over_k2(x, k2, sign: float = 1.0) -> np.ndarray:
-    """x / (sign |k|^2) off k = 0 and 0 at k = 0, behind every inverse
-    Laplacian: sign = -1 gives lap^-1 x, sign = 1 the mean-free c, -lap c = x.
-    k2 is |k|^2 or its ``k2_guard``."""
+def over_k2(x, k2) -> np.ndarray:
+    """x / |k|^2 off k = 0 and 0 at k = 0, behind every inverse Laplacian:
+    the mean-free c with -lap c = x.  k2 is |k|^2 or its ``k2_guard``."""
     pos, safe = k2_guard(k2) if isinstance(k2, np.ndarray) else k2
-    out = x / (safe if sign == 1.0 else sign * safe)  # x itself at k = 0, where safe is 1
+    out = x / safe  # x itself at k = 0, where safe is 1
     np.copyto(out, 0.0, where=~pos)
     return out
 
@@ -738,15 +733,19 @@ def leray_project(u: SpectralField) -> SpectralField:
     return SpectralField.from_half(u.grid, leray_coeffs(u.half.copy(), u.grid.k_mesh()))
 
 
-def leray_coeffs(coeffs: np.ndarray, mesh, k2=None) -> np.ndarray:
-    """leray_project on a bare component array, e.g. a k1 >= 0 half spectrum,
-    in place (coeffs is returned); k2 is the mesh's |k|^2 or its
-    ``k2_guard``, built when not given."""
-    kdotu = sum(mesh[a] * coeffs[a] for a in range(len(mesh)))
+def leray_coeffs(coeffs: np.ndarray, mesh, target=None) -> np.ndarray:
+    """The one velocity projection, on a bare component array (e.g. a k1 >= 0
+    half spectrum) with wavevectors mesh, in place (coeffs is returned): the
+    orthogonal projection onto k.u = target, coeffs - k (k.coeffs - target)
+    / |k|^2 off k = 0, k = 0 unchanged.  With target 0 (not given) it is
+    ``leray_project``; a sheared stage's tendency targets k1 u2."""
+    excess = sum(mesh[a] * coeffs[a] for a in range(len(mesh)))
+    if target is not None:
+        excess -= target
     with np.errstate(divide="ignore", invalid="ignore"):
-        kdotu = over_k2(kdotu, _mesh_k2(mesh) if k2 is None else k2)
+        excess = over_k2(excess, _mesh_k2(mesh))
     for a in range(len(mesh)):
-        coeffs[a] -= mesh[a] * kdotu
+        coeffs[a] -= mesh[a] * excess
     return coeffs
 
 

@@ -9,7 +9,14 @@ FFT backend, the cases' settings).  ``tests/test_reference.py`` reruns the
 cases and compares every column against these files.  Regenerate them only
 for a change that moves a column past its bound on purpose, and declare the
 move: before it overwrites a case's file, the script prints the largest
-change per column against it (``largest_moves``).
+change per column against it beside the column's bound (``largest_moves``).
+The bounds (``allowed``) are defined here, and ``test_reference.py`` holds
+the runs to them: ``status``, ``t`` and the row count exactly, every other
+column to SMOOTH_REL relative, except the round-off columns: ``div_l2``
+absolutely (DIV_ABS), ``n_min`` relative to the row's ``n_linf``
+(N_MIN_REL), and ``dropped_energy`` to SMOOTH_REL relative or DROPPED_ABS
+absolute, whichever is larger, since a run that loses only round-off at its
+remaps reads a value near 1e-36.
 
 With ``--check`` it prints the same report, writes nothing, and exits 1
 when any case's row count, ``t``, ``status`` or any other column differs
@@ -99,28 +106,59 @@ def identical(rows: list[dict], refs: list[dict]) -> bool:
                                           for c in SERIES_COLUMNS)
 
 
-def _relative_change(new: float, old: float) -> float:
+SMOOTH_REL = 1e-13
+DIV_ABS = 1e-15
+N_MIN_REL = 1e-13
+DROPPED_ABS = 1e-30
+EXACT = ("t", "status")
+
+
+def terms(column: str, ref: dict) -> tuple[float, float, str]:
+    """(scale, bound, name): a column's move |new - ref[column]| / scale may
+    reach bound in the reference row ref; name says what the move is."""
+    value = ref[column]
+    if column == "div_l2":
+        return 1.0, DIV_ABS, "abs"
+    if column == "n_min":
+        return abs(ref["n_linf"]), N_MIN_REL, "of n_linf"
+    if column == "dropped_energy" and SMOOTH_REL * abs(value) < DROPPED_ABS:
+        return 1.0, DROPPED_ABS, "abs"
+    return abs(value), SMOOTH_REL, "rel"
+
+
+def allowed(column: str, ref: dict) -> float:
+    """The largest |new - ref| the column may show in the reference row ref."""
+    scale, bound, _ = terms(column, ref)
+    return bound * scale
+
+
+def _move(new: float, ref: dict, column: str) -> tuple[float, float, str]:
+    """(move, bound, name) of one value against its reference row, in the
+    column's ``terms``: 0 where both are equal or both NaN, inf where only
+    one is NaN or the scale is 0."""
+    old = ref[column]
+    scale, bound, name = terms(column, ref)
     if _same(new, old):
-        return 0.0
-    if math.isnan(new) or math.isnan(old) or old == 0.0:
-        return math.inf
-    return abs(new - old) / abs(old)
+        return 0.0, bound, name
+    if math.isnan(new) or math.isnan(old) or scale == 0.0:
+        return math.inf, bound, name
+    return abs(new - old) / scale, bound, name
 
 
 def largest_moves(rows: list[dict], refs: list[dict]) -> str:
     """The largest change per column of rows against refs, a reference
     file's rows: the row count, t and status as equal or not, every other
-    column as the largest |new - old| / |old| over the rows both hold (0
-    where both are equal or both NaN, inf where only one is NaN or old is
-    0)."""
+    column as its largest move over the rows both hold, measured and shown
+    as ``test_reference.py`` bounds it (``terms``), beside that bound."""
     parts = ["rows equal" if len(rows) == len(refs) else f"rows {len(refs)} -> {len(rows)}"]
     for column in SERIES_COLUMNS:
-        pairs = [(row[column], ref[column]) for row, ref in zip(rows, refs)]
-        if column in ("t", "status"):
-            parts.append(f"{column} {'equal' if all(a == b for a, b in pairs) else 'differs'}")
-        else:
-            worst = max((_relative_change(a, b) for a, b in pairs), default=0.0)
-            parts.append(f"{column} {worst:.3g}")
+        if column in EXACT:
+            same = all(row[column] == ref[column] for row, ref in zip(rows, refs))
+            parts.append(f"{column} {'equal' if same else 'differs'}")
+            continue
+        moves = [_move(row[column], ref, column) for row, ref in zip(rows, refs)]
+        move, bound, name = max(moves, key=lambda m: m[0] / m[1], default=(0.0, SMOOTH_REL, "rel"))
+        parts.append(f"{column} {move:.2g} {name} (bound {bound:.0e})")
     return ", ".join(parts)
 
 

@@ -35,7 +35,10 @@ ledger summed over whole spectra, the reference of
 ``masked_tendency`` is the tendency assembled on whole k1 >= 0 halves with
 every dealiased product multiplied by the 2/3-rule mask, the bit-for-bit
 reference (up to the sign of exact zeros) of ``solver.tendency``, which
-transforms and assembles the band box alone.
+transforms and assembles the band box alone.  ``two_step_projection`` is a
+sheared stage's velocity projection as Leray's projection followed by the
+pressure response grad lap^-1 dx u2, the reference of the one projection
+onto k.u = k1 u2 (``spectral.leray_coeffs``).
 ``full_k_mesh``, ``full_k_squared`` and ``full_frame_k_mesh`` are the
 whole spectrum's lattice, |k|^2 and sheared frame, on which every
 whole-spectrum reference works; the program's lattice is the k1 >= 0
@@ -442,9 +445,8 @@ def full_spectrum_step(state, params, t_stop=None, tracker=None):
 
     Each tendency is filled to a full spectrum, the propagator runs over
     both halves, and each output is symmetrized by ``hermitian`` over the
-    whole grid, the velocity then Leray-projected (``leray_coeffs``).  The
-    tendency kernel itself is shared: it is graded on its own in
-    ``test_tendency.py``.
+    whole grid; the velocity is not projected.  The tendency kernel itself
+    is shared: it is graded on its own in ``test_tendency.py``.
     """
     grid = params.grid
     t_remaining = (t_stop - state.t) if t_stop is not None else math.inf
@@ -473,9 +475,7 @@ def full_spectrum_step(state, params, t_stop=None, tracker=None):
     u_field, dropped_u = None, 0.0
     if u is not None:
         u_new, dropped_u = apply_op(u + 0.5 * dt * ev1.rhs_u)
-        u_sym = hermitian(u_new + 0.5 * dt * ev2.rhs_u, grid)
-        u_field = SpectralField(grid, leray_coeffs(u_sym, full_frame_k_mesh(params,
-                                                                 new_frame.drift)))
+        u_field = SpectralField(grid, hermitian(u_new + 0.5 * dt * ev2.rhs_u, grid))
         if tracker is not None:
             tracker.advance(params, dt, (n, u, ev1), (n_pred, u_pred, ev2))
     return (solver.State(t=state.t + dt, n=n_field, u=u_field, frame=new_frame),
@@ -489,11 +489,11 @@ def masked_tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: 
     2/3-rule mask, where the solver transforms the band box alone.
 
     Explicit tendencies:
-    rhs_n = -(1/A) div(n u + n grad c) and rhs_u = P[-u2 e1 + (n/A) e1 -
-    (1/A) div(u x u)], plus grad lap^-1 dx u2 (pressure response to the
-    tilting frame) when tilt is set.  Products are dealiased, forcing terms
-    raw; rhs_n conserves mass to round-off and rhs_u is divergence-free for
-    the given wavevectors.  n_h, u_h and both tendencies are k1 >= 0 half
+    rhs_n = -(1/A) div(n u + n grad c) and rhs_u the projection of r =
+    -u2 e1 + (n/A) e1 - (1/A) div(u x u) onto k.rhs_u = k1 u2 when tilt is
+    set, onto k.rhs_u = 0 otherwise (``leray_coeffs``).  Products are
+    dealiased, forcing terms raw; rhs_n conserves mass to round-off.
+    n_h, u_h and both tendencies are k1 >= 0 half
     spectra, and k_mesh is the half mesh (``shear.frame``'s).  A passive
     scalar has no tendency and raises ContractViolation.
     """
@@ -541,10 +541,7 @@ def masked_tendency(n_h: np.ndarray, u_h: np.ndarray | None, grid: GridSpec, A: 
         rhs = np.stack([(-1.0 / A) * sum(1j * mesh[j] * uu[slot[j, i]] for j in range(grid.dim))
                         * dmask for i in range(grid.dim)])
         rhs[0] += n_h / A - u_h[1]
-        rhs_u = leray_coeffs(rhs, mesh)
-        if tilt:
-            base = over_k2((1j * mesh[0]) * u_h[1], k2, sign=-1.0)  # lap^-1 dx u2
-            rhs_u += np.stack([1j * mesh[a] * base for a in range(grid.dim)])
+        rhs_u = leray_coeffs(rhs, mesh, mesh[0] * u_h[1] if tilt else None)
     rhs_n = (-1.0 / A) * sum(1j * mesh[a] * flux_hat[a] for a in range(grid.dim)) * dmask
 
     uu_zero = None
@@ -561,6 +558,19 @@ def masked_evaluate(n_h, u_h, params, drift: float) -> solver.StageEval:
     return masked_tendency(n_h, u_h, params.grid, params.A,
                            shear.frame(params.grid, drift, params.enable_shear).mesh,
                            params.enable_chemotaxis, tilt=params.enable_shear)
+
+
+def two_step_projection(rhs: np.ndarray, u2: np.ndarray, mesh) -> np.ndarray:
+    """A sheared stage's velocity projection in the two steps that
+    ``spectral.leray_coeffs`` with target k1 u2 folds into one: Leray's
+    projection of rhs, then the tilting frame's pressure response
+    grad lap^-1 dx u2, its inverse Laplacian a division by -|k|^2 that is 0
+    at k = 0.  mesh holds the wavevectors of rhs; a new array."""
+    out = leray_coeffs(rhs.copy(), mesh)
+    k2 = _mesh_k2(mesh)
+    pos = k2 > 0.0
+    base = np.where(pos, (1j * mesh[0]) * u2 / np.where(pos, -k2, 1.0), 0.0)  # lap^-1 dx u2
+    return out + np.stack([1j * m * base for m in mesh])
 
 
 def _norm_weights(grid: GridSpec, mesh) -> tuple[np.ndarray, np.ndarray]:

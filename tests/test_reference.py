@@ -1,12 +1,11 @@
 """Every column of five short runs against the references in tests/data/reference.
 
-``status``, ``t`` and the row count must match exactly.  Every other column
-is smooth and must agree to SMOOTH_REL relative, except the round-off
-columns: ``div_l2`` is compared absolutely (DIV_ABS), ``n_min`` relative to
-the row's ``n_linf`` (N_MIN_REL), and ``dropped_energy`` to SMOOTH_REL
-relative or DROPPED_ABS absolute, whichever is larger, since a run that
-loses only round-off at its remaps reads a value near 1e-36.
-``tests/make_reference.py`` regenerates the references.
+``status``, ``t`` and the row count must match exactly, and every other
+column must stay within its bound (``make_reference.allowed``, which
+defines them): smooth columns relative, the round-off columns ``div_l2``,
+``n_min`` and ``dropped_energy`` in their own terms.
+``tests/make_reference.py`` regenerates the references and reports moves
+against the same bounds.
 """
 
 import math
@@ -15,26 +14,9 @@ import pytest
 
 from shearks.solver import SERIES_COLUMNS
 
-from make_reference import CASES, REFERENCE, case_rows
+from make_reference import (CASES, DIV_ABS, EXACT, REFERENCE, allowed, case_rows,
+                            largest_moves)
 from oracles import read_series
-
-SMOOTH_REL = 1e-13
-DIV_ABS = 1e-15
-N_MIN_REL = 1e-13
-DROPPED_ABS = 1e-30
-EXACT = ("t", "status")
-
-
-def allowed(column: str, ref: dict) -> float:
-    """The largest |new - ref| the column may show in the reference row ref."""
-    value = ref[column]
-    if column == "div_l2":
-        return DIV_ABS
-    if column == "n_min":
-        return N_MIN_REL * abs(ref["n_linf"])
-    if column == "dropped_energy":
-        return max(SMOOTH_REL * abs(value), DROPPED_ABS)
-    return SMOOTH_REL * abs(value)
 
 
 def departures(rows: list[dict], refs: list[dict]) -> list[str]:
@@ -71,3 +53,16 @@ def test_departures_are_caught():
     rows[5]["status"] = "blowup"
     assert [d.split(":")[0] for d in departures(rows, refs)] == \
         ["row 3 E12", "row 4 div_l2", "row 5 status"]
+
+
+def test_moves_are_reported_in_the_bounds_terms():
+    refs = read_series(REFERENCE / "suppression_3d_16.csv")
+    rows = [dict(r) for r in refs]
+    rows[4]["div_l2"] = refs[4]["div_l2"] + 0.25
+    rows[2]["n_min"] = refs[2]["n_min"] + 0.5 * refs[2]["n_linf"]
+    rows[3]["E12"] = 1.5 * refs[3]["E12"]
+    report = largest_moves(rows, refs).split(", ")
+    for part in ("rows equal", "t equal", "status equal", "div_l2 0.25 abs (bound 1e-15)",
+                 "n_min 0.5 of n_linf (bound 1e-13)", "E12 0.5 rel (bound 1e-13)",
+                 "u_l2 0 rel (bound 1e-13)", "dropped_energy 0 abs (bound 1e-30)"):
+        assert part in report

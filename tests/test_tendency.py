@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shearks import solver
+from shearks import shear, solver
 from shearks.config import params_of, parse_config
 from shearks.diagnostics import DecompositionTracker
 from shearks.initial import build_initial_state
@@ -38,7 +38,7 @@ from shearks.spectral import (
 )
 
 from oracles import (dealias_mask, full_band_hermitian, full_frame_k_mesh, full_k_mesh,
-                     masked_evaluate, run_params)
+                     masked_evaluate, run_params, two_step_projection)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -242,3 +242,20 @@ def test_tracked_coupled_run_equals_masked_assembly(monkeypatch):
         assert np.array_equal(state.n.coeffs, ref.n.coeffs)
         assert np.array_equal(state.u.coeffs, ref.u.coeffs)
         assert np.array_equal(parts, ref_parts)
+
+
+@pytest.mark.parametrize("grid", [GRID3, GridSpec((24, 24, 24))], ids=["16x12x20", "24^3"])
+@pytest.mark.parametrize("drift", [0.0, 0.37, -0.8])
+def test_one_projection_equals_the_two_step_form(grid, drift):
+    # onto k.u = k1 u2 on a sheared frame's half mesh: Leray's projection
+    # plus grad lap^-1 dx u2, to round-off, and the target met
+    mesh = shear.frame(grid, drift, True).mesh
+    rng = np.random.default_rng(29)
+    rhs, u2 = (rng.standard_normal(s) + 1j * rng.standard_normal(s)
+               for s in ((3, *grid.half_shape), grid.half_shape))
+    got = leray_coeffs(rhs.copy(), mesh, mesh[0] * u2)
+    want = two_step_projection(rhs, u2, mesh)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    excess = sum(m * g for m, g in zip(mesh, got)) - mesh[0] * u2
+    excess[(0,) * grid.dim] = 0.0  # k = 0 is left as it is
+    assert np.max(np.abs(excess)) <= 1e-14 * np.max(np.abs(mesh[0] * u2))
